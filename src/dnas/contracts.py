@@ -18,6 +18,7 @@ from .keys import Signature, prefixed_digest, recover_signer
 
 ROLE_WINEMAKER = "winemaker"
 ROLE_PARTICIPANT = "participant"
+_NO_CALLER = "0x" + "00" * 20  # views run on behalf of no account
 
 
 @dataclass
@@ -167,6 +168,10 @@ class WineDataContractV1:
     """First deployed wine-data implementation."""
 
     version = "winedata-v1"
+    # the methods the proxy delegates to, by the call surface that reaches them
+    TRANSACTIONS = frozenset({"create_wine_record", "append_wine_record",
+                              "increment_read_count"})
+    VIEWS = frozenset({"validate_wine_record_hash", "validate_signature", "get_record"})
 
     # -- transactions --------------------------------------------------------------
 
@@ -257,13 +262,10 @@ class WineDataContractV2(WineDataContractV1):
     """Upgrade target: identical record semantics plus an inventory view."""
 
     version = "winedata-v2"
+    VIEWS = WineDataContractV1.VIEWS | {"record_count"}
 
     def record_count(self, storage: WineDataStorage, ctx: ExecutionContext) -> int:
         return len(storage.write_count)
-
-
-_TX_METHODS = {"create_wine_record", "append_wine_record", "increment_read_count"}
-_VIEW_METHODS = {"validate_wine_record_hash", "validate_signature", "get_record", "record_count"}
 
 
 class Proxy:
@@ -309,17 +311,24 @@ class Proxy:
         self.initialize_counter[version] = 1
         self.current_implementation = version
 
-    def call(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
+    def _implementation(self) -> WineDataContractV1:
         if self.current_implementation is None:
             raise ProxyError("proxy not initialized: no implementation set")
-        impl = self._implementations[self.current_implementation]
-        handler = getattr(impl, method, None)
-        if handler is None or method not in (_TX_METHODS | _VIEW_METHODS):
-            raise ContractError(f"no contract method {method!r}")
-        return handler(self.storage, ctx, **params)
+        return self._implementations[self.current_implementation]
 
-    def is_view(self, method: str) -> bool:
-        return method in _VIEW_METHODS
+    def call(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
+        """Runs a transaction method of the current implementation."""
+        impl = self._implementation()
+        if method not in impl.TRANSACTIONS:
+            raise ContractError(f"no transaction method {method!r} in {impl.version}")
+        return getattr(impl, method)(self.storage, ctx, **params)
+
+    def view(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
+        """Runs a read-only method of the current implementation."""
+        impl = self._implementation()
+        if method not in impl.VIEWS:
+            raise ContractError(f"no view method {method!r} in {impl.version}")
+        return getattr(impl, method)(self.storage, ctx, **params)
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -331,7 +340,25 @@ class Proxy:
 
 
 class ContractRuntime:
-    """Deployed contract set executed by the ledger's transactions."""
+    """Deployed contract set executed by the ledger's transactions. The tables
+    below declare the registry and proxy-admin methods; wine-data calls go to
+    the proxy, which takes its methods from the current implementation."""
+
+    _TRANSACTIONS = {
+        ("registry", "bootstrap_add_peer"): lambda rt, ctx, p: rt.registry.bootstrap_add_peer(
+            ctx, PeerEntry(**p["entry"])),
+        ("registry", "propose_peer"): lambda rt, ctx, p: rt.registry.propose_peer(
+            ctx, PeerEntry(**p["entry"]), p["add"]),
+        ("registry", "set_consensus_level"): lambda rt, ctx, p: rt.registry.set_consensus_level(
+            ctx, p["level"]),
+        ("proxy_admin", "upgrade_to"): lambda rt, ctx, p: rt.proxy.upgrade_to(ctx, p["version"]),
+    }
+    _VIEWS = {
+        "get_peers": lambda rt, p: rt.registry.get_peers(),
+        "role_of": lambda rt, p: rt.registry.role_of(p["address"]),
+        "is_member": lambda rt, p: rt.registry.is_member(p["address"]),
+        "consensus_level": lambda rt, p: rt.registry.consensus_level,
+    }
 
     def __init__(self, admin: str, bootstrap_count: int = 5):
         self.admin = admin
@@ -347,41 +374,21 @@ class ContractRuntime:
         """Runs a state-transitioning call; returns (result, emitted events)."""
         ctx = ExecutionContext(caller=caller, registry=self.registry)
         if target == "proxy":
-            if self.proxy.is_view(method):
-                raise ContractError(f"{method!r} is read-only; call it, do not transact")
             result = self.proxy.call(ctx, method, params)
-        elif target == "registry":
-            if method == "propose_peer":
-                result = self.registry.propose_peer(ctx, PeerEntry(**params["entry"]), params["add"])
-            elif method == "bootstrap_add_peer":
-                result = self.registry.bootstrap_add_peer(ctx, PeerEntry(**params["entry"]))
-            elif method == "set_consensus_level":
-                result = self.registry.set_consensus_level(ctx, params["level"])
-            else:
-                raise ContractError(f"no registry method {method!r}")
-        elif target == "proxy_admin":
-            if method != "upgrade_to":
-                raise ContractError(f"no proxy-admin method {method!r}")
-            result = self.proxy.upgrade_to(ctx, params["version"])
         else:
-            raise ContractError(f"unknown contract target {target!r}")
+            handler = self._TRANSACTIONS.get((target, method))
+            if handler is None:
+                raise ContractError(f"no transaction method {method!r} on {target!r}")
+            result = handler(self, ctx, params)
         return result, ctx.events
 
-    def call_view(self, method: str, params: Dict[str, object],
-                  caller: str = "0x" + "00" * 20) -> object:
+    def call_view(self, method: str, params: Dict[str, object]) -> object:
         """Read-only call; never mutates state and emits nothing."""
-        ctx = ExecutionContext(caller=caller, registry=self.registry)
-        if method == "get_peers":
-            return self.registry.get_peers()
-        if method == "role_of":
-            return self.registry.role_of(params["address"])
-        if method == "is_member":
-            return self.registry.is_member(params["address"])
-        if method == "consensus_level":
-            return self.registry.consensus_level
-        if self.proxy.is_view(method):
-            return self.proxy.call(ctx, method, params)
-        raise ContractError(f"no view method {method!r}")
+        handler = self._VIEWS.get(method)
+        if handler is not None:
+            return handler(self, params)
+        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry)
+        return self.proxy.view(ctx, method, params)
 
     def state_bytes(self) -> bytes:
         return canonical_json_bytes({

@@ -27,7 +27,7 @@ from .errors import (
 from .keys import KeyPair, Signature, recover_signer
 
 TX_GAS = 21_000
-GAS_LIMIT_FLOOR = 5_000
+GAS_LIMIT_FLOOR = TX_GAS  # below one transaction's gas a block could never drain the pool
 GAS_BOUND_DIVISOR = 1024
 
 _ZERO_HASH = "0x" + "00" * 32
@@ -61,6 +61,8 @@ class GenesisConfig:
             raise ConfigError("genesis needs at least one validator")
         if self.period < 1:
             raise ConfigError("block period must be at least 1")
+        if self.min_gas_limit < TX_GAS:
+            raise ConfigError(f"gas limit floor below one transaction ({TX_GAS} gas)")
         if self.gas_limit < self.min_gas_limit:
             raise ConfigError("genesis gas limit below the configured floor")
 

@@ -54,10 +54,6 @@ class WineRecord:
         })
 
 
-def derive_subset(record: WineRecord) -> bytes:
-    return record.subset()
-
-
 class RecordDatabase:
     """Embedded key-value store of wine records, keyed by wine identifier.
 

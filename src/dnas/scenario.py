@@ -15,20 +15,6 @@ from typing import Dict, List, Optional
 from .errors import ScenarioError
 from .service import MemberRole, NodeType
 
-KNOWN_ACTIONS = {
-    "create_record", "ship_record", "validate_record", "accept_record",
-    "purchase_record", "onboard_member", "remove_member", "set_consensus_level",
-    "upgrade_contract", "halt_node", "resume_node", "clone_tag", "tamper_tag",
-    "tamper_record",
-}
-
-KNOWN_EXPECTATIONS = {
-    "chain_height_min", "record_status", "write_count", "counters_in_sync",
-    "validator_count", "registry_size", "attack_logged", "no_attacks",
-    "last_validation", "step_error", "sold_count",
-}
-
-
 @dataclass
 class Step:
     at: int
@@ -68,6 +54,7 @@ class Scenario:
     session_timeout: Optional[int] = None
 
     def validate(self) -> None:
+        from .simnet import ScenarioRunner  # simnet imports this module
         if not self.members:
             raise ScenarioError("scenario declares no members")
         admin_count = sum(1 for m in self.members if m.role is MemberRole.ADMINISTRATOR)
@@ -79,7 +66,7 @@ class Scenario:
             if last_at is not None and step.at < last_at:
                 raise ScenarioError(f"step {index} is out of time order")
             last_at = step.at
-            if step.action not in KNOWN_ACTIONS:
+            if step.action not in ScenarioRunner.ACTIONS:
                 raise ScenarioError(f"step {index}: unknown action {step.action!r}")
             if step.actor not in actors:
                 # onboarded members become actors once their step declares them
@@ -88,7 +75,7 @@ class Scenario:
                 if step.actor not in onboarded:
                     raise ScenarioError(f"step {index}: unknown actor {step.actor!r}")
         for index, expectation in enumerate(self.expectations):
-            if expectation.get("kind") not in KNOWN_EXPECTATIONS:
+            if expectation.get("kind") not in ScenarioRunner.EXPECTATIONS:
                 raise ScenarioError(
                     f"expectation {index}: unknown kind {expectation.get('kind')!r}")
 

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .content_store import ContentId, PrivateNetwork
 from .contracts import ContractEvent, ROLE_PARTICIPANT, ROLE_WINEMAKER
-from .encoding import canonical_json
+from .encoding import canonical_json_bytes
 from .errors import (
     AuthError,
     ContractError,
@@ -43,6 +43,9 @@ from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
 from .tags import NfcTag
 from .vault import Vault, VaultAuthMethod, secret_path
+
+
+_IDLE_BLOCK_BUDGET = 64  # blocks run_until_idle may seal before it gives up
 
 
 class MemberRole(enum.Enum):
@@ -140,7 +143,6 @@ class BlockchainService:
         self._key = decrypt_keystore(keystore_from_json(stored), info.keystore_password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
-        self._readout = None
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
 
     @property
@@ -256,7 +258,7 @@ class BlockchainService:
         validator voting round. Duplicate deliveries are harmless."""
         if self.role is not MemberRole.ADMINISTRATOR:
             return
-        key = (event.kind, event.tx_hash or "", canonical_json(event.fields))
+        key = (event.kind, event.tx_hash or "", canonical_json_bytes(event.fields))
         if key in self._seen_events:
             return
         self._seen_events.add(key)
@@ -402,16 +404,13 @@ class BlockchainService:
                                                          Optional[Dict[str, object]],
                                                          Optional[str]]:
         outcomes: List[ValidationOutcome] = []
-        self._readout = None
         try:
             wine_id = tag.peek_wine_id()
         except TagStateError as exc:
             raise FlowError("tag-read", str(exc)) from exc
 
-        failure = self._layer_off_chain(wine_id, tag, outcomes)
-        readout = None
+        readout, failure = self._layer_off_chain(wine_id, tag, outcomes)
         if failure is None:
-            readout = self._readout
             failure = self._layer_on_chain(wine_id, readout, outcomes)
         if failure is None:
             failure = self._layer_content_store(wine_id, outcomes)
@@ -455,33 +454,33 @@ class BlockchainService:
         return attack, layer, details
 
     def _layer_off_chain(self, wine_id, tag, outcomes):
+        """Returns (tag readout or None, failure or None)."""
         layer = ValidationLayer.OFF_CHAIN_DB
         try:
             record = self.consortium.db.get(wine_id)
         except NotFoundError:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "wine identifier not found in the database")
+            return None, self._fail(outcomes, layer, AttackClass.MODIFICATION,
+                                    "wine identifier not found in the database")
         try:
             readout = tag.read(password=bytes.fromhex(record.tag_password)
                                if record.tag_password else None)
         except TagLockedError:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "tag rejects the injected password")
-        self._readout = readout
+            return None, self._fail(outcomes, layer, AttackClass.MODIFICATION,
+                                    "tag rejects the injected password")
         if readout.tag_id != record.tag_uid:
-            return self._fail(outcomes, layer, AttackClass.CLONING,
-                              "inconsistent tag identifier")
+            return readout, self._fail(outcomes, layer, AttackClass.CLONING,
+                                       "inconsistent tag identifier")
         if readout.write_counter != record.write_counter:
-            return self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                              "write counter differs from the database")
+            return readout, self._fail(outcomes, layer, AttackClass.REAPPLICATION,
+                                       "write counter differs from the database")
         if readout.read_counter != record.read_counter + 1:
-            return self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                              "read counter differs from the database")
+            return readout, self._fail(outcomes, layer, AttackClass.REAPPLICATION,
+                                       "read counter differs from the database")
         if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "wine identifier or signature differs from the database")
+            return readout, self._fail(outcomes, layer, AttackClass.MODIFICATION,
+                                       "wine identifier or signature differs from the database")
         outcomes.append(ValidationOutcome(layer=layer, result="pass"))
-        return None
+        return readout, None
 
     def _layer_on_chain(self, wine_id, readout, outcomes):
         layer = ValidationLayer.ON_CHAIN
@@ -603,14 +602,14 @@ class Consortium:
     def __init__(self, chain_id: int = 77, period: int = 1, gas_limit: int = 8_000_000,
                  bootstrap_count: int = 5, seed: int = 0,
                  initial_members: Optional[List[Tuple[str, MemberRole, NodeType]]] = None,
-                 dispatcher: Optional[Callable[..., None]] = None,
                  session_timeout: Optional[int] = None):
         self.session_timeout = session_timeout
         self.rng = random.Random(seed)
         self.now = 0
         self.period = period
         self.bootstrap_count = bootstrap_count
-        self.dispatcher = dispatcher or (lambda fn, *args: fn(*args))
+        # receipts and events are delivered at once unless a simulator defers them
+        self.dispatcher: Callable[..., None] = lambda fn, *args: fn(*args)
         self.members: Dict[str, MemberInfo] = {}
         self.services: Dict[str, BlockchainService] = {}
         self.consumers: Dict[str, KeyPair] = {}
@@ -805,10 +804,10 @@ class Consortium:
             return block
         return None
 
-    def run_until_idle(self, max_blocks: int = 64) -> None:
+    def run_until_idle(self) -> None:
         """Advance simulated time and seal until no work remains; serves the
         synchronous (non-simulator) use of the consortium."""
-        for _ in range(max_blocks):
+        for _ in range(_IDLE_BLOCK_BUDGET):
             if not self.chain.pool and not self._receipt_watchers:
                 return
             self.now = self.chain.head.timestamp + self.period

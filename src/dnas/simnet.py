@@ -8,10 +8,10 @@ seed, so a (seed, scenario) pair always produces the same transcript.
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .encoding import canonical_json, canonical_json_bytes
+from .encoding import canonical_json_bytes
 from .errors import DnasError, ScenarioError
 from .records import WineStatus
 from .scenario import Scenario, Step
@@ -67,14 +67,7 @@ class Report:
     notifications: List[Dict[str, object]]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario, "seed": self.seed, "passed": self.passed,
-            "chain_height": self.chain_height, "state_root": self.state_root,
-            "validators": self.validators, "registry": self.registry,
-            "records": self.records, "attack_log": self.attack_log,
-            "steps": self.steps, "expectations": self.expectations,
-            "notifications": self.notifications,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -84,7 +77,7 @@ class Report:
 
     def notifications_ndjson(self) -> str:
         """Notification log as line-delimited JSON, one event per line."""
-        return "\n".join(canonical_json(n) for n in self.notifications)
+        return "\n".join(canonical_json_bytes(n).decode() for n in self.notifications)
 
     def render_text(self) -> str:
         lines = [
@@ -173,21 +166,15 @@ class ScenarioRunner:
 
     def _run_step(self, step: Step) -> None:
         try:
-            self._dispatch_action(step)
+            self.ACTIONS[step.action](self, step)
         except DnasError as exc:
-            message = str(exc)
-            expected = step.expect_error is not None and step.expect_error in message
-            self.step_results.append(StepResult(
-                at=step.at, actor=step.actor, action=step.action,
-                ok=expected, error=message))
-            return
-        if step.expect_error is not None:
-            self.step_results.append(StepResult(
-                at=step.at, actor=step.actor, action=step.action, ok=False,
-                error=f"expected an error containing {step.expect_error!r}"))
-            return
-        self.step_results.append(StepResult(
-            at=step.at, actor=step.actor, action=step.action, ok=True))
+            error = str(exc)
+            ok = step.expect_error is not None and step.expect_error in error
+        else:
+            ok = step.expect_error is None
+            error = None if ok else f"expected an error containing {step.expect_error!r}"
+        self.step_results.append(StepResult(at=step.at, actor=step.actor, action=step.action,
+                                            ok=ok, error=error))
 
     def _service_for(self, actor: str):
         consortium = self.consortium
@@ -207,139 +194,162 @@ class ScenarioRunner:
             raise ScenarioError(f"no tag for {wine_id!r} ({params.get('tag', 'genuine')})")
         return tag
 
-    def _dispatch_action(self, step: Step) -> None:
-        consortium = self.consortium
-        action = step.action
+    # -- actions: one handler per scenario action name ------------------------------------
+
+    def _create_record(self, step: Step) -> None:
+        wine_id = step.params["wine_id"]
+        tag = NfcTag(uid=self.consortium.randbytes(7))
+        self.tags[wine_id] = tag
+        self._service_for(step.actor).create_record_flow(
+            {"wine_id": wine_id, "pedigree_data": step.params.get("pedigree", {})},
+            tag, step.params.get("device_id", f"device-{step.actor}"))
+
+    def _ship_record(self, step: Step) -> None:
+        self.consortium.db.update("winemaker", step.params["wine_id"],
+                                  {"wine_status": WineStatus.IN_TRANSIT})
+
+    def _validate_record(self, step: Step) -> None:
+        wine_id = step.params["wine_id"]
+        service = self._service_for(step.actor)
+        outcomes, _, session = service.validate_record_flow(self._tag_for(step.params))
+        self.last_validation[wine_id] = [o.to_dict() for o in outcomes]
+        if session is not None:
+            self.sessions[(step.actor, wine_id)] = session
+
+    def _accept_record(self, step: Step, purchase: bool = False) -> None:
+        wine_id = step.params["wine_id"]
+        service = self._service_for(step.actor)
+        session = self.sessions.pop((step.actor, wine_id), None)
+        custodian = self.consortium.consumers.get(step.actor) if purchase else None
+        service.accept_record_flow(self.tags[wine_id], session or "missing-session",
+                                   custodian_key=custodian, purchase=purchase)
+
+    def _onboard_member(self, step: Step) -> None:
         params = step.params
-        if action == "create_record":
-            wine_id = params["wine_id"]
-            tag = NfcTag(uid=consortium.randbytes(7))
-            self.tags[wine_id] = tag
-            service = self._service_for(step.actor)
-            service.create_record_flow(
-                {"wine_id": wine_id, "pedigree_data": params.get("pedigree", {})},
-                tag, params.get("device_id", f"device-{step.actor}"))
-        elif action == "ship_record":
-            consortium.db.update("winemaker", params["wine_id"],
-                                 {"wine_status": WineStatus.IN_TRANSIT})
-        elif action == "validate_record":
-            service = self._service_for(step.actor)
-            tag = self._tag_for(params)
-            outcomes, _, session = service.validate_record_flow(tag)
-            self.last_validation[params["wine_id"]] = [o.to_dict() for o in outcomes]
-            if session is not None:
-                self.sessions[(step.actor, params["wine_id"])] = session
-        elif action in ("accept_record", "purchase_record"):
-            wine_id = params["wine_id"]
-            service = self._service_for(step.actor)
-            session = self.sessions.pop((step.actor, wine_id), None)
-            custodian = (consortium.consumers.get(step.actor)
-                         if action == "purchase_record" else None)
-            service.accept_record_flow(self.tags[wine_id], session or "missing-session",
-                                       custodian_key=custodian,
-                                       purchase=action == "purchase_record")
-        elif action == "onboard_member":
-            consortium.onboard_member(params["member_id"],
-                                      MemberRole(params.get("role", "participant")),
-                                      NodeType(params.get("node_type", "validator")))
-        elif action == "remove_member":
-            consortium.propose_member_removal(step.actor, params["member_id"])
-        elif action == "set_consensus_level":
-            self._service_for(step.actor).set_consensus_level(params["level"])
-        elif action == "upgrade_contract":
-            self._service_for(step.actor).upgrade_contract(params["version"])
-        elif action == "halt_node":
-            consortium.halted.add(params["member"])
-        elif action == "resume_node":
-            consortium.halted.discard(params["member"])
-        elif action == "clone_tag":
-            wine_id = params["wine_id"]
-            self.cloned[wine_id] = counterfeit_copy(self.tags[wine_id],
-                                                    randbytes=consortium.randbytes)
-        elif action == "tamper_tag":
-            tag = self._tag_for(params)
-            fieldname, value = params["field"], params["value"]
-            if fieldname == "read_counter":
-                tag.read_counter = int(value)
-            else:
-                fields = json.loads(tag.memory)
-                fields[fieldname] = value
-                tag.memory = canonical_json_bytes(fields)
-        elif action == "tamper_record":
-            record = consortium.db.get(params["wine_id"])
-            record.pedigree_data[params["field"]] = params["value"]
+        self.consortium.onboard_member(params["member_id"],
+                                       MemberRole(params.get("role", "participant")),
+                                       NodeType(params.get("node_type", "validator")))
+
+    def _clone_tag(self, step: Step) -> None:
+        wine_id = step.params["wine_id"]
+        self.cloned[wine_id] = counterfeit_copy(self.tags[wine_id],
+                                                randbytes=self.consortium.randbytes)
+
+    def _tamper_tag(self, step: Step) -> None:
+        tag = self._tag_for(step.params)
+        fieldname, value = step.params["field"], step.params["value"]
+        if fieldname == "read_counter":
+            tag.read_counter = int(value)
         else:
-            raise ScenarioError(f"unknown action {action!r}")
+            fields = json.loads(tag.memory)
+            fields[fieldname] = value
+            tag.memory = canonical_json_bytes(fields)
 
-    # -- expectations ------------------------------------------------------------------------
+    def _tamper_record(self, step: Step) -> None:
+        record = self.consortium.db.get(step.params["wine_id"])
+        record.pedigree_data[step.params["field"]] = step.params["value"]
 
-    def _evaluate_expectation(self, spec: Dict[str, object]) -> Tuple[bool, str]:
-        consortium = self.consortium
-        kind = spec["kind"]
-        if kind == "chain_height_min":
-            height = consortium.chain.height
-            return height >= spec["value"], f"chain height {height} >= {spec['value']}"
-        if kind == "record_status":
-            status = consortium.db.get(spec["wine_id"]).wine_status.value
-            return status == spec["equals"], (
-                f"record {spec['wine_id']} status {status} == {spec['equals']}")
-        if kind == "write_count":
-            on_chain = consortium.chain.call_view("get_record", {"wine_id": spec["wine_id"]})
-            return on_chain["write_count"] == spec["equals"], (
-                f"on-chain write count {on_chain['write_count']} == {spec['equals']}")
-        if kind == "counters_in_sync":
-            tag = self.tags[spec["wine_id"]]
-            ok = consortium.counters_in_sync(spec["wine_id"], tag)
-            return ok, f"counters of {spec['wine_id']} match on tag, database, chain"
-        if kind == "validator_count":
-            count = len(consortium.chain.validators)
-            return count == spec["equals"], f"validator count {count} == {spec['equals']}"
-        if kind == "registry_size":
-            size = len(consortium.chain.call_view("get_peers", {}))
-            return size == spec["equals"], f"registry size {size} == {spec['equals']}"
-        if kind == "attack_logged":
-            entries = [n for n in consortium.notifications if n["type"] == "record_flagged"]
-            if "wine_id" in spec:
-                entries = [n for n in entries if n["wine_id"] == spec["wine_id"]]
-            if "attack_class" in spec:
-                entries = [n for n in entries if n["attack_class"] == spec["attack_class"]]
-            if "layer" in spec:
-                entries = [n for n in entries if n["layer"] == spec["layer"]]
-            return bool(entries), (
-                f"attack {spec.get('attack_class', 'any')} logged at "
-                f"{spec.get('layer', 'any layer')} for {spec.get('wine_id', 'any record')}")
-        if kind == "no_attacks":
-            entries = [n for n in consortium.notifications if n["type"] == "record_flagged"]
-            return not entries, f"no attack entries (found {len(entries)})"
-        if kind == "last_validation":
-            outcomes = self.last_validation.get(spec["wine_id"], [])
-            if spec.get("result", "pass") == "pass":
-                ok = bool(outcomes) and all(o["result"] == "pass" for o in outcomes)
-            else:
-                ok = bool(outcomes) and outcomes[-1]["result"] == spec["result"]
-            return ok, (f"last validation of {spec['wine_id']} is "
-                        f"{spec.get('result', 'pass')}")
-        if kind == "step_error":
-            result = self.step_results[spec["index"]]
-            ok = result.error is not None
-            if ok and "contains" in spec:
-                ok = spec["contains"] in result.error
-            return ok, f"step {spec['index']} failed with {spec.get('contains', 'an error')!r}"
-        if kind == "sold_count":
-            sold = sum(1 for w in consortium.db.wine_ids()
-                       if consortium.db.get(w).wine_status is WineStatus.SOLD)
-            return sold == spec["equals"], f"sold records {sold} == {spec['equals']}"
-        raise ScenarioError(f"unknown expectation kind {kind!r}")
+    ACTIONS: Dict[str, Callable[["ScenarioRunner", Step], None]] = {
+        "create_record": _create_record,
+        "ship_record": _ship_record,
+        "validate_record": _validate_record,
+        "accept_record": _accept_record,
+        "purchase_record": lambda self, step: self._accept_record(step, purchase=True),
+        "onboard_member": _onboard_member,
+        "remove_member": lambda self, step: self.consortium.propose_member_removal(
+            step.actor, step.params["member_id"]),
+        "set_consensus_level": lambda self, step: self._service_for(
+            step.actor).set_consensus_level(step.params["level"]),
+        "upgrade_contract": lambda self, step: self._service_for(
+            step.actor).upgrade_contract(step.params["version"]),
+        "halt_node": lambda self, step: self.consortium.halted.add(step.params["member"]),
+        "resume_node": lambda self, step: self.consortium.halted.discard(
+            step.params["member"]),
+        "clone_tag": _clone_tag,
+        "tamper_tag": _tamper_tag,
+        "tamper_record": _tamper_record,
+    }
+
+    # -- expectations: one check per kind, returning (passed, description) ------------------
+
+    def _measured(self, spec: Dict[str, object], what: str, actual: object) -> Tuple[bool, str]:
+        return actual == spec["equals"], f"{what} {actual} == {spec['equals']}"
+
+    def _flagged(self) -> List[Dict[str, object]]:
+        return [n for n in self.consortium.notifications if n["type"] == "record_flagged"]
+
+    def _expect_attack_logged(self, spec: Dict[str, object]) -> Tuple[bool, str]:
+        entries = self._flagged()
+        for key in ("wine_id", "attack_class", "layer"):
+            if key in spec:
+                entries = [n for n in entries if n[key] == spec[key]]
+        return bool(entries), (
+            f"attack {spec.get('attack_class', 'any')} logged at "
+            f"{spec.get('layer', 'any layer')} for {spec.get('wine_id', 'any record')}")
+
+    def _expect_no_attacks(self, spec: Dict[str, object]) -> Tuple[bool, str]:
+        entries = self._flagged()
+        return not entries, f"no attack entries (found {len(entries)})"
+
+    def _expect_last_validation(self, spec: Dict[str, object]) -> Tuple[bool, str]:
+        outcomes = self.last_validation.get(spec["wine_id"], [])
+        if spec.get("result", "pass") == "pass":
+            ok = bool(outcomes) and all(o["result"] == "pass" for o in outcomes)
+        else:
+            ok = bool(outcomes) and outcomes[-1]["result"] == spec["result"]
+        return ok, f"last validation of {spec['wine_id']} is {spec.get('result', 'pass')}"
+
+    def _expect_step_error(self, spec: Dict[str, object]) -> Tuple[bool, str]:
+        result = self.step_results[spec["index"]]
+        ok = result.error is not None
+        if ok and "contains" in spec:
+            ok = spec["contains"] in result.error
+        return ok, f"step {spec['index']} failed with {spec.get('contains', 'an error')!r}"
+
+    def _sold_count(self) -> int:
+        db = self.consortium.db
+        return sum(1 for w in db.wine_ids() if db.get(w).wine_status is WineStatus.SOLD)
+
+    EXPECTATIONS: Dict[str, Callable[["ScenarioRunner", Dict[str, object]], Tuple[bool, str]]] = {
+        "chain_height_min": lambda self, spec: (
+            self.consortium.chain.height >= spec["value"],
+            f"chain height {self.consortium.chain.height} >= {spec['value']}"),
+        "record_status": lambda self, spec: self._measured(
+            spec, f"record {spec['wine_id']} status",
+            self.consortium.db.get(spec["wine_id"]).wine_status.value),
+        "write_count": lambda self, spec: self._measured(
+            spec, "on-chain write count", self.consortium.chain.call_view(
+                "get_record", {"wine_id": spec["wine_id"]})["write_count"]),
+        "counters_in_sync": lambda self, spec: (
+            self.consortium.counters_in_sync(spec["wine_id"], self.tags[spec["wine_id"]]),
+            f"counters of {spec['wine_id']} match on tag, database, chain"),
+        "validator_count": lambda self, spec: self._measured(
+            spec, "validator count", len(self.consortium.chain.validators)),
+        "registry_size": lambda self, spec: self._measured(
+            spec, "registry size", len(self.consortium.chain.call_view("get_peers", {}))),
+        "attack_logged": _expect_attack_logged,
+        "no_attacks": _expect_no_attacks,
+        "last_validation": _expect_last_validation,
+        "step_error": _expect_step_error,
+        "sold_count": lambda self, spec: self._measured(spec, "sold records", self._sold_count()),
+    }
 
     def _build_report(self) -> Report:
         consortium = self.consortium
         expectations = []
         all_passed = True
         for spec in self.scenario.expectations:
-            passed, description = self._evaluate_expectation(spec)
+            passed, description = self.EXPECTATIONS[spec["kind"]](self, spec)
             expectations.append({"kind": spec["kind"], "description": description,
                                  "passed": passed})
             all_passed = all_passed and passed
+        pooled, queued = len(consortium.chain.pool), self.bus.pending()
+        if pooled or queued:
+            # only a run cut at the hard stop gets here: work it started never finished
+            expectations.append({"kind": "drained", "passed": False, "description":
+                                 f"run drains before the hard stop ({pooled} pooled "
+                                 f"tx(s), {queued} bus message(s) left)"})
+            all_passed = False
         steps_ok = all(s.ok for s in self.step_results)
         records = {}
         for wine_id in consortium.db.wine_ids():
@@ -362,8 +372,7 @@ class ScenarioRunner:
             records=records,
             attack_log=[n for n in consortium.notifications
                         if n["type"] == "record_flagged"],
-            steps=[{"at": s.at, "actor": s.actor, "action": s.action, "ok": s.ok,
-                    "error": s.error} for s in self.step_results],
+            steps=[asdict(s) for s in self.step_results],
             expectations=expectations,
             notifications=list(consortium.notifications),
         )

@@ -2,7 +2,7 @@ import pytest
 
 from dnas.content_store import ContentId
 from dnas.errors import NotFoundError, RoleError
-from dnas.records import RecordDatabase, WineRecord, WineStatus, derive_subset
+from dnas.records import RecordDatabase, WineRecord, WineStatus
 
 
 def make_record(wine_id="W1"):
@@ -54,14 +54,14 @@ def test_delete_missing(db):
 
 def test_subset_deterministic():
     a, b = make_record(), make_record()
-    assert derive_subset(a) == derive_subset(b)
+    assert a.subset() == b.subset()
 
 
 def test_subset_sensitive_to_pedigree():
     a, b = make_record(), make_record()
     b.pedigree_data["vintage"] = 2020
-    assert derive_subset(a) != derive_subset(b)
-    assert ContentId.for_content(derive_subset(a)) != ContentId.for_content(derive_subset(b))
+    assert a.subset() != b.subset()
+    assert ContentId.for_content(a.subset()) != ContentId.for_content(b.subset())
 
 
 def test_subset_includes_custody_entries_and_version():
@@ -70,7 +70,7 @@ def test_subset_includes_custody_entries_and_version():
     record.write_counter = 3
     for hop in range(3):
         record.supply_chain_data.append({"holder": f"node-{hop}", "at": hop})
-    payload = json.loads(derive_subset(record))
+    payload = json.loads(record.subset())
     assert payload["subset_version"] == 3
     assert len(payload["supply_chain_data"]) == 3
     assert set(payload) == {"wine_id", "pedigree_data", "wine_status",
