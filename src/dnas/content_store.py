@@ -8,7 +8,6 @@ against their identifier on every read.
 """
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
@@ -98,42 +97,38 @@ class PrivateNetwork:
         self.admin = admin
         self._nodes: Dict[str, StoreNode] = {}
         self._index: Dict[str, Set[str]] = {}
-        self._lock = threading.RLock()
 
     # -- membership -------------------------------------------------------------
 
     def add_member(self, caller: str, node_id: str) -> StoreNode:
-        with self._lock:
-            if caller != self.admin:
-                raise AuthError("only the network administrator manages membership")
-            if node_id in self._nodes:
-                return self._nodes[node_id]
-            node = StoreNode(node_id=node_id)
-            for other in self._nodes.values():
-                other.peers.add(node_id)
-                node.peers.add(other.node_id)
-            self._nodes[node_id] = node
-            return node
+        if caller != self.admin:
+            raise AuthError("only the network administrator manages membership")
+        if node_id in self._nodes:
+            return self._nodes[node_id]
+        node = StoreNode(node_id=node_id)
+        for other in self._nodes.values():
+            other.peers.add(node_id)
+            node.peers.add(other.node_id)
+        self._nodes[node_id] = node
+        return node
 
     def remove_member(self, caller: str, node_id: str) -> None:
-        with self._lock:
-            if caller != self.admin:
-                raise AuthError("only the network administrator manages membership")
-            node = self._nodes.pop(node_id, None)
-            if node is None:
-                raise NotFoundError(f"{node_id!r} is not a member")
-            for other in self._nodes.values():
-                other.peers.discard(node_id)
-            for cid in list(node.blocks):
-                holders = self._index.get(cid)
-                if holders is not None:
-                    holders.discard(node_id)
-                    if not holders:
-                        del self._index[cid]
+        if caller != self.admin:
+            raise AuthError("only the network administrator manages membership")
+        node = self._nodes.pop(node_id, None)
+        if node is None:
+            raise NotFoundError(f"{node_id!r} is not a member")
+        for other in self._nodes.values():
+            other.peers.discard(node_id)
+        for cid in list(node.blocks):
+            holders = self._index.get(cid)
+            if holders is not None:
+                holders.discard(node_id)
+                if not holders:
+                    del self._index[cid]
 
     def members(self) -> Set[str]:
-        with self._lock:
-            return set(self._nodes)
+        return set(self._nodes)
 
     def _member(self, node_id: str) -> StoreNode:
         node = self._nodes.get(node_id)
@@ -146,59 +141,53 @@ class PrivateNetwork:
     def add(self, node_id: str, content: bytes, path: Optional[str] = None) -> ContentId:
         """Store content on the node and register it; the path is accepted
         for interface parity but does not affect addressing."""
-        with self._lock:
-            node = self._member(node_id)
-            content_id = ContentId.for_content(content)
-            node.store(content_id, content)
-            self._index.setdefault(content_id.text, set()).add(node_id)
-            return content_id
+        node = self._member(node_id)
+        content_id = ContentId.for_content(content)
+        node.store(content_id, content)
+        self._index.setdefault(content_id.text, set()).add(node_id)
+        return content_id
 
     def get(self, node_id: str, content_id: ContentId) -> bytes:
         """Fetch a block; a verified copy is cached on the requesting node."""
-        with self._lock:
-            node = self._member(node_id)
-            local = node.blocks.get(content_id.text)
-            if local is not None and ContentId.for_content(local) == content_id:
-                return local
-            for holder_id in sorted(self._index.get(content_id.text, ())):
-                holder = self._nodes.get(holder_id)
-                if holder is None:
-                    continue
-                content = holder.blocks.get(content_id.text)
-                if content is None or ContentId.for_content(content) != content_id:
-                    continue  # tampered or vanished copy: never returned
-                node.store(content_id, content)
-                self._index[content_id.text].add(node_id)
-                return content
-            raise NotFoundError(f"no member holds {content_id.text}")
+        node = self._member(node_id)
+        local = node.blocks.get(content_id.text)
+        if local is not None and ContentId.for_content(local) == content_id:
+            return local
+        for holder_id in sorted(self._index.get(content_id.text, ())):
+            holder = self._nodes.get(holder_id)
+            if holder is None:
+                continue
+            content = holder.blocks.get(content_id.text)
+            if content is None or ContentId.for_content(content) != content_id:
+                continue  # tampered or vanished copy: never returned
+            node.store(content_id, content)
+            self._index[content_id.text].add(node_id)
+            return content
+        raise NotFoundError(f"no member holds {content_id.text}")
 
     def pin(self, node_id: str, content_id: ContentId) -> None:
-        with self._lock:
-            node = self._member(node_id)
-            if not node.holds(content_id):
-                self.get(node_id, content_id)
-            node.pins.add(content_id.text)
+        node = self._member(node_id)
+        if not node.holds(content_id):
+            self.get(node_id, content_id)
+        node.pins.add(content_id.text)
 
     def unpin(self, node_id: str, content_id: ContentId) -> None:
-        with self._lock:
-            self._member(node_id).pins.discard(content_id.text)
+        self._member(node_id).pins.discard(content_id.text)
 
     def gc(self, node_id: str) -> int:
         """Evict unpinned cached blocks from the node; returns eviction count."""
-        with self._lock:
-            node = self._member(node_id)
-            evicted = 0
-            for cid in list(node.blocks):
-                if cid not in node.pins:
-                    del node.blocks[cid]
-                    holders = self._index.get(cid)
-                    if holders is not None:
-                        holders.discard(node_id)
-                        if not holders:
-                            del self._index[cid]
-                    evicted += 1
-            return evicted
+        node = self._member(node_id)
+        evicted = 0
+        for cid in list(node.blocks):
+            if cid not in node.pins:
+                del node.blocks[cid]
+                holders = self._index.get(cid)
+                if holders is not None:
+                    holders.discard(node_id)
+                    if not holders:
+                        del self._index[cid]
+                evicted += 1
+        return evicted
 
     def holders(self, content_id: ContentId) -> Set[str]:
-        with self._lock:
-            return set(self._index.get(content_id.text, ()))
+        return set(self._index.get(content_id.text, ()))

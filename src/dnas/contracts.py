@@ -8,7 +8,7 @@ proxy swaps wine-contract versions in place while its storage persists.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .content_store import ContentId
@@ -50,8 +50,7 @@ class PeerEntry:
     joined_at: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {"address": self.address, "role": self.role, "node_id": self.node_id,
-                "member_id": self.member_id, "joined_at": self.joined_at}
+        return asdict(self)
 
 
 class PeerRegistryContract:
@@ -98,12 +97,12 @@ class PeerRegistryContract:
         return True
 
     def propose_peer(self, ctx: ExecutionContext, entry: PeerEntry, add: bool) -> Dict[str, object]:
+        if (entry.address in self.peers) == bool(add):
+            # the change is already in effect: a vote that arrives after the
+            # threshold (the voter may be the member it removed) changes nothing
+            return {"tally": 0, "required": self.consensus_level, "applied": False}
         if not self.is_member(ctx.caller):
             raise AuthError("only registered members vote on admission")
-        if add and entry.address in self.peers:
-            raise ContractError(f"peer {entry.address} already registered")
-        if not add and entry.address not in self.peers:
-            raise ContractError(f"peer {entry.address} is not registered")
         key = (entry.address, "add" if add else "remove")
         voters = self.votes.setdefault(key, set())
         voters.add(ctx.caller)  # one vote per member; re-votes collapse

@@ -11,7 +11,7 @@ parent usage.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .contracts import ContractEvent, ContractRuntime
@@ -148,12 +148,7 @@ class Receipt:
     events: List[ContractEvent] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "tx_hash": self.tx_hash, "block_number": self.block_number,
-            "status": self.status, "error": self.error, "result": self.result,
-            "events": [{"kind": e.kind, "fields": e.fields, "block_number": e.block_number,
-                        "tx_hash": e.tx_hash} for e in self.events],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -313,16 +308,12 @@ class Chain:
         self._check_seal_schedule(sealer, timestamp, parent)
         gas_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
                                    self.genesis.min_gas_limit)
-        included: List[SignedTransaction] = []
-        gas_used = 0
-        while self.pool and gas_used + TX_GAS <= gas_limit:
-            tx = self.pool.pop(0)
-            self._pool_hashes.discard(tx.tx_hash)
-            included.append(tx)
-            gas_used += TX_GAS
+        included = self.pool[:gas_limit // TX_GAS]
+        del self.pool[:len(included)]
+        self._pool_hashes.difference_update(tx.tx_hash for tx in included)
         block = Block(
             number=parent.number + 1, parent_hash=parent.hash, sealer=sealer,
-            timestamp=timestamp, gas_limit=gas_limit, gas_used=gas_used,
+            timestamp=timestamp, gas_limit=gas_limit, gas_used=TX_GAS * len(included),
             transactions=included, state_root="",
             votes=self._pending_votes,
         )

@@ -8,7 +8,6 @@ deterministic slice fed to content storage.
 """
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -64,78 +63,67 @@ class RecordDatabase:
 
     def __init__(self, on_flagged: Optional[Callable[[WineRecord, Dict[str, object]], None]] = None):
         self._records: Dict[str, WineRecord] = {}
-        self._lock = threading.RLock()
         self._on_flagged = on_flagged
 
     def create(self, caller_role: str, record: WineRecord) -> WineRecord:
-        with self._lock:
-            if caller_role != "winemaker":
-                raise RoleError("only winemaker nodes create wine records")
-            if record.wine_id in self._records:
-                raise NotFoundError(f"record {record.wine_id!r} already exists")
-            self._records[record.wine_id] = record
-            return record
+        if caller_role != "winemaker":
+            raise RoleError("only winemaker nodes create wine records")
+        if record.wine_id in self._records:
+            raise NotFoundError(f"record {record.wine_id!r} already exists")
+        self._records[record.wine_id] = record
+        return record
 
     def get(self, wine_id: str) -> WineRecord:
-        with self._lock:
-            record = self._records.get(wine_id)
-            if record is None:
-                raise NotFoundError(f"no record for {wine_id!r}")
-            return record
+        record = self._records.get(wine_id)
+        if record is None:
+            raise NotFoundError(f"no record for {wine_id!r}")
+        return record
 
     def exists(self, wine_id: str) -> bool:
-        with self._lock:
-            return wine_id in self._records
+        return wine_id in self._records
 
     def update(self, caller_role: str, wine_id: str, fields: Dict[str, object]) -> WineRecord:
-        with self._lock:
-            if caller_role != "winemaker":
-                raise RoleError("only winemaker nodes update wine records")
-            record = self.get(wine_id)
-            if "transaction_data" in fields and len(fields["transaction_data"]) < len(record.transaction_data):
-                raise RoleError("transaction history is append-only")
-            for name, value in fields.items():
-                if not hasattr(record, name):
-                    raise NotFoundError(f"record has no field {name!r}")
-                setattr(record, name, value)
-            return record
+        if caller_role != "winemaker":
+            raise RoleError("only winemaker nodes update wine records")
+        record = self.get(wine_id)
+        if "transaction_data" in fields and len(fields["transaction_data"]) < len(record.transaction_data):
+            raise RoleError("transaction history is append-only")
+        for name, value in fields.items():
+            if not hasattr(record, name):
+                raise NotFoundError(f"record has no field {name!r}")
+            setattr(record, name, value)
+        return record
 
     def delete(self, caller_role: str, wine_id: str) -> None:
-        with self._lock:
-            if caller_role != "winemaker":
-                raise RoleError("only winemaker nodes delete wine records")
-            if wine_id not in self._records:
-                raise NotFoundError(f"no record for {wine_id!r}")
-            del self._records[wine_id]
+        if caller_role != "winemaker":
+            raise RoleError("only winemaker nodes delete wine records")
+        if wine_id not in self._records:
+            raise NotFoundError(f"no record for {wine_id!r}")
+        del self._records[wine_id]
 
     def wine_ids(self) -> List[str]:
-        with self._lock:
-            return sorted(self._records)
+        return sorted(self._records)
 
     # -- flow-internal mutators ---------------------------------------------------
 
     def append_transaction_entry(self, wine_id: str, entry: Dict[str, object]) -> None:
-        with self._lock:
-            self.get(wine_id).transaction_data.append(entry)
+        self.get(wine_id).transaction_data.append(entry)
 
     def append_supply_chain_entry(self, wine_id: str, entry: Dict[str, object]) -> None:
-        with self._lock:
-            self.get(wine_id).supply_chain_data.append(entry)
+        self.get(wine_id).supply_chain_data.append(entry)
 
     def log_unsuccessful_validation(self, wine_id: str, attack_class: str, layer: str,
                                     details: str, timestamp: object = None) -> WineRecord:
         """Appends the failure entry and flags the record; notifies watchers."""
-        with self._lock:
-            record = self.get(wine_id)
-            entry = {
-                "attack_class": attack_class,
-                "layer": layer,
-                "details": details,
-                "timestamp": timestamp,
-            }
-            record.unsuccessful_validation_data.append(entry)
-            record.wine_status = WineStatus.FLAGGED
-            callback = self._on_flagged
-        if callback is not None:
-            callback(record, entry)
+        record = self.get(wine_id)
+        entry = {
+            "attack_class": attack_class,
+            "layer": layer,
+            "details": details,
+            "timestamp": timestamp,
+        }
+        record.unsuccessful_validation_data.append(entry)
+        record.wine_status = WineStatus.FLAGGED
+        if self._on_flagged is not None:
+            self._on_flagged(record, entry)
         return record

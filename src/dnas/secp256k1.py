@@ -183,10 +183,6 @@ def multiply_generator(k: int) -> Point:
     return pt
 
 
-def multiply_point(k: int, point: Point) -> Optional[Point]:
-    return _to_affine(_mul_point_jac(k, point))
-
-
 def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
     if p1 is None:
         return p2

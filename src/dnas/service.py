@@ -155,57 +155,35 @@ class BlockchainService:
 
     # -- endpoint surface ----------------------------------------------------------
 
+    def _ep_record_validate(self, payload: Dict[str, object]) -> Dict[str, object]:
+        outcomes, view, session_id = self.validate_record_flow(payload["tag"])
+        return {"outcomes": [o.to_dict() for o in outcomes], "record": view,
+                "session_id": session_id}
+
+    ENDPOINTS: Dict[str, Callable[["BlockchainService", Dict[str, object]], Dict[str, object]]] = {
+        "/peer/validate": lambda svc, p: {"member": svc.peer_validate(p["address"])},
+        "/peer/propose-add": lambda svc, p: svc.vote_on_candidate(p["entry"], p.get("add", True)),
+        "/peer/get": lambda svc, p: {"peers": svc.get_peers()},
+        "/record/create": lambda svc, p: {"flow": svc.create_record_flow(
+            p["record"], p["tag"], p["device_id"])},
+        "/record/validate": _ep_record_validate,
+        "/record/append": lambda svc, p: {"flow": svc.accept_record_flow(
+            p["tag"], p["session_id"], p.get("custodian_key"),
+            purchase=p.get("purchase", False))},
+        "/admin/upgrade": lambda svc, p: {"tx_hash": svc.upgrade_contract(p["version"])},
+        "/admin/consensus-level": lambda svc, p: {"tx_hash": svc.set_consensus_level(p["level"])},
+    }
+
     def dispatch(self, endpoint: str, payload: Dict[str, object]) -> Dict[str, object]:
-        handlers = {
-            "/peer/validate": self._ep_peer_validate,
-            "/peer/propose-add": self._ep_propose_add,
-            "/peer/get": self._ep_peer_get,
-            "/record/create": self._ep_record_create,
-            "/record/validate": self._ep_record_validate,
-            "/record/append": self._ep_record_append,
-            "/admin/upgrade": self._ep_admin_upgrade,
-            "/admin/consensus-level": self._ep_admin_consensus_level,
-        }
-        handler = handlers.get(endpoint)
+        handler = self.ENDPOINTS.get(endpoint)
         if handler is None:
             raise RoutingError(f"no endpoint {endpoint!r}")
         if not isinstance(payload, dict):
             raise PayloadError("payload must be an object")
         try:
-            return handler(payload)
+            return handler(self, payload)
         except KeyError as exc:
             raise PayloadError(f"missing payload field {exc}") from exc
-
-    def _ep_peer_validate(self, payload):
-        return {"member": self.peer_validate(payload["address"])}
-
-    def _ep_propose_add(self, payload):
-        return self.vote_on_candidate(payload["entry"], payload.get("add", True))
-
-    def _ep_peer_get(self, payload):
-        return {"peers": self.get_peers()}
-
-    def _ep_record_create(self, payload):
-        receipt = self.create_record_flow(payload["record"], payload["tag"],
-                                          payload["device_id"])
-        return {"flow": receipt}
-
-    def _ep_record_validate(self, payload):
-        outcomes, view, session_id = self.validate_record_flow(payload["tag"])
-        return {"outcomes": [o.to_dict() for o in outcomes], "record": view,
-                "session_id": session_id}
-
-    def _ep_record_append(self, payload):
-        receipt = self.accept_record_flow(payload["tag"], payload["session_id"],
-                                          payload.get("custodian_key", self._key),
-                                          purchase=payload.get("purchase", False))
-        return {"flow": receipt}
-
-    def _ep_admin_upgrade(self, payload):
-        return {"tx_hash": self.upgrade_contract(payload["version"])}
-
-    def _ep_admin_consensus_level(self, payload):
-        return {"tx_hash": self.set_consensus_level(payload["level"])}
 
     # -- peer operations ------------------------------------------------------------
 
@@ -231,15 +209,21 @@ class BlockchainService:
     def request_onboard(self, entry: Dict[str, object]) -> Dict[str, object]:
         """Candidate-side onboarding: read the registry, then ask every
         member's service to vote on the admission."""
-        peers = self.get_peers()
-        responses = {}
-        for peer in peers:
-            service = self.consortium.service_by_address(peer["address"])
-            if service is None:
-                continue
-            responses[peer["member_id"]] = service.dispatch(
-                "/peer/propose-add", {"entry": entry, "add": True})
+        responses = self.request_votes(entry, add=True)
         return {"contacted": len(responses), "responses": responses}
+
+    def request_votes(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
+        """Ask every registered member's service to vote on the admission or
+        removal of ``entry``; returns each member's response. All are asked
+        because the consensus level may change before the votes execute; the
+        registry ignores the votes that arrive after the change is applied."""
+        responses = {}
+        for peer in self.get_peers():
+            service = self.consortium.service_by_address(peer["address"])
+            if service is not None:
+                responses[peer["member_id"]] = service.dispatch(
+                    "/peer/propose-add", {"entry": entry, "add": add})
+        return responses
 
     # -- admin operations ------------------------------------------------------------
 
@@ -736,14 +720,7 @@ class Consortium:
 
     def propose_member_removal(self, proposer_id: str, member_id: str) -> Dict[str, object]:
         entry = self._entry_for(self.members[member_id])
-        responses = {}
-        for peer in self.services[proposer_id].get_peers():
-            service = self.service_by_address(peer["address"])
-            if service is None:
-                continue
-            responses[peer["member_id"]] = service.dispatch(
-                "/peer/propose-add", {"entry": entry, "add": False})
-        return {"responses": responses}
+        return {"responses": self.services[proposer_id].request_votes(entry, add=False)}
 
     def add_consumer(self, consumer_id: str) -> KeyPair:
         """Consumers hold their own keys but use the consortium-hosted shared

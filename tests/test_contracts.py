@@ -281,6 +281,24 @@ def test_removal_revokes_role_checks(runtime, keys):
         })
 
 
+def test_votes_on_a_change_in_effect_are_no_ops(runtime, keys):
+    candidate = entry_dict(keys["part_d"].address.hex0x, member_id="part_d")
+    target = entry_dict(keys["maker"].address.hex0x, role="winemaker", member_id="maker")
+    for voter in ("admin", "maker", "part_a"):
+        runtime.execute(keys[voter].address.hex0x, "registry", "propose_peer",
+                        {"entry": candidate, "add": True})
+    for voter in ("admin", "part_a", "part_b"):
+        runtime.execute(keys[voter].address.hex0x, "registry", "propose_peer",
+                        {"entry": target, "add": False})
+    before = runtime.state_bytes()
+    # a late admission vote, and the removed member's own late removal vote
+    for voter, entry, add in (("part_b", candidate, True), ("maker", target, False)):
+        result, events = runtime.execute(keys[voter].address.hex0x, "registry",
+                                         "propose_peer", {"entry": entry, "add": add})
+        assert result["applied"] is False and events == []
+    assert runtime.state_bytes() == before
+
+
 def test_consensus_level_admin_only(runtime, keys):
     with pytest.raises(AuthError):
         runtime.execute(keys["maker"].address.hex0x, "registry", "set_consensus_level",

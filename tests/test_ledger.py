@@ -180,6 +180,47 @@ def test_pending_txs_included_fifo(chain, keys):
     assert block.gas_used == 3 * TX_GAS
 
 
+POOL_KEYS = [generate_keypair(bytes([i + 1]) * 32) for i in range(4)]
+POOL_SENDERS = [key.address.hex0x for key in POOL_KEYS[1:]]
+
+
+@given(ops=st.lists(st.one_of(st.sampled_from(range(len(POOL_SENDERS))), st.just("seal")),
+                    max_size=24))
+@settings(max_examples=40, deadline=None)
+def test_pool_nonces_and_fifo_blocks_property(ops):
+    # a gas limit of about three transactions keeps the pool deeper than a block
+    chain = Chain(make_genesis(POOL_KEYS, count=1, gas_limit=3 * TX_GAS),
+                  contract_admin=POOL_KEYS[0].address.hex0x)
+
+    def seal():
+        head = chain.head
+        fits = next_gas_limit(head.gas_limit, head.gas_used,
+                              chain.genesis.min_gas_limit) // TX_GAS
+        before = list(chain.pool)
+        block = chain.seal_block(chain.sealer_at_offset(0), head.timestamp + 1)
+        assert block.transactions == before[:fits]
+        assert chain.pool == before[fits:]
+        for tx in block.transactions:
+            with pytest.raises(PoolError, match="duplicate"):
+                chain.submit_transaction(tx)
+
+    for op in ops:
+        if op == "seal":
+            seal()
+        else:
+            key = POOL_KEYS[op + 1]
+            chain.submit_transaction(sign_transaction(
+                key, 77, "registry", "set_consensus_level", {"level": 2},
+                nonce=chain.next_nonce(key.address.hex0x)))
+        for sender in POOL_SENDERS:
+            pooled = sum(1 for tx in chain.pool if tx.sender == sender)
+            assert chain.next_nonce(sender) == chain.account_nonce(sender) + pooled
+    while chain.pool:
+        seal()
+    for sender in POOL_SENDERS:
+        assert chain.next_nonce(sender) == chain.account_nonce(sender)
+
+
 def test_out_of_turn_sealer_rejected(chain):
     with pytest.raises(SealError):
         chain.seal_block(chain.sealer_at_offset(1), timestamp=chain.head.timestamp + 1)

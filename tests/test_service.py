@@ -100,6 +100,50 @@ def test_removal_round_trip(consortium):
     assert retail_address not in consortium.chain.validators
 
 
+def error_receipts(consortium, first_block):
+    return [receipt.error for block in consortium.chain.blocks[first_block:]
+            for receipt in (consortium.chain.receipts[tx.tx_hash] for tx in block.transactions)
+            if receipt.status != "ok"]
+
+
+def test_vote_rounds_leave_no_error_receipts(consortium):
+    # admitting a sixth member, then removing one: the votes that arrive
+    # after each change is applied are no-ops, not errors
+    first_block = consortium.chain.height + 1
+    consortium.onboard_member("late", MemberRole.WINEMAKER, NodeType.VALIDATOR)
+    consortium.run_until_idle()
+    consortium.propose_member_removal("admin", "ship")
+    consortium.run_until_idle()
+    assert error_receipts(consortium, first_block) == []
+    peers = {p["member_id"] for p in consortium.chain.call_view("get_peers", {})}
+    assert "late" in peers and "ship" not in peers
+
+
+def test_concurrent_onboardings_both_admitted(consortium):
+    # at six members the level is 3; the first admission raises it to 4
+    # before the second round's votes execute
+    consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    consortium.run_until_idle()
+    first_block = consortium.chain.height + 1
+    consortium.onboard_member("x", MemberRole.PARTICIPANT, NodeType.LISTENER)
+    consortium.onboard_member("y", MemberRole.PARTICIPANT, NodeType.LISTENER)
+    consortium.run_until_idle()
+    for member_id in ("x", "y"):
+        address = consortium.members[member_id].key.address.hex0x
+        assert consortium.services["maker"].peer_validate(address)
+    assert error_receipts(consortium, first_block) == []
+
+
+def test_removal_at_consensus_level_equal_to_member_count(consortium):
+    # every member's vote is needed, the removed member's own included
+    consortium.services["admin"].set_consensus_level(5)
+    consortium.run_until_idle()
+    consortium.propose_member_removal("admin", "retail")
+    consortium.run_until_idle()
+    retail_address = consortium.members["retail"].key.address.hex0x
+    assert not consortium.services["maker"].peer_validate(retail_address)
+
+
 # -- event listener -----------------------------------------------------------------------
 
 def test_peer_added_fans_out_to_every_member(consortium):

@@ -156,8 +156,9 @@ def test_failed_expectation_fails_run():
     assert not report.passed
 
 
-def test_replay_determinism_same_seed():
-    result = replay_determinism_check(load_scenario("cloned_tag"), runs=3)
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_replay_determinism_same_seed(name):
+    result = replay_determinism_check(load_scenario(name), runs=3)
     assert result["identical"] and result["passed"]
     assert len(set(result["state_roots"])) == 1
 

@@ -12,7 +12,7 @@ from dnas.contracts import ContractRuntime, WineDataContractV1, WineDataContract
 from dnas.errors import ContractError
 from dnas.keys import generate_keypair
 from dnas.scenario import MemberSpec, Scenario, Step
-from dnas.service import MemberRole, NodeType
+from dnas.service import BlockchainService, MemberRole, NodeType
 from dnas.simnet import ScenarioRunner, run_scenario
 
 FIVE = [
@@ -78,15 +78,19 @@ def test_declared_proxy_methods_exist(implementation):
 
 # -- scenario actions and expectations ------------------------------------------------
 
-def readme_names(heading):
+def readme_names(heading, pattern=r"`([a-z_]+)`"):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = text.split(f"\n{heading}: ", 1)[1].split("\n\n", 1)[0]
-    return set(re.findall(r"`([a-z_]+)`", paragraph))
+    return set(re.findall(pattern, paragraph))
 
 
 def test_readme_lists_every_action_and_expectation():
     assert readme_names("Actions") == set(ScenarioRunner.ACTIONS)
     assert readme_names("Expectations") == set(ScenarioRunner.EXPECTATIONS)
+
+
+def test_readme_lists_every_endpoint():
+    assert readme_names("Endpoints", r"`(/[a-z/-]+)`") == set(BlockchainService.ENDPOINTS)
 
 
 def test_ship_record_sets_in_transit():
