@@ -11,6 +11,7 @@ import hmac
 import json
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from . import secp256k1
@@ -62,7 +63,7 @@ class KeyPair:
         x, y = self.public
         return x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
-    @property
+    @cached_property
     def address(self) -> Address:
         return derive_address(self.public_bytes)
 

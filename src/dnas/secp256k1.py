@@ -1,15 +1,21 @@
 """secp256k1 ECDSA with public-key recovery and deterministic nonces.
 
 Jacobian-coordinate arithmetic with a lazily built fixed-base window table
-for generator multiplications. Nonces follow the RFC 6979 HMAC-SHA256
-construction so signatures are reproducible; produced signatures are
-canonical (low-s) and recovery rejects non-canonical input.
+for generator multiplications. Recovery computes u1*G + u2*R in one pass:
+the endomorphism lambda*(x, y) = (beta*x, y) splits each scalar into two
+halves of about 128 bits (Gallant-Lambert-Vanstone, with the lattice split of
+Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.74), and the four halves are
+written as wNAF digits against odd multiples of G and lambda*G (width 8,
+built at import) and of R and lambda*R (width 5, built per call), then added
+along one shared chain of about 128 doublings. Nonces follow the RFC 6979
+HMAC-SHA256 construction so signatures are reproducible; produced signatures
+are canonical (low-s) and recovery rejects non-canonical input.
 """
 
 import hmac
 import hashlib
 import secrets
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import RecoveryError, RejectedSeedError
 
@@ -31,17 +37,11 @@ def _jdouble(pt: _Jac) -> _Jac:
     x1, y1, z1 = pt
     if not y1 or not z1:
         return _INFINITY
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    t = x1 + b
-    d = 2 * (t * t - a - c) % P
-    e = 3 * a % P
-    f = e * e % P
-    x3 = (f - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
-    z3 = 2 * y1 * z1 % P
-    return x3, y3, z3
+    yy = y1 * y1 % P
+    s = 4 * x1 * yy % P
+    m = 3 * x1 * x1 % P
+    x3 = (m * m - 2 * s) % P
+    return x3, (m * (s - x3) - 8 * yy * yy) % P, 2 * y1 * z1 % P
 
 
 def _jadd(p1: _Jac, p2: _Jac) -> _Jac:
@@ -79,23 +79,17 @@ def _jadd_affine(p1: _Jac, x2: int, y2: int) -> _Jac:
     if not z1:
         return x2, y2, 1
     z1z1 = z1 * z1 % P
-    u2 = x2 * z1z1 % P
-    s2 = y2 * z1 * z1z1 % P
-    if x1 == u2:
-        if (y1 - s2) % P:
+    h = (x2 * z1z1 - x1) % P
+    r = (y2 * z1 * z1z1 - y1) % P
+    if not h:
+        if r:
             return _INFINITY
         return _jdouble(p1)
-    h = (u2 - x1) % P
     hh = h * h % P
-    i = 4 * hh % P
-    j = h * i % P
-    r = 2 * (s2 - y1) % P
-    v = x1 * i % P
-    x3 = (r * r - j - 2 * v) % P
-    y3 = (r * (v - x3) - 2 * y1 * j) % P
-    t = z1 + h
-    z3 = (t * t - z1z1 - hh) % P
-    return x3, y3, z3
+    hhh = h * hh % P
+    v = x1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    return x3, (r * (v - x3) - y1 * hhh) % P, z1 * h % P
 
 
 def _to_affine(pt: _Jac) -> Optional[Point]:
@@ -154,24 +148,83 @@ def _mul_g_jac(k: int) -> _Jac:
     return acc
 
 
-def _mul_point_jac(k: int, point: Point) -> _Jac:
-    """Left-to-right double-and-add with a 4-bit window of multiples."""
-    k %= N
-    if k == 0:
-        return _INFINITY
-    base: _Jac = (point[0], point[1], 1)
-    multiples = [base]
-    for _ in range(14):
-        multiples.append(_jadd_affine(multiples[-1], point[0], point[1]))
-    digits = []
+# Endomorphism: LAMBDA * (x, y) == (BETA * x, y) for every curve point.
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# Short basis of the lattice {(a, b): a + b * LAMBDA == 0 mod N}, for the
+# rounding split of Guide to ECC, Alg. 3.74.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+
+def _split_scalar(k: int) -> Tuple[int, int]:
+    """(k1, k2) with k == k1 + k2 * LAMBDA (mod N) and |k1|, |k2| < 2**129."""
+    c1 = (_B2 * k + HALF_N) // N
+    c2 = (-_B1 * k + HALF_N) // N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int, width: int) -> Iterator[Tuple[int, int]]:
+    """Nonzero width-``width`` NAF digits of k as (bit position, odd digit)."""
+    sign = -1 if k < 0 else 1
+    k = abs(k)
+    pos = 0
     while k:
-        digits.append(k & 15)
-        k >>= 4
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & ((1 << width) - 1)
+        if d >> (width - 1):
+            d -= 1 << width
+        yield pos, sign * d
+        k = (k - d) >> width  # exact: k - d is a multiple of 2**width
+        pos += width
+
+
+def _odd_multiples(point: Point, count: int) -> List[Point]:
+    """(2i + 1) * point for i < count, in affine form via one batched inversion."""
+    twice = _jdouble((point[0], point[1], 1))
+    jac = [(point[0], point[1], 1)]
+    for _ in range(count - 1):
+        jac.append(_jadd(jac[-1], twice))
+    prefix = [1]
+    for _, _, z in jac:
+        prefix.append(prefix[-1] * z % P)
+    inv = pow(prefix[-1], -1, P)
+    out = []
+    for i in range(count - 1, -1, -1):
+        x, y, z = jac[i]
+        zinv = inv * prefix[i] % P
+        inv = inv * z % P
+        zinv2 = zinv * zinv % P
+        out.append((x * zinv2 % P, y * zinv2 * zinv % P))
+    out.reverse()
+    return out
+
+
+_G_ODD = _odd_multiples((GX, GY), 64)
+_G_ODD_LAMBDA = [(BETA * x % P, y) for x, y in _G_ODD]
+
+
+def _mul_joint(u1: int, u2: int, point: Point) -> _Jac:
+    """u1 * G + u2 * point along one doubling chain (GLV split, joint wNAF)."""
+    r_odd = _odd_multiples(point, 8)
+    r_odd_lambda = [(BETA * x % P, y) for x, y in r_odd]
+    g1, g2 = _split_scalar(u1)
+    p1, p2 = _split_scalar(u2)
+    adds: Dict[int, List[Point]] = {}
+    for k, table, width in ((g1, _G_ODD, 8), (g2, _G_ODD_LAMBDA, 8),
+                            (p1, r_odd, 5), (p2, r_odd_lambda, 5)):
+        for pos, d in _wnaf(k, width):
+            x, y = table[abs(d) >> 1]
+            adds.setdefault(pos, []).append((x, y if d > 0 else P - y))
     acc = _INFINITY
-    for d in reversed(digits):
-        acc = _jdouble(_jdouble(_jdouble(_jdouble(acc))))
-        if d:
-            acc = _jadd(acc, multiples[d - 1])
+    for pos in range(max(adds, default=-1), -1, -1):
+        acc = _jdouble(acc)
+        for x, y in adds.get(pos, ()):
+            acc = _jadd_affine(acc, x, y)
     return acc
 
 
@@ -272,8 +325,7 @@ def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
     rinv = pow(r, -1, N)
     u1 = -z * rinv % N
     u2 = s * rinv % N
-    q = _jadd(_mul_g_jac(u1), _mul_point_jac(u2, (r, y)))
-    point = _to_affine(q)
+    point = _to_affine(_mul_joint(u1, u2, (r, y)))
     if point is None:
         raise RecoveryError("recovery produced the point at infinity")
     return point

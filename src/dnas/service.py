@@ -239,19 +239,17 @@ class BlockchainService:
 
     def on_contract_event(self, event: ContractEvent) -> None:
         """Administrator's listener: registry admissions trigger the chain
-        validator voting round. Duplicate deliveries are harmless."""
-        if self.role is not MemberRole.ADMINISTRATOR:
+        validator voting round. Duplicate deliveries are harmless; only
+        registry events are remembered, since no other kind is acted on."""
+        if (self.role is not MemberRole.ADMINISTRATOR
+                or event.kind not in ("PeerAdded", "PeerRemoved")):
             return
         key = (event.kind, event.tx_hash or "", canonical_json_bytes(event.fields))
         if key in self._seen_events:
             return
         self._seen_events.add(key)
-        if event.kind == "PeerAdded":
-            self._validator_round(event.fields["candidate"],
-                                  event.fields.get("member_id", ""), add=True)
-        elif event.kind == "PeerRemoved":
-            self._validator_round(event.fields["candidate"],
-                                  event.fields.get("member_id", ""), add=False)
+        self._validator_round(event.fields["candidate"], event.fields.get("member_id", ""),
+                              add=event.kind == "PeerAdded")
 
     def _validator_round(self, candidate: str, member_id: str, add: bool) -> int:
         """Request a chain vote from every member's node; returns the number

@@ -166,3 +166,13 @@ def test_address_length_enforced():
 def test_keypair_public_matches_scalar():
     kp = KeyPair(secret=5, public=secp256k1.multiply_generator(5))
     assert derive_address(kp.public_bytes) == kp.address
+
+
+def test_address_cached_without_changing_equality():
+    kp = generate_keypair(b"\x47" * 32)
+    twin = generate_keypair(b"\x47" * 32)
+    assert kp.address is kp.address
+    assert kp.address == derive_address(kp.public_bytes)
+    # only kp has cached its address; equality and hashing see the fields alone
+    assert kp == twin and hash(kp) == hash(twin)
+    assert {kp, twin} == {twin}

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
@@ -189,3 +191,69 @@ def test_order_matches_openssl_boundary():
     ec.derive_private_key(secp256k1.N - 1, ec.SECP256K1())
     with pytest.raises(ValueError):
         ec.derive_private_key(secp256k1.N, ec.SECP256K1())
+
+
+def test_endomorphism_constants():
+    # lambda * G is G with its x-coordinate scaled by beta
+    assert secp256k1.multiply_generator(secp256k1.LAMBDA) == (
+        secp256k1.BETA * secp256k1.GX % secp256k1.P, secp256k1.GY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, secp256k1.N - 1))
+@example(k=0)
+@example(k=1)
+@example(k=secp256k1.N - 1)
+@example(k=secp256k1.LAMBDA)
+def test_scalar_split(k):
+    k1, k2 = secp256k1._split_scalar(k)
+    assert (k1 + k2 * secp256k1.LAMBDA - k) % secp256k1.N == 0
+    assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-(2**130), 2**130), width=st.sampled_from([5, 8]))
+def test_wnaf_digits(k, width):
+    digits = list(secp256k1._wnaf(k, width))
+    assert sum(d << pos for pos, d in digits) == k
+    for pos, d in digits:
+        assert d % 2 == 1 and abs(d) < 1 << (width - 1)
+    positions = [pos for pos, _ in digits]
+    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(secret=st.integers(1, secp256k1.N - 1), digest=st.binary(min_size=32, max_size=32))
+def test_recovery_property_against_openssl(secret, digest):
+    v, r, s = secp256k1.sign_digest(secret, digest)
+    nums = _openssl_public_numbers(secret)
+    assert secp256k1.recover_pubkey(digest, v, r, s) == secp256k1.multiply_generator(secret)
+    assert secp256k1.multiply_generator(secret) == (nums.x, nums.y)
+
+
+@pytest.mark.parametrize("digest", [
+    bytes(32),                                   # u1 = 0: only the R half contributes
+    b"\xff" * 32,                                # digest >= N
+    (secp256k1.N + 5).to_bytes(32, "big"),       # digest >= N, close to the order
+], ids=["zero", "all-ones", "order-plus-5"])
+def test_recovery_edge_digests(digest):
+    for secret in (1, 2, 0xC0FFEE, secp256k1.N - 1):
+        v, r, s = secp256k1.sign_digest(secret, digest)
+        nums = _openssl_public_numbers(secret)
+        assert secp256k1.recover_pubkey(digest, v, r, s) == (nums.x, nums.y)
+        assert ref.recover(digest, v, r, s) == (nums.x, nums.y)
+
+
+def test_recovery_both_recovery_ids():
+    rng = random.Random(808)
+    seen = set()
+    while seen != {27, 28}:
+        secret, digest = rng.randrange(1, secp256k1.N), rng.randbytes(32)
+        v, r, s = secp256k1.sign_digest(secret, digest)
+        seen.add(v)
+        nums = _openssl_public_numbers(secret)
+        assert secp256k1.recover_pubkey(digest, v, r, s) == (nums.x, nums.y)
+        # the other id names the other point with x = r: a different key
+        other = secp256k1.recover_pubkey(digest, 55 - v, r, s)
+        assert other == ref.recover(digest, 55 - v, r, s)
+        assert other != (nums.x, nums.y)

@@ -180,6 +180,24 @@ def test_duplicate_event_delivery_is_idempotent(consortium):
     assert consortium.chain.validators == validators_after_first
 
 
+def test_administrator_keeps_no_state_for_wine_events(consortium):
+    admin = consortium.services["admin"]
+    kept = set(admin._seen_events)
+    create_wine(consortium, "W1")
+    create_wine(consortium, "W2")
+    assert admin._seen_events == kept
+    consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    rounds = []
+    admin._validator_round = lambda *args, **kwargs: rounds.append(args)
+    event = ContractEvent(kind="PeerAdded", fields={
+        "candidate": consortium.members["late"].key.address.hex0x,
+        "member_id": "late", "role": "participant", "node_id": "enode-late",
+    }, tx_hash="0xtwice")
+    admin.on_contract_event(event)
+    admin.on_contract_event(event)
+    assert len(rounds) == 1
+
+
 # -- creation flow ---------------------------------------------------------------------------
 
 def test_create_flow_happy_path(consortium):
