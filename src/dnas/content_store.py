@@ -74,12 +74,11 @@ class ContentId:
 
 @dataclass
 class StoreNode:
-    """One storage node: verified blocks, pin set, and known peers."""
+    """One storage node: verified blocks and pin set."""
 
     node_id: str
     blocks: Dict[str, bytes] = field(default_factory=dict)
     pins: Set[str] = field(default_factory=set)
-    peers: Set[str] = field(default_factory=set)
 
     def store(self, content_id: ContentId, content: bytes) -> None:
         if ContentId.for_content(content) != content_id:
@@ -103,14 +102,9 @@ class PrivateNetwork:
     def add_member(self, caller: str, node_id: str) -> StoreNode:
         if caller != self.admin:
             raise AuthError("only the network administrator manages membership")
-        if node_id in self._nodes:
-            return self._nodes[node_id]
-        node = StoreNode(node_id=node_id)
-        for other in self._nodes.values():
-            other.peers.add(node_id)
-            node.peers.add(other.node_id)
-        self._nodes[node_id] = node
-        return node
+        if node_id not in self._nodes:
+            self._nodes[node_id] = StoreNode(node_id=node_id)
+        return self._nodes[node_id]
 
     def remove_member(self, caller: str, node_id: str) -> None:
         if caller != self.admin:
@@ -118,8 +112,6 @@ class PrivateNetwork:
         node = self._nodes.pop(node_id, None)
         if node is None:
             raise NotFoundError(f"{node_id!r} is not a member")
-        for other in self._nodes.values():
-            other.peers.discard(node_id)
         for cid in list(node.blocks):
             holders = self._index.get(cid)
             if holders is not None:

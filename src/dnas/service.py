@@ -95,10 +95,7 @@ class ValidationSession:
     """Single-use pass token linking a full validation to one acceptance."""
 
     wine_id: str
-    scanner: str
-    tag_uid: str
     issued_at: int
-    consumed: bool = False
 
 
 @dataclass
@@ -287,119 +284,151 @@ class BlockchainService:
             self.consortium.track_receipt(tx_hash, on_receipt)
         return tx_hash
 
-    # -- record creation flow --------------------------------------------------------------
+    # -- record flows ----------------------------------------------------------------------
+
+    def _require_member(self) -> None:
+        """Every flow starts here: a member dropped from the registry may no
+        longer read or write records."""
+        if not self.peer_validate(self.address):
+            raise FlowError("peer-validate", f"{self.member_id} is not a consortium member")
 
     def create_record_flow(self, record_fields: Dict[str, object], tag: NfcTag,
                            device_id: str) -> FlowReceipt:
-        wine_id = record_fields["wine_id"]
-        flow = FlowReceipt(wine_id=wine_id)
-
-        # stage 1: confirm this node is part of the consortium
-        flow.stage = "peer-validate"
-        if not self.peer_validate(self.address):
-            raise FlowError(flow.stage, f"{self.member_id} is not a consortium member")
+        self._require_member()
         if self.role is not MemberRole.WINEMAKER:
-            raise FlowError(flow.stage, "record creation is a winemaker operation")
-
-        # stage 2: off-chain record
-        flow.stage = "off-chain-create"
-        record = WineRecord(wine_id=wine_id,
-                            pedigree_data=dict(record_fields.get("pedigree_data", {})))
+            raise FlowError("peer-validate", "record creation is a winemaker operation")
+        record = WineRecord(wine_id=record_fields["wine_id"],
+                            pedigree_data=dict(record_fields.get("pedigree_data", {})),
+                            tag_uid=tag.tag_id, device_id=device_id)
         try:
             self.consortium.db.create(self.role.registry_role, record)
         except DnasError as exc:
-            raise FlowError(flow.stage, str(exc)) from exc
-
-        # stage 3: sign identifiers, write the tag, lock it
-        flow.stage = "tag-write"
-        tag_id = tag.uid.hex()
-        hashed_tag = hash_identifier(tag_id)
-        hashed_device = hash_identifier(device_id)
-        signature = sign_tag_payload(wine_id, hashed_tag, hashed_device, self._key)
+            raise FlowError("off-chain-create", str(exc)) from exc
         try:
-            tag.write(wine_id, signature, write_counter=1)
-            password = tag.enable_protection(randbytes=self.consortium.randbytes)
+            record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
+        except DnasError as exc:
+            raise FlowError("tag-write", str(exc)) from exc
+        return self._write_iteration(record, tag, self._key, WineStatus.CREATED, {
+            "event": "created", "holder": self.member_id, "at": self.consortium.now,
+        }, "create_wine_record", failure_notice="creation_failed")
+
+    def accept_record_flow(self, tag: NfcTag, session_id: str,
+                           custodian_key: Optional[KeyPair] = None,
+                           purchase: bool = False) -> FlowReceipt:
+        self._require_member()
+        session = self._sessions.pop(session_id, None)
+        if session is None:
+            raise FlowError("session", "acceptance requires a fresh full-pass validation")
+        timeout = self.consortium.session_timeout
+        if timeout is not None and self.consortium.now - session.issued_at > timeout:
+            raise FlowError("session", "validation session expired; re-validate first")
+        record = self.consortium.db.get(session.wine_id)
+        if tag.tag_id != record.tag_uid:
+            raise FlowError("session", "tag is not the one the session validated")
+        if record.wine_status is WineStatus.FLAGGED:
+            raise FlowError("acceptance", "flagged records cannot be accepted")
+        if record.wine_status is WineStatus.ERROR:
+            raise FlowError("acceptance", "record is in an error state")
+        custodian_key = custodian_key or self._key
+        return self._write_iteration(
+            record, tag, custodian_key, WineStatus.SOLD if purchase else WineStatus.ACCEPTED, {
+                "event": "purchased" if purchase else "accepted",
+                "holder": f"consumer-via-{self.member_id}" if purchase else self.member_id,
+                "custodian": custodian_key.address.hex0x,
+                "at": self.consortium.now,
+            }, "append_wine_record", failure_notice=None)
+
+    # proxy method -> (content-hash parameter, flow stage, transaction_data event)
+    _ITERATIONS = {
+        "create_wine_record": ("wine_data_hash", "on-chain-create", "on-chain-created"),
+        "append_wine_record": ("new_wine_data_hash", "on-chain-append", "on-chain-appended"),
+    }
+
+    def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
+                         status: WineStatus, custody: Dict[str, object], method: str,
+                         failure_notice: Optional[str]) -> FlowReceipt:
+        """One write iteration of a record: ``key`` signs the identifier
+        triple bound at creation, the tag and the record take the signature
+        and the next write counter, the custody entry is logged, the
+        published subset is pinned, and the proxy call is submitted. The flow
+        completes on the receipt; a failed one marks the record ``ERROR`` and
+        sends ``failure_notice``, if one is named."""
+        hash_param, chain_stage, event_name = self._ITERATIONS[method]
+        wine_id = record.wine_id
+        flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
+        hashed_tag = hash_identifier(record.tag_uid)
+        hashed_device = hash_identifier(record.device_id)
+        signature = sign_tag_payload(wine_id, hashed_tag, hashed_device, key)
+        write_counter = record.write_counter + 1
+        try:
+            tag.write(wine_id, signature, write_counter=write_counter,
+                      password=bytes.fromhex(record.tag_password))
         except DnasError as exc:
             raise FlowError(flow.stage, str(exc)) from exc
-        record.tag_uid = tag_id
-        record.tag_password = password.hex()
-        record.device_id = device_id
-        record.custodian_address = self.address
+        record.write_counter = write_counter
+        record.custodian_address = key.address.hex0x
         record.last_signature = signature.hex
-        record.write_counter = 1
-        record.read_counter = 0
-        record.wine_status = WineStatus.CREATED
-        self.consortium.db.append_supply_chain_entry(wine_id, {
-            "event": "created", "holder": self.member_id,
-            "at": self.consortium.now,
-        })
+        record.wine_status = status
+        self.consortium.db.append_supply_chain_entry(wine_id, custody)
 
-        # stage 4: publish the subset and pin its content id
         flow.stage = "content-store"
-        subset = record.subset()
         try:
-            content_id = self.consortium.store.add(self.store_node_id, subset,
+            content_id = self.consortium.store.add(self.store_node_id, record.subset(),
                                                    path=f"/records/{wine_id}.json")
             self.consortium.store.pin(self.store_node_id, content_id)
         except DnasError as exc:
             raise FlowError(flow.stage, str(exc)) from exc
         flow.content_id = content_id.text
 
-        # stage 5: on-chain creation; bookkeeping completes on the receipt
-        flow.stage = "on-chain-create"
+        flow.stage = chain_stage
         def finish(receipt: Receipt) -> None:
             if receipt.status == "ok":
-                self._record_mined(flow, record.wine_id, receipt, "on-chain-created")
-            else:
-                flow.status, flow.error = "error", receipt.error
-                self.consortium.db.update(ROLE_WINEMAKER, wine_id,
-                                          {"wine_status": WineStatus.ERROR})
-                self.consortium.notify({
-                    "type": "creation_failed", "wine_id": wine_id,
-                    "stage": flow.stage, "error": receipt.error,
-                    "tag_reissue": tag.uid.hex(), "at": self.consortium.now,
+                # only transaction_data takes the mined tx details: the subset
+                # published for this iteration must stay reproducible from the record
+                flow.status = "ok"
+                flow.block_number = receipt.block_number
+                self.consortium.db.append_transaction_entry(wine_id, {
+                    "event": event_name, "tx_hash": receipt.tx_hash,
+                    "block_number": receipt.block_number,
+                    "actor": self.address, "timestamp": self.consortium.now,
                 })
-        flow.tx_hash = self.submit_tx("proxy", "create_wine_record", {
+                return
+            flow.status, flow.error = "error", receipt.error
+            self.consortium.db.update(ROLE_WINEMAKER, wine_id, {"wine_status": WineStatus.ERROR})
+            if failure_notice is not None:
+                self.consortium.notify({
+                    "type": failure_notice, "wine_id": wine_id, "stage": chain_stage,
+                    "error": receipt.error, "tag_reissue": record.tag_uid,
+                    "at": self.consortium.now,
+                })
+        flow.tx_hash = self.submit_tx("proxy", method, {
             "wine_id": wine_id,
-            "wine_data_hash": content_id.text,
-            "new_public_address": self.address,
+            hash_param: content_id.text,
+            "new_public_address": key.address.hex0x,
             "tag_id": hashed_tag,
             "device_id": hashed_device,
         }, on_receipt=finish)
         return flow
-
-    def _record_mined(self, flow: FlowReceipt, wine_id: str, receipt: Receipt,
-                      event_name: str) -> None:
-        # only transaction_data takes the mined tx details: the subset already
-        # published for this iteration must stay reproducible from the record
-        flow.status = "ok"
-        flow.block_number = receipt.block_number
-        self.consortium.db.append_transaction_entry(wine_id, {
-            "event": event_name, "tx_hash": receipt.tx_hash,
-            "block_number": receipt.block_number,
-            "actor": self.address, "timestamp": self.consortium.now,
-        })
 
     # -- three-layered validation flow -------------------------------------------------------
 
     def validate_record_flow(self, tag: NfcTag) -> Tuple[List[ValidationOutcome],
                                                          Optional[Dict[str, object]],
                                                          Optional[str]]:
-        outcomes: List[ValidationOutcome] = []
+        self._require_member()
         try:
             wine_id = tag.peek_wine_id()
         except TagStateError as exc:
             raise FlowError("tag-read", str(exc)) from exc
 
-        readout, failure = self._layer_off_chain(wine_id, tag, outcomes)
-        if failure is None:
-            failure = self._layer_on_chain(wine_id, readout, outcomes)
-        if failure is None:
-            failure = self._layer_content_store(wine_id, outcomes)
-
+        record, failure = self._walk_layers(wine_id, tag)
+        layers = list(ValidationLayer)
+        passed = layers[:layers.index(failure[0])] if failure else layers
+        outcomes = [ValidationOutcome(layer=layer, result="pass") for layer in passed]
         if failure is not None:
-            attack, layer, details = failure
-            if self.consortium.db.exists(wine_id):
+            layer, attack, details = failure
+            outcomes.append(ValidationOutcome(layer=layer, result=attack, details=details))
+            if record is not None:
                 self.consortium.db.log_unsuccessful_validation(
                     wine_id, attack.value, layer.value, details,
                     timestamp=self.consortium.now)
@@ -412,13 +441,11 @@ class BlockchainService:
             return outcomes, None, None
 
         # full pass: increment the read counters everywhere and mint a session
-        record = self.consortium.db.get(wine_id)
         record.read_counter += 1
         self.submit_tx("proxy", "increment_read_count", {"wine_id": wine_id})
         session_id = f"session-{self.member_id}-{wine_id}-{self.consortium.next_session_serial()}"
-        self._sessions[session_id] = ValidationSession(
-            wine_id=wine_id, scanner=self.member_id, tag_uid=readout.tag_id,
-            issued_at=self.consortium.now)
+        self._sessions[session_id] = ValidationSession(wine_id=wine_id,
+                                                       issued_at=self.consortium.now)
         latest_tx = record.transaction_data[-1] if record.transaction_data else {}
         view = {
             "wine_id": wine_id,
@@ -431,151 +458,62 @@ class BlockchainService:
         }
         return outcomes, view, session_id
 
-    def _fail(self, outcomes, layer, attack, details):
-        outcomes.append(ValidationOutcome(layer=layer, result=attack, details=details))
-        return attack, layer, details
-
-    def _layer_off_chain(self, wine_id, tag, outcomes):
-        """Returns (tag readout or None, failure or None)."""
-        layer = ValidationLayer.OFF_CHAIN_DB
+    def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
+            Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
+        """Runs the three layers in order, reading each source once. Returns
+        the database record (None when it has no such wine) and the first
+        failure as (layer, attack, details), or None on a full pass."""
+        off_chain, on_chain, content_store = ValidationLayer
+        modified, cloned, reapplied = (AttackClass.MODIFICATION, AttackClass.CLONING,
+                                       AttackClass.REAPPLICATION)
         try:
             record = self.consortium.db.get(wine_id)
         except NotFoundError:
-            return None, self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                                    "wine identifier not found in the database")
+            return None, (off_chain, modified, "wine identifier not found in the database")
         try:
-            readout = tag.read(password=bytes.fromhex(record.tag_password)
-                               if record.tag_password else None)
+            readout = tag.read(password=bytes.fromhex(record.tag_password))
         except TagLockedError:
-            return None, self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                                    "tag rejects the injected password")
+            return record, (off_chain, modified, "tag rejects the injected password")
         if readout.tag_id != record.tag_uid:
-            return readout, self._fail(outcomes, layer, AttackClass.CLONING,
-                                       "inconsistent tag identifier")
+            return record, (off_chain, cloned, "inconsistent tag identifier")
         if readout.write_counter != record.write_counter:
-            return readout, self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                                       "write counter differs from the database")
+            return record, (off_chain, reapplied, "write counter differs from the database")
         if readout.read_counter != record.read_counter + 1:
-            return readout, self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                                       "read counter differs from the database")
+            return record, (off_chain, reapplied, "read counter differs from the database")
         if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
-            return readout, self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                                       "wine identifier or signature differs from the database")
-        outcomes.append(ValidationOutcome(layer=layer, result="pass"))
-        return readout, None
+            return record, (off_chain, modified,
+                            "wine identifier or signature differs from the database")
 
-    def _layer_on_chain(self, wine_id, readout, outcomes):
-        layer = ValidationLayer.ON_CHAIN
         try:
-            on_chain = self.chain.call_view("get_record", {"wine_id": wine_id})
+            chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "wine identifier not found on-chain")
-        if hash_identifier(readout.tag_id) != on_chain["tag_id"]:
-            return self._fail(outcomes, layer, AttackClass.CLONING,
-                              "inconsistent tag identifier on-chain")
-        if readout.write_counter != on_chain["write_count"]:
-            return self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                              "write counter differs from on-chain state")
-        if readout.read_counter != on_chain["read_count"] + 1:
-            return self._fail(outcomes, layer, AttackClass.REAPPLICATION,
-                              "read counter differs from on-chain state")
+            return record, (on_chain, modified, "wine identifier not found on-chain")
+        if hash_identifier(readout.tag_id) != chain_record["tag_id"]:
+            return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
+        if readout.write_counter != chain_record["write_count"]:
+            return record, (on_chain, reapplied, "write counter differs from on-chain state")
+        if readout.read_counter != chain_record["read_count"] + 1:
+            return record, (on_chain, reapplied, "read counter differs from on-chain state")
         sig = readout.signature
-        valid = self.chain.call_view("validate_signature", {
-            "wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s})
-        if not valid:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "recovered public address does not match on-chain custodian")
-        outcomes.append(ValidationOutcome(layer=layer, result="pass"))
-        return None
+        if not self.chain.call_view("validate_signature", {
+                "wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s}):
+            return record, (on_chain, modified,
+                            "recovered public address does not match on-chain custodian")
 
-    def _layer_content_store(self, wine_id, outcomes):
-        layer = ValidationLayer.CONTENT_STORE
-        record = self.consortium.db.get(wine_id)
         subset = record.subset()
-        db_cid = ContentId.for_content(subset)
-        on_chain = self.chain.call_view("get_record", {"wine_id": wine_id})
-        if not self.chain.call_view("validate_wine_record_hash",
-                                    {"wine_id": wine_id, "wine_data_hash": db_cid.text}):
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "database subset hash differs from on-chain hash")
+        if not self.chain.call_view("validate_wine_record_hash", {
+                "wine_id": wine_id, "wine_data_hash": ContentId.for_content(subset).text}):
+            return record, (content_store, modified,
+                            "database subset hash differs from on-chain hash")
         try:
             fetched = self.consortium.store.get(self.store_node_id,
-                                                ContentId(on_chain["data_hash_latest"]))
-        except (NotFoundError, DnasError) as exc:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              f"stored subset unavailable: {exc}")
+                                                ContentId(chain_record["data_hash_latest"]))
+        except DnasError as exc:
+            return record, (content_store, modified, f"stored subset unavailable: {exc}")
         if fetched != subset:
-            return self._fail(outcomes, layer, AttackClass.MODIFICATION,
-                              "stored subset bytes differ from the database")
-        outcomes.append(ValidationOutcome(layer=layer, result="pass"))
-        return None
-
-    # -- acceptance / appending flow -------------------------------------------------------
-
-    def accept_record_flow(self, tag: NfcTag, session_id: str,
-                           custodian_key: Optional[KeyPair] = None,
-                           purchase: bool = False) -> FlowReceipt:
-        session = self._sessions.get(session_id)
-        if session is None or session.consumed:
-            raise FlowError("session", "acceptance requires a fresh full-pass validation")
-        timeout = self.consortium.session_timeout
-        if timeout is not None and self.consortium.now - session.issued_at > timeout:
-            raise FlowError("session", "validation session expired; re-validate first")
-        session.consumed = True
-        wine_id = session.wine_id
-        custodian_key = custodian_key or self._key
-        record = self.consortium.db.get(wine_id)
-        flow = FlowReceipt(wine_id=wine_id)
-
-        flow.stage = "acceptance"
-        if record.wine_status is WineStatus.FLAGGED:
-            raise FlowError(flow.stage, "flagged records cannot be accepted")
-        if record.wine_status is WineStatus.ERROR:
-            raise FlowError(flow.stage, "record is in an error state")
-
-        # new custodian signs the identifier triple bound at creation
-        flow.stage = "tag-write"
-        hashed_tag = hash_identifier(record.tag_uid)
-        hashed_device = hash_identifier(record.device_id)
-        signature = sign_tag_payload(wine_id, hashed_tag, hashed_device, custodian_key)
-        new_count = record.write_counter + 1
-        tag.write(wine_id, signature, write_counter=new_count,
-                  password=bytes.fromhex(record.tag_password) if record.tag_password else None)
-        record.write_counter = new_count
-        record.custodian_address = custodian_key.address.hex0x
-        record.last_signature = signature.hex
-        record.wine_status = WineStatus.SOLD if purchase else WineStatus.ACCEPTED
-        self.consortium.db.append_supply_chain_entry(wine_id, {
-            "event": "purchased" if purchase else "accepted",
-            "holder": self.member_id if not purchase else f"consumer-via-{self.member_id}",
-            "custodian": custodian_key.address.hex0x,
-            "at": self.consortium.now,
-        })
-
-        flow.stage = "content-store"
-        subset = record.subset()
-        content_id = self.consortium.store.add(self.store_node_id, subset,
-                                               path=f"/records/{wine_id}.json")
-        self.consortium.store.pin(self.store_node_id, content_id)
-        flow.content_id = content_id.text
-
-        flow.stage = "on-chain-append"
-        def finish(receipt: Receipt) -> None:
-            if receipt.status == "ok":
-                self._record_mined(flow, wine_id, receipt, "on-chain-appended")
-            else:
-                flow.status, flow.error = "error", receipt.error
-                self.consortium.db.update(ROLE_WINEMAKER, wine_id,
-                                          {"wine_status": WineStatus.ERROR})
-        flow.tx_hash = self.submit_tx("proxy", "append_wine_record", {
-            "wine_id": wine_id,
-            "new_wine_data_hash": content_id.text,
-            "new_public_address": custodian_key.address.hex0x,
-            "tag_id": hashed_tag,
-            "device_id": hashed_device,
-        }, on_receipt=finish)
-        return flow
+            return record, (content_store, modified,
+                            "stored subset bytes differ from the database")
+        return record, None
 
 
 class Consortium:

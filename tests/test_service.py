@@ -243,6 +243,16 @@ def test_create_flow_on_chain_duplicate_keeps_audit_record(consortium):
     assert any(n["type"] == "creation_failed" for n in consortium.notifications)
 
 
+def test_create_flow_on_locked_tag_fails_at_tag_write(consortium):
+    tag, _ = create_wine(consortium)
+    with pytest.raises(FlowError) as err:
+        consortium.services["maker"].create_record_flow(
+            {"wine_id": "W2", "pedigree_data": {}}, tag, "device-maker")
+    assert err.value.stage == "tag-write"
+    assert json.loads(tag.memory)["wine_id"] == "W1"
+    assert not consortium.chain.pool
+
+
 # -- validation flow ---------------------------------------------------------------------------
 
 def test_validation_happy_path_counters(consortium):
@@ -334,6 +344,39 @@ def test_flagging_emits_notification(consortium):
     assert flagged and flagged[-1]["attack_class"] == "cloning"
 
 
+def test_full_pass_reads_each_source_once(consortium, monkeypatch):
+    tag, _ = create_wine(consortium)
+    views, gets = [], []
+    call_view, get = consortium.chain.call_view, consortium.db.get
+    monkeypatch.setattr(consortium.chain, "call_view",
+                        lambda method, params: views.append(method) or call_view(method, params))
+    monkeypatch.setattr(consortium.db, "get", lambda wine_id: gets.append(wine_id) or get(wine_id))
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert all(o.passed for o in outcomes)
+    assert views.count("get_record") == 1
+    assert gets == ["W1"]
+
+
+def test_removed_member_can_neither_validate_nor_accept(consortium):
+    tag, _ = create_wine(consortium)
+    ship = consortium.services["ship"]
+    _, _, session = ship.validate_record_flow(tag)
+    consortium.run_until_idle()
+    consortium.propose_member_removal("admin", "ship")
+    consortium.run_until_idle()
+    for flow in (lambda: ship.validate_record_flow(tag),
+                 lambda: ship.accept_record_flow(tag, session)):
+        with pytest.raises(FlowError) as err:
+            flow()
+        assert err.value.stage == "peer-validate"
+    assert not consortium.chain.pool
+    assert consortium.counters_in_sync("W1", tag)
+    # the counters stayed in step, so the next genuine scan passes
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    consortium.run_until_idle()
+    assert all(o.passed for o in outcomes)
+
+
 # -- acceptance flow -----------------------------------------------------------------------------
 
 def test_accept_transfers_custody(consortium):
@@ -368,6 +411,41 @@ def test_session_single_use(consortium):
     consortium.run_until_idle()
     with pytest.raises(FlowError):
         dist.accept_record_flow(tag, session)
+
+
+def test_session_is_spent_and_bound_to_the_validated_tag(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
+    with pytest.raises(FlowError) as err:
+        dist.accept_record_flow(clone, session)
+    assert err.value.stage == "session"
+    assert clone.write_counter == tag.write_counter == 1
+    assert not consortium.chain.pool
+    assert not dist._sessions
+    outcomes, _, session = dist.validate_record_flow(tag)
+    dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert all(o.passed for o in outcomes)
+    assert not dist._sessions
+    assert consortium.counters_in_sync("W1", tag)
+
+
+def test_failed_append_receipt_marks_the_record_error(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    # the append's hashed device id no longer matches the one bound on-chain
+    consortium.db.get("W1").device_id = "device-forged"
+    flow = dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "error" and flow.error
+    assert flow.stage == "on-chain-append"
+    assert consortium.db.get("W1").wine_status is WineStatus.ERROR
+    assert not [n for n in consortium.notifications if n["type"] == "creation_failed"]
 
 
 def test_accept_on_flagged_record_rejected(consortium):
