@@ -31,11 +31,12 @@ class ContractEvent:
 
 @dataclass
 class ExecutionContext:
-    """Per-call context: the original sender plus the event sink."""
+    """Per-call context: the original sender, the event sink, the touched state keys."""
 
     caller: str  # 0x-hex address
     registry: "PeerRegistryContract"
     events: List[ContractEvent] = field(default_factory=list)
+    touched: Set[str] = field(default_factory=set)
 
     def emit(self, kind: str, **fields) -> None:
         self.events.append(ContractEvent(kind=kind, fields=fields))
@@ -151,16 +152,14 @@ class WineDataStorage:
         self.write_count: Dict[str, int] = {}
         self.read_count: Dict[str, int] = {}
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "data_hash": {w: {str(i): h for i, h in sorted(m.items())}
-                          for w, m in self.data_hash.items()},
-            "pub_addr": dict(self.pub_addr),
-            "tag_id": dict(self.tag_id),
-            "device_id": dict(self.device_id),
-            "write_count": dict(self.write_count),
-            "read_count": dict(self.read_count),
-        }
+    def record(self, wine_id: str) -> Optional[Dict[str, object]]:
+        """The six fields kept for one wine, or None when it has no record."""
+        if wine_id not in self.write_count:
+            return None
+        return {"data_hash": self.data_hash[wine_id], "pub_addr": self.pub_addr[wine_id],
+                "tag_id": self.tag_id[wine_id], "device_id": self.device_id[wine_id],
+                "write_count": self.write_count[wine_id],
+                "read_count": self.read_count[wine_id]}
 
 
 class WineDataContractV1:
@@ -177,6 +176,7 @@ class WineDataContractV1:
     def create_wine_record(self, storage: WineDataStorage, ctx: ExecutionContext,
                            wine_id: str, wine_data_hash: str, new_public_address: str,
                            tag_id: str, device_id: str) -> bool:
+        ctx.touched.add("wine:" + wine_id)
         if ctx.registry.role_of(ctx.caller) != ROLE_WINEMAKER:
             raise RoleError("create_wine_record is restricted to winemaker nodes")
         if storage.write_count.get(wine_id, 0) != 0:
@@ -195,6 +195,7 @@ class WineDataContractV1:
     def append_wine_record(self, storage: WineDataStorage, ctx: ExecutionContext,
                            wine_id: str, new_wine_data_hash: str, new_public_address: str,
                            tag_id: str, device_id: str) -> bool:
+        ctx.touched.add("wine:" + wine_id)
         if not ctx.registry.is_member(ctx.caller):
             raise RoleError("append_wine_record requires a registered consortium member")
         count = storage.write_count.get(wine_id, 0)
@@ -213,6 +214,7 @@ class WineDataContractV1:
 
     def increment_read_count(self, storage: WineDataStorage, ctx: ExecutionContext,
                              wine_id: str) -> int:
+        ctx.touched.add("wine:" + wine_id)
         if not ctx.registry.is_member(ctx.caller):
             raise RoleError("read-count updates require a registered consortium member")
         if storage.write_count.get(wine_id, 0) == 0:
@@ -330,11 +332,11 @@ class Proxy:
         return getattr(impl, method)(self.storage, ctx, **params)
 
     def snapshot(self) -> Dict[str, object]:
+        """The proxy's metadata; its storage is committed per wine."""
         return {
             "owner": self.owner,
             "current_implementation": self.current_implementation,
             "initialize_counter": dict(self.initialize_counter),
-            "storage": self.storage.snapshot(),
         }
 
 
@@ -361,6 +363,7 @@ class ContractRuntime:
 
     def __init__(self, admin: str, bootstrap_count: int = 5):
         self.admin = admin
+        self.touched: Set[str] = set()  # state keys written since the last state root
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
         self.proxy = Proxy(owner=admin)
         self.proxy.register_implementation(WineDataContractV1())
@@ -371,13 +374,14 @@ class ContractRuntime:
     def execute(self, caller: str, target: str, method: str,
                 params: Dict[str, object]) -> Tuple[object, List[ContractEvent]]:
         """Runs a state-transitioning call; returns (result, emitted events)."""
-        ctx = ExecutionContext(caller=caller, registry=self.registry)
+        ctx = ExecutionContext(caller=caller, registry=self.registry, touched=self.touched)
         if target == "proxy":
             result = self.proxy.call(ctx, method, params)
         else:
             handler = self._TRANSACTIONS.get((target, method))
             if handler is None:
                 raise ContractError(f"no transaction method {method!r} on {target!r}")
+            self.touched.add(target)  # the registry or proxy_admin leaf
             result = handler(self, ctx, params)
         return result, ctx.events
 
@@ -389,8 +393,16 @@ class ContractRuntime:
         ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry)
         return self.proxy.view(ctx, method, params)
 
-    def state_bytes(self) -> bytes:
-        return canonical_json_bytes({
-            "registry": self.registry.snapshot(),
-            "proxy": self.proxy.snapshot(),
-        })
+    def state_keys(self) -> List[str]:
+        """Every contract key the state root commits to."""
+        return ["registry", "proxy_admin", *("wine:" + w for w in self.proxy.storage.write_count)]
+
+    def state_bytes(self, key: str) -> bytes:
+        """Canonical JSON of one contract leaf; empty when the key holds nothing."""
+        if key == "registry":
+            value = self.registry.snapshot()
+        elif key == "proxy_admin":
+            value = self.proxy.snapshot()
+        else:
+            value = self.proxy.storage.record(key.partition(":")[2])
+        return b"" if value is None else canonical_json_bytes(value)

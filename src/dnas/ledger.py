@@ -7,18 +7,21 @@ floor(N/2)+1; the votes ride block headers so replicas replaying the block
 sequence reproduce the same validator set and state root. Gas is free
 (price 0) but the per-block gas limit follows the dynamic rule driven by
 parent usage.
+The state root commits to all consensus state, a leaf per key: each wine
+record, the registry, the proxy's metadata, each account's nonce and
+balance, the validators and their tallies. Writers mark the keys they touch
+and sealing rehashes only those (``StateTree``).
 """
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .contracts import ContractEvent, ContractRuntime
 from .encoding import canonical_json_bytes
 from .errors import (
     ConfigError,
-    DnasError,
     NotFoundError,
     PoolError,
     RecoveryError,
@@ -32,6 +35,7 @@ GAS_BOUND_DIVISOR = 1024
 
 _ZERO_HASH = "0x" + "00" * 32
 _ZERO_ADDR = "0x" + "00" * 20
+_LEAF, _NODE = b"\x00", b"\x01"  # domain prefixes, as in RFC 6962
 
 
 def next_gas_limit(parent_gas_limit: int, parent_gas_used: int,
@@ -183,6 +187,40 @@ class Block:
         }
 
 
+class StateTree:
+    """Two-level Merkle commitment: a leaf hashes ``0x00 ‖ key ‖ 0x00 ‖ value``,
+    a node ``0x01`` and its children's hashes. A key's bucket is the first
+    byte of sha256(key); a bucket node covers its leaves in key order and the
+    root the 256 bucket nodes. ``root`` rehashes only the keys marked in
+    ``touched``; a key whose value encodes to no bytes has no leaf."""
+
+    def __init__(self, encode: Callable[[str], bytes], touched: Set[str]):
+        self._encode = encode
+        self.touched = touched
+        self._leaves: List[Dict[str, bytes]] = [{} for _ in range(256)]
+        self._nodes = [hashlib.sha256(_NODE).digest()] * 256
+        self._root = ""
+
+    def root(self) -> str:
+        dirty = set()
+        for key in self.touched:
+            raw = key.encode()
+            bucket = hashlib.sha256(raw).digest()[0]
+            if value := self._encode(key):
+                self._leaves[bucket][key] = hashlib.sha256(_LEAF + raw + _LEAF + value).digest()
+            else:
+                self._leaves[bucket].pop(key, None)
+            dirty.add(bucket)
+        self.touched.clear()
+        for bucket in dirty:
+            leaves = self._leaves[bucket]
+            self._nodes[bucket] = hashlib.sha256(
+                _NODE + b"".join(leaves[key] for key in sorted(leaves))).digest()
+        if dirty or not self._root:
+            self._root = "0x" + hashlib.sha256(_NODE + b"".join(self._nodes)).hexdigest()
+        return self._root
+
+
 class Chain:
     """One node's view of the ledger; authoritative when it seals, replica
     when it applies blocks produced elsewhere."""
@@ -192,6 +230,7 @@ class Chain:
         genesis.validate()
         self.genesis = genesis
         self.runtime = ContractRuntime(admin=contract_admin, bootstrap_count=bootstrap_count)
+        self.state = StateTree(self.state_bytes, self.runtime.touched)
         self.validators: List[str] = list(genesis.initial_validators)
         self.tallies: Dict[Tuple[str, str], Set[str]] = {}
         self.balances: Dict[str, int] = dict(genesis.alloc)
@@ -200,18 +239,34 @@ class Chain:
         self._pool_hashes: Set[str] = set()
         self.receipts: Dict[str, Receipt] = {}
         self._pending_votes: List[Dict[str, object]] = []
+        self.state.touched.update(self.state_keys())
         genesis_block = Block(
             number=0, parent_hash=_ZERO_HASH, sealer=_ZERO_ADDR, timestamp=0,
             gas_limit=genesis.gas_limit, gas_used=0, transactions=[],
-            state_root=self._state_root(),
+            state_root=self.state.root(),
         )
         self.blocks: List[Block] = [genesis_block]
         self._blocks_by_hash: Dict[str, Block] = {genesis_block.hash: genesis_block}
 
     # -- state ---------------------------------------------------------------------
 
-    def _state_root(self) -> str:
-        return "0x" + hashlib.sha256(self.runtime.state_bytes()).hexdigest()
+    def state_keys(self) -> List[str]:
+        """Every key the state root commits to."""
+        return [*self.runtime.state_keys(), "validators", "tallies",
+                *("nonce:" + a for a in self.nonces), *("balance:" + a for a in self.balances)]
+
+    def state_bytes(self, key: str) -> bytes:
+        """Canonical JSON of one leaf's value; empty when the key holds nothing."""
+        kind, _, address = key.partition(":")
+        if kind in ("nonce", "balance"):
+            value = (self.nonces if kind == "nonce" else self.balances).get(address)
+        elif key == "validators":
+            value = self.validators
+        elif key == "tallies":
+            value = {f"{c}:{action}": sorted(v) for (c, action), v in self.tallies.items()}
+        else:
+            return self.runtime.state_bytes(key)
+        return b"" if value is None else canonical_json_bytes(value)
 
     @property
     def height(self) -> int:
@@ -237,22 +292,25 @@ class Chain:
     def submit_transaction(self, tx: SignedTransaction) -> str:
         if tx.gas_price != 0:
             raise PoolError("gas price is fixed at zero on this network")
-        if tx.chain_id != self.genesis.chain_id:
-            raise PoolError(f"wrong chain id {tx.chain_id}")
         if tx.tx_hash in self._pool_hashes or tx.tx_hash in self.receipts:
             raise PoolError("duplicate transaction")
-        try:
-            recovered = recover_signer(tx.digest, tx.signature)
-        except RecoveryError as exc:
-            raise PoolError(f"invalid signature: {exc}") from exc
-        if recovered.hex0x != tx.sender:
-            raise PoolError("signature does not recover to the sender")
-        expected = self.next_nonce(tx.sender)
-        if tx.nonce != expected:
-            raise PoolError(f"nonce {tx.nonce} out of order; expected {expected}")
+        self._verify(tx, self.next_nonce(tx.sender), PoolError)
         self.pool.append(tx)
         self._pool_hashes.add(tx.tx_hash)
         return tx.tx_hash
+
+    def _verify(self, tx: SignedTransaction, nonce: int, error: type) -> None:
+        """Chain id, signer and nonce, at admission and before a replica executes."""
+        if tx.chain_id != self.genesis.chain_id:
+            raise error(f"wrong chain id {tx.chain_id}")
+        try:
+            recovered = recover_signer(tx.digest, tx.signature)
+        except RecoveryError as exc:
+            raise error(f"invalid signature: {exc}") from exc
+        if recovered.hex0x != tx.sender:
+            raise error("signature does not recover to the sender")
+        if tx.nonce != nonce:
+            raise error(f"nonce {tx.nonce} out of order; expected {nonce}")
 
     # -- validator voting (node-level operation, carried in headers) -----------------
 
@@ -270,6 +328,7 @@ class Chain:
             raise SealError(f"{candidate} is already a validator")
         if not add and candidate not in self.validators:
             raise SealError(f"{candidate} is not a validator")
+        self.state.touched.update(("validators", "tallies"))
         key = (candidate, "add" if add else "remove")
         voters = self.tallies.setdefault(key, set())
         voters.add(voter)
@@ -319,7 +378,7 @@ class Chain:
         )
         self._pending_votes = []
         self._execute_block(block)
-        block.state_root = self._state_root()
+        block.state_root = self.state.root()
         self.blocks.append(block)
         self._blocks_by_hash[block.hash] = block
         return block
@@ -327,12 +386,13 @@ class Chain:
     def _execute_block(self, block: Block) -> None:
         for tx in block.transactions:
             self.nonces[tx.sender] = self.nonces.get(tx.sender, 0) + 1
+            self.state.touched.add("nonce:" + tx.sender)
             try:
                 result, events = self.runtime.execute(tx.sender, tx.target, tx.method,
                                                       tx.params)
                 receipt = Receipt(tx_hash=tx.tx_hash, block_number=block.number,
                                   status="ok", result=result, events=events)
-            except DnasError as exc:
+            except Exception as exc:  # malformed params raise TypeError and the like
                 receipt = Receipt(tx_hash=tx.tx_hash, block_number=block.number,
                                   status="error", error=str(exc))
             for event in receipt.events:
@@ -341,13 +401,20 @@ class Chain:
             self.receipts[tx.tx_hash] = receipt
 
     def apply_block(self, block: Block) -> None:
-        """Replay a block sealed elsewhere; verifies linkage, schedule, gas
-        rule, and the resulting state root."""
+        """Replay a block sealed elsewhere; verifies linkage, every
+        transaction, schedule, gas rule, and the resulting state root."""
         parent = self.head
         if block.number != parent.number + 1:
             raise SealError(f"expected height {parent.number + 1}, got {block.number}")
         if block.parent_hash != parent.hash:
             raise SealError("parent hash does not match the local head")
+        if block.gas_used != TX_GAS * len(block.transactions):
+            raise SealError("block gas used does not match its transactions")
+        nonces: Dict[str, int] = {}
+        for tx in block.transactions:
+            nonce = nonces.get(tx.sender, self.account_nonce(tx.sender))
+            self._verify(tx, nonce, SealError)
+            nonces[tx.sender] = nonce + 1
         for vote in block.votes:
             try:
                 self._apply_vote(dict(vote))
@@ -359,7 +426,7 @@ class Chain:
         if block.gas_limit != expected_limit:
             raise SealError("block gas limit violates the adjustment rule")
         self._execute_block(block)
-        if block.state_root != self._state_root():
+        if block.state_root != self.state.root():
             raise SealError("replayed state root differs from the sealed block")
         self.blocks.append(block)
         self._blocks_by_hash[block.hash] = block

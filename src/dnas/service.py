@@ -300,14 +300,13 @@ class BlockchainService:
         record = WineRecord(wine_id=record_fields["wine_id"],
                             pedigree_data=dict(record_fields.get("pedigree_data", {})),
                             tag_uid=tag.tag_id, device_id=device_id)
+        if tag.protection_enabled:  # before the database write, which it would orphan
+            raise FlowError("tag-write", "protection already enabled")
         try:
             self.consortium.db.create(self.role.registry_role, record)
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
-        try:
-            record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
-        except DnasError as exc:
-            raise FlowError("tag-write", str(exc)) from exc
+        record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
         return self._write_iteration(record, tag, self._key, WineStatus.CREATED, {
             "event": "created", "holder": self.member_id, "at": self.consortium.now,
         }, "create_wine_record", failure_notice="creation_failed")

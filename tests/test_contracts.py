@@ -10,6 +10,7 @@ from dnas.contracts import (
 from dnas.content_store import ContentId
 from dnas.errors import AuthError, ContractError, ProxyError, RoleError
 from dnas.keys import generate_keypair, hash_identifier, sign_tag_payload
+from dnas.ledger import StateTree
 
 
 def entry_dict(address, role="participant", member_id="m"):
@@ -32,6 +33,11 @@ def runtime(keys):
         rt.execute(keys["admin"].address.hex0x, "registry", "bootstrap_add_peer",
                    {"entry": entry_dict(keys[name].address.hex0x, role=role, member_id=name)})
     return rt
+
+
+def commitment(runtime):
+    """A from-scratch commitment over every contract leaf of the runtime."""
+    return StateTree(runtime.state_bytes, set(runtime.state_keys())).root()
 
 
 def make_cid(tag=b"subset"):
@@ -70,25 +76,25 @@ def test_create_sets_all_mappings(runtime, keys):
 
 def test_create_twice_error_no_state_change(runtime, keys):
     _, _, cid, tag_hash, dev_hash = create_record(runtime, keys)
-    before = runtime.state_bytes()
+    before = commitment(runtime)
     with pytest.raises(ContractError):
         runtime.execute(keys["maker"].address.hex0x, "proxy", "create_wine_record", {
             "wine_id": "W1", "wine_data_hash": make_cid(b"other"),
             "new_public_address": keys["part_a"].address.hex0x,
             "tag_id": tag_hash, "device_id": dev_hash,
         })
-    assert runtime.state_bytes() == before
+    assert commitment(runtime) == before
 
 
 def test_create_requires_winemaker_role(runtime, keys):
-    before = runtime.state_bytes()
+    before = commitment(runtime)
     with pytest.raises(RoleError):
         runtime.execute(keys["part_a"].address.hex0x, "proxy", "create_wine_record", {
             "wine_id": "W9", "wine_data_hash": make_cid(),
             "new_public_address": keys["part_a"].address.hex0x,
             "tag_id": hash_identifier("t"), "device_id": hash_identifier("d"),
         })
-    assert runtime.state_bytes() == before
+    assert commitment(runtime) == before
 
 
 # -- Algorithm: hash validation -----------------------------------------------------
@@ -109,10 +115,10 @@ def test_validate_hash_unknown_record(runtime, keys):
 
 def test_validate_is_read_only(runtime, keys):
     _, _, cid, _, _ = create_record(runtime, keys)
-    before = runtime.state_bytes()
+    before = commitment(runtime)
     runtime.call_view("validate_wine_record_hash", {"wine_id": "W1", "wine_data_hash": cid})
     runtime.call_view("validate_signature", {"wine_id": "W1", "v": 27, "r": 1, "s": 1})
-    assert runtime.state_bytes() == before
+    assert commitment(runtime) == before
 
 
 # -- Algorithm: signature validation ----------------------------------------------
@@ -290,13 +296,13 @@ def test_votes_on_a_change_in_effect_are_no_ops(runtime, keys):
     for voter in ("admin", "part_a", "part_b"):
         runtime.execute(keys[voter].address.hex0x, "registry", "propose_peer",
                         {"entry": target, "add": False})
-    before = runtime.state_bytes()
+    before = commitment(runtime)
     # a late admission vote, and the removed member's own late removal vote
     for voter, entry, add in (("part_b", candidate, True), ("maker", target, False)):
         result, events = runtime.execute(keys[voter].address.hex0x, "registry",
                                          "propose_peer", {"entry": entry, "add": add})
         assert result["applied"] is False and events == []
-    assert runtime.state_bytes() == before
+    assert commitment(runtime) == before
 
 
 def test_consensus_level_admin_only(runtime, keys):

@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnas.content_store import ContentId
@@ -12,6 +14,7 @@ from dnas.ledger import (
     Chain,
     GenesisConfig,
     SignedTransaction,
+    StateTree,
     next_gas_limit,
     sign_transaction,
 )
@@ -32,8 +35,8 @@ def make_genesis(keys, count=5, period=1, **kw):
     )
 
 
-@pytest.fixture
-def chain(keys):
+def bootstrapped_chain(keys):
+    """Five validators; keys[1] is the winemaker, the other four participants."""
     chain = Chain(make_genesis(keys), contract_admin=keys[0].address.hex0x, bootstrap_count=5)
     admin = keys[0].address.hex0x
     for i, key in enumerate(keys[:5]):
@@ -45,6 +48,16 @@ def chain(keys):
         chain.submit_transaction(tx)
     chain.seal_block(chain.sealer_at_offset(0), timestamp=1)
     return chain
+
+
+@pytest.fixture
+def chain(keys):
+    return bootstrapped_chain(keys)
+
+
+def rebuilt_root(chain):
+    """The state root built from scratch over every key the chain commits to."""
+    return StateTree(chain.state_bytes, set(chain.state_keys())).root()
 
 
 # -- genesis ---------------------------------------------------------------------
@@ -383,3 +396,141 @@ def test_replica_rejects_tampered_state_root(chain, keys):
                 state_root="0x" + "00" * 32, votes=block.votes)
     with pytest.raises(SealError):
         replica.apply_block(bad)
+
+
+@pytest.mark.parametrize("sender, target, method, params", [
+    (0, "registry", "bootstrap_add_peer", {"entry": {"bogus": 1}}),
+    (1, "proxy", "create_wine_record", {"wine_id": "W1"}),
+])
+def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
+                                                      params):
+    good = chain.submit_transaction(peer_tx(keys[0], chain))
+    key = keys[sender]
+    bad = chain.submit_transaction(sign_transaction(
+        key, 77, target, method, params, nonce=chain.next_nonce(key.address.hex0x)))
+    height = chain.height
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert chain.height == height + 1 == block.number
+    assert not chain.pool
+    assert chain.query_tx(good).status == "ok"
+    receipt = chain.query_tx(bad)
+    assert receipt.status == "error" and receipt.block_number == block.number
+    assert block.state_root == rebuilt_root(chain)
+
+
+def _resigned(block, keys, chain_id=77, nonce_shift=0):
+    tx = block.transactions[0]
+    return replace(block, transactions=[sign_transaction(
+        keys[0], chain_id, tx.target, tx.method, tx.params, tx.nonce + nonce_shift)])
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda block, keys: replace(block, transactions=[replace(
+        block.transactions[0], sender=keys[2].address.hex0x, nonce=0)]),
+     "does not recover to the sender"),
+    (lambda block, keys: _resigned(block, keys, nonce_shift=1), "out of order"),
+    (lambda block, keys: _resigned(block, keys, chain_id=78), "wrong chain id"),
+    (lambda block, keys: replace(block, gas_used=0), "gas used"),
+], ids=["forged-sender", "skipped-nonce", "other-chain", "gas-used"])
+def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message):
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+    replica.apply_block(chain.blocks[1])
+    chain.submit_transaction(peer_tx(keys[0], chain))
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    before = (replica.height, dict(replica.nonces), replica.head.state_root)
+    with pytest.raises(SealError, match=message):
+        replica.apply_block(forge(block, keys))
+    assert (replica.height, dict(replica.nonces), replica.head.state_root) == before
+    assert rebuilt_root(replica) == before[2]
+    replica.apply_block(block)
+    assert replica.head.state_root == chain.head.state_root
+
+
+# -- state root completeness --------------------------------------------------------------
+
+def test_validator_vote_in_an_empty_block_changes_the_root(chain, keys):
+    before = chain.head.state_root
+    chain.propose_validator(keys[0].address.hex0x, keys[5].address.hex0x, True)
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert block.transactions == [] and block.votes
+    assert block.state_root != before
+    assert block.state_root == rebuilt_root(chain)
+    idle = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert idle.state_root == block.state_root
+
+
+def test_failed_call_changes_the_root_through_the_sender_nonce(chain, keys):
+    before = chain.head.state_root
+    sender = keys[2].address.hex0x  # a participant may not create records
+    tx = chain.submit_transaction(sign_transaction(keys[2], 77, "proxy", "create_wine_record", {
+        "wine_id": "W1", "wine_data_hash": ContentId.for_content(b"x").text,
+        "new_public_address": sender, "tag_id": hash_identifier("t"),
+        "device_id": hash_identifier("d"),
+    }, nonce=chain.next_nonce(sender)))
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert chain.query_tx(tx).status == "error"
+    assert chain.state_bytes("nonce:" + sender) == b"1"
+    assert not any(key.startswith("wine:") for key in chain.state_keys())
+    assert block.state_root != before
+    assert block.state_root == rebuilt_root(chain)
+
+
+def test_genesis_alloc_is_committed(keys):
+    genesis = make_genesis(keys)
+    richer = replace(genesis, alloc={keys[0].address.hex0x: 10**9 + 1})
+    admin = keys[0].address.hex0x
+    assert (Chain(genesis, contract_admin=admin).head.state_root
+            != Chain(richer, contract_admin=admin).head.state_root)
+
+
+STATE_KEYS = [generate_keypair(bytes([i + 1]) * 32) for i in range(6)]
+_TAG, _DEVICE = hash_identifier("tag"), hash_identifier("device")
+
+
+STATE_OPS = ["create", "append", "read", "fail", "registry_vote", "validator_vote", "idle"]
+
+
+@given(ops=st.lists(st.tuples(st.sampled_from(STATE_OPS), st.integers(0, 4), st.booleans()),
+                    max_size=16))
+@example(ops=[("create", 0, True), ("read", 0, True), ("append", 0, True), ("idle", 0, True)])
+@settings(max_examples=40, deadline=None)
+def test_incremental_root_equals_rebuilt_root_property(ops):
+    keys = STATE_KEYS
+    chain = bootstrapped_chain(keys)
+    candidate = keys[5].address.hex0x
+
+    def submit(key, target, method, params):
+        chain.submit_transaction(sign_transaction(
+            key, 77, target, method, params, nonce=chain.next_nonce(key.address.hex0x)))
+
+    def seal():
+        chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+        assert chain.head.state_root == rebuilt_root(chain)
+
+    for step, (op, i, seal_after) in enumerate(ops):
+        wine = {"wine_id": f"W{i % 2}", "new_public_address": keys[1].address.hex0x,
+                "tag_id": _TAG, "device_id": _DEVICE}
+        cid = ContentId.for_content(f"{i}-{step}".encode()).text
+        if op in ("create", "fail"):  # a participant's create fails on its role
+            submit(keys[1 if op == "create" else 2], "proxy", "create_wine_record",
+                   {**wine, "wine_data_hash": cid})
+        elif op == "append":
+            submit(keys[2], "proxy", "append_wine_record", {**wine, "new_wine_data_hash": cid})
+        elif op == "read":
+            submit(keys[3], "proxy", "increment_read_count", {"wine_id": wine["wine_id"]})
+        elif op == "registry_vote":
+            submit(keys[i], "registry", "propose_peer", {"entry": {
+                "address": candidate, "role": "participant", "node_id": "enode-5",
+                "member_id": "m5", "joined_at": 0}, "add": True})
+        elif op == "validator_vote":
+            try:
+                chain.propose_validator(keys[i].address.hex0x, candidate, True)
+            except SealError:
+                pass  # already a validator
+        if seal_after:
+            seal()
+    seal()
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+    for block in chain.blocks[1:]:
+        replica.apply_block(block)  # checks each block's root
+    assert replica.head.state_root == chain.head.state_root == rebuilt_root(replica)

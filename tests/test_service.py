@@ -4,7 +4,7 @@ import pytest
 
 from dnas.contracts import ContractEvent
 from dnas.encoding import canonical_json_bytes
-from dnas.errors import AuthError, FlowError, PayloadError, RoutingError
+from dnas.errors import AuthError, FlowError, NotFoundError, PayloadError, RoutingError
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -251,6 +251,17 @@ def test_create_flow_on_locked_tag_fails_at_tag_write(consortium):
     assert err.value.stage == "tag-write"
     assert json.loads(tag.memory)["wine_id"] == "W1"
     assert not consortium.chain.pool
+
+
+def test_create_flow_on_locked_tag_leaves_no_record(consortium):
+    tag, _ = create_wine(consortium)
+    with pytest.raises(FlowError, match="protection already enabled"):
+        consortium.services["maker"].create_record_flow(
+            {"wine_id": "W2", "pedigree_data": {}}, tag, "device-maker")
+    with pytest.raises(NotFoundError):
+        consortium.db.get("W2")
+    create_wine(consortium, wine_id="W2")  # the retry, on a fresh tag, reaches ok
+    assert consortium.db.get("W2").wine_status is WineStatus.CREATED
 
 
 # -- validation flow ---------------------------------------------------------------------------
