@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .content_store import ContentId
 from .encoding import canonical_json_bytes
 from .errors import AuthError, ContractError, ProxyError, RecoveryError, RoleError
-from .keys import Signature, prefixed_digest, recover_signer
+from .keys import Signature, SignerDirectory, prefixed_digest
 
 ROLE_WINEMAKER = "winemaker"
 ROLE_PARTICIPANT = "participant"
@@ -31,10 +31,12 @@ class ContractEvent:
 
 @dataclass
 class ExecutionContext:
-    """Per-call context: the original sender, the event sink, the touched state keys."""
+    """Per-call context: the original sender, the event sink, the touched state
+    keys, the node's known signer keys."""
 
     caller: str  # 0x-hex address
     registry: "PeerRegistryContract"
+    signers: SignerDirectory
     events: List[ContractEvent] = field(default_factory=list)
     touched: Set[str] = field(default_factory=set)
 
@@ -237,10 +239,10 @@ class WineDataContractV1:
             raise ContractError(f"no wine record for {wine_id!r}")
         digest = prefixed_digest(wine_id, storage.tag_id[wine_id], storage.device_id[wine_id])
         try:
-            recovered = recover_signer(digest, Signature(v=v, r=r, s=s))
+            return ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s),
+                                         storage.pub_addr[wine_id])
         except RecoveryError:
             return False
-        return recovered.hex0x == storage.pub_addr[wine_id]
 
     def get_record(self, storage: WineDataStorage, ctx: ExecutionContext,
                    wine_id: str) -> Dict[str, object]:
@@ -364,17 +366,19 @@ class ContractRuntime:
     def __init__(self, admin: str, bootstrap_count: int = 5):
         self.admin = admin
         self.touched: Set[str] = set()  # state keys written since the last state root
+        self.signers = SignerDirectory()  # the owning node's, shared with its chain
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
         self.proxy = Proxy(owner=admin)
         self.proxy.register_implementation(WineDataContractV1())
         self.proxy.register_implementation(WineDataContractV2())
-        deploy_ctx = ExecutionContext(caller=admin, registry=self.registry)
+        deploy_ctx = ExecutionContext(caller=admin, registry=self.registry, signers=self.signers)
         self.proxy.initialize(deploy_ctx, WineDataContractV1.version)
 
     def execute(self, caller: str, target: str, method: str,
                 params: Dict[str, object]) -> Tuple[object, List[ContractEvent]]:
         """Runs a state-transitioning call; returns (result, emitted events)."""
-        ctx = ExecutionContext(caller=caller, registry=self.registry, touched=self.touched)
+        ctx = ExecutionContext(caller=caller, registry=self.registry, signers=self.signers,
+                               touched=self.touched)
         if target == "proxy":
             result = self.proxy.call(ctx, method, params)
         else:
@@ -390,7 +394,7 @@ class ContractRuntime:
         handler = self._VIEWS.get(method)
         if handler is not None:
             return handler(self, params)
-        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry)
+        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers)
         return self.proxy.view(ctx, method, params)
 
     def state_keys(self) -> List[str]:

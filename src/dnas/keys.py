@@ -12,7 +12,7 @@ import json
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import secp256k1
 from .errors import EncodingError, InvalidKeyError, MacError, RecoveryError
@@ -132,10 +132,45 @@ def sign_tag_payload(wine_id: str, tag_id: str, device_id: str, key: KeyPair) ->
     return Signature(v=v, r=r, s=s)
 
 
+def _address_of(point: Tuple[int, int]) -> Address:
+    x, y = point
+    return Address(keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[-20:])
+
+
 def recover_signer(digest: bytes, sig: Signature) -> Address:
     """Signer address of a canonical signature over ``digest``."""
-    x, y = secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)
-    return Address(keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[-20:])
+    return _address_of(secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s))
+
+
+class SignerDirectory:
+    """Public keys of the signers one node has checked, by 0x-hex address.
+
+    A key enters only when a recovery from a signature matched the address
+    being checked; the address is a Keccak commitment to the key, so the key
+    is as sound as one read from the chain. Later checks for that address
+    verify against its tables instead of recovering. The directory holds one
+    entry (about 128 affine points) for every address whose signature checked
+    out here, at pool admission, at a replica's check of a block or in a
+    view, also when the transaction or block was then refused for another
+    reason (its nonce, gas limit, schedule or state root).
+    """
+
+    def __init__(self):
+        self._tables: Dict[str, secp256k1.KeyTables] = {}
+
+    def signed_by(self, digest: bytes, sig: Signature, address: str) -> bool:
+        """Whether ``sig`` over ``digest`` recovers to ``address``; raises
+        RecoveryError for a signature that recovery refuses before its scalar
+        multiply, and for an unknown address, also for one that recovers to
+        no key."""
+        tables = self._tables.get(address)
+        if tables is not None:
+            return secp256k1.verify(digest, sig.v, sig.r, sig.s, tables)
+        point = secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)
+        if _address_of(point).hex0x != address:
+            return False
+        self._tables[address] = secp256k1.key_tables(point)
+        return True
 
 
 def hash_identifier(identifier: str) -> str:

@@ -16,6 +16,7 @@ and sealing rehashes only those (``StateTree``).
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .contracts import ContractEvent, ContractRuntime
@@ -27,7 +28,7 @@ from .errors import (
     RecoveryError,
     SealError,
 )
-from .keys import KeyPair, Signature, recover_signer
+from .keys import KeyPair, Signature
 
 TX_GAS = 21_000
 GAS_LIMIT_FLOOR = TX_GAS  # below one transaction's gas a block could never drain the pool
@@ -118,7 +119,7 @@ class SignedTransaction:
         return self.signing_digest(self.sender, self.target, self.method, self.params,
                                    self.nonce, self.chain_id, self.gas_price)
 
-    @property
+    @cached_property
     def tx_hash(self) -> str:
         return "0x" + hashlib.sha256(self.digest + self.signature.to_bytes()).hexdigest()
 
@@ -304,10 +305,10 @@ class Chain:
         if tx.chain_id != self.genesis.chain_id:
             raise error(f"wrong chain id {tx.chain_id}")
         try:
-            recovered = recover_signer(tx.digest, tx.signature)
+            signed = self.runtime.signers.signed_by(tx.digest, tx.signature, tx.sender)
         except RecoveryError as exc:
             raise error(f"invalid signature: {exc}") from exc
-        if recovered.hex0x != tx.sender:
+        if not signed:
             raise error("signature does not recover to the sender")
         if tx.nonce != nonce:
             raise error(f"nonce {tx.nonce} out of order; expected {nonce}")
@@ -415,16 +416,25 @@ class Chain:
             nonce = nonces.get(tx.sender, self.account_nonce(tx.sender))
             self._verify(tx, nonce, SealError)
             nonces[tx.sender] = nonce + 1
+        expected_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
+                                        self.genesis.min_gas_limit)
+        if block.gas_limit != expected_limit:
+            raise SealError("block gas limit violates the adjustment rule")
+        validators = list(self.validators)
+        tallies = {key: set(voters) for key, voters in self.tallies.items()}
         for vote in block.votes:
             try:
                 self._apply_vote(dict(vote))
             except SealError:
                 pass  # votes that were rejected upstream stay rejected
-        self._check_seal_schedule(block.sealer, block.timestamp, parent)
-        expected_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
-                                        self.genesis.min_gas_limit)
-        if block.gas_limit != expected_limit:
-            raise SealError("block gas limit violates the adjustment rule")
+        try:
+            # the sealer checked its schedule against the set after these votes
+            self._check_seal_schedule(block.sealer, block.timestamp, parent)
+        except SealError:
+            self.validators[:] = validators
+            self.tallies.clear()
+            self.tallies.update(tallies)
+            raise
         self._execute_block(block)
         if block.state_root != self.state.root():
             raise SealError("replayed state root differs from the sealed block")

@@ -7,9 +7,12 @@ halves of about 128 bits (Gallant-Lambert-Vanstone, with the lattice split of
 Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.74), and the four halves are
 written as wNAF digits against odd multiples of G and lambda*G (width 8,
 built at import) and of R and lambda*R (width 5, built per call), then added
-along one shared chain of about 128 doublings. Nonces follow the RFC 6979
+along one shared chain of about 128 doublings. Verification against a known
+key Q (SEC 1 v2, 4.1.4) runs the same chain for u1*G + u2*Q, with width-8
+tables of Q built once per key (``key_tables``). Nonces follow the RFC 6979
 HMAC-SHA256 construction so signatures are reproducible; produced signatures
-are canonical (low-s) and recovery rejects non-canonical input.
+are canonical (low-s) and recovery and verification reject non-canonical
+input.
 """
 
 import hmac
@@ -204,20 +207,37 @@ def _odd_multiples(point: Point, count: int) -> List[Point]:
     return out
 
 
-_G_ODD = _odd_multiples((GX, GY), 64)
-_G_ODD_LAMBDA = [(BETA * x % P, y) for x, y in _G_ODD]
+# Odd multiples of a point and of its lambda image, for wNAF digits of
+# width w: 2**(w - 2) entries each.
+KeyTables = Tuple[List[Point], List[Point]]
+
+_G_WIDTH = 8  # the generator's tables, built at import
+_KEY_WIDTH = 8  # a known key's tables, built once per key
+_R_WIDTH = 5  # recovery's tables of R, built per call
 
 
-def _mul_joint(u1: int, u2: int, point: Point) -> _Jac:
-    """u1 * G + u2 * point along one doubling chain (GLV split, joint wNAF)."""
-    r_odd = _odd_multiples(point, 8)
-    r_odd_lambda = [(BETA * x % P, y) for x, y in r_odd]
+def _tables(point: Point, width: int) -> KeyTables:
+    odd = _odd_multiples(point, 1 << (width - 2))
+    return odd, [(BETA * x % P, y) for x, y in odd]
+
+
+def key_tables(point: Point) -> KeyTables:
+    """Tables of a public key, built once and reused by ``verify``."""
+    return _tables(point, _KEY_WIDTH)
+
+
+_G_ODD, _G_ODD_LAMBDA = _tables((GX, GY), _G_WIDTH)
+
+
+def _mul_joint(u1: int, u2: int, tables: KeyTables, width: int) -> _Jac:
+    """u1 * G + u2 * Q along one doubling chain (GLV split, joint wNAF), with
+    ``tables`` the odd multiples of Q and lambda*Q built for ``width``."""
     g1, g2 = _split_scalar(u1)
-    p1, p2 = _split_scalar(u2)
+    q1, q2 = _split_scalar(u2)
     adds: Dict[int, List[Point]] = {}
-    for k, table, width in ((g1, _G_ODD, 8), (g2, _G_ODD_LAMBDA, 8),
-                            (p1, r_odd, 5), (p2, r_odd_lambda, 5)):
-        for pos, d in _wnaf(k, width):
+    for k, table, w in ((g1, _G_ODD, _G_WIDTH), (g2, _G_ODD_LAMBDA, _G_WIDTH),
+                        (q1, tables[0], width), (q2, tables[1], width)):
+        for pos, d in _wnaf(k, w):
             x, y = table[abs(d) >> 1]
             adds.setdefault(pos, []).append((x, y if d > 0 else P - y))
     acc = _INFINITY
@@ -301,8 +321,8 @@ def sign_digest(secret: int, digest: bytes) -> Tuple[int, int, int]:
     raise AssertionError("unreachable: nonce stream is infinite")
 
 
-def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
-    """Recover the unique signer public key of a canonical signature."""
+def _recovery_id(digest: bytes, v: int, r: int, s: int) -> int:
+    """The checks every signature passes before any curve arithmetic; v as 0 or 1."""
     if len(digest) != 32:
         raise RecoveryError("digest must be 32 bytes")
     if v in (27, 28):
@@ -315,17 +335,47 @@ def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
         raise RecoveryError("s out of range")
     if s > HALF_N:
         raise RecoveryError("non-canonical signature: s above half order")
+    return v
+
+
+def _lift_x(r: int, v: int) -> Point:
+    """The curve point with x-coordinate r and y parity v."""
     y_sq = (pow(r, 3, P) + 7) % P
     y = pow(y_sq, (P + 1) // 4, P)
     if y * y % P != y_sq:
         raise RecoveryError("r is not the x-coordinate of a curve point")
-    if (y & 1) != v:
-        y = P - y
+    return (r, y if (y & 1) == v else P - y)
+
+
+def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
+    """Recover the unique signer public key of a canonical signature."""
+    v = _recovery_id(digest, v, r, s)
+    big_r = _lift_x(r, v)
     z = int.from_bytes(digest, "big")
     rinv = pow(r, -1, N)
     u1 = -z * rinv % N
     u2 = s * rinv % N
-    point = _to_affine(_mul_joint(u1, u2, (r, y)))
+    point = _to_affine(_mul_joint(u1, u2, _tables(big_r, _R_WIDTH), _R_WIDTH))
     if point is None:
         raise RecoveryError("recovery produced the point at infinity")
     return point
+
+
+def verify(digest: bytes, v: int, r: int, s: int, tables: KeyTables) -> bool:
+    """Whether (v, r, s) recovers to the key Q whose ``key_tables`` are given.
+
+    Recovery returns Q exactly when R' = (z/s)*G + (r/s)*Q is the point
+    (r, y) whose y parity is v, so this checks that instead of recovering.
+    x(R') must equal r itself, not r mod N: recovery only lifts x = r.
+    A signature that recovery refuses before its scalar multiply (the input
+    checks, an r that is no x-coordinate) raises the same RecoveryError here;
+    one whose recovery would produce the point at infinity gives False.
+    """
+    v = _recovery_id(digest, v, r, s)
+    sinv = pow(s, -1, N)
+    point = _to_affine(_mul_joint(int.from_bytes(digest, "big") * sinv % N, r * sinv % N,
+                                  tables, _KEY_WIDTH))
+    if point is not None and point[0] == r and point[1] & 1 == v:
+        return True
+    _lift_x(r, v)  # a match proves that r lifts; only a refusal pays for the check
+    return False

@@ -139,6 +139,18 @@ def test_validate_signature_other_key_false(runtime, keys):
                              {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is False
 
 
+def test_validate_signature_against_a_known_custodian(runtime, keys, recoveries):
+    create_record(runtime, keys)
+    tag, device = hash_identifier("tag-uid-1"), hash_identifier("device-1")
+    for key, expected in (("maker", True), ("maker", True), ("part_a", False)):
+        sig = sign_tag_payload("W1", tag, device, keys[key])
+        assert runtime.call_view("validate_signature",
+                                 {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is expected
+    assert len(recoveries) == 1  # every later check used the maker's known key
+    assert runtime.call_view("validate_signature",
+                             {"wine_id": "W1", "v": 27, "r": 123, "s": 456}) is False
+
+
 def test_validate_signature_mismatched_tag_id_false(runtime, keys):
     create_record(runtime, keys)
     sig = sign_tag_payload("W1", hash_identifier("some-other-tag"), hash_identifier("device-1"),
@@ -342,8 +354,9 @@ def test_proxy_preserves_caller_identity(runtime, keys):
 def test_uninitialized_proxy_rejects_calls(keys):
     proxy = Proxy(owner=keys["admin"].address.hex0x)
     proxy.register_implementation(WineDataContractV1())
-    ctx = ExecutionContext(caller=keys["admin"].address.hex0x,
-                           registry=ContractRuntime(keys["admin"].address.hex0x).registry)
+    runtime = ContractRuntime(keys["admin"].address.hex0x)
+    ctx = ExecutionContext(caller=keys["admin"].address.hex0x, registry=runtime.registry,
+                           signers=runtime.signers)
     with pytest.raises(ProxyError):
         proxy.call(ctx, "get_record", {"wine_id": "W1"})
 

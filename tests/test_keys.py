@@ -3,12 +3,13 @@ import random
 import pytest
 
 from dnas import secp256k1
-from dnas.errors import EncodingError, InvalidKeyError, MacError
+from dnas.errors import EncodingError, InvalidKeyError, MacError, RecoveryError
 from dnas.keccak import keccak256
 from dnas.keys import (
     Address,
     KeyPair,
     Signature,
+    SignerDirectory,
     create_keystore,
     decrypt_keystore,
     derive_address,
@@ -176,3 +177,98 @@ def test_address_cached_without_changing_equality():
     # only kp has cached its address; equality and hashing see the fields alone
     assert kp == twin and hash(kp) == hash(twin)
     assert {kp, twin} == {twin}
+
+
+# -- signer directory ------------------------------------------------------------
+
+def _recover_and_compare(digest, sig, address):
+    try:
+        return recover_signer(digest, sig).hex0x == address
+    except RecoveryError:
+        return None  # the directory raises too
+
+
+def test_known_signer_is_verified_without_recovery(recoveries):
+    kp = generate_keypair(b"\x51" * 32)
+    directory = SignerDirectory()
+    first = prefixed_digest("W1", "T1", "D1")
+    assert directory.signed_by(first, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    assert len(recoveries) == 1
+    second = prefixed_digest("W2", "T2", "D2")
+    assert directory.signed_by(second, sign_tag_payload("W2", "T2", "D2", kp), kp.address.hex0x)
+    assert len(recoveries) == 1
+
+
+def test_failed_check_adds_no_entry(recoveries, monkeypatch):
+    verified = []
+    monkeypatch.setattr(secp256k1, "verify", lambda *args: verified.append(args))
+    kp, other = generate_keypair(b"\x52" * 32), generate_keypair(b"\x53" * 32)
+    directory = SignerDirectory()
+    digest = prefixed_digest("W1", "T1", "D1")
+    sig = sign_tag_payload("W1", "T1", "D1", kp)
+    assert directory.signed_by(digest, sig, other.address.hex0x) is False
+    with pytest.raises(RecoveryError, match="s above half order"):
+        directory.signed_by(digest, Signature(v=sig.v, r=sig.r, s=secp256k1.N - sig.s),
+                            kp.address.hex0x)
+    # neither address is known yet: each genuine check recovers, none verifies
+    for key in (kp, other):
+        calls = len(recoveries)
+        assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", key),
+                                   key.address.hex0x)
+        assert len(recoveries) == calls + 1
+    assert verified == []
+
+
+def test_known_address_refuses_without_recovery(recoveries):
+    kp, other = generate_keypair(b"\x56" * 32), generate_keypair(b"\x57" * 32)
+    directory = SignerDirectory()
+    digest = prefixed_digest("W1", "T1", "D1")
+    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    calls = len(recoveries)
+    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", other),
+                               kp.address.hex0x) is False
+    with pytest.raises(RecoveryError, match="s above half order"):
+        sig = sign_tag_payload("W1", "T1", "D1", other)
+        directory.signed_by(digest, Signature(v=sig.v, r=sig.r, s=secp256k1.N - sig.s),
+                            kp.address.hex0x)
+    assert len(recoveries) == calls
+
+
+def test_signature_naming_no_key_refused_for_a_known_address():
+    # s*R == z*G: recovery meets the point at infinity and raises; for a
+    # known address the directory verifies instead and simply refuses.
+    kp = generate_keypair(b"\x58" * 32)
+    directory = SignerDirectory()
+    digest = prefixed_digest("W1", "T1", "D1")
+    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    n = secp256k1.N
+    x, y = secp256k1.multiply_generator(5)
+    s = int.from_bytes(digest, "big") * pow(5, -1, n) % n
+    if s > secp256k1.HALF_N:
+        s, y = n - s, secp256k1.P - y
+    sig = Signature(v=27 + (y & 1), r=x, s=s)
+    with pytest.raises(RecoveryError, match="point at infinity"):
+        SignerDirectory().signed_by(digest, sig, kp.address.hex0x)
+    assert directory.signed_by(digest, sig, kp.address.hex0x) is False
+
+
+def test_directory_agrees_with_recover_and_compare():
+    rng = random.Random(77)
+    kp, other = generate_keypair(b"\x54" * 32), generate_keypair(b"\x55" * 32)
+    address = kp.address.hex0x
+    directory = SignerDirectory()
+    assert directory.signed_by(prefixed_digest("W", "T", "D"),
+                               sign_tag_payload("W", "T", "D", kp), address)
+    for i in range(30):
+        digest = prefixed_digest(f"W{i}", "T", "D")
+        good = sign_tag_payload(f"W{i}", "T", "D", kp)
+        for sig in (good, sign_tag_payload(f"W{i}", "T", "D", other),
+                    Signature(v=55 - good.v, r=good.r, s=good.s),
+                    Signature(v=good.v, r=good.r, s=secp256k1.N - good.s),
+                    Signature.from_bytes(rng.randbytes(65))):
+            expected = _recover_and_compare(digest, sig, address)
+            if expected is None:
+                with pytest.raises(RecoveryError):
+                    directory.signed_by(digest, sig, address)
+            else:
+                assert directory.signed_by(digest, sig, address) is expected

@@ -1,12 +1,14 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dnas import secp256k1
 from dnas.content_store import ContentId
 from dnas.errors import ConfigError, NotFoundError, PoolError, SealError
-from dnas.keys import generate_keypair, hash_identifier
+from dnas.keys import Signature, generate_keypair, hash_identifier
 from dnas.ledger import (
     GAS_LIMIT_FLOOR,
     TX_GAS,
@@ -163,6 +165,32 @@ def test_tampered_sender_rejected(chain, keys):
         chain_id=tx.chain_id, signature=tx.signature)
     with pytest.raises(PoolError):
         chain.submit_transaction(forged)
+
+
+def _signed_by_other(tx, key):
+    """``tx`` unchanged but for a signature by ``key`` over its digest."""
+    v, r, s = secp256k1.sign_digest(key.secret, tx.digest)
+    return replace(tx, signature=Signature(v=v, r=r, s=s))
+
+
+def test_known_sender_signed_by_another_key_rejected(chain, keys, recoveries):
+    # the fixture's bootstrap transactions taught the pool the admin's key
+    with pytest.raises(PoolError, match="^signature does not recover to the sender$"):
+        chain.submit_transaction(_signed_by_other(peer_tx(keys[0], chain), keys[2]))
+    assert not recoveries  # the known key refused it without recovering
+    chain.submit_transaction(peer_tx(keys[0], chain))
+    assert not recoveries
+
+
+def test_tx_hash_cached_without_changing_equality(chain, keys):
+    tx, twin = peer_tx(keys[0], chain), peer_tx(keys[0], chain)
+    assert tx.tx_hash is tx.tx_hash
+    assert tx.tx_hash == "0x" + hashlib.sha256(tx.digest + tx.signature.to_bytes()).hexdigest()
+    assert tx == twin  # only tx has cached its hash
+    moved = replace(tx, nonce=tx.nonce + 1)
+    assert moved.tx_hash != tx.tx_hash
+    assert moved.tx_hash == "0x" + hashlib.sha256(
+        moved.digest + moved.signature.to_bytes()).hexdigest()
 
 
 def test_nonzero_gas_price_rejected(chain, keys):
@@ -431,10 +459,13 @@ def _resigned(block, keys, chain_id=77, nonce_shift=0):
     (lambda block, keys: _resigned(block, keys, nonce_shift=1), "out of order"),
     (lambda block, keys: _resigned(block, keys, chain_id=78), "wrong chain id"),
     (lambda block, keys: replace(block, gas_used=0), "gas used"),
-], ids=["forged-sender", "skipped-nonce", "other-chain", "gas-used"])
-def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message):
+    (lambda block, keys: replace(block, transactions=[
+        _signed_by_other(block.transactions[0], keys[2])]),
+     "^signature does not recover to the sender$"),
+], ids=["forged-sender", "skipped-nonce", "other-chain", "gas-used", "known-sender-other-key"])
+def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message, recoveries):
     replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
-    replica.apply_block(chain.blocks[1])
+    replica.apply_block(chain.blocks[1])  # teaches the replica the admin's key
     chain.submit_transaction(peer_tx(keys[0], chain))
     block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
     before = (replica.height, dict(replica.nonces), replica.head.state_root)
@@ -442,8 +473,31 @@ def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message):
         replica.apply_block(forge(block, keys))
     assert (replica.height, dict(replica.nonces), replica.head.state_root) == before
     assert rebuilt_root(replica) == before[2]
+    calls = len(recoveries)
+    replica.apply_block(block)
+    assert len(recoveries) == calls  # verified against the admin's known key
+    assert replica.head.state_root == chain.head.state_root
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda block: replace(block, gas_limit=block.gas_limit + 1), "adjustment rule"),
+    (lambda block: replace(block, timestamp=block.timestamp - 1), "may not seal before"),
+], ids=["gas-limit", "schedule"])
+def test_rejected_block_leaves_no_header_votes(chain, keys, forge, message):
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+    replica.apply_block(chain.blocks[1])
+    chain.propose_validator(keys[0].address.hex0x, keys[5].address.hex0x, True)
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert block.votes
+    before = (list(replica.validators), {k: set(v) for k, v in replica.tallies.items()},
+              replica.head.state_root)
+    with pytest.raises(SealError, match=message):
+        replica.apply_block(forge(block))
+    assert (replica.validators, replica.tallies, replica.head.state_root) == before
+    assert rebuilt_root(replica) == before[2]
     replica.apply_block(block)
     assert replica.head.state_root == chain.head.state_root
+    assert replica.tallies == chain.tallies
 
 
 # -- state root completeness --------------------------------------------------------------

@@ -257,3 +257,126 @@ def test_recovery_both_recovery_ids():
         other = secp256k1.recover_pubkey(digest, 55 - v, r, s)
         assert other == ref.recover(digest, 55 - v, r, s)
         assert other != (nums.x, nums.y)
+
+
+# -- verification against a known key ------------------------------------------------------
+
+def _recovery_outcome(digest, v, r, s, point):
+    """What ``verify`` must give: the message of a refusal before recovery's
+    scalar multiply, else whether recovery yields ``point``."""
+    try:
+        return secp256k1.recover_pubkey(digest, v, r, s) == point
+    except RecoveryError as exc:
+        return False if "point at infinity" in str(exc) else str(exc)
+
+
+def _verify_outcome(digest, v, r, s, tables):
+    try:
+        return secp256k1.verify(digest, v, r, s, tables)
+    except RecoveryError as exc:
+        return str(exc)
+
+
+_KINDS = ["valid", "wrong-key", "flipped-v", "high-s", "r-zero", "r-order", "s-zero",
+          "s-order", "v-invalid", "random-bytes", "names-no-key"]
+
+
+def _naming_no_key(k, digest):
+    """A signature with R = k*G and s*R == z*G: recovery's (s*R - z*G) / r is
+    the point at infinity."""
+    n = secp256k1.N
+    x, y = secp256k1.multiply_generator(k)
+    s = int.from_bytes(digest, "big") * pow(k, -1, n) % n
+    if s > secp256k1.HALF_N:
+        s, y = n - s, secp256k1.P - y  # (-s) * (-R) == s * R
+    return 27 + (y & 1), x, s
+
+
+def _mutated(kind, secret, other, digest, raw):
+    v, r, s = secp256k1.sign_digest(secret, digest)
+    n = secp256k1.N
+    return {
+        "valid": (v, r, s),
+        "wrong-key": secp256k1.sign_digest(other, digest),
+        "flipped-v": (55 - v, r, s),
+        "high-s": (v, r, n - s),
+        "r-zero": (v, 0, s),
+        "r-order": (v, n, s),
+        "s-zero": (v, r, 0),
+        "s-order": (v, r, n),
+        "v-invalid": (v + 2, r, s),
+        "random-bytes": (raw[64], int.from_bytes(raw[:32], "big"),
+                         int.from_bytes(raw[32:64], "big")),
+        "names-no-key": _naming_no_key(other, digest),
+    }[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(secret=st.integers(1, secp256k1.N - 1), other=st.integers(1, secp256k1.N - 1),
+       digest=st.binary(min_size=32, max_size=32), kind=st.sampled_from(_KINDS),
+       raw=st.binary(min_size=65, max_size=65))
+@example(secret=7, other=8, digest=bytes(32), kind="valid", raw=bytes(65))
+@example(secret=7, other=8, digest=b"\xff" * 32, kind="flipped-v", raw=bytes(65))
+@example(secret=7, other=5, digest=bytes(31) + b"\x0b", kind="names-no-key", raw=bytes(65))
+def test_verify_agrees_with_recover_and_compare(secret, other, digest, kind, raw):
+    point = secp256k1.multiply_generator(secret)
+    v, r, s = _mutated(kind, secret, other, digest, raw)
+    expected = _recovery_outcome(digest, v, r, s, point)
+    assert _verify_outcome(digest, v, r, s, secp256k1.key_tables(point)) == expected
+    if kind == "valid":
+        assert expected is True
+
+
+def test_verify_agrees_on_openssl_signatures():
+    rng = random.Random(23)
+    for _ in range(10):
+        secret = rng.randrange(1, secp256k1.N)
+        key = ec.derive_private_key(secret, ec.SECP256K1())
+        nums = key.public_key().public_numbers()
+        tables = secp256k1.key_tables((nums.x, nums.y))
+        digest = rng.randbytes(32)
+        r, s = decode_dss_signature(key.sign(digest, ec.ECDSA(Prehashed(hashes.SHA256()))))
+        if s > secp256k1.HALF_N:
+            s = secp256k1.N - s
+        answers = {v: _verify_outcome(digest, v, r, s, tables) for v in (27, 28)}
+        assert answers == {v: _recovery_outcome(digest, v, r, s, (nums.x, nums.y))
+                           for v in (27, 28)}
+        assert sorted(answers.values()) == [False, True]  # exactly one recovery id names the key
+
+
+def test_verify_compares_x_exactly_not_mod_order():
+    # R has x >= N, so r = x - N; a verifier comparing x mod N would accept
+    # the key Q = (s*R - z*G) / r, but recovery lifts x = r and names another
+    # key, so ``verify`` must refuse it too.
+    x = secp256k1.N
+    while True:
+        x += 1
+        y = pow((x ** 3 + 7) % secp256k1.P, (secp256k1.P + 1) // 4, secp256k1.P)
+        if y * y % secp256k1.P == (x ** 3 + 7) % secp256k1.P:
+            break
+    r, s, digest = x - secp256k1.N, 12345, bytes(31) + b"\x09"
+    minus_zg = ref.point_mul(secp256k1.N - 9, ref.G)
+    q = ref.point_mul(pow(r, -1, secp256k1.N), ref.point_add(ref.point_mul(s, (x, y)), minus_zg))
+    tables = secp256k1.key_tables(q)
+    u1, u2 = 9 * pow(s, -1, secp256k1.N) % secp256k1.N, r * pow(s, -1, secp256k1.N) % secp256k1.N
+    assert secp256k1._to_affine(secp256k1._mul_joint(u1, u2, tables, 8)) == (x, y)
+    for v in (27, 28):
+        outcome = _verify_outcome(digest, v, r, s, tables)
+        assert outcome is not True
+        assert outcome == _recovery_outcome(digest, v, r, s, q)
+
+
+def test_verify_raises_what_recovery_raises_before_multiplying():
+    tables = secp256k1.key_tables(secp256k1.multiply_generator(7))
+    x = 1
+    while pow((x ** 3 + 7) % secp256k1.P, (secp256k1.P - 1) // 2, secp256k1.P) == 1:
+        x += 1  # the smallest r that is no x-coordinate
+    for digest, v, r, s, message in ((bytes(31), 27, 1, 1, "32 bytes"),
+                                     (bytes(32), 29, 1, 1, "recovery id"),
+                                     (bytes(32), 27, 0, 1, "r out of range"),
+                                     (bytes(32), 27, 1, secp256k1.N, "s out of range"),
+                                     (bytes(32), 27, 1, secp256k1.N - 1, "half order"),
+                                     (bytes(32), 27, x, 1, "not the x-coordinate")):
+        for check in (secp256k1.recover_pubkey, lambda *a: secp256k1.verify(*a, tables)):
+            with pytest.raises(RecoveryError, match=message):
+                check(digest, v, r, s)
