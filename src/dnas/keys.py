@@ -148,28 +148,32 @@ class SignerDirectory:
     A key enters only when a recovery from a signature matched the address
     being checked; the address is a Keccak commitment to the key, so the key
     is as sound as one read from the chain. Later checks for that address
-    verify against its tables instead of recovering. The directory holds one
-    entry (about 128 affine points) for every address whose signature checked
-    out here, at pool admission, at a replica's check of a block or in a
-    view, also when the transaction or block was then refused for another
-    reason (its nonce, gas limit, schedule or state root).
+    verify against its fixed-window table instead of recovering. An entry is
+    about 1,376 affine points (roughly 250 KB), so only addresses the chain
+    vouches for are kept: a registry member or the registry administrator
+    sending a transaction, and the custodian a wine record names. A key
+    whose signature checked out is kept also when its transaction or block
+    was then refused for another reason (its nonce, gas limit, schedule or
+    state root).
     """
 
     def __init__(self):
-        self._tables: Dict[str, secp256k1.KeyTables] = {}
+        self._tables: Dict[str, secp256k1.KeyTable] = {}
 
-    def signed_by(self, digest: bytes, sig: Signature, address: str) -> bool:
+    def signed_by(self, digest: bytes, sig: Signature, address: str, keep: bool = True) -> bool:
         """Whether ``sig`` over ``digest`` recovers to ``address``; raises
         RecoveryError for a signature that recovery refuses before its scalar
         multiply, and for an unknown address, also for one that recovers to
-        no key."""
+        no key. ``keep`` says whether the chain vouches for ``address``, so
+        that a key recovered for it may be stored."""
         tables = self._tables.get(address)
         if tables is not None:
             return secp256k1.verify(digest, sig.v, sig.r, sig.s, tables)
         point = secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)
         if _address_of(point).hex0x != address:
             return False
-        self._tables[address] = secp256k1.key_tables(point)
+        if keep:
+            self._tables[address] = secp256k1.key_tables(point)
         return True
 
 

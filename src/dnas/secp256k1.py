@@ -1,15 +1,18 @@
 """secp256k1 ECDSA with public-key recovery and deterministic nonces.
 
-Jacobian-coordinate arithmetic with a lazily built fixed-base window table
-for generator multiplications. Recovery computes u1*G + u2*R in one pass:
-the endomorphism lambda*(x, y) = (beta*x, y) splits each scalar into two
-halves of about 128 bits (Gallant-Lambert-Vanstone, with the lattice split of
-Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.74), and the four halves are
-written as wNAF digits against odd multiples of G and lambda*G (width 8,
-built at import) and of R and lambda*R (width 5, built per call), then added
-along one shared chain of about 128 doublings. Verification against a known
-key Q (SEC 1 v2, 4.1.4) runs the same chain for u1*G + u2*Q, with width-8
-tables of Q built once per key (``key_tables``). Nonces follow the RFC 6979
+Jacobian-coordinate arithmetic. The generator G and every known signer key Q
+are fixed bases, multiplied with signed fixed-window tables (Hankerson,
+Menezes and Vanstone, Guide to ECC, Alg. 3.41): a scalar is recoded into
+signed base-64 digits, row i of the base's table holds the multiples
+(j + 1) * 64**i of it that digit i can name, and each digit costs one mixed
+addition and no doubling. G's table is built at import and a key's once
+(``key_tables``, 1,376 points). Signing takes k*G from G's table; verifying
+against a known key (SEC 1 v2, 4.1.4) sums u1*G and u2*Q from the two.
+Recovery's R is fresh, so u2*R runs one chain of about 128 doublings: the
+endomorphism lambda*(x, y) = (beta*x, y) splits u2 into two halves of about
+128 bits (Gallant-Lambert-Vanstone, with the lattice split of Guide to ECC,
+Alg. 3.74), written as width-5 wNAF digits against odd multiples of R and
+lambda*R, and u1*G comes from G's table. Nonces follow the RFC 6979
 HMAC-SHA256 construction so signatures are reproducible; produced signatures
 are canonical (low-s) and recovery and verification reject non-canonical
 input.
@@ -111,46 +114,6 @@ def is_on_curve(point: Point) -> bool:
     return (y * y - (x * x * x + 7)) % P == 0
 
 
-# Fixed-base table: 64 windows of 4 bits, 15 multiples each. Built lazily on
-# first use and published with a single atomic rebind, so concurrent callers
-# see either no table or the whole one.
-_WINDOW = 4
-_G_TABLE: Tuple[Tuple[Point, ...], ...] = ()
-
-
-def _build_g_table() -> Tuple[Tuple[Point, ...], ...]:
-    global _G_TABLE
-    if _G_TABLE:
-        return _G_TABLE
-    table = []
-    base: Point = (GX, GY)
-    for _ in range(256 // _WINDOW):
-        row = []
-        acc: _Jac = (base[0], base[1], 1)
-        for _ in range(15):
-            row.append(_to_affine(acc))
-            acc = _jadd_affine(acc, base[0], base[1])
-        table.append(tuple(row))
-        base = _to_affine(acc)  # 16 * previous base
-    _G_TABLE = tuple(table)
-    return _G_TABLE
-
-
-def _mul_g_jac(k: int) -> _Jac:
-    table = _G_TABLE or _build_g_table()
-    k %= N
-    acc = _INFINITY
-    w = 0
-    while k:
-        d = k & 15
-        if d:
-            px, py = table[w][d - 1]
-            acc = _jadd_affine(acc, px, py)
-        k >>= 4
-        w += 1
-    return acc
-
-
 # Endomorphism: LAMBDA * (x, y) == (BETA * x, y) for every curve point.
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -186,58 +149,43 @@ def _wnaf(k: int, width: int) -> Iterator[Tuple[int, int]]:
         pos += width
 
 
-def _odd_multiples(point: Point, count: int) -> List[Point]:
-    """(2i + 1) * point for i < count, in affine form via one batched inversion."""
-    twice = _jdouble((point[0], point[1], 1))
-    jac = [(point[0], point[1], 1)]
-    for _ in range(count - 1):
-        jac.append(_jadd(jac[-1], twice))
+def _inverses(values: List[int]) -> List[int]:
+    """Inverses mod P of nonzero values, with one inversion for all
+    (Montgomery's trick)."""
     prefix = [1]
-    for _, _, z in jac:
-        prefix.append(prefix[-1] * z % P)
+    for value in values:
+        prefix.append(prefix[-1] * value % P)
     inv = pow(prefix[-1], -1, P)
-    out = []
-    for i in range(count - 1, -1, -1):
-        x, y, z = jac[i]
-        zinv = inv * prefix[i] % P
-        inv = inv * z % P
-        zinv2 = zinv * zinv % P
-        out.append((x * zinv2 % P, y * zinv2 * zinv % P))
-    out.reverse()
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % P
+        inv = inv * values[i] % P
     return out
 
 
-# Odd multiples of a point and of its lambda image, for wNAF digits of
-# width w: 2**(w - 2) entries each.
-KeyTables = Tuple[List[Point], List[Point]]
-
-_G_WIDTH = 8  # the generator's tables, built at import
-_KEY_WIDTH = 8  # a known key's tables, built once per key
-_R_WIDTH = 5  # recovery's tables of R, built per call
-
-
-def _tables(point: Point, width: int) -> KeyTables:
-    odd = _odd_multiples(point, 1 << (width - 2))
-    return odd, [(BETA * x % P, y) for x, y in odd]
+def _affine_all(points: List[_Jac]) -> List[Point]:
+    """Affine forms of finite Jacobian points, with one inversion for all."""
+    out = []
+    for (x, y, _), zinv in zip(points, _inverses([z for _, _, z in points])):
+        zinv2 = zinv * zinv % P
+        out.append((x * zinv2 % P, y * zinv2 * zinv % P))
+    return out
 
 
-def key_tables(point: Point) -> KeyTables:
-    """Tables of a public key, built once and reused by ``verify``."""
-    return _tables(point, _KEY_WIDTH)
+_R_WIDTH = 5  # recovery's wNAF digits, against odd multiples of R built per call
 
 
-_G_ODD, _G_ODD_LAMBDA = _tables((GX, GY), _G_WIDTH)
-
-
-def _mul_joint(u1: int, u2: int, tables: KeyTables, width: int) -> _Jac:
-    """u1 * G + u2 * Q along one doubling chain (GLV split, joint wNAF), with
-    ``tables`` the odd multiples of Q and lambda*Q built for ``width``."""
-    g1, g2 = _split_scalar(u1)
-    q1, q2 = _split_scalar(u2)
+def _mul_glv(k: int, point: Point) -> _Jac:
+    """k * point along one chain of about 128 doublings: the GLV halves of k
+    as wNAF digits against odd multiples of point and of lambda*point."""
+    twice = _jdouble((point[0], point[1], 1))
+    jac = [(point[0], point[1], 1)]
+    for _ in range((1 << (_R_WIDTH - 2)) - 1):
+        jac.append(_jadd(jac[-1], twice))
+    odd = _affine_all(jac)
     adds: Dict[int, List[Point]] = {}
-    for k, table, w in ((g1, _G_ODD, _G_WIDTH), (g2, _G_ODD_LAMBDA, _G_WIDTH),
-                        (q1, tables[0], width), (q2, tables[1], width)):
-        for pos, d in _wnaf(k, w):
+    for half, table in zip(_split_scalar(k), (odd, [(BETA * x % P, y) for x, y in odd])):
+        for pos, d in _wnaf(half, _R_WIDTH):
             x, y = table[abs(d) >> 1]
             adds.setdefault(pos, []).append((x, y if d > 0 else P - y))
     acc = _INFINITY
@@ -248,20 +196,64 @@ def _mul_joint(u1: int, u2: int, tables: KeyTables, width: int) -> _Jac:
     return acc
 
 
+# Signed fixed-window digits lie in [-2**(_WINDOW - 1), 2**(_WINDOW - 1)]; a
+# negative digit carries one into the next window, so a scalar below N can
+# need 257 bits of windows.
+_WINDOW = 6
+_ROWS = -(-257 // _WINDOW)
+KeyTable = List[List[Point]]
+
+
+def key_tables(point: Point) -> KeyTable:
+    """rows[i][j] == (j + 1) * 2**(_WINDOW * i) * point, built once per key.
+    One doubling chain gives each row's b and 2b; the other columns grow all
+    rows together in affine form, with one inversion per column."""
+    jac: List[_Jac] = []
+    acc = (point[0], point[1], 1)
+    for _ in range(_ROWS):
+        twice = _jdouble(acc)
+        jac += (acc, twice)
+        for _ in range(_WINDOW - 1):
+            twice = _jdouble(twice)
+        acc = twice
+    firsts = _affine_all(jac)
+    rows = [firsts[i:i + 2] for i in range(0, len(firsts), 2)]
+    for _ in range(2, 1 << (_WINDOW - 1)):
+        for row, inv in zip(rows, _inverses([row[-1][0] - row[0][0] for row in rows])):
+            (x1, y1), (x2, y2) = row[-1], row[0]
+            lam = (y1 - y2) * inv % P
+            x3 = (lam * lam - x1 - x2) % P
+            row.append((x3, (lam * (x1 - x3) - y1) % P))
+    return rows
+
+
+_G_ROWS = key_tables((GX, GY))
+
+
+def _mul_fixed(k: int, rows: KeyTable, acc: _Jac = _INFINITY) -> _Jac:
+    """acc + k * point for 0 <= k < N, with ``rows`` the point's ``key_tables``:
+    one mixed addition per nonzero digit and no doubling."""
+    for row in rows:
+        if not k:
+            break
+        d = k & ((1 << _WINDOW) - 1)
+        k >>= _WINDOW
+        if d > 1 << (_WINDOW - 1):  # the digit d - 2**_WINDOW; carry one
+            k += 1
+            x, y = row[(1 << _WINDOW) - d - 1]
+            acc = _jadd_affine(acc, x, P - y)
+        elif d:
+            x, y = row[d - 1]
+            acc = _jadd_affine(acc, x, y)
+    return acc
+
+
 def multiply_generator(k: int) -> Point:
     """k * G in affine coordinates; k is reduced mod N and must not vanish."""
-    pt = _to_affine(_mul_g_jac(k))
+    pt = _to_affine(_mul_fixed(k % N, _G_ROWS))
     if pt is None:
         raise ValueError("scalar is zero modulo the curve order")
     return pt
-
-
-def point_add(p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return _to_affine(_jadd_affine((p1[0], p1[1], 1), p2[0], p2[1]))
 
 
 def scalar_from_seed(seed: bytes) -> int:
@@ -304,7 +296,7 @@ def sign_digest(secret: int, digest: bytes) -> Tuple[int, int, int]:
         raise ValueError("secret scalar out of range")
     z = int.from_bytes(digest, "big")
     for k in _nonce_candidates(secret, digest):
-        rx, ry = _to_affine(_mul_g_jac(k))
+        rx, ry = _to_affine(_mul_fixed(k, _G_ROWS))
         if rx >= N:  # would need a recovery id beyond {0, 1}; next nonce
             continue
         r = rx
@@ -355,13 +347,13 @@ def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
     rinv = pow(r, -1, N)
     u1 = -z * rinv % N
     u2 = s * rinv % N
-    point = _to_affine(_mul_joint(u1, u2, _tables(big_r, _R_WIDTH), _R_WIDTH))
+    point = _to_affine(_mul_fixed(u1, _G_ROWS, _mul_glv(u2, big_r)))
     if point is None:
         raise RecoveryError("recovery produced the point at infinity")
     return point
 
 
-def verify(digest: bytes, v: int, r: int, s: int, tables: KeyTables) -> bool:
+def verify(digest: bytes, v: int, r: int, s: int, tables: KeyTable) -> bool:
     """Whether (v, r, s) recovers to the key Q whose ``key_tables`` are given.
 
     Recovery returns Q exactly when R' = (z/s)*G + (r/s)*Q is the point
@@ -373,8 +365,8 @@ def verify(digest: bytes, v: int, r: int, s: int, tables: KeyTables) -> bool:
     """
     v = _recovery_id(digest, v, r, s)
     sinv = pow(s, -1, N)
-    point = _to_affine(_mul_joint(int.from_bytes(digest, "big") * sinv % N, r * sinv % N,
-                                  tables, _KEY_WIDTH))
+    u2q = _mul_fixed(r * sinv % N, tables)
+    point = _to_affine(_mul_fixed(int.from_bytes(digest, "big") * sinv % N, _G_ROWS, u2q))
     if point is not None and point[0] == r and point[1] & 1 == v:
         return True
     _lift_x(r, v)  # a match proves that r lifts; only a refusal pays for the check

@@ -182,6 +182,34 @@ def test_known_sender_signed_by_another_key_rejected(chain, keys, recoveries):
     assert not recoveries
 
 
+def test_outsider_keys_are_checked_but_not_stored(chain, keys, recoveries):
+    # non-members' transactions are admitted as before (the registry refuses
+    # them when they execute), but the directory keeps only vouched-for keys
+    outsiders = [generate_keypair(bytes([0x60 + i]) * 32) for i in range(4)]
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+    replica.apply_block(chain.blocks[1])
+    stored = set(chain.runtime.signers._tables)
+    assert stored == {keys[0].address.hex0x}
+    start, hashes = len(recoveries), []
+    for _ in range(2):
+        for key in outsiders:
+            tx = peer_tx(key, chain)
+            hashes.append(chain.submit_transaction(tx))
+            assert chain.next_nonce(key.address.hex0x) == tx.nonce + 1
+    assert len(recoveries) - start == 2 * len(outsiders)  # each check recovered afresh
+    assert set(chain.runtime.signers._tables) == stored
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert [tx.tx_hash for tx in block.transactions] == hashes
+    assert {chain.query_tx(h).error for h in hashes} == {
+        "only registered members vote on admission"}
+    replica.apply_block(block)
+    assert replica.head.state_root == chain.head.state_root
+    assert set(replica.runtime.signers._tables) == stored
+    member = keys[2].address.hex0x
+    chain.submit_transaction(peer_tx(keys[2], chain))
+    assert set(chain.runtime.signers._tables) == stored | {member}
+
+
 def test_tx_hash_cached_without_changing_equality(chain, keys):
     tx, twin = peer_tx(keys[0], chain), peer_tx(keys[0], chain)
     assert tx.tx_hash is tx.tx_hash
@@ -223,15 +251,19 @@ def test_pending_txs_included_fifo(chain, keys):
 
 POOL_KEYS = [generate_keypair(bytes([i + 1]) * 32) for i in range(4)]
 POOL_SENDERS = [key.address.hex0x for key in POOL_KEYS[1:]]
+PARTIAL_SEALS = [0, 1, 2, 0, 1, 2, "seal", 0, "seal"]  # both blocks leave some pooled
 
 
 @given(ops=st.lists(st.one_of(st.sampled_from(range(len(POOL_SENDERS))), st.just("seal")),
                     max_size=24))
 @settings(max_examples=40, deadline=None)
+@example(ops=PARTIAL_SEALS)
 def test_pool_nonces_and_fifo_blocks_property(ops):
     # a gas limit of about three transactions keeps the pool deeper than a block
     chain = Chain(make_genesis(POOL_KEYS, count=1, gas_limit=3 * TX_GAS),
                   contract_admin=POOL_KEYS[0].address.hex0x)
+
+    partial_blocks = []
 
     def seal():
         head = chain.head
@@ -241,6 +273,7 @@ def test_pool_nonces_and_fifo_blocks_property(ops):
         block = chain.seal_block(chain.sealer_at_offset(0), head.timestamp + 1)
         assert block.transactions == before[:fits]
         assert chain.pool == before[fits:]
+        partial_blocks.append(len(before) > fits)
         for tx in block.transactions:
             with pytest.raises(PoolError, match="duplicate"):
                 chain.submit_transaction(tx)
@@ -260,6 +293,8 @@ def test_pool_nonces_and_fifo_blocks_property(ops):
         seal()
     for sender in POOL_SENDERS:
         assert chain.next_nonce(sender) == chain.account_nonce(sender)
+    if ops == PARTIAL_SEALS:
+        assert partial_blocks[:2] == [True, True]
 
 
 def test_out_of_turn_sealer_rejected(chain):

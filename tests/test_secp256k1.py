@@ -84,7 +84,7 @@ def test_point_add_against_openssl():
     a = secp256k1.multiply_generator(1234567)
     b = secp256k1.multiply_generator(7654321)
     nums = _openssl_public_numbers(1234567 + 7654321)
-    assert secp256k1.point_add(a, b) == (nums.x, nums.y)
+    assert ref.point_add(a, b) == (nums.x, nums.y)  # the oracle itself, against OpenSSL
 
 
 @pytest.mark.parametrize("secret,digest_hex,v,r,s", FIXED_VECTORS)
@@ -220,6 +220,49 @@ def test_wnaf_digits(k, width):
         assert d % 2 == 1 and abs(d) < 1 << (width - 1)
     positions = [pos for pos, _ in digits]
     assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+
+# -- fixed-window multiplication -----------------------------------------------------------
+
+_W = secp256k1._WINDOW
+_KEY = ref.point_mul(0xC0FFEE << 200 | 0x5EED, ref.G)
+_BASES = {"G": (ref.G, secp256k1._G_ROWS), "key": (_KEY, secp256k1.key_tables(_KEY))}
+_TOP = (secp256k1._ROWS - 1) * _W  # the lowest bit of the top window
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, secp256k1.N - 1), base=st.sampled_from(sorted(_BASES)))
+@example(k=0, base="G")
+@example(k=1, base="key")
+@example(k=secp256k1.N - 1, base="G")
+@example(k=secp256k1.N - 1, base="key")
+@example(k=1 << (_W - 1), base="G")  # a digit of exactly 2**(w - 1)
+@example(k=(1 << (_W - 1)) << (7 * _W), base="key")
+@example(k=(31 << _W) | ((1 << _W) - 1), base="G")  # a carry makes a digit of 2**(w - 1)
+@example(k=(1 << _TOP) - 1, base="key")  # all ones: the carry runs into the top window
+@example(k=(1 << 255) - 1, base="G")
+def test_fixed_window_multiply_matches_reference(k, base):
+    point, rows = _BASES[base]
+    assert secp256k1._to_affine(secp256k1._mul_fixed(k, rows)) == ref.point_mul(k, point)
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+def test_fixed_window_table_entries(base):
+    point, rows = _BASES[base]
+    assert len(rows) == secp256k1._ROWS
+    assert {len(row) for row in rows} == {1 << (_W - 1)}
+    last_i, last_j = len(rows) - 1, len(rows[0]) - 1
+    rng = random.Random(base)
+    spots = {(0, 0), (0, 1), (0, 2), (0, last_j), (last_i, 0), (last_i, last_j)}
+    spots |= {(rng.randrange(last_i + 1), rng.randrange(last_j + 1)) for _ in range(6)}
+    for i, j in sorted(spots):
+        assert rows[i][j] == ref.point_mul((j + 1) << (_W * i), point)
+
+
+@settings(max_examples=30, deadline=None)
+@given(secret=st.integers(1, secp256k1.N - 1), digest=st.binary(min_size=32, max_size=32))
+def test_sign_digest_matches_reference(secret, digest):
+    assert secp256k1.sign_digest(secret, digest) == ref.sign(secret, digest)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,7 +402,7 @@ def test_verify_compares_x_exactly_not_mod_order():
     q = ref.point_mul(pow(r, -1, secp256k1.N), ref.point_add(ref.point_mul(s, (x, y)), minus_zg))
     tables = secp256k1.key_tables(q)
     u1, u2 = 9 * pow(s, -1, secp256k1.N) % secp256k1.N, r * pow(s, -1, secp256k1.N) % secp256k1.N
-    assert secp256k1._to_affine(secp256k1._mul_joint(u1, u2, tables, 8)) == (x, y)
+    assert ref.point_add(ref.point_mul(u1, ref.G), ref.point_mul(u2, q)) == (x, y)
     for v in (27, 28):
         outcome = _verify_outcome(digest, v, r, s, tables)
         assert outcome is not True
