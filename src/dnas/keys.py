@@ -60,8 +60,7 @@ class KeyPair:
 
     @property
     def public_bytes(self) -> bytes:
-        x, y = self.public
-        return x.to_bytes(32, "big") + y.to_bytes(32, "big")
+        return _point_bytes(self.public)
 
     @cached_property
     def address(self) -> Address:
@@ -99,6 +98,12 @@ def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
     return KeyPair(secret=secret, public=secp256k1.multiply_generator(secret))
 
 
+def _point_bytes(point: Tuple[int, int]) -> bytes:
+    """The uncompressed 64-byte form of a public key, x then y."""
+    x, y = point
+    return x.to_bytes(32, "big") + y.to_bytes(32, "big")
+
+
 def derive_address(public_key: bytes) -> Address:
     """Last 20 bytes of Keccak-256 over the uncompressed 64-byte public key."""
     if len(public_key) != 64:
@@ -132,14 +137,9 @@ def sign_tag_payload(wine_id: str, tag_id: str, device_id: str, key: KeyPair) ->
     return Signature(v=v, r=r, s=s)
 
 
-def _address_of(point: Tuple[int, int]) -> Address:
-    x, y = point
-    return Address(keccak256(x.to_bytes(32, "big") + y.to_bytes(32, "big"))[-20:])
-
-
 def recover_signer(digest: bytes, sig: Signature) -> Address:
     """Signer address of a canonical signature over ``digest``."""
-    return _address_of(secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s))
+    return derive_address(_point_bytes(secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)))
 
 
 class SignerDirectory:
@@ -170,7 +170,7 @@ class SignerDirectory:
         if tables is not None:
             return secp256k1.verify(digest, sig.v, sig.r, sig.s, tables)
         point = secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)
-        if _address_of(point).hex0x != address:
+        if derive_address(_point_bytes(point)).hex0x != address:
             return False
         if keep:
             self._tables[address] = secp256k1.key_tables(point)

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from . import secp256k1
 from .contracts import ContractEvent, ContractRuntime
 from .encoding import canonical_json_bytes
 from .errors import (
@@ -115,7 +116,7 @@ class SignedTransaction:
         })
         return hashlib.sha256(unsigned).digest()
 
-    @property
+    @cached_property
     def digest(self) -> bytes:
         return self.signing_digest(self.sender, self.target, self.method, self.params,
                                    self.nonce, self.chain_id, self.gas_price)
@@ -135,7 +136,6 @@ class SignedTransaction:
 
 def sign_transaction(key: KeyPair, chain_id: int, target: str, method: str,
                      params: Dict[str, object], nonce: int) -> SignedTransaction:
-    from . import secp256k1
     digest = SignedTransaction.signing_digest(key.address.hex0x, target, method,
                                               params, nonce, chain_id)
     v, r, s = secp256k1.sign_digest(key.secret, digest)

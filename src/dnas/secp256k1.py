@@ -8,20 +8,18 @@ signed base-64 digits, row i of the base's table holds the multiples
 addition and no doubling. G's table is built at import and a key's once
 (``key_tables``, 1,376 points). Signing takes k*G from G's table; verifying
 against a known key (SEC 1 v2, 4.1.4) sums u1*G and u2*Q from the two.
-Recovery's R is fresh, so u2*R runs one chain of about 128 doublings: the
-endomorphism lambda*(x, y) = (beta*x, y) splits u2 into two halves of about
-128 bits (Gallant-Lambert-Vanstone, with the lattice split of Guide to ECC,
-Alg. 3.74), written as width-5 wNAF digits against odd multiples of R and
-lambda*R, and u1*G comes from G's table. Nonces follow the RFC 6979
-HMAC-SHA256 construction so signatures are reproducible; produced signatures
-are canonical (low-s) and recovery and verification reject non-canonical
-input.
+Recovery's R is fresh, so u2*R builds only the first row of R's table and
+walks the same signed digits from the most significant, with six doublings
+per digit (one chain of about 256); u1*G comes from G's table. Nonces follow
+the RFC 6979 HMAC-SHA256 construction so signatures are reproducible;
+produced signatures are canonical (low-s) and recovery and verification
+reject non-canonical input.
 """
 
 import hmac
 import hashlib
 import secrets
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import RecoveryError, RejectedSeedError
 
@@ -48,35 +46,6 @@ def _jdouble(pt: _Jac) -> _Jac:
     m = 3 * x1 * x1 % P
     x3 = (m * m - 2 * s) % P
     return x3, (m * (s - x3) - 8 * yy * yy) % P, 2 * y1 * z1 % P
-
-
-def _jadd(p1: _Jac, p2: _Jac) -> _Jac:
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    if not z1:
-        return p2
-    if not z2:
-        return p1
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2 * z2z2 % P
-    s2 = y2 * z1 * z1z1 % P
-    if u1 == u2:
-        if (s1 - s2) % P:
-            return _INFINITY
-        return _jdouble(p1)
-    h = (u2 - u1) % P
-    i = 4 * h * h % P
-    j = h * i % P
-    r = 2 * (s2 - s1) % P
-    v = u1 * i % P
-    x3 = (r * r - j - 2 * v) % P
-    y3 = (r * (v - x3) - 2 * s1 * j) % P
-    t = z1 + z2
-    z3 = (t * t - z1z1 - z2z2) * h % P
-    return x3, y3, z3
 
 
 def _jadd_affine(p1: _Jac, x2: int, y2: int) -> _Jac:
@@ -114,41 +83,6 @@ def is_on_curve(point: Point) -> bool:
     return (y * y - (x * x * x + 7)) % P == 0
 
 
-# Endomorphism: LAMBDA * (x, y) == (BETA * x, y) for every curve point.
-BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-# Short basis of the lattice {(a, b): a + b * LAMBDA == 0 mod N}, for the
-# rounding split of Guide to ECC, Alg. 3.74.
-_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_B2 = _A1
-
-
-def _split_scalar(k: int) -> Tuple[int, int]:
-    """(k1, k2) with k == k1 + k2 * LAMBDA (mod N) and |k1|, |k2| < 2**129."""
-    c1 = (_B2 * k + HALF_N) // N
-    c2 = (-_B1 * k + HALF_N) // N
-    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
-def _wnaf(k: int, width: int) -> Iterator[Tuple[int, int]]:
-    """Nonzero width-``width`` NAF digits of k as (bit position, odd digit)."""
-    sign = -1 if k < 0 else 1
-    k = abs(k)
-    pos = 0
-    while k:
-        zeros = (k & -k).bit_length() - 1
-        k >>= zeros
-        pos += zeros
-        d = k & ((1 << width) - 1)
-        if d >> (width - 1):
-            d -= 1 << width
-        yield pos, sign * d
-        k = (k - d) >> width  # exact: k - d is a multiple of 2**width
-        pos += width
-
-
 def _inverses(values: List[int]) -> List[int]:
     """Inverses mod P of nonzero values, with one inversion for all
     (Montgomery's trick)."""
@@ -172,30 +106,6 @@ def _affine_all(points: List[_Jac]) -> List[Point]:
     return out
 
 
-_R_WIDTH = 5  # recovery's wNAF digits, against odd multiples of R built per call
-
-
-def _mul_glv(k: int, point: Point) -> _Jac:
-    """k * point along one chain of about 128 doublings: the GLV halves of k
-    as wNAF digits against odd multiples of point and of lambda*point."""
-    twice = _jdouble((point[0], point[1], 1))
-    jac = [(point[0], point[1], 1)]
-    for _ in range((1 << (_R_WIDTH - 2)) - 1):
-        jac.append(_jadd(jac[-1], twice))
-    odd = _affine_all(jac)
-    adds: Dict[int, List[Point]] = {}
-    for half, table in zip(_split_scalar(k), (odd, [(BETA * x % P, y) for x, y in odd])):
-        for pos, d in _wnaf(half, _R_WIDTH):
-            x, y = table[abs(d) >> 1]
-            adds.setdefault(pos, []).append((x, y if d > 0 else P - y))
-    acc = _INFINITY
-    for pos in range(max(adds, default=-1), -1, -1):
-        acc = _jdouble(acc)
-        for x, y in adds.get(pos, ()):
-            acc = _jadd_affine(acc, x, y)
-    return acc
-
-
 # Signed fixed-window digits lie in [-2**(_WINDOW - 1), 2**(_WINDOW - 1)]; a
 # negative digit carries one into the next window, so a scalar below N can
 # need 257 bits of windows.
@@ -204,20 +114,12 @@ _ROWS = -(-257 // _WINDOW)
 KeyTable = List[List[Point]]
 
 
-def key_tables(point: Point) -> KeyTable:
-    """rows[i][j] == (j + 1) * 2**(_WINDOW * i) * point, built once per key.
-    One doubling chain gives each row's b and 2b; the other columns grow all
-    rows together in affine form, with one inversion per column."""
-    jac: List[_Jac] = []
-    acc = (point[0], point[1], 1)
-    for _ in range(_ROWS):
-        twice = _jdouble(acc)
-        jac += (acc, twice)
-        for _ in range(_WINDOW - 1):
-            twice = _jdouble(twice)
-        acc = twice
-    firsts = _affine_all(jac)
-    rows = [firsts[i:i + 2] for i in range(0, len(firsts), 2)]
+def _grow_rows(firsts: List[_Jac]) -> KeyTable:
+    """Rows [b, 2b, ..., 2**(_WINDOW - 1) * b] from the Jacobian b and 2b of
+    each row, listed row after row. The other columns grow all rows together
+    in affine form, with one inversion per column."""
+    flat = _affine_all(firsts)
+    rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
     for _ in range(2, 1 << (_WINDOW - 1)):
         for row, inv in zip(rows, _inverses([row[-1][0] - row[0][0] for row in rows])):
             (x1, y1), (x2, y2) = row[-1], row[0]
@@ -227,24 +129,60 @@ def key_tables(point: Point) -> KeyTable:
     return rows
 
 
+def key_tables(point: Point) -> KeyTable:
+    """rows[i][j] == (j + 1) * 2**(_WINDOW * i) * point, built once per key.
+    One doubling chain gives each row's b and 2b."""
+    jac: List[_Jac] = []
+    acc = (point[0], point[1], 1)
+    for _ in range(_ROWS):
+        twice = _jdouble(acc)
+        jac += (acc, twice)
+        for _ in range(_WINDOW - 1):
+            twice = _jdouble(twice)
+        acc = twice
+    return _grow_rows(jac)
+
+
 _G_ROWS = key_tables((GX, GY))
+
+
+def _signed_digits(k: int) -> List[int]:
+    """k in signed base-2**_WINDOW digits, least significant first: a digit d
+    above 2**(_WINDOW - 1) becomes d - 2**_WINDOW and carries one."""
+    digits = []
+    while k:
+        d = k & ((1 << _WINDOW) - 1)
+        k >>= _WINDOW
+        if d > 1 << (_WINDOW - 1):
+            d -= 1 << _WINDOW
+            k += 1
+        digits.append(d)
+    return digits
 
 
 def _mul_fixed(k: int, rows: KeyTable, acc: _Jac = _INFINITY) -> _Jac:
     """acc + k * point for 0 <= k < N, with ``rows`` the point's ``key_tables``:
     one mixed addition per nonzero digit and no doubling."""
-    for row in rows:
-        if not k:
-            break
-        d = k & ((1 << _WINDOW) - 1)
-        k >>= _WINDOW
-        if d > 1 << (_WINDOW - 1):  # the digit d - 2**_WINDOW; carry one
-            k += 1
-            x, y = row[(1 << _WINDOW) - d - 1]
-            acc = _jadd_affine(acc, x, P - y)
-        elif d:
-            x, y = row[d - 1]
-            acc = _jadd_affine(acc, x, y)
+    for row, d in zip(rows, _signed_digits(k)):
+        if d:
+            x, y = row[abs(d) - 1]
+            acc = _jadd_affine(acc, x, y if d > 0 else P - y)
+    return acc
+
+
+def _mul_fresh(k: int, point: Point) -> _Jac:
+    """k * point for 0 <= k < N and a point with no table: the first row of
+    its ``key_tables`` alone, and _WINDOW doublings per digit from the most
+    significant."""
+    jac = (point[0], point[1], 1)
+    row, = _grow_rows([jac, _jdouble(jac)])
+    acc = _INFINITY
+    for d in reversed(_signed_digits(k)):
+        for _ in range(_WINDOW):
+            acc = _jdouble(acc)
+        if d:
+            x, y = row[abs(d) - 1]
+            acc = _jadd_affine(acc, x, y if d > 0 else P - y)
     return acc
 
 
@@ -347,7 +285,7 @@ def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
     rinv = pow(r, -1, N)
     u1 = -z * rinv % N
     u2 = s * rinv % N
-    point = _to_affine(_mul_fixed(u1, _G_ROWS, _mul_glv(u2, big_r)))
+    point = _to_affine(_mul_fixed(u1, _G_ROWS, _mul_fresh(u2, big_r)))
     if point is None:
         raise RecoveryError("recovery produced the point at infinity")
     return point

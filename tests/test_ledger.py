@@ -221,6 +221,18 @@ def test_tx_hash_cached_without_changing_equality(chain, keys):
         moved.digest + moved.signature.to_bytes()).hexdigest()
 
 
+def test_admitting_a_hashed_transaction_encodes_it_no_more(chain, keys, monkeypatch):
+    tx = peer_tx(keys[0], chain)
+    assert tx.tx_hash  # hashing reads the signing digest once
+    calls = []
+    original = SignedTransaction.signing_digest
+    monkeypatch.setattr(SignedTransaction, "signing_digest",
+                        staticmethod(lambda *args: calls.append(args) or original(*args)))
+    chain.submit_transaction(tx)
+    assert tx in chain.pool
+    assert calls == []
+
+
 def test_nonzero_gas_price_rejected(chain, keys):
     tx = peer_tx(keys[0], chain)
     priced = SignedTransaction(sender=tx.sender, target=tx.target, method=tx.method,

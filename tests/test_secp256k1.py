@@ -193,35 +193,6 @@ def test_order_matches_openssl_boundary():
         ec.derive_private_key(secp256k1.N, ec.SECP256K1())
 
 
-def test_endomorphism_constants():
-    # lambda * G is G with its x-coordinate scaled by beta
-    assert secp256k1.multiply_generator(secp256k1.LAMBDA) == (
-        secp256k1.BETA * secp256k1.GX % secp256k1.P, secp256k1.GY)
-
-
-@settings(max_examples=200, deadline=None)
-@given(k=st.integers(0, secp256k1.N - 1))
-@example(k=0)
-@example(k=1)
-@example(k=secp256k1.N - 1)
-@example(k=secp256k1.LAMBDA)
-def test_scalar_split(k):
-    k1, k2 = secp256k1._split_scalar(k)
-    assert (k1 + k2 * secp256k1.LAMBDA - k) % secp256k1.N == 0
-    assert abs(k1) < 2**129 and abs(k2) < 2**129
-
-
-@settings(max_examples=200, deadline=None)
-@given(k=st.integers(-(2**130), 2**130), width=st.sampled_from([5, 8]))
-def test_wnaf_digits(k, width):
-    digits = list(secp256k1._wnaf(k, width))
-    assert sum(d << pos for pos, d in digits) == k
-    for pos, d in digits:
-        assert d % 2 == 1 and abs(d) < 1 << (width - 1)
-    positions = [pos for pos, _ in digits]
-    assert all(b - a >= width for a, b in zip(positions, positions[1:]))
-
-
 # -- fixed-window multiplication -----------------------------------------------------------
 
 _W = secp256k1._WINDOW
@@ -230,20 +201,32 @@ _BASES = {"G": (ref.G, secp256k1._G_ROWS), "key": (_KEY, secp256k1.key_tables(_K
 _TOP = (secp256k1._ROWS - 1) * _W  # the lowest bit of the top window
 
 
+_MULTIPLY = {
+    "fixed": lambda k, point, rows: secp256k1._mul_fixed(k, rows),
+    "fresh": lambda k, point, rows: secp256k1._mul_fresh(k, point),  # recovery's, no table
+}
+
+
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(0, secp256k1.N - 1), base=st.sampled_from(sorted(_BASES)))
-@example(k=0, base="G")
-@example(k=1, base="key")
-@example(k=secp256k1.N - 1, base="G")
-@example(k=secp256k1.N - 1, base="key")
-@example(k=1 << (_W - 1), base="G")  # a digit of exactly 2**(w - 1)
-@example(k=(1 << (_W - 1)) << (7 * _W), base="key")
-@example(k=(31 << _W) | ((1 << _W) - 1), base="G")  # a carry makes a digit of 2**(w - 1)
-@example(k=(1 << _TOP) - 1, base="key")  # all ones: the carry runs into the top window
-@example(k=(1 << 255) - 1, base="G")
-def test_fixed_window_multiply_matches_reference(k, base):
+@given(k=st.integers(0, secp256k1.N - 1), base=st.sampled_from(sorted(_BASES)),
+       method=st.sampled_from(sorted(_MULTIPLY)))
+@example(k=0, base="G", method="fixed")
+@example(k=1, base="key", method="fixed")
+@example(k=secp256k1.N - 1, base="G", method="fixed")
+@example(k=secp256k1.N - 1, base="key", method="fixed")
+@example(k=1 << (_W - 1), base="G", method="fixed")  # a digit of exactly 2**(w - 1)
+@example(k=(1 << (_W - 1)) << (7 * _W), base="key", method="fixed")
+@example(k=(31 << _W) | ((1 << _W) - 1), base="G", method="fixed")  # a carry makes a digit of 2**(w - 1)
+@example(k=(1 << _TOP) - 1, base="key", method="fixed")  # all ones: the carry runs into the top window
+@example(k=(1 << 255) - 1, base="G", method="fixed")
+@example(k=0, base="key", method="fresh")
+@example(k=1, base="key", method="fresh")
+@example(k=secp256k1.N - 1, base="G", method="fresh")
+@example(k=1 << (_W - 1), base="key", method="fresh")  # a digit of exactly 2**(w - 1)
+@example(k=(1 << _TOP) - 1, base="G", method="fresh")  # all ones: the carry runs into the top window
+def test_fixed_window_multiply_matches_reference(k, base, method):
     point, rows = _BASES[base]
-    assert secp256k1._to_affine(secp256k1._mul_fixed(k, rows)) == ref.point_mul(k, point)
+    assert secp256k1._to_affine(_MULTIPLY[method](k, point, rows)) == ref.point_mul(k, point)
 
 
 @pytest.mark.parametrize("base", sorted(_BASES))
