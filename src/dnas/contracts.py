@@ -1,10 +1,11 @@
 """Native contract runtime: wine data, peer registry, and proxy contracts.
 
-The wine data contract keeps per-wine mappings (content hash per write
-iteration, custodian address, hashed tag and device identifiers, counters)
-and exposes create / validate / append semantics with their error branches.
-The registry is the consortium white list with distinct-voter tallies; the
-proxy swaps wine-contract versions in place while its storage persists.
+The wine data contract maps each wine to one ``WineEntry`` (content hash per
+write iteration, custodian address, hashed tag and device identifiers,
+counters) and exposes create / validate / append semantics with their error
+branches. The registry is the consortium white list with distinct-voter
+tallies (``cast_vote``, which the ledger's sealer votes share); the proxy
+swaps wine-contract versions in place while the records it holds persist.
 """
 
 import math
@@ -56,6 +57,28 @@ class PeerEntry:
         return asdict(self)
 
 
+Tallies = Dict[Tuple[str, str], Set[str]]  # (candidate, "add" | "remove") -> voters
+
+
+def cast_vote(tallies: Tallies, voter: str, candidate: str, add: bool,
+              threshold: int) -> Tuple[int, bool]:
+    """Counts one distinct voter for adding or removing ``candidate``; returns
+    the tally and whether it reached ``threshold``. A change that passes
+    clears both of the candidate's tallies."""
+    voters = tallies.setdefault((candidate, "add" if add else "remove"), set())
+    voters.add(voter)  # one vote per voter; re-votes collapse
+    passed = len(voters) >= threshold
+    if passed:
+        tallies.pop((candidate, "add"), None)
+        tallies.pop((candidate, "remove"), None)
+    return len(voters), passed
+
+
+def tally_snapshot(tallies: Tallies) -> Dict[str, List[str]]:
+    """The committed form of a tally map: ``{"<candidate>:<action>": sorted voters}``."""
+    return {f"{c}:{action}": sorted(v) for (c, action), v in tallies.items()}
+
+
 class PeerRegistryContract:
     """On-chain consortium registry with vote-gated membership."""
 
@@ -63,7 +86,7 @@ class PeerRegistryContract:
         self.admin = admin
         self.bootstrap_count = bootstrap_count
         self.peers: Dict[str, PeerEntry] = {}
-        self.votes: Dict[Tuple[str, str], Set[str]] = {}
+        self.votes: Tallies = {}
         self.consensus_override: Optional[int] = None
 
     @property
@@ -94,10 +117,13 @@ class PeerRegistryContract:
             raise ContractError("bootstrap stage is over; admission requires votes")
         if entry.address in self.peers:
             raise ContractError(f"peer {entry.address} already registered")
+        self._admit(ctx, entry, bootstrap=True)
+        return True
+
+    def _admit(self, ctx: ExecutionContext, entry: PeerEntry, bootstrap: bool) -> None:
         self.peers[entry.address] = entry
         ctx.emit("PeerAdded", candidate=entry.address, node_id=entry.node_id,
-                 member_id=entry.member_id, role=entry.role, bootstrap=True)
-        return True
+                 member_id=entry.member_id, role=entry.role, bootstrap=bootstrap)
 
     def propose_peer(self, ctx: ExecutionContext, entry: PeerEntry, add: bool) -> Dict[str, object]:
         if (entry.address in self.peers) == bool(add):
@@ -106,24 +132,16 @@ class PeerRegistryContract:
             return {"tally": 0, "required": self.consensus_level, "applied": False}
         if not self.is_member(ctx.caller):
             raise AuthError("only registered members vote on admission")
-        key = (entry.address, "add" if add else "remove")
-        voters = self.votes.setdefault(key, set())
-        voters.add(ctx.caller)  # one vote per member; re-votes collapse
-        tally = len(voters)
-        applied = False
-        if tally >= self.consensus_level:
-            if add:
-                self.peers[entry.address] = entry
-                ctx.emit("PeerAdded", candidate=entry.address, node_id=entry.node_id,
-                         member_id=entry.member_id, role=entry.role, bootstrap=False)
-            else:
-                removed = self.peers.pop(entry.address)
-                ctx.emit("PeerRemoved", candidate=entry.address, node_id=removed.node_id,
-                         member_id=removed.member_id)
-            self.votes.pop((entry.address, "add"), None)
-            self.votes.pop((entry.address, "remove"), None)
-            applied = True
-        return {"tally": tally, "required": self.consensus_level, "applied": applied}
+        tally, passed = cast_vote(self.votes, ctx.caller, entry.address, add,
+                                  self.consensus_level)
+        if passed and add:
+            self._admit(ctx, entry, bootstrap=False)
+        elif passed:
+            removed = self.peers.pop(entry.address)
+            ctx.emit("PeerRemoved", candidate=entry.address, node_id=removed.node_id,
+                     member_id=removed.member_id)
+        # the level after the change, which the next proposal must reach
+        return {"tally": tally, "required": self.consensus_level, "applied": passed}
 
     def set_consensus_level(self, ctx: ExecutionContext, level: int) -> int:
         if ctx.caller != self.admin:
@@ -139,29 +157,27 @@ class PeerRegistryContract:
             "bootstrap_count": self.bootstrap_count,
             "consensus_override": self.consensus_override,
             "peers": {a: e.to_dict() for a, e in self.peers.items()},
-            "votes": {f"{c}:{action}": sorted(v) for (c, action), v in self.votes.items() if v},
+            "votes": tally_snapshot(self.votes),
         }
 
 
-class WineDataStorage:
-    """Mapping state shared by every wine-contract version through the proxy."""
+@dataclass
+class WineEntry:
+    """The six fields kept for one wine; its state leaf encodes exactly these."""
 
-    def __init__(self):
-        self.data_hash: Dict[str, Dict[int, str]] = {}   # wineId -> iteration -> cid
-        self.pub_addr: Dict[str, str] = {}
-        self.tag_id: Dict[str, str] = {}                 # hashed tag identifier
-        self.device_id: Dict[str, str] = {}              # hashed device identifier
-        self.write_count: Dict[str, int] = {}
-        self.read_count: Dict[str, int] = {}
+    data_hash: Dict[int, str]  # write iteration -> cid
+    pub_addr: str              # current custodian
+    tag_id: str                # hashed tag identifier
+    device_id: str             # hashed device identifier
+    write_count: int = 1
+    read_count: int = 0
 
-    def record(self, wine_id: str) -> Optional[Dict[str, object]]:
-        """The six fields kept for one wine, or None when it has no record."""
-        if wine_id not in self.write_count:
-            return None
-        return {"data_hash": self.data_hash[wine_id], "pub_addr": self.pub_addr[wine_id],
-                "tag_id": self.tag_id[wine_id], "device_id": self.device_id[wine_id],
-                "write_count": self.write_count[wine_id],
-                "read_count": self.read_count[wine_id]}
+
+def _entry(records: Dict[str, WineEntry], wine_id: str) -> WineEntry:
+    entry = records.get(wine_id)
+    if entry is None:
+        raise ContractError(f"no wine record for {wine_id!r}")
+    return entry
 
 
 class WineDataContractV1:
@@ -175,89 +191,77 @@ class WineDataContractV1:
 
     # -- transactions --------------------------------------------------------------
 
-    def create_wine_record(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def create_wine_record(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                            wine_id: str, wine_data_hash: str, new_public_address: str,
                            tag_id: str, device_id: str) -> bool:
         ctx.touched.add("wine:" + wine_id)
         if ctx.registry.role_of(ctx.caller) != ROLE_WINEMAKER:
             raise RoleError("create_wine_record is restricted to winemaker nodes")
-        if storage.write_count.get(wine_id, 0) != 0:
+        if wine_id in records:
             raise ContractError(f"wine record {wine_id!r} already exists on-chain")
         ContentId(wine_data_hash)  # malformed hashes never enter the mapping
-        storage.pub_addr[wine_id] = new_public_address
-        storage.data_hash[wine_id] = {1: wine_data_hash}
-        storage.tag_id[wine_id] = tag_id
-        storage.device_id[wine_id] = device_id
-        storage.write_count[wine_id] = 1
-        storage.read_count[wine_id] = 0
+        records[wine_id] = WineEntry(data_hash={1: wine_data_hash},
+                                     pub_addr=new_public_address, tag_id=tag_id,
+                                     device_id=device_id)
         ctx.emit("WineRecordCreated", wine_id=wine_id, creator=ctx.caller,
                  hashed_device_id=device_id)
         return True
 
-    def append_wine_record(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def append_wine_record(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                            wine_id: str, new_wine_data_hash: str, new_public_address: str,
                            tag_id: str, device_id: str) -> bool:
         ctx.touched.add("wine:" + wine_id)
         if not ctx.registry.is_member(ctx.caller):
             raise RoleError("append_wine_record requires a registered consortium member")
-        count = storage.write_count.get(wine_id, 0)
-        if count == 0:
-            raise ContractError(f"no wine record for {wine_id!r}")
-        if storage.tag_id[wine_id] != tag_id or storage.device_id[wine_id] != device_id:
+        entry = _entry(records, wine_id)
+        if entry.tag_id != tag_id or entry.device_id != device_id:
             raise ContractError("tag or device identifier does not match the stored record")
         ContentId(new_wine_data_hash)
-        previous = storage.pub_addr[wine_id]
-        storage.write_count[wine_id] = count + 1
-        storage.data_hash[wine_id][count + 1] = new_wine_data_hash
-        storage.pub_addr[wine_id] = new_public_address
+        previous = entry.pub_addr
+        entry.write_count += 1
+        entry.data_hash[entry.write_count] = new_wine_data_hash
+        entry.pub_addr = new_public_address
         ctx.emit("WineRecordAppended", wine_id=wine_id, previous=previous,
                  current=new_public_address)
         return True
 
-    def increment_read_count(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def increment_read_count(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                              wine_id: str) -> int:
         ctx.touched.add("wine:" + wine_id)
         if not ctx.registry.is_member(ctx.caller):
             raise RoleError("read-count updates require a registered consortium member")
-        if storage.write_count.get(wine_id, 0) == 0:
-            raise ContractError(f"no wine record for {wine_id!r}")
-        storage.read_count[wine_id] += 1
-        return storage.read_count[wine_id]
+        entry = _entry(records, wine_id)
+        entry.read_count += 1
+        return entry.read_count
 
     # -- views -----------------------------------------------------------------------
 
-    def validate_wine_record_hash(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def validate_wine_record_hash(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                                   wine_id: str, wine_data_hash: str) -> bool:
-        count = storage.write_count.get(wine_id, 0)
-        if count == 0:
-            raise ContractError(f"no wine record for {wine_id!r}")
-        return storage.data_hash[wine_id][count] == wine_data_hash
+        entry = _entry(records, wine_id)
+        return entry.data_hash[entry.write_count] == wine_data_hash
 
-    def validate_signature(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def validate_signature(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                            wine_id: str, v: int, r: int, s: int) -> bool:
-        if storage.write_count.get(wine_id, 0) == 0:
-            raise ContractError(f"no wine record for {wine_id!r}")
-        digest = prefixed_digest(wine_id, storage.tag_id[wine_id], storage.device_id[wine_id])
+        entry = _entry(records, wine_id)
+        digest = prefixed_digest(wine_id, entry.tag_id, entry.device_id)
         try:
-            return ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s),
-                                         storage.pub_addr[wine_id])
+            return ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s), entry.pub_addr)
         except RecoveryError:
             return False
 
-    def get_record(self, storage: WineDataStorage, ctx: ExecutionContext,
+    def get_record(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                    wine_id: str) -> Dict[str, object]:
-        count = storage.write_count.get(wine_id, 0)
-        if count == 0:
-            raise ContractError(f"no wine record for {wine_id!r}")
+        entry = _entry(records, wine_id)
         return {
             "wine_id": wine_id,
-            "write_count": count,
-            "read_count": storage.read_count[wine_id],
-            "pub_addr": storage.pub_addr[wine_id],
-            "tag_id": storage.tag_id[wine_id],
-            "device_id": storage.device_id[wine_id],
-            "data_hash_latest": storage.data_hash[wine_id][count],
-            "data_hash_history": dict(storage.data_hash[wine_id]),
+            "write_count": entry.write_count,
+            "read_count": entry.read_count,
+            "pub_addr": entry.pub_addr,
+            "tag_id": entry.tag_id,
+            "device_id": entry.device_id,
+            "data_hash_latest": entry.data_hash[entry.write_count],
+            "data_hash_history": dict(entry.data_hash),
         }
 
 
@@ -267,21 +271,21 @@ class WineDataContractV2(WineDataContractV1):
     version = "winedata-v2"
     VIEWS = WineDataContractV1.VIEWS | {"record_count"}
 
-    def record_count(self, storage: WineDataStorage, ctx: ExecutionContext) -> int:
-        return len(storage.write_count)
+    def record_count(self, records: Dict[str, WineEntry], ctx: ExecutionContext) -> int:
+        return len(records)
 
 
 class Proxy:
     """Stable entry point delegating to the current implementation version.
 
-    Storage lives here, so an upgrade changes behaviour without touching
-    recorded state; the original caller identity is preserved through the
+    The wine records live here, so an upgrade changes behaviour without
+    touching recorded state; the original caller identity is preserved through the
     delegated call.
     """
 
     def __init__(self, owner: str):
         self.owner = owner
-        self.storage = WineDataStorage()
+        self.records: Dict[str, WineEntry] = {}
         self.current_implementation: Optional[str] = None
         self.initialize_counter: Dict[str, int] = {}
         self._implementations: Dict[str, WineDataContractV1] = {}
@@ -324,17 +328,17 @@ class Proxy:
         impl = self._implementation()
         if method not in impl.TRANSACTIONS:
             raise ContractError(f"no transaction method {method!r} in {impl.version}")
-        return getattr(impl, method)(self.storage, ctx, **params)
+        return getattr(impl, method)(self.records, ctx, **params)
 
     def view(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
         """Runs a read-only method of the current implementation."""
         impl = self._implementation()
         if method not in impl.VIEWS:
             raise ContractError(f"no view method {method!r} in {impl.version}")
-        return getattr(impl, method)(self.storage, ctx, **params)
+        return getattr(impl, method)(self.records, ctx, **params)
 
     def snapshot(self) -> Dict[str, object]:
-        """The proxy's metadata; its storage is committed per wine."""
+        """The proxy's metadata; its records are committed one leaf per wine."""
         return {
             "owner": self.owner,
             "current_implementation": self.current_implementation,
@@ -399,7 +403,7 @@ class ContractRuntime:
 
     def state_keys(self) -> List[str]:
         """Every contract key the state root commits to."""
-        return ["registry", "proxy_admin", *("wine:" + w for w in self.proxy.storage.write_count)]
+        return ["registry", "proxy_admin", *("wine:" + w for w in self.proxy.records)]
 
     def state_bytes(self, key: str) -> bytes:
         """Canonical JSON of one contract leaf; empty when the key holds nothing."""
@@ -408,5 +412,6 @@ class ContractRuntime:
         elif key == "proxy_admin":
             value = self.proxy.snapshot()
         else:
-            value = self.proxy.storage.record(key.partition(":")[2])
+            entry = self.proxy.records.get(key.partition(":")[2])
+            value = None if entry is None else vars(entry)
         return b"" if value is None else canonical_json_bytes(value)

@@ -8,7 +8,6 @@ field to rule out concatenation ambiguity.
 
 import hashlib
 import hmac
-import json
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,12 +31,6 @@ class Address(bytes):
         if len(value) != 20:
             raise InvalidKeyError(f"address must be 20 bytes, got {len(value)}")
         return super().__new__(cls, value)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        if text.startswith("0x"):
-            text = text[2:]
-        return cls(bytes.fromhex(text))
 
     @property
     def hex0x(self) -> str:
@@ -231,11 +224,3 @@ def decrypt_keystore(keystore: dict, password: str) -> KeyPair:
     if pair.address.hex0x != keystore["address"]:
         raise MacError("decrypted key does not match the keystore address")
     return pair
-
-
-def keystore_to_json(keystore: dict) -> str:
-    return json.dumps(keystore, sort_keys=True)
-
-
-def keystore_from_json(text: str) -> dict:
-    return json.loads(text)

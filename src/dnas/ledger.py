@@ -3,25 +3,24 @@
 Blocks are sealed every period by the in-turn validator (round-robin over
 the validator list, with a grace-delayed skip rule for halted sealers).
 Validator membership changes through distinct-voter proposals that pass at
-floor(N/2)+1; the votes ride block headers so replicas replaying the block
-sequence reproduce the same validator set and state root. Gas is free
-(price 0) but the per-block gas limit follows the dynamic rule driven by
-parent usage.
+floor(N/2)+1, counted by ``contracts.cast_vote`` as the registry's are; the
+votes ride block headers so replicas replaying the block sequence reproduce
+the same validator set and state root. Gas is free (price 0) but the
+per-block gas limit follows the dynamic rule driven by parent usage.
 The state root commits to all consensus state, a leaf per key: each wine
-record, the registry, the proxy's metadata, each account's nonce and
-balance, the validators and their tallies. Writers mark the keys they touch
-and sealing rehashes only those (``StateTree``).
+record (its ``contracts.WineEntry``), the registry, the proxy's metadata,
+each account's nonce and balance, the validators and their tallies. Writers
+mark the keys they touch and sealing rehashes only those (``StateTree``).
 """
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import secp256k1
-from .contracts import ContractEvent, ContractRuntime
+from .contracts import ContractEvent, ContractRuntime, Tallies, cast_vote, tally_snapshot
 from .encoding import canonical_json_bytes
 from .errors import (
     ConfigError,
@@ -72,28 +71,6 @@ class GenesisConfig:
             raise ConfigError(f"gas limit floor below one transaction ({TX_GAS} gas)")
         if self.gas_limit < self.min_gas_limit:
             raise ConfigError("genesis gas limit below the configured floor")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "chainId": self.chain_id,
-            "period": self.period,
-            "extraData": list(self.initial_validators),
-            "alloc": dict(self.alloc),
-            "gasLimit": self.gas_limit,
-            "minGasLimit": self.min_gas_limit,
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GenesisConfig":
-        raw = json.loads(text)
-        return cls(
-            chain_id=raw["chainId"],
-            period=raw["period"],
-            initial_validators=tuple(raw["extraData"]),
-            alloc=dict(raw.get("alloc", {})),
-            gas_limit=raw.get("gasLimit", 8_000_000),
-            min_gas_limit=raw.get("minGasLimit", GAS_LIMIT_FLOOR),
-        )
 
 
 @dataclass(frozen=True)
@@ -234,7 +211,7 @@ class Chain:
         self.runtime = ContractRuntime(admin=contract_admin, bootstrap_count=bootstrap_count)
         self.state = StateTree(self.state_bytes, self.runtime.touched)
         self.validators: List[str] = list(genesis.initial_validators)
-        self.tallies: Dict[Tuple[str, str], Set[str]] = {}
+        self.tallies: Tallies = {}
         self.balances: Dict[str, int] = dict(genesis.alloc)
         self.nonces: Dict[str, int] = {}
         self.pool: List[SignedTransaction] = []
@@ -243,13 +220,11 @@ class Chain:
         self.receipts: Dict[str, Receipt] = {}
         self._pending_votes: List[Dict[str, object]] = []
         self.state.touched.update(self.state_keys())
-        genesis_block = Block(
+        self.blocks: List[Block] = [Block(
             number=0, parent_hash=_ZERO_HASH, sealer=_ZERO_ADDR, timestamp=0,
             gas_limit=genesis.gas_limit, gas_used=0, transactions=[],
             state_root=self.state.root(),
-        )
-        self.blocks: List[Block] = [genesis_block]
-        self._blocks_by_hash: Dict[str, Block] = {genesis_block.hash: genesis_block}
+        )]
 
     # -- state ---------------------------------------------------------------------
 
@@ -266,7 +241,7 @@ class Chain:
         elif key == "validators":
             value = self.validators
         elif key == "tallies":
-            value = {f"{c}:{action}": sorted(v) for (c, action), v in self.tallies.items()}
+            value = tally_snapshot(self.tallies)
         else:
             return self.runtime.state_bytes(key)
         return b"" if value is None else canonical_json_bytes(value)
@@ -335,21 +310,13 @@ class Chain:
         if not add and candidate not in self.validators:
             raise SealError(f"{candidate} is not a validator")
         self.state.touched.update(("validators", "tallies"))
-        key = (candidate, "add" if add else "remove")
-        voters = self.tallies.setdefault(key, set())
-        voters.add(voter)
-        tally = len(voters)
         threshold = len(self.validators) // 2 + 1
-        applied = False
-        if tally >= threshold:
-            if add:
-                self.validators.append(candidate)
-            else:
-                self.validators.remove(candidate)
-            self.tallies.pop((candidate, "add"), None)
-            self.tallies.pop((candidate, "remove"), None)
-            applied = True
-        return {"tally": tally, "required": threshold, "applied": applied}
+        tally, passed = cast_vote(self.tallies, voter, candidate, add, threshold)
+        if passed and add:
+            self.validators.append(candidate)
+        elif passed:
+            self.validators.remove(candidate)
+        return {"tally": tally, "required": threshold, "applied": passed}
 
     # -- sealing ---------------------------------------------------------------------
 
@@ -387,7 +354,6 @@ class Chain:
         self._execute_block(block)
         block.state_root = self.state.root()
         self.blocks.append(block)
-        self._blocks_by_hash[block.hash] = block
         return block
 
     def _execute_block(self, block: Block) -> None:
@@ -445,7 +411,6 @@ class Chain:
         if block.state_root != self.state.root():
             raise SealError("replayed state root differs from the sealed block")
         self.blocks.append(block)
-        self._blocks_by_hash[block.hash] = block
 
     # -- queries -----------------------------------------------------------------------
 
@@ -453,12 +418,6 @@ class Chain:
         if 0 <= height < len(self.blocks):
             return self.blocks[height]
         raise NotFoundError(f"no block at height {height}")
-
-    def query_block_by_hash(self, block_hash: str) -> Block:
-        block = self._blocks_by_hash.get(block_hash)
-        if block is None:
-            raise NotFoundError(f"no block {block_hash}")
-        return block
 
     def query_tx(self, tx_hash: str) -> Receipt:
         receipt = self.receipts.get(tx_hash)

@@ -79,9 +79,6 @@ class RecordDatabase:
             raise NotFoundError(f"no record for {wine_id!r}")
         return record
 
-    def exists(self, wine_id: str) -> bool:
-        return wine_id in self._records
-
     def update(self, caller_role: str, wine_id: str, fields: Dict[str, object]) -> WineRecord:
         if caller_role != "winemaker":
             raise RoleError("only winemaker nodes update wine records")

@@ -23,13 +23,6 @@ class Step:
     params: Dict[str, object] = field(default_factory=dict)
     expect_error: Optional[str] = None  # substring the step error must carry
 
-    def to_dict(self) -> Dict[str, object]:
-        out = {"at": self.at, "actor": self.actor, "action": self.action,
-               "params": self.params}
-        if self.expect_error is not None:
-            out["expect_error"] = self.expect_error
-        return out
-
 
 @dataclass
 class MemberSpec:
@@ -86,21 +79,10 @@ class Scenario:
         last = max((s.at for s in self.steps), default=0)
         return last + 8 * self.period
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name, "seed": self.seed,
-            "chain_id": self.chain_id, "period": self.period,
-            "gas_limit": self.gas_limit, "bootstrap_count": self.bootstrap_count,
-            "end_time": self.end_time, "session_timeout": self.session_timeout,
-            "members": [{"member_id": m.member_id, "role": m.role.value,
-                         "node_type": m.node_type.value} for m in self.members],
-            "extras": list(self.extras),
-            "steps": [s.to_dict() for s in self.steps],
-            "expectations": self.expectations,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+# the settings a file may leave out; ``Scenario`` holds their defaults
+_OPTIONAL = ("chain_id", "period", "gas_limit", "bootstrap_count", "end_time",
+             "session_timeout")
 
 
 def scenario_from_dict(raw: Dict[str, object], name_hint: str = "scenario") -> Scenario:
@@ -119,12 +101,7 @@ def scenario_from_dict(raw: Dict[str, object], name_hint: str = "scenario") -> S
             steps=steps,
             expectations=list(raw.get("expectations", [])),
             extras=list(raw.get("extras", [])),
-            chain_id=raw.get("chain_id", 77),
-            period=raw.get("period", 1),
-            gas_limit=raw.get("gas_limit", 8_000_000),
-            bootstrap_count=raw.get("bootstrap_count", 5),
-            end_time=raw.get("end_time"),
-            session_timeout=raw.get("session_timeout"),
+            **{key: raw[key] for key in _OPTIONAL if key in raw},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc

@@ -35,8 +35,6 @@ from .keys import (
     decrypt_keystore,
     generate_keypair,
     hash_identifier,
-    keystore_from_json,
-    keystore_to_json,
     sign_tag_payload,
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
@@ -137,7 +135,7 @@ class BlockchainService:
         # the node key is fetched through the vault and decrypted on demand
         stored = self._vault.get(self._vault_session,
                                  secret_path(info.member_id, "nodekey")).value
-        self._key = decrypt_keystore(keystore_from_json(stored), info.keystore_password)
+        self._key = decrypt_keystore(stored, info.keystore_password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
@@ -557,11 +555,9 @@ class Consortium:
                            bootstrap_count=bootstrap_count)
         self.store = PrivateNetwork(admin=self.admin_member_id)
         self.db = RecordDatabase(on_flagged=self._on_record_flagged)
-        self.shared_store_node = "store-shared"
 
         for info in infos:
             self.store.add_member(self.admin_member_id, info.store_node_id)
-        self.store.add_member(self.admin_member_id, self.shared_store_node)
         for info in infos:
             self.services[info.member_id] = BlockchainService(self, info)
 
@@ -589,7 +585,7 @@ class Consortium:
         session = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
         password = self.rng.randbytes(8).hex()
         keystore = create_keystore(key, password, rng=self.rng)
-        vault.put(session, secret_path(member_id, "nodekey"), keystore_to_json(keystore))
+        vault.put(session, secret_path(member_id, "nodekey"), keystore)
         # the administrator hosts the shared store node consumers go through
         store_node = ("store-shared" if role is MemberRole.ADMINISTRATOR
                       else f"store-{member_id}")

@@ -103,10 +103,6 @@ class NfcTag:
         return self.password
 
 
-def manufacture_tag(randbytes: Callable[[int], bytes] = secrets.token_bytes) -> NfcTag:
-    return NfcTag(uid=randbytes(UID_BYTES))
-
-
 def counterfeit_copy(source: NfcTag, randbytes: Callable[[int], bytes] = secrets.token_bytes) -> NfcTag:
     """Clone a tag's data onto a new tag; the UID necessarily differs."""
     copy = NfcTag(uid=randbytes(UID_BYTES))

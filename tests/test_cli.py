@@ -1,7 +1,7 @@
 import json
+from importlib import resources
 
 from dnas.cli import main
-from dnas.scenario import load_scenario
 
 
 def test_run_happy_path(capsys):
@@ -33,7 +33,8 @@ def test_run_malformed_scenario_file(tmp_path, capsys):
 
 
 def test_failed_expectation_exit_code(tmp_path, capsys):
-    scenario = load_scenario("happy_path").to_dict()
+    scenario = json.loads(
+        resources.files("dnas").joinpath("scenarios").joinpath("happy_path.json").read_text())
     scenario["expectations"] = [{"kind": "record_status", "wine_id": "W1",
                                  "equals": "flagged"}]
     path = tmp_path / "failing.json"

@@ -8,6 +8,7 @@ from dnas.contracts import (
     WineDataContractV2,
 )
 from dnas.content_store import ContentId
+from dnas.encoding import canonical_json_bytes
 from dnas.errors import AuthError, ContractError, ProxyError, RoleError
 from dnas.keys import generate_keypair, hash_identifier, sign_tag_payload
 from dnas.ledger import StateTree
@@ -72,6 +73,16 @@ def test_create_sets_all_mappings(runtime, keys):
     assert events[0].kind == "WineRecordCreated"
     assert events[0].fields["creator"] == keys["maker"].address.hex0x
     assert events[0].fields["hashed_device_id"] == dev_hash
+
+
+def test_wine_leaf_commits_exactly_the_six_fields(runtime, keys):
+    _, _, cid, tag_hash, dev_hash = create_record(runtime, keys)
+    runtime.execute(keys["part_a"].address.hex0x, "proxy", "increment_read_count",
+                    {"wine_id": "W1"})
+    assert runtime.state_bytes("wine:W1") == canonical_json_bytes({
+        "data_hash": {"1": cid}, "pub_addr": keys["maker"].address.hex0x,
+        "tag_id": tag_hash, "device_id": dev_hash, "write_count": 1, "read_count": 1,
+    })
 
 
 def test_create_twice_error_no_state_change(runtime, keys):

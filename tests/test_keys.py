@@ -16,8 +16,6 @@ from dnas.keys import (
     encode_tag_payload,
     generate_keypair,
     hash_identifier,
-    keystore_from_json,
-    keystore_to_json,
     prefixed_digest,
     recover_signer,
     sign_tag_payload,
@@ -156,7 +154,7 @@ def test_keystore_tamper_detected():
 
 def test_keystore_json_fields():
     kp = generate_keypair(b"\x46" * 32)
-    ks = keystore_from_json(keystore_to_json(create_keystore(kp, "pw")))
+    ks = create_keystore(kp, "pw")
     assert set(ks) == {"address", "ciphertext", "kdf_params", "mac"}
     assert decrypt_keystore(ks, "pw") == kp
 

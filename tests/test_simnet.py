@@ -9,7 +9,6 @@ from dnas.scenario import (
     Step,
     bundled_scenario_names,
     load_scenario,
-    scenario_from_dict,
 )
 from dnas.service import MemberRole, NodeType
 from dnas.simnet import MessageBus, ScenarioRunner, replay_determinism_check, run_scenario
@@ -67,12 +66,6 @@ def test_load_bundled_by_name():
     scenario = load_scenario("happy_path")
     assert scenario.name == "happy_path"
     assert len(scenario.members) == 5
-
-
-def test_scenario_json_roundtrip():
-    scenario = load_scenario("happy_path")
-    again = scenario_from_dict(json.loads(scenario.to_json()))
-    assert again.to_dict() == scenario.to_dict()
 
 
 def test_unknown_scenario_reference():

@@ -8,7 +8,6 @@ from dnas.tags import (
     TAG_MEMORY_BYTES,
     NfcTag,
     counterfeit_copy,
-    manufacture_tag,
 )
 
 
@@ -89,7 +88,7 @@ def test_enable_protection_twice(tag):
 def test_password_always_four_bytes():
     rng = random.Random(8)
     for _ in range(1000):
-        tag = manufacture_tag(randbytes=rng.randbytes)
+        tag = NfcTag(uid=rng.randbytes(7))
         assert len(tag.enable_protection(randbytes=rng.randbytes)) == 4
 
 
@@ -101,7 +100,7 @@ def test_read_before_any_write(tag):
 def test_uid_is_seven_bytes():
     with pytest.raises(TagStateError):
         NfcTag(uid=bytes(8))
-    assert len(manufacture_tag().uid) == 7
+    assert len(NfcTag(uid=bytes(7)).uid) == 7
 
 
 def test_counterfeit_copy_differs_in_uid(tag, signature):
