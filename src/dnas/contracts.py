@@ -365,6 +365,7 @@ class ContractRuntime:
         "role_of": lambda rt, p: rt.registry.role_of(p["address"]),
         "is_member": lambda rt, p: rt.registry.is_member(p["address"]),
         "consensus_level": lambda rt, p: rt.registry.consensus_level,
+        "in_bootstrap_stage": lambda rt, p: rt.registry.in_bootstrap_stage(),
     }
 
     def __init__(self, admin: str, bootstrap_count: int = 5):

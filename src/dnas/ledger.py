@@ -116,9 +116,11 @@ def sign_transaction(key: KeyPair, chain_id: int, target: str, method: str,
     digest = SignedTransaction.signing_digest(key.address.hex0x, target, method,
                                               params, nonce, chain_id)
     v, r, s = secp256k1.sign_digest(key.secret, digest)
-    return SignedTransaction(sender=key.address.hex0x, target=target, method=method,
-                             params=params, nonce=nonce, chain_id=chain_id,
-                             signature=Signature(v=v, r=r, s=s))
+    tx = SignedTransaction(sender=key.address.hex0x, target=target, method=method,
+                           params=params, nonce=nonce, chain_id=chain_id,
+                           signature=Signature(v=v, r=r, s=s))
+    tx.__dict__["digest"] = digest  # the cached_property's slot: the fields are encoded once
+    return tx
 
 
 @dataclass
@@ -324,20 +326,24 @@ class Chain:
         n = len(self.validators)
         return self.validators[(self.head.number % n + offset) % n]
 
-    def _check_seal_schedule(self, sealer: str, timestamp: int, parent: Block) -> None:
+    def earliest_seal(self, offset: int) -> int:
+        """When the validator at rotation ``offset`` may seal on the head:
+        each rotation position waits one extra grace period."""
+        return self.head.timestamp + self.genesis.period * (offset + 1)
+
+    def _check_seal_schedule(self, sealer: str, timestamp: int) -> None:
         if sealer not in self.validators:
             raise SealError(f"{sealer} is not a validator")
         n = len(self.validators)
-        offset = (self.validators.index(sealer) - parent.number % n) % n
-        # each rotation position waits one extra grace period
-        earliest = parent.timestamp + self.genesis.period * (offset + 1)
+        offset = (self.validators.index(sealer) - self.head.number % n) % n
+        earliest = self.earliest_seal(offset)
         if timestamp < earliest:
             raise SealError(
                 f"sealer at rotation offset {offset} may not seal before t={earliest}")
 
     def seal_block(self, sealer: str, timestamp: int) -> Block:
         parent = self.head
-        self._check_seal_schedule(sealer, timestamp, parent)
+        self._check_seal_schedule(sealer, timestamp)
         gas_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
                                    self.genesis.min_gas_limit)
         included = self.pool[:gas_limit // TX_GAS]
@@ -358,8 +364,8 @@ class Chain:
 
     def _execute_block(self, block: Block) -> None:
         for tx in block.transactions:
-            self.nonces[tx.sender] = self.nonces.get(tx.sender, 0) + 1
             self.state.touched.add("nonce:" + tx.sender)
+            self.nonces[tx.sender] = self.nonces.get(tx.sender, 0) + 1
             try:
                 result, events = self.runtime.execute(tx.sender, tx.target, tx.method,
                                                       tx.params)
@@ -401,7 +407,7 @@ class Chain:
                 pass  # votes that were rejected upstream stay rejected
         try:
             # the sealer checked its schedule against the set after these votes
-            self._check_seal_schedule(block.sealer, block.timestamp, parent)
+            self._check_seal_schedule(block.sealer, block.timestamp)
         except SealError:
             self.validators[:] = validators
             self.tallies.clear()

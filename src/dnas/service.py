@@ -1,10 +1,12 @@
 """Consortium service layer: onboarding, record flows, and validation.
 
 Every consortium member runs a blockchain service instance bound to its
-chain account, vault, and store node. The consortium object owns the shared
-infrastructure (one ledger, one private store network, the record database)
-and routes receipts and contract events back to services; a pluggable
-dispatcher lets the simulator defer those deliveries by one tick.
+chain account, vault, and store node. The services are the consortium's
+member directory: a member's node key lives only in its vault, as an
+encrypted keystore, and in its service. The consortium object owns the
+shared infrastructure (one ledger, one private store network, the record
+database) and routes receipts and contract events back to services; a
+pluggable dispatcher lets the simulator defer those deliveries by one tick.
 """
 
 import enum
@@ -109,33 +111,22 @@ class FlowReceipt:
     error: Optional[str] = None
 
 
-@dataclass
-class MemberInfo:
-    member_id: str
-    role: MemberRole
-    node_type: NodeType
-    key: KeyPair
-    vault: Vault
-    vault_session: str
-    store_node_id: str
-    keystore_password: str
-
-
 class BlockchainService:
     """One member's blockchain service instance."""
 
-    def __init__(self, consortium: "Consortium", info: MemberInfo):
+    def __init__(self, consortium: "Consortium", member_id: str, role: MemberRole,
+                 node_type: NodeType, vault: Vault, vault_session: str, password: str):
         self.consortium = consortium
-        self.member_id = info.member_id
-        self.role = info.role
-        self.node_type = info.node_type
-        self.store_node_id = info.store_node_id
-        self._vault = info.vault
-        self._vault_session = info.vault_session
-        # the node key is fetched through the vault and decrypted on demand
-        stored = self._vault.get(self._vault_session,
-                                 secret_path(info.member_id, "nodekey")).value
-        self._key = decrypt_keystore(stored, info.keystore_password)
+        self.member_id = member_id
+        self.role = role
+        self.node_type = node_type
+        # the administrator hosts the shared store node consumers go through
+        self.store_node_id = ("store-shared" if role is MemberRole.ADMINISTRATOR
+                              else f"store-{member_id}")
+        self.vault = vault
+        # the node key is read from the vault and decrypted once; no other copy is kept
+        stored = vault.get(vault_session, secret_path(member_id, "nodekey")).value
+        self._key = decrypt_keystore(stored, password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
@@ -147,6 +138,16 @@ class BlockchainService:
     @property
     def chain(self) -> Chain:
         return self.consortium.chain
+
+    def registry_entry(self) -> Dict[str, object]:
+        """This member's peer-registry entry, stamped with the current time."""
+        return {
+            "address": self.address,
+            "role": self.role.registry_role,
+            "node_id": f"enode-{self.member_id}",
+            "member_id": self.member_id,
+            "joined_at": self.consortium.now,
+        }
 
     # -- endpoint surface ----------------------------------------------------------
 
@@ -201,12 +202,6 @@ class BlockchainService:
             return {"voted": False, "reason": str(exc)}
         return {"voted": True, "tx_hash": tx_hash}
 
-    def request_onboard(self, entry: Dict[str, object]) -> Dict[str, object]:
-        """Candidate-side onboarding: read the registry, then ask every
-        member's service to vote on the admission."""
-        responses = self.request_votes(entry, add=True)
-        return {"contacted": len(responses), "responses": responses}
-
     def request_votes(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
         """Ask every registered member's service to vote on the admission or
         removal of ``entry``; returns each member's response. All are asked
@@ -249,8 +244,8 @@ class BlockchainService:
     def _validator_round(self, candidate: str, member_id: str, add: bool) -> int:
         """Request a chain vote from every member's node; returns the number
         of requests issued."""
-        info = self.consortium.members.get(member_id)
-        if add and (info is None or info.node_type is not NodeType.VALIDATOR):
+        member = self.consortium.services.get(member_id)
+        if add and (member is None or member.node_type is not NodeType.VALIDATOR):
             return 0  # listener nodes never join the sealer set
         chain = self.chain
         if add and candidate in chain.validators:
@@ -258,9 +253,9 @@ class BlockchainService:
         if not add and candidate not in chain.validators:
             return 0
         requests = 0
-        for voter_info in list(self.consortium.members.values()):
-            voter = voter_info.key.address.hex0x
-            if voter == candidate or voter_info.member_id in self.consortium.halted:
+        for voter_service in list(self.consortium.services.values()):
+            voter = voter_service.address
+            if voter == candidate or voter_service.member_id in self.consortium.halted:
                 continue
             if voter not in chain.validators:
                 continue
@@ -523,11 +518,8 @@ class Consortium:
         self.session_timeout = session_timeout
         self.rng = random.Random(seed)
         self.now = 0
-        self.period = period
-        self.bootstrap_count = bootstrap_count
         # receipts and events are delivered at once unless a simulator defers them
         self.dispatcher: Callable[..., None] = lambda fn, *args: fn(*args)
-        self.members: Dict[str, MemberInfo] = {}
         self.services: Dict[str, BlockchainService] = {}
         self.consumers: Dict[str, KeyPair] = {}
         self.halted: Set[str] = set()
@@ -537,36 +529,29 @@ class Consortium:
         self._seed = seed
 
         members = initial_members or []
-        admin_count = sum(1 for _, role, _ in members if role is MemberRole.ADMINISTRATOR)
-        if admin_count != 1:
+        admins = [m for m, role, _ in members if role is MemberRole.ADMINISTRATOR]
+        if len(admins) != 1:
             raise DnasError("the consortium needs exactly one administrator")
-        infos = [self._provision_member(member_id, role, node_type)
-                 for member_id, role, node_type in members]
-        admin_info = next(i for i in infos
-                          if i.role is MemberRole.ADMINISTRATOR)
-        self.admin_member_id = admin_info.member_id
-
-        validators = tuple(i.key.address.hex0x for i in infos
-                           if i.node_type is NodeType.VALIDATOR)
-        genesis = GenesisConfig(
-            chain_id=chain_id, period=period, initial_validators=validators,
-            alloc={i.key.address.hex0x: 10**9 for i in infos}, gas_limit=gas_limit)
-        self.chain = Chain(genesis, contract_admin=admin_info.key.address.hex0x,
-                           bootstrap_count=bootstrap_count)
+        self.admin_member_id = admins[0]
         self.store = PrivateNetwork(admin=self.admin_member_id)
         self.db = RecordDatabase(on_flagged=self._on_record_flagged)
+        for member_id, role, node_type in members:
+            self._join(member_id, role, node_type)
 
-        for info in infos:
-            self.store.add_member(self.admin_member_id, info.store_node_id)
-        for info in infos:
-            self.services[info.member_id] = BlockchainService(self, info)
-
-        self._store_deployment_secret(admin_info)
+        services = list(self.services.values())
+        genesis = GenesisConfig(
+            chain_id=chain_id, period=period,
+            initial_validators=tuple(s.address for s in services
+                                     if s.node_type is NodeType.VALIDATOR),
+            alloc={s.address: 10**9 for s in services}, gas_limit=gas_limit)
+        admin = self.shared_service
+        self.chain = Chain(genesis, contract_admin=admin.address,
+                           bootstrap_count=bootstrap_count)
+        self._store_deployment_secret(admin)
         # registry bootstrap: the administrator inserts the initial members
-        admin_service = self.services[self.admin_member_id]
-        for info in infos:
-            admin_service.submit_tx("registry", "bootstrap_add_peer",
-                                    {"entry": self._entry_for(info)})
+        for service in services:
+            admin.submit_tx("registry", "bootstrap_add_peer",
+                            {"entry": service.registry_entry()})
         self.run_until_idle()
 
     # -- provisioning -----------------------------------------------------------------
@@ -574,10 +559,13 @@ class Consortium:
     def randbytes(self, n: int) -> bytes:
         return self.rng.randbytes(n)
 
-    def _provision_member(self, member_id: str, role: MemberRole,
-                          node_type: NodeType) -> MemberInfo:
-        key_seed = keccak256(f"member:{self._seed}:{member_id}".encode())
-        key = generate_keypair(key_seed)
+    def _join(self, member_id: str, role: MemberRole,
+              node_type: NodeType) -> BlockchainService:
+        """Provision a member's node key, vault and store node, and start its
+        service; the key is kept only as the vault's encrypted keystore."""
+        if member_id in self.services:
+            raise DnasError(f"{member_id!r} is already a consortium member")
+        key = generate_keypair(keccak256(f"member:{self._seed}:{member_id}".encode()))
         vault = Vault(clock=lambda: float(self.now),
                       token_source=lambda: self.rng.randbytes(16).hex())
         role_id, secret_id = vault.create_approle([f"dnas/{member_id}/"],
@@ -586,71 +574,50 @@ class Consortium:
         password = self.rng.randbytes(8).hex()
         keystore = create_keystore(key, password, rng=self.rng)
         vault.put(session, secret_path(member_id, "nodekey"), keystore)
-        # the administrator hosts the shared store node consumers go through
-        store_node = ("store-shared" if role is MemberRole.ADMINISTRATOR
-                      else f"store-{member_id}")
-        info = MemberInfo(member_id=member_id, role=role, node_type=node_type, key=key,
-                          vault=vault, vault_session=session,
-                          store_node_id=store_node,
-                          keystore_password=password)
-        self.members[member_id] = info
-        return info
+        service = BlockchainService(self, member_id, role, node_type, vault, session, password)
+        self.store.add_member(self.admin_member_id, service.store_node_id)
+        self.services[member_id] = service
+        return service
 
-    def _store_deployment_secret(self, admin_info: MemberInfo) -> None:
+    def _store_deployment_secret(self, admin: BlockchainService) -> None:
         # contract addresses are synthesized deterministically from the owner
         def contract_address(name: str) -> str:
-            return "0x" + keccak256(f"{admin_info.key.address.hex0x}:{name}".encode())[-20:].hex()
+            return "0x" + keccak256(f"{admin.address}:{name}".encode())[-20:].hex()
         proxy_address = contract_address("proxy")
-        vault = admin_info.vault
+        vault = admin.vault
         operator = vault.issue_token(["dnas"], lease_seconds=None)  # root-scoped
         vault.put(operator, f"dnas/{proxy_address}", {
             "kind": "SCDeploymentSecret",
             "proxy": proxy_address,
             "wine_data_contract": contract_address("winedata-v1"),
             "peer_registry_contract": contract_address("registry"),
-            "owner": admin_info.key.address.hex0x,
+            "owner": admin.address,
         })
         self.deployment_secret_path = f"dnas/{proxy_address}"
-
-    def _entry_for(self, info: MemberInfo) -> Dict[str, object]:
-        return {
-            "address": info.key.address.hex0x,
-            "role": info.role.registry_role,
-            "node_id": f"enode-{info.member_id}",
-            "member_id": info.member_id,
-            "joined_at": self.now,
-        }
 
     # -- membership ------------------------------------------------------------------
 
     def service_by_address(self, address: str) -> Optional[BlockchainService]:
-        for member_id, info in self.members.items():
-            if info.key.address.hex0x == address:
-                return self.services.get(member_id)
+        for service in self.services.values():
+            if service.address == address:
+                return service
         return None
 
     def onboard_member(self, member_id: str, role: MemberRole,
                        node_type: NodeType) -> Dict[str, object]:
-        """Full onboarding: provision components, then registry admission
-        (administrator insert during bootstrap, democratic vote after)."""
-        if member_id in self.members:
-            raise DnasError(f"{member_id!r} is already a consortium member")
-        info = self._provision_member(member_id, role, node_type)
-        self.store.add_member(self.admin_member_id, info.store_node_id)
-        service = BlockchainService(self, info)
-        self.services[member_id] = service
-        entry = self._entry_for(info)
-        registry_size = len(self.chain.call_view("get_peers", {}))
-        if registry_size < self.bootstrap_count:
-            admin_service = self.services[self.admin_member_id]
-            admin_service.submit_tx("registry", "bootstrap_add_peer", {"entry": entry})
+        """Full onboarding: join the member, then registry admission (the
+        administrator's insert during bootstrap, every member's vote after)."""
+        service = self._join(member_id, role, node_type)
+        entry = service.registry_entry()
+        if self.chain.call_view("in_bootstrap_stage", {}):
+            self.shared_service.submit_tx("registry", "bootstrap_add_peer", {"entry": entry})
             return {"member_id": member_id, "mode": "bootstrap"}
-        result = service.request_onboard(entry)
-        result.update({"member_id": member_id, "mode": "vote"})
-        return result
+        responses = service.request_votes(entry, add=True)
+        return {"contacted": len(responses), "responses": responses,
+                "member_id": member_id, "mode": "vote"}
 
     def propose_member_removal(self, proposer_id: str, member_id: str) -> Dict[str, object]:
-        entry = self._entry_for(self.members[member_id])
+        entry = self.services[member_id].registry_entry()
         return {"responses": self.services[proposer_id].request_votes(entry, add=False)}
 
     def add_consumer(self, consumer_id: str) -> KeyPair:
@@ -691,26 +658,26 @@ class Consortium:
 
     # -- block production ---------------------------------------------------------------
 
-    def _halted_addresses(self) -> Set[str]:
-        return {self.members[m].key.address.hex0x for m in self.halted
-                if m in self.members}
+    def _next_seal(self) -> Optional[Tuple[int, str]]:
+        """(earliest time, sealer) of the first rotation offset whose
+        validator is not halted; None when every validator is halted. Later
+        offsets open even later, so no other live sealer can seal sooner."""
+        halted = {self.services[m].address for m in self.halted if m in self.services}
+        for offset in range(len(self.chain.validators)):
+            sealer = self.chain.sealer_at_offset(offset)
+            if sealer not in halted:
+                return self.chain.earliest_seal(offset), sealer
+        return None
 
     def seal_due(self, now: int) -> Optional[object]:
         """Seal a block if some live validator's turn window is open."""
         self.now = max(self.now, now)
-        parent = self.chain.head
-        halted = self._halted_addresses()
-        n = len(self.chain.validators)
-        for offset in range(n):
-            if now < parent.timestamp + self.period * (offset + 1):
-                break  # later offsets open even later
-            sealer = self.chain.sealer_at_offset(offset)
-            if sealer in halted:
-                continue
-            block = self.chain.seal_block(sealer, now)
-            self._deliver_block_results(block)
-            return block
-        return None
+        next_seal = self._next_seal()
+        if next_seal is None or now < next_seal[0]:
+            return None
+        block = self.chain.seal_block(next_seal[1], now)
+        self._deliver_block_results(block)
+        return block
 
     def run_until_idle(self) -> None:
         """Advance simulated time and seal until no work remains; serves the
@@ -718,17 +685,11 @@ class Consortium:
         for _ in range(_IDLE_BLOCK_BUDGET):
             if not self.chain.pool and not self._receipt_watchers:
                 return
-            self.now = self.chain.head.timestamp + self.period
-            # find the earliest live sealer window at most n periods out
-            block = None
-            attempts = 0
-            while block is None and attempts < len(self.chain.validators) + 1:
-                block = self.seal_due(self.now)
-                if block is None:
-                    self.now += self.period
-                    attempts += 1
-            if block is None:
+            next_seal = self._next_seal()
+            if next_seal is None:
                 raise SealError("no live validator can seal")
+            self.now, sealer = next_seal
+            self._deliver_block_results(self.chain.seal_block(sealer, self.now))
         if self.chain.pool:
             raise SealError("pool did not drain within the block budget")
 

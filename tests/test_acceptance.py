@@ -250,7 +250,7 @@ def test_criterion_4_bootstrap_semantics():
     methods = [tx.method for block in consortium.chain.blocks for tx in block.transactions]
     assert "propose_peer" in methods
     assert consortium.services["maker"].peer_validate(
-        consortium.members["late"].key.address.hex0x)
+        consortium.services["late"].address)
     announce(4, "five members admitted vote-free, the sixth needed the voting round")
 
 

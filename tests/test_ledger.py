@@ -225,6 +225,21 @@ def test_admitting_a_hashed_transaction_encodes_it_no_more(chain, keys, monkeypa
     assert calls == []
 
 
+def test_signing_and_admitting_encodes_a_transaction_once(chain, keys, monkeypatch):
+    calls = []
+    original = SignedTransaction.signing_digest
+    monkeypatch.setattr(SignedTransaction, "signing_digest",
+                        staticmethod(lambda *args: calls.append(args) or original(*args)))
+    tx = peer_tx(keys[0], chain)
+    chain.submit_transaction(tx)
+    assert tx in chain.pool
+    assert len(calls) == 1
+    moved = replace(tx, nonce=tx.nonce + 1)
+    assert moved.digest != tx.digest
+    assert moved.digest == original(moved.sender, moved.target, moved.method, moved.params,
+                                    moved.nonce, moved.chain_id, moved.gas_price)
+
+
 def test_nonzero_gas_price_rejected(chain, keys):
     tx = peer_tx(keys[0], chain)
     priced = SignedTransaction(sender=tx.sender, target=tx.target, method=tx.method,

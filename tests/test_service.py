@@ -4,7 +4,15 @@ import pytest
 
 from dnas.contracts import ContractEvent
 from dnas.encoding import canonical_json_bytes
-from dnas.errors import AuthError, FlowError, NotFoundError, PayloadError, RoutingError
+from dnas.errors import (
+    AuthError,
+    FlowError,
+    NotFoundError,
+    PayloadError,
+    RoutingError,
+    SealError,
+)
+from dnas.keys import KeyPair
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -14,6 +22,7 @@ from dnas.service import (
     ValidationLayer,
 )
 from dnas.tags import NfcTag, counterfeit_copy
+from dnas.vault import secret_path
 
 FIVE_MEMBERS = [
     ("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
@@ -63,7 +72,7 @@ def test_sixth_member_requires_votes(consortium):
     result = consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     assert result["mode"] == "vote"
     consortium.run_until_idle()
-    late_address = consortium.members["late"].key.address.hex0x
+    late_address = consortium.services["late"].address
     assert consortium.services["maker"].peer_validate(late_address)
     assert late_address in consortium.chain.validators
 
@@ -74,7 +83,7 @@ def test_insufficient_votes_leave_candidate_pending(consortium):
         consortium.services[member].join_policy = lambda entry: False
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     consortium.run_until_idle()
-    late_address = consortium.members["late"].key.address.hex0x
+    late_address = consortium.services["late"].address
     assert not consortium.services["maker"].peer_validate(late_address)
     assert late_address not in consortium.chain.validators
 
@@ -87,7 +96,7 @@ def test_duplicate_onboard_rejected(consortium):
 def test_listener_member_not_proposed_as_validator(consortium):
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.LISTENER)
     consortium.run_until_idle()
-    late_address = consortium.members["late"].key.address.hex0x
+    late_address = consortium.services["late"].address
     assert consortium.services["maker"].peer_validate(late_address)
     assert late_address not in consortium.chain.validators
 
@@ -95,7 +104,7 @@ def test_listener_member_not_proposed_as_validator(consortium):
 def test_removal_round_trip(consortium):
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
-    retail_address = consortium.members["retail"].key.address.hex0x
+    retail_address = consortium.services["retail"].address
     assert not consortium.services["maker"].peer_validate(retail_address)
     assert retail_address not in consortium.chain.validators
 
@@ -129,9 +138,20 @@ def test_concurrent_onboardings_both_admitted(consortium):
     consortium.onboard_member("y", MemberRole.PARTICIPANT, NodeType.LISTENER)
     consortium.run_until_idle()
     for member_id in ("x", "y"):
-        address = consortium.members[member_id].key.address.hex0x
+        address = consortium.services[member_id].address
         assert consortium.services["maker"].peer_validate(address)
     assert error_receipts(consortium, first_block) == []
+
+
+def test_member_onboarded_by_vote_gets_store_node_and_vault_keystore(consortium):
+    assert consortium.onboard_member("late", MemberRole.PARTICIPANT,
+                                     NodeType.LISTENER)["mode"] == "vote"
+    consortium.run_until_idle()
+    service = consortium.services["late"]
+    assert "store-late" in consortium.store.members()
+    token = service.vault.issue_token(["dnas"], lease_seconds=None)
+    keystore = service.vault.get(token, secret_path("late", "nodekey")).value
+    assert keystore["address"] == service.address
 
 
 def test_removal_at_consensus_level_equal_to_member_count(consortium):
@@ -140,8 +160,35 @@ def test_removal_at_consensus_level_equal_to_member_count(consortium):
     consortium.run_until_idle()
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
-    retail_address = consortium.members["retail"].key.address.hex0x
+    retail_address = consortium.services["retail"].address
     assert not consortium.services["maker"].peer_validate(retail_address)
+
+
+# -- sealing ---------------------------------------------------------------------------------
+
+def member_at(consortium, address):
+    return next(m for m, s in consortium.services.items() if s.address == address)
+
+
+def test_halted_in_turn_sealer_is_skipped_after_one_grace_period(consortium):
+    parent = consortium.chain.head
+    in_turn, next_up = (consortium.chain.sealer_at_offset(offset) for offset in (0, 1))
+    consortium.halted.add(member_at(consortium, in_turn))
+    consortium.services["admin"].set_consensus_level(3)
+    consortium.run_until_idle()
+    head = consortium.chain.head
+    assert head.number == parent.number + 1
+    assert head.timestamp == parent.timestamp + 2 * consortium.chain.genesis.period
+    assert head.sealer == next_up
+
+
+def test_no_live_validator_leaves_the_transaction_pooled(consortium):
+    for address in consortium.chain.validators:
+        consortium.halted.add(member_at(consortium, address))
+    tx_hash = consortium.services["admin"].set_consensus_level(3)
+    with pytest.raises(SealError, match="^no live validator can seal$"):
+        consortium.run_until_idle()
+    assert [tx.tx_hash for tx in consortium.chain.pool] == [tx_hash]
 
 
 # -- event listener -----------------------------------------------------------------------
@@ -150,12 +197,12 @@ def test_peer_added_fans_out_to_every_member(consortium):
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     admin = consortium.services["admin"]
     event = ContractEvent(kind="PeerAdded", fields={
-        "candidate": consortium.members["late"].key.address.hex0x,
+        "candidate": consortium.services["late"].address,
         "member_id": "late", "role": "participant", "node_id": "enode-late",
     }, tx_hash="0xsynthetic")
     requests = admin._validator_round(event.fields["candidate"], "late", add=True)
     assert requests == 4  # every validator member's node is asked to vote
-    assert consortium.members["late"].key.address.hex0x in consortium.chain.validators
+    assert consortium.services["late"].address in consortium.chain.validators
 
 
 def test_peer_added_five_validator_members_yield_five_requests():
@@ -163,7 +210,7 @@ def test_peer_added_five_validator_members_yield_five_requests():
     consortium = Consortium(seed=8, initial_members=all_validators, bootstrap_count=5)
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     requests = consortium.services["admin"]._validator_round(
-        consortium.members["late"].key.address.hex0x, "late", add=True)
+        consortium.services["late"].address, "late", add=True)
     assert requests == 5
 
 
@@ -171,7 +218,7 @@ def test_duplicate_event_delivery_is_idempotent(consortium):
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     admin = consortium.services["admin"]
     event = ContractEvent(kind="PeerAdded", fields={
-        "candidate": consortium.members["late"].key.address.hex0x,
+        "candidate": consortium.services["late"].address,
         "member_id": "late", "role": "participant", "node_id": "enode-late",
     }, tx_hash="0xsame")
     admin.on_contract_event(event)
@@ -190,7 +237,7 @@ def test_administrator_keeps_no_state_for_wine_events(consortium):
     rounds = []
     admin._validator_round = lambda *args, **kwargs: rounds.append(args)
     event = ContractEvent(kind="PeerAdded", fields={
-        "candidate": consortium.members["late"].key.address.hex0x,
+        "candidate": consortium.services["late"].address,
         "member_id": "late", "role": "participant", "node_id": "enode-late",
     }, tx_hash="0xtwice")
     admin.on_contract_event(event)
@@ -569,13 +616,42 @@ def test_dispatch_admin_upgrade_applies(consortium):
 
 def test_vault_backed_signing_key(consortium):
     # the service signs with the key fetched from its vault keystore
-    info = consortium.members["maker"]
-    assert consortium.services["maker"].address == info.key.address.hex0x
+    service = consortium.services["maker"]
+    token = service.vault.issue_token(["dnas"], lease_seconds=None)
+    keystore = service.vault.get(token, secret_path("maker", "nodekey")).value
+    assert service.address == keystore["address"]
 
 
 def test_deployment_secret_stored(consortium):
-    info = consortium.members["admin"]
-    token = info.vault.issue_token(["dnas"], lease_seconds=None)
-    secret = info.vault.get(token, consortium.deployment_secret_path)
+    vault = consortium.services["admin"].vault
+    token = vault.issue_token(["dnas"], lease_seconds=None)
+    secret = vault.get(token, consortium.deployment_secret_path)
     assert secret.value["kind"] == "SCDeploymentSecret"
-    assert secret.value["owner"] == info.key.address.hex0x
+    assert secret.value["owner"] == consortium.services["admin"].address
+
+
+def test_member_keys_live_only_in_their_services(consortium):
+    member_addresses = {service.address for service in consortium.services.values()}
+    found, seen = [], set()
+
+    def walk(value, path):
+        if id(value) in seen or isinstance(value, (str, bytes, int, float, bool)):
+            return
+        seen.add(id(value))
+        if isinstance(value, KeyPair):
+            if value.address.hex0x in member_addresses:
+                found.append(path)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}[{key!r}]")
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            for item in value:
+                walk(item, f"{path}[]")
+        elif hasattr(value, "__dict__") and not callable(value):
+            for name, item in vars(value).items():
+                walk(item, f"{path}.{name}")
+
+    for name, value in vars(consortium).items():
+        if name != "services":
+            walk(value, name)
+    assert found == []
