@@ -33,13 +33,18 @@ class ContractEvent:
 @dataclass
 class ExecutionContext:
     """Per-call context: the original sender, the event sink, the touched state
-    keys, the node's known signer keys."""
+    keys, the node's known signer keys and the runtime's scan memos (derived
+    values, never committed state)."""
 
     caller: str  # 0x-hex address
     registry: "PeerRegistryContract"
     signers: SignerDirectory
     events: List[ContractEvent] = field(default_factory=list)
     touched: Set[str] = field(default_factory=set)
+    # (wine_id, hashed tag, hashed device) -> prefixed_digest of the three
+    tag_digests: Dict[Tuple[str, str, str], bytes] = field(default_factory=dict)
+    # wine_id -> the last (custodian, digest, v, r, s) that signed_by accepted
+    accepted_checks: Dict[str, Tuple[str, bytes, int, int, int]] = field(default_factory=dict)
 
     def emit(self, kind: str, **fields) -> None:
         self.events.append(ContractEvent(kind=kind, fields=fields))
@@ -243,12 +248,30 @@ class WineDataContractV1:
 
     def validate_signature(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                            wine_id: str, v: int, r: int, s: int) -> bool:
+        """Whether (v, r, s) over the wine's tag digest is its custodian's.
+
+        The tag digest is memoised by (wine_id, hashed tag, hashed device):
+        it is a pure function of the three, which ``append_wine_record`` never
+        changes. A check equal in every value to the last one ``signed_by``
+        accepted for this wine (custodian, digest, v, r, s) is accepted again
+        without ``verify``, which is a pure function of those values; any other
+        check, say a new custodian or signature, goes to ``signed_by``.
+        """
         entry = _entry(records, wine_id)
-        digest = prefixed_digest(wine_id, entry.tag_id, entry.device_id)
+        ids = (wine_id, entry.tag_id, entry.device_id)
+        digest = ctx.tag_digests.get(ids)
+        if digest is None:
+            digest = ctx.tag_digests[ids] = prefixed_digest(*ids)
+        check = (entry.pub_addr, digest, v, r, s)
+        if ctx.accepted_checks.get(wine_id) == check:
+            return True
         try:
-            return ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s), entry.pub_addr)
+            accepted = ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s), entry.pub_addr)
         except RecoveryError:
             return False
+        if accepted:
+            ctx.accepted_checks[wine_id] = check
+        return accepted
 
     def get_record(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                    wine_id: str) -> Dict[str, object]:
@@ -372,6 +395,8 @@ class ContractRuntime:
         self.admin = admin
         self.touched: Set[str] = set()  # state keys written since the last state root
         self.signers = SignerDirectory()  # the owning node's, shared with its chain
+        self._tag_digests: Dict = {}  # the view path's scan memos (ExecutionContext)
+        self._accepted_checks: Dict = {}
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
         self.proxy = Proxy(owner=admin)
         self.proxy.register_implementation(WineDataContractV1())
@@ -399,7 +424,9 @@ class ContractRuntime:
         handler = self._VIEWS.get(method)
         if handler is not None:
             return handler(self, params)
-        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers)
+        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers,
+                               tag_digests=self._tag_digests,
+                               accepted_checks=self._accepted_checks)
         return self.proxy.view(ctx, method, params)
 
     def state_keys(self) -> List[str]:

@@ -148,6 +148,12 @@ class SignerDirectory:
     whose signature checked out is kept also when its transaction or block
     was then refused for another reason (its nonce, gas limit, schedule or
     state root).
+
+    It keeps keys, not verdicts: each ``signed_by`` call checks the signature
+    in full. Pool admission and replica checks call it for every transaction,
+    whose signatures never repeat. A consumer scan repeats one tag signature
+    per wine, so ``WineDataContractV1.validate_signature`` remembers the last
+    check it accepted and calls here only when a value differs.
     """
 
     def __init__(self):

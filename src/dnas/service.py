@@ -129,6 +129,7 @@ class BlockchainService:
         self._key = decrypt_keystore(stored, password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
+        self._tag_hashes: Dict[str, str] = {}  # tag uid -> hash_identifier(uid), for scans
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
 
     @property
@@ -480,7 +481,10 @@ class BlockchainService:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
             return record, (on_chain, modified, "wine identifier not found on-chain")
-        if hash_identifier(readout.tag_id) != chain_record["tag_id"]:
+        hashed_tag = self._tag_hashes.get(readout.tag_id)
+        if hashed_tag is None:  # the uid equals a database record's, so one entry per tag
+            hashed_tag = self._tag_hashes[readout.tag_id] = hash_identifier(readout.tag_id)
+        if hashed_tag != chain_record["tag_id"]:
             return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
         if readout.write_counter != chain_record["write_count"]:
             return record, (on_chain, reapplied, "write counter differs from on-chain state")

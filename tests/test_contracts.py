@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnas.contracts import (
     ContractRuntime,
@@ -9,8 +11,15 @@ from dnas.contracts import (
 )
 from dnas.content_store import ContentId
 from dnas.encoding import canonical_json_bytes
-from dnas.errors import AuthError, ContractError, ProxyError, RoleError
-from dnas.keys import generate_keypair, hash_identifier, sign_tag_payload
+from dnas.errors import AuthError, ContractError, ProxyError, RecoveryError, RoleError
+from dnas.keys import (
+    Signature,
+    SignerDirectory,
+    generate_keypair,
+    hash_identifier,
+    prefixed_digest,
+    sign_tag_payload,
+)
 from dnas.ledger import StateTree
 
 
@@ -179,6 +188,81 @@ def test_validate_signature_garbage_is_false_not_error(runtime, keys):
     create_record(runtime, keys)
     assert runtime.call_view("validate_signature",
                              {"wine_id": "W1", "v": 27, "r": 123, "s": 456}) is False
+
+
+# Wines for the memo property: W1 and W3 name the maker as custodian, W2 names
+# part_b; W1 stores tag-uid-1, W2 and W3 store tag-uid-2.
+_MEMO_WINES = {"W1": ("maker", "tag-uid-1"), "W2": ("part_b", "tag-uid-2"),
+               "W3": ("maker", "tag-uid-2")}
+_present = st.tuples(st.just("present"), st.sampled_from(sorted(_MEMO_WINES)),
+                     st.sampled_from(["maker", "part_a", "part_b"]),
+                     st.sampled_from(["tag-uid-1", "tag-uid-2"]), st.booleans(),
+                     st.sampled_from(sorted(_MEMO_WINES)))
+_append = st.tuples(st.just("append"), st.sampled_from(sorted(_MEMO_WINES)),
+                    st.sampled_from(["maker", "part_a", "part_b"]))
+
+
+def _memo_free_check(runtime, wine_id, sig):
+    """``signed_by`` on a fresh directory, so the key is recovered anew."""
+    record = runtime.call_view("get_record", {"wine_id": wine_id})
+    digest = prefixed_digest(wine_id, record["tag_id"], record["device_id"])
+    try:
+        return SignerDirectory().signed_by(digest, sig, record["pub_addr"])
+    except RecoveryError:
+        return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.one_of(_present, _append), max_size=6))
+# another address: the maker's signature over W2, whose custodian is part_b
+@example(steps=[("present", "W2", "maker", "tag-uid-2", False, "W2")])
+# a flipped v on the accepted signature
+@example(steps=[("present", "W1", "maker", "tag-uid-1", True, "W1")])
+# a second valid signature over the same digest, by another key
+@example(steps=[("present", "W1", "part_a", "tag-uid-1", False, "W1")])
+# custody moves to part_a: the maker's accepted signature is refused, part_a's accepted
+@example(steps=[("append", "W1", "part_a"), ("present", "W1", "maker", "tag-uid-1", False, "W1"),
+                ("present", "W1", "part_a", "tag-uid-1", False, "W1")])
+# the signed tag id is not the stored one
+@example(steps=[("present", "W1", "maker", "tag-uid-2", False, "W1"),
+                ("present", "W3", "maker", "tag-uid-1", False, "W1")])
+def test_validate_signature_memo_agrees_with_signed_by(steps):
+    keys = {name: generate_keypair(bytes([i + 1]) * 32)
+            for i, name in enumerate(["admin", "maker", "part_a", "part_b"])}
+    runtime = ContractRuntime(admin=keys["admin"].address.hex0x, bootstrap_count=5)
+    for name in keys:
+        runtime.execute(keys["admin"].address.hex0x, "registry", "bootstrap_add_peer", {
+            "entry": entry_dict(keys[name].address.hex0x,
+                                role="winemaker" if name == "maker" else "participant",
+                                member_id=name)})
+    device = hash_identifier("device-1")
+    for wine_id, (custodian, tag_uid) in _MEMO_WINES.items():
+        runtime.execute(keys["maker"].address.hex0x, "proxy", "create_wine_record", {
+            "wine_id": wine_id, "wine_data_hash": make_cid(wine_id.encode()),
+            "new_public_address": keys[custodian].address.hex0x,
+            "tag_id": hash_identifier(tag_uid), "device_id": device})
+
+    def present(wine_id, sig):
+        return runtime.call_view("validate_signature",
+                                 {"wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s})
+
+    genuine = sign_tag_payload("W1", hash_identifier("tag-uid-1"), device, keys["maker"])
+    assert present("W1", genuine) is True  # the accepted check every step follows
+    for step in steps:
+        if step[0] == "append":
+            _, wine_id, custodian = step
+            record = runtime.call_view("get_record", {"wine_id": wine_id})
+            runtime.execute(keys["part_a"].address.hex0x, "proxy", "append_wine_record", {
+                "wine_id": wine_id, "new_wine_data_hash": make_cid(b"next " + wine_id.encode()),
+                "new_public_address": keys[custodian].address.hex0x,
+                "tag_id": record["tag_id"], "device_id": record["device_id"]})
+            continue
+        _, wine_id, signer, tag_uid, flip_v, signed_for = step
+        sig = sign_tag_payload(signed_for, hash_identifier(tag_uid), device, keys[signer])
+        if flip_v:
+            sig = Signature(v=55 - sig.v, r=sig.r, s=sig.s)
+        assert present(wine_id, sig) is _memo_free_check(runtime, wine_id, sig)
+    assert present("W1", genuine) is _memo_free_check(runtime, "W1", genuine)
 
 
 # -- append -----------------------------------------------------------------------------

@@ -27,3 +27,23 @@ def test_imports_are_relative_or_stdlib(path):
     outside = sorted({name for name in _absolute_imports(path)
                       if name.partition(".")[0] not in sys.stdlib_module_names})
     assert outside == []
+
+
+def _memo_decorators(path):
+    """Names of ``functools.cache`` / ``lru_cache`` decorators in one source."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    yield f"{node.name}: @{ast.unparse(decorator)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_memo_decorators(path):
+    """Memos live on the runtime or the service that owns them: a process-wide
+    ``functools`` cache would be shared by every consortium in the process and
+    never shrink."""
+    assert list(_memo_decorators(path)) == []

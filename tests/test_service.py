@@ -1,8 +1,11 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from dnas.contracts import ContractEvent
+from dnas import keccak, secp256k1
+from dnas.contracts import ContractEvent, WineDataContractV1
 from dnas.encoding import canonical_json_bytes
 from dnas.errors import (
     AuthError,
@@ -12,10 +15,11 @@ from dnas.errors import (
     RoutingError,
     SealError,
 )
-from dnas.keys import KeyPair
+from dnas.keys import KeyPair, hash_identifier
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
+    BlockchainService,
     Consortium,
     MemberRole,
     NodeType,
@@ -413,6 +417,50 @@ def test_full_pass_reads_each_source_once(consortium, monkeypatch):
     assert all(o.passed for o in outcomes)
     assert views.count("get_record") == 1
     assert gets == ["W1"]
+
+
+def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(consortium,
+                                                                            monkeypatch):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    assert all(o.passed for o in dist.validate_record_flow(tag)[0])
+    consortium.run_until_idle()
+
+    inside, calls = [], Counter()  # enclosing traced names; (callee, caller) -> count
+
+    def enclosing(name, fn):
+        def wrapped(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name, inside[-1] if inside else None] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(WineDataContractV1, "validate_signature",
+                        enclosing("validate_signature", WineDataContractV1.validate_signature))
+    monkeypatch.setattr(BlockchainService, "_walk_layers",
+                        enclosing("_walk_layers", BlockchainService._walk_layers))
+    monkeypatch.setattr(secp256k1, "verify", counted("verify", secp256k1.verify))
+    for name, fn in (("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier)):
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "dnas"]:
+            if getattr(module, name, None) is fn:  # every binding, wherever it was imported
+                monkeypatch.setattr(module, name, counted(name, fn))
+
+    outcomes, _, _ = dist.validate_record_flow(tag)
+    assert all(o.passed for o in outcomes)
+    assert calls["keccak256", "validate_signature"] == 0
+    assert calls["verify", "validate_signature"] == 0
+    assert calls["hash_identifier", "_walk_layers"] == 0
+    assert calls["verify", None] >= 1  # the read-count transaction's pool admission
+    consortium.run_until_idle()
+    assert consortium.counters_in_sync("W1", tag)
 
 
 def test_removed_member_can_neither_validate_nor_accept(consortium):
