@@ -10,7 +10,7 @@ swaps wine-contract versions in place while the records it holds persist.
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .content_store import ContentId
 from .encoding import canonical_json_bytes
@@ -33,16 +33,17 @@ class ContractEvent:
 @dataclass
 class ExecutionContext:
     """Per-call context: the original sender, the event sink, the touched state
-    keys, the node's known signer keys and the runtime's scan memos (derived
-    values, never committed state)."""
+    keys, the node's known signer keys and the runtime's memos (derived
+    values, never committed state). The tag digest memo is the one the
+    node's writes sign over, so a scan reuses what a write derived."""
 
     caller: str  # 0x-hex address
     registry: "PeerRegistryContract"
     signers: SignerDirectory
     events: List[ContractEvent] = field(default_factory=list)
     touched: Set[str] = field(default_factory=set)
-    # (wine_id, hashed tag, hashed device) -> prefixed_digest of the three
-    tag_digests: Dict[Tuple[str, str, str], bytes] = field(default_factory=dict)
+    # prefixed_digest of (wine_id, hashed tag, hashed device); views get the memoised one
+    tag_digest: Callable[[str, str, str], bytes] = prefixed_digest
     # wine_id -> the last (custodian, digest, v, r, s) that signed_by accepted
     accepted_checks: Dict[str, Tuple[str, bytes, int, int, int]] = field(default_factory=dict)
 
@@ -250,18 +251,15 @@ class WineDataContractV1:
                            wine_id: str, v: int, r: int, s: int) -> bool:
         """Whether (v, r, s) over the wine's tag digest is its custodian's.
 
-        The tag digest is memoised by (wine_id, hashed tag, hashed device):
-        it is a pure function of the three, which ``append_wine_record`` never
-        changes. A check equal in every value to the last one ``signed_by``
-        accepted for this wine (custodian, digest, v, r, s) is accepted again
-        without ``verify``, which is a pure function of those values; any other
-        check, say a new custodian or signature, goes to ``signed_by``.
+        The tag digest comes from ``ContractRuntime.tag_digest``, memoised by
+        the stored triple, which ``append_wine_record`` never changes. A check
+        equal in every value to the last one ``signed_by`` accepted for this
+        wine (custodian, digest, v, r, s) is accepted again without
+        ``verify``, which is a pure function of those values; any other check,
+        say a new custodian or signature, goes to ``signed_by``.
         """
         entry = _entry(records, wine_id)
-        ids = (wine_id, entry.tag_id, entry.device_id)
-        digest = ctx.tag_digests.get(ids)
-        if digest is None:
-            digest = ctx.tag_digests[ids] = prefixed_digest(*ids)
+        digest = ctx.tag_digest(wine_id, entry.tag_id, entry.device_id)
         check = (entry.pub_addr, digest, v, r, s)
         if ctx.accepted_checks.get(wine_id) == check:
             return True
@@ -395,7 +393,7 @@ class ContractRuntime:
         self.admin = admin
         self.touched: Set[str] = set()  # state keys written since the last state root
         self.signers = SignerDirectory()  # the owning node's, shared with its chain
-        self._tag_digests: Dict = {}  # the view path's scan memos (ExecutionContext)
+        self._tag_digests: Dict = {}  # tag_digest's memo; the view path's accepted checks
         self._accepted_checks: Dict = {}
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
         self.proxy = Proxy(owner=admin)
@@ -425,9 +423,19 @@ class ContractRuntime:
         if handler is not None:
             return handler(self, params)
         ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers,
-                               tag_digests=self._tag_digests,
+                               tag_digest=self.tag_digest,
                                accepted_checks=self._accepted_checks)
         return self.proxy.view(ctx, method, params)
+
+    def tag_digest(self, wine_id: str, tag_id: str, device_id: str) -> bytes:
+        """``prefixed_digest`` of a wine's (wine_id, hashed tag, hashed
+        device), memoised by the exact triple: the digest a write signs and a
+        scan checks, derived once per node."""
+        ids = (wine_id, tag_id, device_id)
+        digest = self._tag_digests.get(ids)
+        if digest is None:
+            digest = self._tag_digests[ids] = prefixed_digest(*ids)
+        return digest
 
     def state_keys(self) -> List[str]:
         """Every contract key the state root commits to."""

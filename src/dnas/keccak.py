@@ -1,9 +1,9 @@
 """Keccak-256 (the pre-standardization padding used by Ethereum).
 
 Pure-Python sponge over Keccak-f[1600]. The only difference from FIPS-202
-SHA3-256 is the domain/padding byte (0x01 here, 0x06 for SHA3), which the
-internal entry point exposes so the permutation core can be cross-checked
-against ``hashlib.sha3_256``.
+SHA3-256 is the domain/padding byte (0x01 here, 0x06 for SHA3), which
+``_sponge`` takes as its argument so the permutation core can be
+cross-checked against ``hashlib.sha3_256``.
 
 The permutation is unrolled onto local variables; the rho/pi wiring below
 was generated from the index walk (x, y) <- (y, 2x + 3y) with rotation
@@ -13,6 +13,7 @@ was generated from the index walk (x, y) <- (y, 2x + 3y) with rotation
 from typing import List
 
 _MASK = (1 << 64) - 1
+_RATE = 136  # bytes absorbed per permutation
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -121,32 +122,23 @@ def _keccak_f(state: List[int]) -> None:
                 a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
 
 
-def _sponge(data: bytes, rate: int, out_len: int, domain: int) -> bytes:
+def _sponge(data: bytes, domain: int) -> bytes:
+    """The 32-byte digest of ``data`` at rate 136 (capacity 512) with the
+    given domain byte; 32 bytes are the state's first four lanes."""
     state = [0] * 25
     # multi-rate padding: domain bits, zero fill, final 0x80 bit
     padded = bytearray(data)
-    padded += b"\x00" * (rate - (len(padded) % rate))
+    padded += b"\x00" * (_RATE - (len(padded) % _RATE))
     padded[len(data)] = domain
     padded[-1] |= 0x80
-    lanes = rate // 8
-    for off in range(0, len(padded), rate):
-        for lane in range(lanes):
+    for off in range(0, len(padded), _RATE):
+        for lane in range(_RATE // 8):
             p = off + lane * 8
             state[lane] ^= int.from_bytes(padded[p:p + 8], "little")
         _keccak_f(state)
-    out = bytearray()
-    while True:
-        for lane in range(lanes):
-            out += state[lane].to_bytes(8, "little")
-            if len(out) >= out_len:
-                return bytes(out[:out_len])
-        _keccak_f(state)
-
-
-def _keccak_256(data: bytes, domain: int) -> bytes:
-    return _sponge(data, 136, 32, domain)
+    return b"".join(lane.to_bytes(8, "little") for lane in state[:4])
 
 
 def keccak256(data: bytes) -> bytes:
     """32-byte Keccak-256 digest of ``data``."""
-    return _sponge(data, 136, 32, 0x01)
+    return _sponge(data, 0x01)

@@ -125,8 +125,11 @@ def prefixed_digest(wine_id: str, tag_id: str, device_id: str) -> bytes:
     return keccak256(SIGN_PREFIX + inner)
 
 
-def sign_tag_payload(wine_id: str, tag_id: str, device_id: str, key: KeyPair) -> Signature:
-    v, r, s = secp256k1.sign_digest(key.secret, prefixed_digest(wine_id, tag_id, device_id))
+def sign_tag_payload(digest: bytes, key: KeyPair) -> Signature:
+    """Signs a wine's tag digest, ``prefixed_digest`` of its identifier
+    triple. The caller passes the digest so that a node derives it once per
+    wine (``ContractRuntime.tag_digest``); every signature is fresh."""
+    v, r, s = secp256k1.sign_digest(key.secret, digest)
     return Signature(v=v, r=r, s=s)
 
 
@@ -153,7 +156,9 @@ class SignerDirectory:
     in full. Pool admission and replica checks call it for every transaction,
     whose signatures never repeat. A consumer scan repeats one tag signature
     per wine, so ``WineDataContractV1.validate_signature`` remembers the last
-    check it accepted and calls here only when a value differs.
+    check this accepted and calls here only when a value differs. Only this
+    fills that memory: a write's fresh tag signature is first checked here,
+    at the wine's next scan.
     """
 
     def __init__(self):

@@ -129,7 +129,7 @@ class BlockchainService:
         self._key = decrypt_keystore(stored, password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
-        self._tag_hashes: Dict[str, str] = {}  # tag uid -> hash_identifier(uid), for scans
+        self._identifier_hashes: Dict[str, str] = {}  # tag uid or device id -> its hash
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
 
     @property
@@ -340,8 +340,9 @@ class BlockchainService:
     def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
                          status: WineStatus, custody: Dict[str, object], method: str,
                          failure_notice: Optional[str]) -> FlowReceipt:
-        """One write iteration of a record: ``key`` signs the identifier
-        triple bound at creation, the tag and the record take the signature
+        """One write iteration of a record: ``key`` signs the digest of the
+        identifier triple bound at creation (hashed and digested once per
+        node, then reused), the tag and the record take the signature
         and the next write counter, the custody entry is logged, the
         published subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt; a failed one marks the record ``ERROR`` and
@@ -349,9 +350,10 @@ class BlockchainService:
         hash_param, chain_stage, event_name = self._ITERATIONS[method]
         wine_id = record.wine_id
         flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
-        hashed_tag = hash_identifier(record.tag_uid)
-        hashed_device = hash_identifier(record.device_id)
-        signature = sign_tag_payload(wine_id, hashed_tag, hashed_device, key)
+        hashed_tag = self._hashed(record.tag_uid)
+        hashed_device = self._hashed(record.device_id)
+        signature = sign_tag_payload(
+            self.chain.runtime.tag_digest(wine_id, hashed_tag, hashed_device), key)
         write_counter = record.write_counter + 1
         try:
             tag.write(wine_id, signature, write_counter=write_counter,
@@ -451,6 +453,14 @@ class BlockchainService:
         }
         return outcomes, view, session_id
 
+    def _hashed(self, identifier: str) -> str:
+        """``hash_identifier`` memoised by the exact tag uid or device id, so
+        each is hashed once per service however many writes and scans name it."""
+        hashed = self._identifier_hashes.get(identifier)
+        if hashed is None:
+            hashed = self._identifier_hashes[identifier] = hash_identifier(identifier)
+        return hashed
+
     def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
             Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
         """Runs the three layers in order, reading each source once. Returns
@@ -481,10 +491,8 @@ class BlockchainService:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
             return record, (on_chain, modified, "wine identifier not found on-chain")
-        hashed_tag = self._tag_hashes.get(readout.tag_id)
-        if hashed_tag is None:  # the uid equals a database record's, so one entry per tag
-            hashed_tag = self._tag_hashes[readout.tag_id] = hash_identifier(readout.tag_id)
-        if hashed_tag != chain_record["tag_id"]:
+        # the uid equals a database record's, so the memo keeps one entry per tag
+        if self._hashed(readout.tag_id) != chain_record["tag_id"]:
             return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
         if readout.write_counter != chain_record["write_count"]:
             return record, (on_chain, reapplied, "write counter differs from on-chain state")

@@ -17,7 +17,7 @@ from dnas.contracts import ContractRuntime, WineDataContractV2
 from dnas.encoding import canonical_json_bytes
 from dnas.errors import AuthError, ContractError
 from dnas.keccak import keccak256
-from dnas.keys import generate_keypair, hash_identifier, sign_tag_payload
+from dnas.keys import generate_keypair, hash_identifier, prefixed_digest, sign_tag_payload
 from dnas.ledger import Chain, GenesisConfig, next_gas_limit
 from dnas.scenario import MemberSpec, Scenario, Step
 from dnas.service import (
@@ -111,7 +111,7 @@ def test_criterion_1_algorithm_fidelity():
         key = custodian if use_key else maker
         tag = right_tag if use_tag else hash_identifier("tag-wrong")
         dev = right_dev if use_dev else hash_identifier("device-wrong")
-        sig = sign_tag_payload("W", tag, dev, key)
+        sig = sign_tag_payload(prefixed_digest("W", tag, dev), key)
         outcome = runtime.call_view("validate_signature",
                                     {"wine_id": "W", "v": sig.v, "r": sig.r, "s": sig.s})
         assert outcome is (use_key and use_tag and use_dev), (use_key, use_tag, use_dev)

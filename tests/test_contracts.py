@@ -145,16 +145,16 @@ def test_validate_is_read_only(runtime, keys):
 
 def test_validate_signature_of_registered_custodian(runtime, keys):
     create_record(runtime, keys)
-    sig = sign_tag_payload("W1", hash_identifier("tag-uid-1"), hash_identifier("device-1"),
-                           keys["maker"])
+    digest = prefixed_digest("W1", hash_identifier("tag-uid-1"), hash_identifier("device-1"))
+    sig = sign_tag_payload(digest, keys["maker"])
     assert runtime.call_view("validate_signature",
                              {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is True
 
 
 def test_validate_signature_other_key_false(runtime, keys):
     create_record(runtime, keys)
-    sig = sign_tag_payload("W1", hash_identifier("tag-uid-1"), hash_identifier("device-1"),
-                           keys["part_a"])
+    digest = prefixed_digest("W1", hash_identifier("tag-uid-1"), hash_identifier("device-1"))
+    sig = sign_tag_payload(digest, keys["part_a"])
     assert runtime.call_view("validate_signature",
                              {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is False
 
@@ -163,7 +163,7 @@ def test_validate_signature_against_a_known_custodian(runtime, keys, recoveries)
     create_record(runtime, keys)
     tag, device = hash_identifier("tag-uid-1"), hash_identifier("device-1")
     for key, expected in (("maker", True), ("maker", True), ("part_a", False)):
-        sig = sign_tag_payload("W1", tag, device, keys[key])
+        sig = sign_tag_payload(prefixed_digest("W1", tag, device), keys[key])
         assert runtime.call_view("validate_signature",
                                  {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is expected
     assert len(recoveries) == 1  # every later check used the maker's known key
@@ -173,8 +173,8 @@ def test_validate_signature_against_a_known_custodian(runtime, keys, recoveries)
 
 def test_validate_signature_mismatched_tag_id_false(runtime, keys):
     create_record(runtime, keys)
-    sig = sign_tag_payload("W1", hash_identifier("some-other-tag"), hash_identifier("device-1"),
-                           keys["maker"])
+    digest = prefixed_digest("W1", hash_identifier("some-other-tag"), hash_identifier("device-1"))
+    sig = sign_tag_payload(digest, keys["maker"])
     assert runtime.call_view("validate_signature",
                              {"wine_id": "W1", "v": sig.v, "r": sig.r, "s": sig.s}) is False
 
@@ -246,7 +246,8 @@ def test_validate_signature_memo_agrees_with_signed_by(steps):
         return runtime.call_view("validate_signature",
                                  {"wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s})
 
-    genuine = sign_tag_payload("W1", hash_identifier("tag-uid-1"), device, keys["maker"])
+    genuine = sign_tag_payload(prefixed_digest("W1", hash_identifier("tag-uid-1"), device),
+                               keys["maker"])
     assert present("W1", genuine) is True  # the accepted check every step follows
     for step in steps:
         if step[0] == "append":
@@ -258,7 +259,8 @@ def test_validate_signature_memo_agrees_with_signed_by(steps):
                 "tag_id": record["tag_id"], "device_id": record["device_id"]})
             continue
         _, wine_id, signer, tag_uid, flip_v, signed_for = step
-        sig = sign_tag_payload(signed_for, hash_identifier(tag_uid), device, keys[signer])
+        sig = sign_tag_payload(prefixed_digest(signed_for, hash_identifier(tag_uid), device),
+                               keys[signer])
         if flip_v:
             sig = Signature(v=55 - sig.v, r=sig.r, s=sig.s)
         assert present(wine_id, sig) is _memo_free_check(runtime, wine_id, sig)

@@ -95,22 +95,22 @@ def test_prefixed_digest_sensitivity():
 
 def test_sign_recover_roundtrip():
     kp = generate_keypair(b"\x21" * 32)
-    sig = sign_tag_payload("WINE-7", "tag-uid-7", "device-7", kp)
     digest = prefixed_digest("WINE-7", "tag-uid-7", "device-7")
+    sig = sign_tag_payload(digest, kp)
     assert recover_signer(digest, sig) == kp.address
 
 
 def test_recovered_signer_mismatch_for_other_key():
     kp_a = generate_keypair(b"\x21" * 32)
     kp_b = generate_keypair(b"\x22" * 32)
-    sig = sign_tag_payload("WINE-7", "tag-uid-7", "device-7", kp_a)
     digest = prefixed_digest("WINE-7", "tag-uid-7", "device-7")
+    sig = sign_tag_payload(digest, kp_a)
     assert recover_signer(digest, sig) != kp_b.address
 
 
 def test_signature_byte_roundtrip():
     kp = generate_keypair(b"\x33" * 32)
-    sig = sign_tag_payload("W", "T", "D", kp)
+    sig = sign_tag_payload(prefixed_digest("W", "T", "D"), kp)
     assert Signature.from_bytes(sig.to_bytes()) == sig
     assert len(sig.to_bytes()) == 65
 
@@ -120,8 +120,8 @@ def test_roundtrip_property_over_random_keys():
     for _ in range(20):
         kp = generate_keypair(rng.randbytes(32))
         wine, tag, dev = f"W{rng.random()}", f"T{rng.random()}", f"D{rng.random()}"
-        sig = sign_tag_payload(wine, tag, dev, kp)
-        assert recover_signer(prefixed_digest(wine, tag, dev), sig) == kp.address
+        digest = prefixed_digest(wine, tag, dev)
+        assert recover_signer(digest, sign_tag_payload(digest, kp)) == kp.address
 
 
 def test_hash_identifier_is_keccak_hex():
@@ -192,10 +192,10 @@ def test_known_signer_is_verified_without_recovery(recoveries):
     kp = generate_keypair(b"\x51" * 32)
     directory = SignerDirectory()
     first = prefixed_digest("W1", "T1", "D1")
-    assert directory.signed_by(first, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    assert directory.signed_by(first, sign_tag_payload(first, kp), kp.address.hex0x)
     assert len(recoveries) == 1
     second = prefixed_digest("W2", "T2", "D2")
-    assert directory.signed_by(second, sign_tag_payload("W2", "T2", "D2", kp), kp.address.hex0x)
+    assert directory.signed_by(second, sign_tag_payload(second, kp), kp.address.hex0x)
     assert len(recoveries) == 1
 
 
@@ -205,7 +205,7 @@ def test_failed_check_adds_no_entry(recoveries, monkeypatch):
     kp, other = generate_keypair(b"\x52" * 32), generate_keypair(b"\x53" * 32)
     directory = SignerDirectory()
     digest = prefixed_digest("W1", "T1", "D1")
-    sig = sign_tag_payload("W1", "T1", "D1", kp)
+    sig = sign_tag_payload(digest, kp)
     assert directory.signed_by(digest, sig, other.address.hex0x) is False
     with pytest.raises(RecoveryError, match="s above half order"):
         directory.signed_by(digest, Signature(v=sig.v, r=sig.r, s=secp256k1.N - sig.s),
@@ -213,7 +213,7 @@ def test_failed_check_adds_no_entry(recoveries, monkeypatch):
     # neither address is known yet: each genuine check recovers, none verifies
     for key in (kp, other):
         calls = len(recoveries)
-        assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", key),
+        assert directory.signed_by(digest, sign_tag_payload(digest, key),
                                    key.address.hex0x)
         assert len(recoveries) == calls + 1
     assert verified == []
@@ -223,12 +223,12 @@ def test_known_address_refuses_without_recovery(recoveries):
     kp, other = generate_keypair(b"\x56" * 32), generate_keypair(b"\x57" * 32)
     directory = SignerDirectory()
     digest = prefixed_digest("W1", "T1", "D1")
-    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    assert directory.signed_by(digest, sign_tag_payload(digest, kp), kp.address.hex0x)
     calls = len(recoveries)
-    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", other),
+    assert directory.signed_by(digest, sign_tag_payload(digest, other),
                                kp.address.hex0x) is False
     with pytest.raises(RecoveryError, match="s above half order"):
-        sig = sign_tag_payload("W1", "T1", "D1", other)
+        sig = sign_tag_payload(digest, other)
         directory.signed_by(digest, Signature(v=sig.v, r=sig.r, s=secp256k1.N - sig.s),
                             kp.address.hex0x)
     assert len(recoveries) == calls
@@ -240,7 +240,7 @@ def test_signature_naming_no_key_refused_for_a_known_address():
     kp = generate_keypair(b"\x58" * 32)
     directory = SignerDirectory()
     digest = prefixed_digest("W1", "T1", "D1")
-    assert directory.signed_by(digest, sign_tag_payload("W1", "T1", "D1", kp), kp.address.hex0x)
+    assert directory.signed_by(digest, sign_tag_payload(digest, kp), kp.address.hex0x)
     n = secp256k1.N
     x, y = secp256k1.multiply_generator(5)
     s = int.from_bytes(digest, "big") * pow(5, -1, n) % n
@@ -257,12 +257,12 @@ def test_directory_agrees_with_recover_and_compare():
     kp, other = generate_keypair(b"\x54" * 32), generate_keypair(b"\x55" * 32)
     address = kp.address.hex0x
     directory = SignerDirectory()
-    assert directory.signed_by(prefixed_digest("W", "T", "D"),
-                               sign_tag_payload("W", "T", "D", kp), address)
+    first = prefixed_digest("W", "T", "D")
+    assert directory.signed_by(first, sign_tag_payload(first, kp), address)
     for i in range(30):
         digest = prefixed_digest(f"W{i}", "T", "D")
-        good = sign_tag_payload(f"W{i}", "T", "D", kp)
-        for sig in (good, sign_tag_payload(f"W{i}", "T", "D", other),
+        good = sign_tag_payload(digest, kp)
+        for sig in (good, sign_tag_payload(digest, other),
                     Signature(v=55 - good.v, r=good.r, s=good.s),
                     Signature(v=good.v, r=good.r, s=secp256k1.N - good.s),
                     Signature.from_bytes(rng.randbytes(65))):

@@ -15,7 +15,7 @@ from dnas.errors import (
     RoutingError,
     SealError,
 )
-from dnas.keys import KeyPair, hash_identifier
+from dnas.keys import KeyPair, Signature, hash_identifier, prefixed_digest, recover_signer
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -419,14 +419,12 @@ def test_full_pass_reads_each_source_once(consortium, monkeypatch):
     assert gets == ["W1"]
 
 
-def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(consortium,
-                                                                            monkeypatch):
-    tag, _ = create_wine(consortium)
-    dist = consortium.services["dist"]
-    assert all(o.passed for o in dist.validate_record_flow(tag)[0])
-    consortium.run_until_idle()
-
-    inside, calls = [], Counter()  # enclosing traced names; (callee, caller) -> count
+def count_calls(monkeypatch, enclosures, callees):
+    """Counts each callee by its innermost traced enclosing function, as
+    ``(callee, enclosure or None) -> calls``. ``enclosures`` are (owner,
+    attribute) pairs; each callee is patched at every binding in ``dnas``,
+    wherever it was imported."""
+    inside, calls = [], Counter()
 
     def enclosing(name, fn):
         def wrapped(*args, **kwargs):
@@ -443,16 +441,27 @@ def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(cons
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(WineDataContractV1, "validate_signature",
-                        enclosing("validate_signature", WineDataContractV1.validate_signature))
-    monkeypatch.setattr(BlockchainService, "_walk_layers",
-                        enclosing("_walk_layers", BlockchainService._walk_layers))
-    monkeypatch.setattr(secp256k1, "verify", counted("verify", secp256k1.verify))
-    for name, fn in (("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier)):
+    for owner, name in enclosures:
+        monkeypatch.setattr(owner, name, enclosing(name, getattr(owner, name)))
+    for name, fn in callees:
         for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "dnas"]:
-            if getattr(module, name, None) is fn:  # every binding, wherever it was imported
+            if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
+    return calls
 
+
+def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(consortium,
+                                                                            monkeypatch):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    assert all(o.passed for o in dist.validate_record_flow(tag)[0])
+    consortium.run_until_idle()
+
+    calls = count_calls(
+        monkeypatch,
+        [(WineDataContractV1, "validate_signature"), (BlockchainService, "_walk_layers")],
+        [("verify", secp256k1.verify), ("keccak256", keccak.keccak256),
+         ("hash_identifier", hash_identifier)])
     outcomes, _, _ = dist.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
     assert calls["keccak256", "validate_signature"] == 0
@@ -461,6 +470,82 @@ def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(cons
     assert calls["verify", None] >= 1  # the read-count transaction's pool admission
     consortium.run_until_idle()
     assert consortium.counters_in_sync("W1", tag)
+
+
+def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monkeypatch):
+    tags = {wine_id: create_wine(consortium, wine_id)[0] for wine_id in ("W1", "W2")}
+    dist = consortium.services["dist"]
+    calls = count_calls(
+        monkeypatch,
+        [(BlockchainService, "_write_iteration"), (BlockchainService, "submit_tx"),
+         (WineDataContractV1, "validate_signature")],
+        [("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier),
+         ("sign_digest", secp256k1.sign_digest), ("verify", secp256k1.verify)])
+
+    def accept(service, wine_id):
+        _, _, session = service.validate_record_flow(tags[wine_id])
+        before = calls.copy()
+        flow = service.accept_record_flow(tags[wine_id], session)
+        consortium.run_until_idle()
+        assert flow.status == "ok"
+        return calls - before
+
+    # the walk hashed the tag uid and the digest is the runtime's since the
+    # create; dist has never hashed the maker's device id
+    first = accept(dist, "W1")
+    assert first["keccak256", "_write_iteration"] == 1
+    assert first["hash_identifier", "_write_iteration"] == 1
+    # a second wine from that device: the write derives nothing
+    second = accept(dist, "W2")
+    assert second["keccak256", "_write_iteration"] == 0
+    assert second["hash_identifier", "_write_iteration"] == 0
+    for write in (first, second):
+        # a fresh tag signature and a fresh transaction signature, and pool
+        # admission still verifies the transaction
+        assert write["sign_digest", "_write_iteration"] == 1
+        assert write["sign_digest", "submit_tx"] == 1
+        assert write["verify", "submit_tx"] == 1
+    # the write remembers no check: the next scan verifies dist's new signature
+    before = calls.copy()
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(tags["W2"])
+    assert all(o.passed for o in outcomes)
+    assert (calls - before)["verify", "validate_signature"] == 1
+
+    # a second create by the maker with the same device hashes only the new
+    # tag uid, then the two-level digest
+    before = calls.copy()
+    create_wine(consortium, "W3")
+    third = calls - before
+    assert third["hash_identifier", "_write_iteration"] == 1
+    assert third["keccak256", "_write_iteration"] == 3
+    assert third["sign_digest", "_write_iteration"] == 1
+    consortium.run_until_idle()
+    for wine_id, tag in tags.items():
+        assert consortium.counters_in_sync(wine_id, tag)
+
+
+def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    flow = dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "ok"
+    # dist has written W1 once; its device id no longer matches the chain's
+    consortium.db.update("winemaker", "W1", {"device_id": "device-forged"})
+    _, _, session = dist.validate_record_flow(tag)
+    flow = dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "error"
+    assert flow.error == "tag or device identifier does not match the stored record"
+    # the tag took a signature over the forged triple, as every write signs
+    # the identifiers the record holds
+    record = consortium.db.get("W1")
+    assert record.wine_status is WineStatus.ERROR
+    forged = prefixed_digest("W1", hash_identifier(record.tag_uid),
+                             hash_identifier("device-forged"))
+    signature = Signature.from_bytes(bytes.fromhex(record.last_signature))
+    assert recover_signer(forged, signature).hex0x == dist.address
 
 
 def test_removed_member_can_neither_validate_nor_accept(consortium):
