@@ -3,14 +3,16 @@
 Jacobian-coordinate arithmetic. The generator G and every known signer key Q
 are fixed bases, multiplied with signed fixed-window tables (Hankerson,
 Menezes and Vanstone, Guide to ECC, Alg. 3.41): a scalar is recoded into
-signed base-64 digits, row i of the base's table holds the multiples
-(j + 1) * 64**i of it that digit i can name, and each digit costs one mixed
-addition and no doubling. G's table is built at import and a key's once
-(``key_tables``, 1,376 points). Signing takes k*G from G's table; verifying
-against a known key (SEC 1 v2, 4.1.4) sums u1*G and u2*Q from the two.
-Recovery's R is fresh, so u2*R builds only the first row of R's table and
-walks the same signed digits from the most significant, with six doublings
-per digit (one chain of about 256); u1*G comes from G's table. Nonces follow
+signed base-2**w digits, row i of the base's table holds the multiples
+(j + 1) * 2**(w * i) of it that digit i can name, and each digit costs one
+mixed addition and no doubling. G's table is built once, at import, with
+10-bit windows (26 rows of 512 points, about 2.3 MB); a key's is built once
+per signer with 6-bit windows (``key_tables``, 43 rows of 32, 1,376 points).
+Signing takes k*G from G's table in 26 additions; verifying against a known
+key (SEC 1 v2, 4.1.4) sums u1*G and u2*Q from the two in 69. Recovery's R is
+fresh, so u2*R builds only the first row of R's 6-bit table and walks the
+same signed digits from the most significant, with six doublings per digit
+(one chain of about 256); u1*G comes from G's table. Nonces follow
 the RFC 6979 HMAC-SHA256 construction so signatures are reproducible;
 produced signatures are canonical (low-s) and recovery and verification
 reject non-canonical input.
@@ -106,21 +108,22 @@ def _affine_all(points: List[_Jac]) -> List[Point]:
     return out
 
 
-# Signed fixed-window digits lie in [-2**(_WINDOW - 1), 2**(_WINDOW - 1)]; a
+# Signed fixed-window digits of w bits lie in [-2**(w - 1), 2**(w - 1)]; a
 # negative digit carries one into the next window, so a scalar below N can
-# need 257 bits of windows.
-_WINDOW = 6
-_ROWS = -(-257 // _WINDOW)
+# need 257 bits of windows. A key's table is built once per signer and G's
+# once per process, so G takes the wider windows.
+_KEY_WINDOW = 6
+_G_WINDOW = 10
 KeyTable = List[List[Point]]
 
 
-def _grow_rows(firsts: List[_Jac]) -> KeyTable:
-    """Rows [b, 2b, ..., 2**(_WINDOW - 1) * b] from the Jacobian b and 2b of
+def _grow_rows(firsts: List[_Jac], window: int) -> KeyTable:
+    """Rows [b, 2b, ..., 2**(window - 1) * b] from the Jacobian b and 2b of
     each row, listed row after row. The other columns grow all rows together
     in affine form, with one inversion per column."""
     flat = _affine_all(firsts)
     rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
-    for _ in range(2, 1 << (_WINDOW - 1)):
+    for _ in range(2, 1 << (window - 1)):
         for row, inv in zip(rows, _inverses([row[-1][0] - row[0][0] for row in rows])):
             (x1, y1), (x2, y2) = row[-1], row[0]
             lam = (y1 - y2) * inv % P
@@ -129,41 +132,41 @@ def _grow_rows(firsts: List[_Jac]) -> KeyTable:
     return rows
 
 
-def key_tables(point: Point) -> KeyTable:
-    """rows[i][j] == (j + 1) * 2**(_WINDOW * i) * point, built once per key.
+def key_tables(point: Point, window: int = _KEY_WINDOW) -> KeyTable:
+    """rows[i][j] == (j + 1) * 2**(window * i) * point, built once per key.
     One doubling chain gives each row's b and 2b."""
     jac: List[_Jac] = []
     acc = (point[0], point[1], 1)
-    for _ in range(_ROWS):
+    for _ in range(-(-257 // window)):
         twice = _jdouble(acc)
         jac += (acc, twice)
-        for _ in range(_WINDOW - 1):
+        for _ in range(window - 1):
             twice = _jdouble(twice)
         acc = twice
-    return _grow_rows(jac)
+    return _grow_rows(jac, window)
 
 
-_G_ROWS = key_tables((GX, GY))
+_G_ROWS = key_tables((GX, GY), _G_WINDOW)
 
 
-def _signed_digits(k: int) -> List[int]:
-    """k in signed base-2**_WINDOW digits, least significant first: a digit d
-    above 2**(_WINDOW - 1) becomes d - 2**_WINDOW and carries one."""
+def _signed_digits(k: int, window: int) -> List[int]:
+    """k in signed base-2**window digits, least significant first: a digit d
+    above 2**(window - 1) becomes d - 2**window and carries one."""
     digits = []
     while k:
-        d = k & ((1 << _WINDOW) - 1)
-        k >>= _WINDOW
-        if d > 1 << (_WINDOW - 1):
-            d -= 1 << _WINDOW
+        d = k & ((1 << window) - 1)
+        k >>= window
+        if d > 1 << (window - 1):
+            d -= 1 << window
             k += 1
         digits.append(d)
     return digits
 
 
 def _mul_fixed(k: int, rows: KeyTable, acc: _Jac = _INFINITY) -> _Jac:
-    """acc + k * point for 0 <= k < N, with ``rows`` the point's ``key_tables``:
-    one mixed addition per nonzero digit and no doubling."""
-    for row, d in zip(rows, _signed_digits(k)):
+    """acc + k * point for 0 <= k < N, with ``rows`` the point's ``key_tables``
+    of any window: one mixed addition per nonzero digit and no doubling."""
+    for row, d in zip(rows, _signed_digits(k, len(rows[0]).bit_length())):
         if d:
             x, y = row[abs(d) - 1]
             acc = _jadd_affine(acc, x, y if d > 0 else P - y)
@@ -172,13 +175,13 @@ def _mul_fixed(k: int, rows: KeyTable, acc: _Jac = _INFINITY) -> _Jac:
 
 def _mul_fresh(k: int, point: Point) -> _Jac:
     """k * point for 0 <= k < N and a point with no table: the first row of
-    its ``key_tables`` alone, and _WINDOW doublings per digit from the most
+    its ``key_tables`` alone, and _KEY_WINDOW doublings per digit from the most
     significant."""
     jac = (point[0], point[1], 1)
-    row, = _grow_rows([jac, _jdouble(jac)])
+    row, = _grow_rows([jac, _jdouble(jac)], _KEY_WINDOW)
     acc = _INFINITY
-    for d in reversed(_signed_digits(k)):
-        for _ in range(_WINDOW):
+    for d in reversed(_signed_digits(k, _KEY_WINDOW)):
+        for _ in range(_KEY_WINDOW):
             acc = _jdouble(acc)
         if d:
             x, y = row[abs(d) - 1]

@@ -301,7 +301,8 @@ class BlockchainService:
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
         record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
-        return self._write_iteration(record, tag, self._key, WineStatus.CREATED, {
+        return self._write_iteration(record, tag, self._key, self._binding(record),
+                                     WineStatus.CREATED, {
             "event": "created", "holder": self.member_id, "at": self.consortium.now,
         }, "create_wine_record", failure_notice="creation_failed")
 
@@ -322,9 +323,14 @@ class BlockchainService:
             raise FlowError("acceptance", "flagged records cannot be accepted")
         if record.wine_status is WineStatus.ERROR:
             raise FlowError("acceptance", "record is in an error state")
+        binding = self._binding(record)
+        on_chain = self.chain.call_view("get_record", {"wine_id": record.wine_id})
+        if binding != (on_chain["tag_id"], on_chain["device_id"]):  # the append would fail
+            raise FlowError("acceptance", "tag or device identifier differs from the chain's")
         custodian_key = custodian_key or self._key
         return self._write_iteration(
-            record, tag, custodian_key, WineStatus.SOLD if purchase else WineStatus.ACCEPTED, {
+            record, tag, custodian_key, binding,
+            WineStatus.SOLD if purchase else WineStatus.ACCEPTED, {
                 "event": "purchased" if purchase else "accepted",
                 "holder": f"consumer-via-{self.member_id}" if purchase else self.member_id,
                 "custodian": custodian_key.address.hex0x,
@@ -338,11 +344,12 @@ class BlockchainService:
     }
 
     def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
-                         status: WineStatus, custody: Dict[str, object], method: str,
+                         binding: Tuple[str, str], status: WineStatus,
+                         custody: Dict[str, object], method: str,
                          failure_notice: Optional[str]) -> FlowReceipt:
         """One write iteration of a record: ``key`` signs the digest of the
-        identifier triple bound at creation (hashed and digested once per
-        node, then reused), the tag and the record take the signature
+        wine id and ``binding``, the record's hashed tag and device (digested
+        once per node, then reused), the tag and the record take the signature
         and the next write counter, the custody entry is logged, the
         published subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt; a failed one marks the record ``ERROR`` and
@@ -350,8 +357,7 @@ class BlockchainService:
         hash_param, chain_stage, event_name = self._ITERATIONS[method]
         wine_id = record.wine_id
         flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
-        hashed_tag = self._hashed(record.tag_uid)
-        hashed_device = self._hashed(record.device_id)
+        hashed_tag, hashed_device = binding
         signature = sign_tag_payload(
             self.chain.runtime.tag_digest(wine_id, hashed_tag, hashed_device), key)
         write_counter = record.write_counter + 1
@@ -460,6 +466,10 @@ class BlockchainService:
         if hashed is None:
             hashed = self._identifier_hashes[identifier] = hash_identifier(identifier)
         return hashed
+
+    def _binding(self, record: WineRecord) -> Tuple[str, str]:
+        """The record's (hashed tag uid, hashed device id), as a write sends them."""
+        return self._hashed(record.tag_uid), self._hashed(record.device_id)
 
     def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
             Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:

@@ -195,10 +195,12 @@ def test_order_matches_openssl_boundary():
 
 # -- fixed-window multiplication -----------------------------------------------------------
 
-_W = secp256k1._WINDOW
+_W = secp256k1._KEY_WINDOW  # a key's table and recovery's fresh R
+_GW = secp256k1._G_WINDOW
 _KEY = ref.point_mul(0xC0FFEE << 200 | 0x5EED, ref.G)
 _BASES = {"G": (ref.G, secp256k1._G_ROWS), "key": (_KEY, secp256k1.key_tables(_KEY))}
-_TOP = (secp256k1._ROWS - 1) * _W  # the lowest bit of the top window
+_TOP = (len(_BASES["key"][1]) - 1) * _W  # the lowest bit of a key table's top window
+_G_TOP = (len(secp256k1._G_ROWS) - 1) * _GW  # the same for G's table
 
 
 _MULTIPLY = {
@@ -214,11 +216,15 @@ _MULTIPLY = {
 @example(k=1, base="key", method="fixed")
 @example(k=secp256k1.N - 1, base="G", method="fixed")
 @example(k=secp256k1.N - 1, base="key", method="fixed")
-@example(k=1 << (_W - 1), base="G", method="fixed")  # a digit of exactly 2**(w - 1)
+@example(k=1 << (_W - 1), base="key", method="fixed")  # a digit of exactly 2**(w - 1)
 @example(k=(1 << (_W - 1)) << (7 * _W), base="key", method="fixed")
-@example(k=(31 << _W) | ((1 << _W) - 1), base="G", method="fixed")  # a carry makes a digit of 2**(w - 1)
+@example(k=(31 << _W) | ((1 << _W) - 1), base="key", method="fixed")  # a carry makes a digit of 2**(w - 1)
 @example(k=(1 << _TOP) - 1, base="key", method="fixed")  # all ones: the carry runs into the top window
 @example(k=(1 << 255) - 1, base="G", method="fixed")
+@example(k=1 << (_GW - 1), base="G", method="fixed")  # G's width: a digit of exactly 2**9
+@example(k=(1 << (_GW - 1)) << (11 * _GW), base="G", method="fixed")
+@example(k=(511 << _GW) | ((1 << _GW) - 1), base="G", method="fixed")  # a carry makes a digit of 2**9
+@example(k=(1 << _G_TOP) - 1, base="G", method="fixed")  # all ones into G's top window (bit 250)
 @example(k=0, base="key", method="fresh")
 @example(k=1, base="key", method="fresh")
 @example(k=secp256k1.N - 1, base="G", method="fresh")
@@ -232,14 +238,40 @@ def test_fixed_window_multiply_matches_reference(k, base, method):
 @pytest.mark.parametrize("base", sorted(_BASES))
 def test_fixed_window_table_entries(base):
     point, rows = _BASES[base]
-    assert len(rows) == secp256k1._ROWS
-    assert {len(row) for row in rows} == {1 << (_W - 1)}
+    shape = {"G": (26, 512), "key": (43, 32)}[base]  # (rows, points per row)
+    assert len(rows) == shape[0]
+    assert {len(row) for row in rows} == {shape[1]}
+    window = shape[1].bit_length()  # the width ``_mul_fixed`` reads from the table
+    # signed digits of a scalar below N span 257 bits; fewer would let zip drop one
+    assert len(rows) * window >= 257
     last_i, last_j = len(rows) - 1, len(rows[0]) - 1
     rng = random.Random(base)
     spots = {(0, 0), (0, 1), (0, 2), (0, last_j), (last_i, 0), (last_i, last_j)}
     spots |= {(rng.randrange(last_i + 1), rng.randrange(last_j + 1)) for _ in range(6)}
     for i, j in sorted(spots):
-        assert rows[i][j] == ref.point_mul((j + 1) << (_W * i), point)
+        assert rows[i][j] == ref.point_mul((j + 1) << (window * i), point)
+
+
+def test_fixed_bases_cost_one_addition_per_table_row(monkeypatch):
+    """A deterministic cost guard: signing pays at most one mixed addition
+    per row of G's table, and verifying against a known key one per row of
+    G's table and of the key's. A narrower G table fails here."""
+    calls = []
+    add = secp256k1._jadd_affine
+    monkeypatch.setattr(secp256k1, "_jadd_affine",
+                        lambda *args: calls.append(1) or add(*args))
+    g_rows, key_rows = 26, 43  # fixed here, so a narrower table cannot move the bound
+    assert (len(secp256k1._G_ROWS), len(_BASES["key"][1])) == (g_rows, key_rows)
+    rng = random.Random(1414)
+    for _ in range(8):
+        secret, digest = rng.randrange(1, secp256k1.N), rng.randbytes(32)
+        tables = secp256k1.key_tables(secp256k1.multiply_generator(secret))
+        calls.clear()
+        v, r, s = secp256k1.sign_digest(secret, digest)
+        assert 0 < len(calls) <= g_rows
+        calls.clear()
+        assert secp256k1.verify(digest, v, r, s, tables)
+        assert 0 < len(calls) <= g_rows + key_rows
 
 
 @settings(max_examples=30, deadline=None)

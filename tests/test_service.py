@@ -15,7 +15,7 @@ from dnas.errors import (
     RoutingError,
     SealError,
 )
-from dnas.keys import KeyPair, Signature, hash_identifier, prefixed_digest, recover_signer
+from dnas.keys import KeyPair, hash_identifier
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -477,8 +477,8 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monke
     dist = consortium.services["dist"]
     calls = count_calls(
         monkeypatch,
-        [(BlockchainService, "_write_iteration"), (BlockchainService, "submit_tx"),
-         (WineDataContractV1, "validate_signature")],
+        [(BlockchainService, "_write_iteration"), (BlockchainService, "_binding"),
+         (BlockchainService, "submit_tx"), (WineDataContractV1, "validate_signature")],
         [("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier),
          ("sign_digest", secp256k1.sign_digest), ("verify", secp256k1.verify)])
 
@@ -493,12 +493,14 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monke
     # the walk hashed the tag uid and the digest is the runtime's since the
     # create; dist has never hashed the maker's device id
     first = accept(dist, "W1")
-    assert first["keccak256", "_write_iteration"] == 1
-    assert first["hash_identifier", "_write_iteration"] == 1
+    assert first["keccak256", "_binding"] == 1
+    assert first["hash_identifier", "_binding"] == 1
+    assert first["keccak256", "_write_iteration"] == 0
     # a second wine from that device: the write derives nothing
     second = accept(dist, "W2")
+    assert second["keccak256", "_binding"] == 0
     assert second["keccak256", "_write_iteration"] == 0
-    assert second["hash_identifier", "_write_iteration"] == 0
+    assert second["hash_identifier", "_binding"] == 0
     for write in (first, second):
         # a fresh tag signature and a fresh transaction signature, and pool
         # admission still verifies the transaction
@@ -516,8 +518,9 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monke
     before = calls.copy()
     create_wine(consortium, "W3")
     third = calls - before
-    assert third["hash_identifier", "_write_iteration"] == 1
-    assert third["keccak256", "_write_iteration"] == 3
+    assert third["hash_identifier", "_binding"] == 1
+    assert third["keccak256", "_binding"] == 1
+    assert third["keccak256", "_write_iteration"] == 2
     assert third["sign_digest", "_write_iteration"] == 1
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
@@ -534,18 +537,23 @@ def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
     # dist has written W1 once; its device id no longer matches the chain's
     consortium.db.update("winemaker", "W1", {"device_id": "device-forged"})
     _, _, session = dist.validate_record_flow(tag)
-    flow = dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
-    assert flow.status == "error"
-    assert flow.error == "tag or device identifier does not match the stored record"
-    # the tag took a signature over the forged triple, as every write signs
-    # the identifiers the record holds
     record = consortium.db.get("W1")
-    assert record.wine_status is WineStatus.ERROR
-    forged = prefixed_digest("W1", hash_identifier(record.tag_uid),
-                             hash_identifier("device-forged"))
-    signature = Signature.from_bytes(bytes.fromhex(record.last_signature))
-    assert recover_signer(forged, signature).hex0x == dist.address
+    before = (tag.write_counter, tag.memory, record.write_counter,
+              len(record.supply_chain_data), record.wine_status)
+    # the accept hashes the identifiers the record holds now, sees that the
+    # chain would refuse the append, and writes nothing
+    with pytest.raises(FlowError) as err:
+        dist.accept_record_flow(tag, session)
+    assert err.value.stage == "acceptance"
+    assert "differs from the chain" in str(err.value)
+    assert (tag.write_counter, tag.memory, record.write_counter,
+            len(record.supply_chain_data), record.wine_status) == before
+    assert not consortium.chain.pool
+    assert consortium.counters_in_sync("W1", tag)
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
+    consortium.run_until_idle()
+    assert all(o.passed for o in outcomes)
 
 
 def test_removed_member_can_neither_validate_nor_accept(consortium):
@@ -629,11 +637,14 @@ def test_failed_append_receipt_marks_the_record_error(consortium):
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
     consortium.run_until_idle()
-    # the append's hashed device id no longer matches the one bound on-chain
-    consortium.db.get("W1").device_id = "device-forged"
+    # dist's removal is voted before its append is mined, so the contract
+    # refuses the append: the caller is no longer a registered member
+    consortium.propose_member_removal("admin", "dist")
     flow = dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
-    assert flow.status == "error" and flow.error
+    assert not dist.peer_validate(dist.address)
+    assert flow.status == "error"
+    assert flow.error == "append_wine_record requires a registered consortium member"
     assert flow.stage == "on-chain-append"
     assert consortium.db.get("W1").wine_status is WineStatus.ERROR
     assert not [n for n in consortium.notifications if n["type"] == "creation_failed"]
