@@ -10,12 +10,12 @@ swaps wine-contract versions in place while the records it holds persist.
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .content_store import ContentId
 from .encoding import canonical_json_bytes
-from .errors import AuthError, ContractError, ProxyError, RecoveryError, RoleError
-from .keys import Signature, SignerDirectory, prefixed_digest
+from .errors import AuthError, ContractError, ProxyError, RoleError
+from .keys import Signature, SignerDirectory
 
 ROLE_WINEMAKER = "winemaker"
 ROLE_PARTICIPANT = "participant"
@@ -32,20 +32,15 @@ class ContractEvent:
 
 @dataclass
 class ExecutionContext:
-    """Per-call context: the original sender, the event sink, the touched state
-    keys, the node's known signer keys and the runtime's memos (derived
-    values, never committed state). The tag digest memo is the one the
-    node's writes sign over, so a scan reuses what a write derived."""
+    """Per-call context: the original sender, the registry, the node's
+    signer directory (its known keys and tag-signature memos), the event
+    sink and the touched state keys."""
 
     caller: str  # 0x-hex address
     registry: "PeerRegistryContract"
     signers: SignerDirectory
     events: List[ContractEvent] = field(default_factory=list)
     touched: Set[str] = field(default_factory=set)
-    # prefixed_digest of (wine_id, hashed tag, hashed device); views get the memoised one
-    tag_digest: Callable[[str, str, str], bytes] = prefixed_digest
-    # wine_id -> the last (custodian, digest, v, r, s) that signed_by accepted
-    accepted_checks: Dict[str, Tuple[str, bytes, int, int, int]] = field(default_factory=dict)
 
     def emit(self, kind: str, **fields) -> None:
         self.events.append(ContractEvent(kind=kind, fields=fields))
@@ -88,6 +83,10 @@ def tally_snapshot(tallies: Tallies) -> Dict[str, List[str]]:
 class PeerRegistryContract:
     """On-chain consortium registry with vote-gated membership."""
 
+    TRANSACTIONS = frozenset({"bootstrap_add_peer", "propose_peer", "set_consensus_level"})
+    VIEWS = frozenset({"get_peers", "role_of", "is_member", "consensus_level",
+                       "in_bootstrap_stage"})
+
     def __init__(self, admin: str, bootstrap_count: int = 5):
         self.admin = admin
         self.bootstrap_count = bootstrap_count
@@ -95,7 +94,6 @@ class PeerRegistryContract:
         self.votes: Tallies = {}
         self.consensus_override: Optional[int] = None
 
-    @property
     def consensus_level(self) -> int:
         if self.consensus_override is not None:
             return self.consensus_override
@@ -116,38 +114,41 @@ class PeerRegistryContract:
 
     # -- transactions ------------------------------------------------------------
 
-    def bootstrap_add_peer(self, ctx: ExecutionContext, entry: PeerEntry) -> bool:
+    def bootstrap_add_peer(self, ctx: ExecutionContext, entry: Dict[str, object]) -> bool:
+        peer = PeerEntry(**entry)
         if ctx.caller != self.admin:
             raise AuthError("bootstrap insertion is an administrator operation")
         if not self.in_bootstrap_stage():
             raise ContractError("bootstrap stage is over; admission requires votes")
-        if entry.address in self.peers:
-            raise ContractError(f"peer {entry.address} already registered")
-        self._admit(ctx, entry, bootstrap=True)
+        if peer.address in self.peers:
+            raise ContractError(f"peer {peer.address} already registered")
+        self._admit(ctx, peer, bootstrap=True)
         return True
 
-    def _admit(self, ctx: ExecutionContext, entry: PeerEntry, bootstrap: bool) -> None:
-        self.peers[entry.address] = entry
-        ctx.emit("PeerAdded", candidate=entry.address, node_id=entry.node_id,
-                 member_id=entry.member_id, role=entry.role, bootstrap=bootstrap)
+    def _admit(self, ctx: ExecutionContext, peer: PeerEntry, bootstrap: bool) -> None:
+        self.peers[peer.address] = peer
+        ctx.emit("PeerAdded", candidate=peer.address, node_id=peer.node_id,
+                 member_id=peer.member_id, role=peer.role, bootstrap=bootstrap)
 
-    def propose_peer(self, ctx: ExecutionContext, entry: PeerEntry, add: bool) -> Dict[str, object]:
-        if (entry.address in self.peers) == bool(add):
+    def propose_peer(self, ctx: ExecutionContext, entry: Dict[str, object],
+                     add: bool) -> Dict[str, object]:
+        peer = PeerEntry(**entry)
+        if (peer.address in self.peers) == bool(add):
             # the change is already in effect: a vote that arrives after the
             # threshold (the voter may be the member it removed) changes nothing
-            return {"tally": 0, "required": self.consensus_level, "applied": False}
+            return {"tally": 0, "required": self.consensus_level(), "applied": False}
         if not self.is_member(ctx.caller):
             raise AuthError("only registered members vote on admission")
-        tally, passed = cast_vote(self.votes, ctx.caller, entry.address, add,
-                                  self.consensus_level)
+        tally, passed = cast_vote(self.votes, ctx.caller, peer.address, add,
+                                  self.consensus_level())
         if passed and add:
-            self._admit(ctx, entry, bootstrap=False)
+            self._admit(ctx, peer, bootstrap=False)
         elif passed:
-            removed = self.peers.pop(entry.address)
-            ctx.emit("PeerRemoved", candidate=entry.address, node_id=removed.node_id,
+            removed = self.peers.pop(peer.address)
+            ctx.emit("PeerRemoved", candidate=peer.address, node_id=removed.node_id,
                      member_id=removed.member_id)
         # the level after the change, which the next proposal must reach
-        return {"tally": tally, "required": self.consensus_level, "applied": passed}
+        return {"tally": tally, "required": self.consensus_level(), "applied": passed}
 
     def set_consensus_level(self, ctx: ExecutionContext, level: int) -> int:
         if ctx.caller != self.admin:
@@ -249,27 +250,11 @@ class WineDataContractV1:
 
     def validate_signature(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                            wine_id: str, v: int, r: int, s: int) -> bool:
-        """Whether (v, r, s) over the wine's tag digest is its custodian's.
-
-        The tag digest comes from ``ContractRuntime.tag_digest``, memoised by
-        the stored triple, which ``append_wine_record`` never changes. A check
-        equal in every value to the last one ``signed_by`` accepted for this
-        wine (custodian, digest, v, r, s) is accepted again without
-        ``verify``, which is a pure function of those values; any other check,
-        say a new custodian or signature, goes to ``signed_by``.
-        """
+        """Whether (v, r, s) over the wine's tag digest is its custodian's
+        (``SignerDirectory.tag_signed_by``)."""
         entry = _entry(records, wine_id)
-        digest = ctx.tag_digest(wine_id, entry.tag_id, entry.device_id)
-        check = (entry.pub_addr, digest, v, r, s)
-        if ctx.accepted_checks.get(wine_id) == check:
-            return True
-        try:
-            accepted = ctx.signers.signed_by(digest, Signature(v=v, r=r, s=s), entry.pub_addr)
-        except RecoveryError:
-            return False
-        if accepted:
-            ctx.accepted_checks[wine_id] = check
-        return accepted
+        return ctx.signers.tag_signed_by(wine_id, entry.tag_id, entry.device_id,
+                                         Signature(v=v, r=r, s=s), entry.pub_addr)
 
     def get_record(self, records: Dict[str, WineEntry], ctx: ExecutionContext,
                    wine_id: str) -> Dict[str, object]:
@@ -303,6 +288,10 @@ class Proxy:
     touching recorded state; the original caller identity is preserved through the
     delegated call.
     """
+
+    # the administrator's surface, reached as target "proxy_admin"
+    TRANSACTIONS = frozenset({"upgrade_to"})
+    VIEWS = frozenset()
 
     def __init__(self, owner: str):
         self.owner = owner
@@ -368,33 +357,14 @@ class Proxy:
 
 
 class ContractRuntime:
-    """Deployed contract set executed by the ledger's transactions. The tables
-    below declare the registry and proxy-admin methods; wine-data calls go to
-    the proxy, which takes its methods from the current implementation."""
-
-    _TRANSACTIONS = {
-        ("registry", "bootstrap_add_peer"): lambda rt, ctx, p: rt.registry.bootstrap_add_peer(
-            ctx, PeerEntry(**p["entry"])),
-        ("registry", "propose_peer"): lambda rt, ctx, p: rt.registry.propose_peer(
-            ctx, PeerEntry(**p["entry"]), p["add"]),
-        ("registry", "set_consensus_level"): lambda rt, ctx, p: rt.registry.set_consensus_level(
-            ctx, p["level"]),
-        ("proxy_admin", "upgrade_to"): lambda rt, ctx, p: rt.proxy.upgrade_to(ctx, p["version"]),
-    }
-    _VIEWS = {
-        "get_peers": lambda rt, p: rt.registry.get_peers(),
-        "role_of": lambda rt, p: rt.registry.role_of(p["address"]),
-        "is_member": lambda rt, p: rt.registry.is_member(p["address"]),
-        "consensus_level": lambda rt, p: rt.registry.consensus_level,
-        "in_bootstrap_stage": lambda rt, p: rt.registry.in_bootstrap_stage(),
-    }
+    """Deployed contract set executed by the ledger's transactions. Each
+    contract declares its ``TRANSACTIONS`` and ``VIEWS``; wine-data calls go
+    to the proxy, which takes its methods from the current implementation."""
 
     def __init__(self, admin: str, bootstrap_count: int = 5):
         self.admin = admin
         self.touched: Set[str] = set()  # state keys written since the last state root
         self.signers = SignerDirectory()  # the owning node's, shared with its chain
-        self._tag_digests: Dict = {}  # tag_digest's memo; the view path's accepted checks
-        self._accepted_checks: Dict = {}
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
         self.proxy = Proxy(owner=admin)
         self.proxy.register_implementation(WineDataContractV1())
@@ -408,34 +378,19 @@ class ContractRuntime:
         ctx = ExecutionContext(caller=caller, registry=self.registry, signers=self.signers,
                                touched=self.touched)
         if target == "proxy":
-            result = self.proxy.call(ctx, method, params)
-        else:
-            handler = self._TRANSACTIONS.get((target, method))
-            if handler is None:
-                raise ContractError(f"no transaction method {method!r} on {target!r}")
-            self.touched.add(target)  # the registry or proxy_admin leaf
-            result = handler(self, ctx, params)
-        return result, ctx.events
+            return self.proxy.call(ctx, method, params), ctx.events
+        contract = {"registry": self.registry, "proxy_admin": self.proxy}.get(target)
+        if contract is None or method not in contract.TRANSACTIONS:
+            raise ContractError(f"no transaction method {method!r} on {target!r}")
+        self.touched.add(target)  # the registry or proxy_admin leaf
+        return getattr(contract, method)(ctx, **params), ctx.events
 
     def call_view(self, method: str, params: Dict[str, object]) -> object:
         """Read-only call; never mutates state and emits nothing."""
-        handler = self._VIEWS.get(method)
-        if handler is not None:
-            return handler(self, params)
-        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers,
-                               tag_digest=self.tag_digest,
-                               accepted_checks=self._accepted_checks)
+        if method in self.registry.VIEWS:
+            return getattr(self.registry, method)(**params)
+        ctx = ExecutionContext(caller=_NO_CALLER, registry=self.registry, signers=self.signers)
         return self.proxy.view(ctx, method, params)
-
-    def tag_digest(self, wine_id: str, tag_id: str, device_id: str) -> bytes:
-        """``prefixed_digest`` of a wine's (wine_id, hashed tag, hashed
-        device), memoised by the exact triple: the digest a write signs and a
-        scan checks, derived once per node."""
-        ids = (wine_id, tag_id, device_id)
-        digest = self._tag_digests.get(ids)
-        if digest is None:
-            digest = self._tag_digests[ids] = prefixed_digest(*ids)
-        return digest
 
     def state_keys(self) -> List[str]:
         """Every contract key the state root commits to."""

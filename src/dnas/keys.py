@@ -128,7 +128,7 @@ def prefixed_digest(wine_id: str, tag_id: str, device_id: str) -> bytes:
 def sign_tag_payload(digest: bytes, key: KeyPair) -> Signature:
     """Signs a wine's tag digest, ``prefixed_digest`` of its identifier
     triple. The caller passes the digest so that a node derives it once per
-    wine (``ContractRuntime.tag_digest``); every signature is fresh."""
+    wine (``SignerDirectory.tag_digest``); every signature is fresh."""
     v, r, s = secp256k1.sign_digest(key.secret, digest)
     return Signature(v=v, r=r, s=s)
 
@@ -152,17 +152,22 @@ class SignerDirectory:
     was then refused for another reason (its nonce, gas limit, schedule or
     state root).
 
-    It keeps keys, not verdicts: each ``signed_by`` call checks the signature
-    in full. Pool admission and replica checks call it for every transaction,
-    whose signatures never repeat. A consumer scan repeats one tag signature
-    per wine, so ``WineDataContractV1.validate_signature`` remembers the last
-    check this accepted and calls here only when a value differs. Only this
-    fills that memory: a write's fresh tag signature is first checked here,
-    at the wine's next scan.
+    Each ``signed_by`` call checks the signature in full. Pool admission and
+    replica checks call it for every transaction, whose signatures never
+    repeat. Tag signatures do repeat: a consumer scan checks the same one per
+    wine until its next write. So the directory also keeps two memos of
+    derived values, never committed state: each wine's tag digest, which the
+    node's writes sign and its scans check (``tag_digest``), and the last tag
+    check ``signed_by`` accepted per wine (``tag_signed_by``). Only an
+    accepting scan fills the second: a write's fresh tag signature is first
+    checked at the wine's next scan.
     """
 
     def __init__(self):
         self._tables: Dict[str, secp256k1.KeyTable] = {}
+        self._tag_digests: Dict[Tuple[str, str, str], bytes] = {}
+        # wine_id -> the last (custodian, digest, signature) that signed_by accepted
+        self._accepted_tags: Dict[str, Tuple[str, bytes, Signature]] = {}
 
     def signed_by(self, digest: bytes, sig: Signature, address: str, keep: bool = True) -> bool:
         """Whether ``sig`` over ``digest`` recovers to ``address``; raises
@@ -179,6 +184,36 @@ class SignerDirectory:
         if keep:
             self._tables[address] = secp256k1.key_tables(point)
         return True
+
+    def tag_digest(self, wine_id: str, tag_id: str, device_id: str) -> bytes:
+        """``prefixed_digest`` of a wine's (wine_id, hashed tag, hashed
+        device), memoised by the exact triple: the digest a write signs and a
+        scan checks, derived once per node."""
+        ids = (wine_id, tag_id, device_id)
+        digest = self._tag_digests.get(ids)
+        if digest is None:
+            digest = self._tag_digests[ids] = prefixed_digest(*ids)
+        return digest
+
+    def tag_signed_by(self, wine_id: str, tag_id: str, device_id: str, sig: Signature,
+                      address: str) -> bool:
+        """Whether ``sig`` over the wine's tag digest is ``address``'s; False
+        for a signature recovery refuses. A check equal in every value to the
+        last one ``signed_by`` accepted for this wine (address, digest,
+        signature) is accepted again without ``verify``, a pure function of
+        those values; any other check, say a new custodian or signature, goes
+        to ``signed_by``."""
+        digest = self.tag_digest(wine_id, tag_id, device_id)
+        check = (address, digest, sig)
+        if self._accepted_tags.get(wine_id) == check:
+            return True
+        try:
+            accepted = self.signed_by(digest, sig, address)
+        except RecoveryError:
+            return False
+        if accepted:
+            self._accepted_tags[wine_id] = check
+        return accepted
 
 
 def hash_identifier(identifier: str) -> str:

@@ -9,7 +9,7 @@ deterministic slice fed to content storage.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from .encoding import canonical_json_bytes
 from .errors import NotFoundError, RoleError
@@ -21,7 +21,7 @@ class WineStatus(enum.Enum):
     ACCEPTED = "accepted"
     SOLD = "sold"
     FLAGGED = "flagged"
-    # duplicate-create rollback keeps the off-chain record for audit
+    # a create or append whose receipt failed; the off-chain record stays for audit
     ERROR = "error"
 
 
@@ -61,9 +61,8 @@ class RecordDatabase:
     behalf of validated accept/purchase operations.
     """
 
-    def __init__(self, on_flagged: Optional[Callable[[WineRecord, Dict[str, object]], None]] = None):
+    def __init__(self):
         self._records: Dict[str, WineRecord] = {}
-        self._on_flagged = on_flagged
 
     def create(self, caller_role: str, record: WineRecord) -> WineRecord:
         if caller_role != "winemaker":
@@ -111,7 +110,7 @@ class RecordDatabase:
 
     def log_unsuccessful_validation(self, wine_id: str, attack_class: str, layer: str,
                                     details: str, timestamp: object = None) -> WineRecord:
-        """Appends the failure entry and flags the record; notifies watchers."""
+        """Appends the failure entry and flags the record."""
         record = self.get(wine_id)
         entry = {
             "attack_class": attack_class,
@@ -121,6 +120,4 @@ class RecordDatabase:
         }
         record.unsuccessful_validation_data.append(entry)
         record.wine_status = WineStatus.FLAGGED
-        if self._on_flagged is not None:
-            self._on_flagged(record, entry)
         return record

@@ -229,9 +229,11 @@ class BlockchainService:
         return self.submit_tx("registry", "set_consensus_level", {"level": level})
 
     def on_contract_event(self, event: ContractEvent) -> None:
-        """Administrator's listener: registry admissions trigger the chain
-        validator voting round. Duplicate deliveries are harmless; only
-        registry events are remembered, since no other kind is acted on."""
+        """Administrator's listener: registry admissions and removals trigger
+        the chain validator voting round, and a removed member's service
+        stops, so that the member may be onboarded again. Duplicate
+        deliveries are harmless; only registry events are remembered, since
+        no other kind is acted on."""
         if (self.role is not MemberRole.ADMINISTRATOR
                 or event.kind not in ("PeerAdded", "PeerRemoved")):
             return
@@ -239,8 +241,11 @@ class BlockchainService:
         if key in self._seen_events:
             return
         self._seen_events.add(key)
-        self._validator_round(event.fields["candidate"], event.fields.get("member_id", ""),
+        member_id = event.fields.get("member_id", "")
+        self._validator_round(event.fields["candidate"], member_id,
                               add=event.kind == "PeerAdded")
+        if event.kind == "PeerRemoved" and member_id != self.consortium.admin_member_id:
+            self.consortium.services.pop(member_id, None)  # this listener's own stays
 
     def _validator_round(self, candidate: str, member_id: str, add: bool) -> int:
         """Request a chain vote from every member's node; returns the number
@@ -359,7 +364,7 @@ class BlockchainService:
         flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
         hashed_tag, hashed_device = binding
         signature = sign_tag_payload(
-            self.chain.runtime.tag_digest(wine_id, hashed_tag, hashed_device), key)
+            self.chain.runtime.signers.tag_digest(wine_id, hashed_tag, hashed_device), key)
         write_counter = record.write_counter + 1
         try:
             tag.write(wine_id, signature, write_counter=write_counter,
@@ -433,12 +438,11 @@ class BlockchainService:
                 self.consortium.db.log_unsuccessful_validation(
                     wine_id, attack.value, layer.value, details,
                     timestamp=self.consortium.now)
-            else:
-                self.consortium.notify({
-                    "type": "record_flagged", "wine_id": wine_id,
-                    "attack_class": attack.value, "layer": layer.value,
-                    "details": details, "at": self.consortium.now,
-                })
+            self.consortium.notify({
+                "type": "record_flagged", "wine_id": wine_id,
+                "attack_class": attack.value, "layer": layer.value,
+                "details": details, "at": self.consortium.now,
+            })
             return outcomes, None, None
 
         # full pass: increment the read counters everywhere and mint a session
@@ -556,7 +560,7 @@ class Consortium:
             raise DnasError("the consortium needs exactly one administrator")
         self.admin_member_id = admins[0]
         self.store = PrivateNetwork(admin=self.admin_member_id)
-        self.db = RecordDatabase(on_flagged=self._on_record_flagged)
+        self.db = RecordDatabase()
         for member_id, role, node_type in members:
             self._join(member_id, role, node_type)
 
@@ -661,13 +665,6 @@ class Consortium:
 
     def notify(self, payload: Dict[str, object]) -> None:
         self.notifications.append(payload)
-
-    def _on_record_flagged(self, record: WineRecord, entry: Dict[str, object]) -> None:
-        self.notify({
-            "type": "record_flagged", "wine_id": record.wine_id,
-            "attack_class": entry["attack_class"], "layer": entry["layer"],
-            "details": entry["details"], "at": self.now,
-        })
 
     def _deliver_block_results(self, block) -> None:
         admin_service = self.services[self.admin_member_id]

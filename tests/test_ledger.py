@@ -492,6 +492,8 @@ def test_replica_rejects_tampered_state_root(chain, keys):
 @pytest.mark.parametrize("sender, target, method, params", [
     (0, "registry", "bootstrap_add_peer", {"entry": {"bogus": 1}}),
     (1, "proxy", "create_wine_record", {"wine_id": "W1"}),
+    (0, "registry", "set_consensus_level", {"level": 2, "extra": 1}),
+    (0, "proxy_admin", "upgrade_to", {"version": "winedata-v2", "extra": 1}),
 ])
 def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
                                                       params):

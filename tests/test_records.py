@@ -98,10 +98,3 @@ def test_log_unknown_record(db):
     with pytest.raises(NotFoundError):
         db.log_unsuccessful_validation("ghost", "cloning", "off_chain_db", "x")
 
-
-def test_flagged_notification_callback():
-    seen = []
-    db = RecordDatabase(on_flagged=lambda record, entry: seen.append((record.wine_id, entry["attack_class"])))
-    db.create("winemaker", make_record())
-    db.log_unsuccessful_validation("W1", "modification", "content_store", "subset drift")
-    assert seen == [("W1", "modification")]

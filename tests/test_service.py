@@ -106,9 +106,9 @@ def test_listener_member_not_proposed_as_validator(consortium):
 
 
 def test_removal_round_trip(consortium):
+    retail_address = consortium.services["retail"].address
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
-    retail_address = consortium.services["retail"].address
     assert not consortium.services["maker"].peer_validate(retail_address)
     assert retail_address not in consortium.chain.validators
 
@@ -162,10 +162,41 @@ def test_removal_at_consensus_level_equal_to_member_count(consortium):
     # every member's vote is needed, the removed member's own included
     consortium.services["admin"].set_consensus_level(5)
     consortium.run_until_idle()
+    retail_address = consortium.services["retail"].address
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
-    retail_address = consortium.services["retail"].address
     assert not consortium.services["maker"].peer_validate(retail_address)
+
+
+def test_removed_member_can_rejoin(consortium):
+    # a sixth member keeps the registry out of its bootstrap stage after the removal
+    consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    consortium.run_until_idle()
+    tag, _ = create_wine(consortium)
+    consortium.propose_member_removal("admin", "retail")
+    consortium.run_until_idle()
+    assert "retail" not in consortium.services
+    result = consortium.onboard_member("retail", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    assert result["mode"] == "vote"
+    consortium.run_until_idle()
+    retail = consortium.services["retail"]
+    assert consortium.services["maker"].peer_validate(retail.address)
+    assert retail.address in consortium.chain.validators
+    outcomes, _, _ = retail.validate_record_flow(tag)
+    consortium.run_until_idle()
+    assert all(o.passed for o in outcomes)
+    assert consortium.counters_in_sync("W1", tag)
+
+
+def test_removed_administrator_keeps_its_service(consortium):
+    # the administrator's service hosts the event listener and the shared service
+    admin_address = consortium.services["admin"].address
+    consortium.propose_member_removal("maker", "admin")
+    consortium.run_until_idle()
+    assert not consortium.services["maker"].peer_validate(admin_address)
+    assert admin_address not in consortium.chain.validators
+    assert consortium.shared_service.address == admin_address
+    create_wine(consortium)
 
 
 # -- sealing ---------------------------------------------------------------------------------
@@ -398,12 +429,20 @@ def test_subset_drift_is_layer3_modification(consortium):
     assert outcomes[-1].result is AttackClass.MODIFICATION
 
 
-def test_flagging_emits_notification(consortium):
+@pytest.mark.parametrize("wine_id, attack_class", [
+    ("W1", "cloning"),        # a cloned tag: the database holds the record
+    ("ghost", "modification"),  # a wine id the database lacks
+])
+def test_flagging_emits_notification(consortium, wine_id, attack_class):
     tag, _ = create_wine(consortium)
     fake = counterfeit_copy(tag, randbytes=consortium.randbytes)
-    consortium.services["dist"].validate_record_flow(fake)
-    flagged = [n for n in consortium.notifications if n["type"] == "record_flagged"]
-    assert flagged and flagged[-1]["attack_class"] == "cloning"
+    tamper_payload(fake, wine_id=wine_id)
+    before = len(consortium.notifications)
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(fake)
+    assert outcomes[-1].result.value == attack_class
+    assert [n["type"] for n in consortium.notifications[before:]] == ["record_flagged"]
+    flagged = consortium.notifications[-1]
+    assert (flagged["wine_id"], flagged["attack_class"]) == (wine_id, attack_class)
 
 
 def test_full_pass_reads_each_source_once(consortium, monkeypatch):

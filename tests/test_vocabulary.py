@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from dnas.contracts import ContractRuntime, WineDataContractV1, WineDataContractV2
+from dnas.contracts import (
+    ContractRuntime,
+    PeerRegistryContract,
+    Proxy,
+    WineDataContractV1,
+    WineDataContractV2,
+)
 from dnas.errors import ContractError
 from dnas.keys import generate_keypair
 from dnas.scenario import MemberSpec, Scenario, Step
@@ -69,11 +75,17 @@ def test_unknown_view(runtime):
         runtime.call_view("peers", {})
 
 
-@pytest.mark.parametrize("implementation", [WineDataContractV1, WineDataContractV2])
+@pytest.mark.parametrize("implementation", [WineDataContractV1, WineDataContractV2,
+                                            PeerRegistryContract, Proxy])
 def test_declared_proxy_methods_exist(implementation):
     assert not implementation.TRANSACTIONS & implementation.VIEWS
     for name in implementation.TRANSACTIONS | implementation.VIEWS:
         assert callable(getattr(implementation, name, None)), name
+
+
+def test_registry_views_shadow_no_wine_data_view():
+    # call_view resolves a registry view before the proxy's
+    assert not PeerRegistryContract.VIEWS & WineDataContractV2.VIEWS
 
 
 # -- scenario actions and expectations ------------------------------------------------
