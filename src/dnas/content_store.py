@@ -4,7 +4,7 @@ Content identifiers are CIDv0-style multihashes: base58btc over
 0x12 (sha2-256) || 0x20 (32) || sha256(content), always 46 characters and
 starting with "Qm". Blocks replicate onto the reader's node on each fetch;
 pinned blocks survive garbage collection; stored bytes are re-verified
-against their identifier on every read.
+against their identifier's sha-256 digest on every store and every read.
 """
 
 import hashlib
@@ -48,25 +48,30 @@ def base58_decode(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class ContentId:
-    """46-character base58 multihash naming one stored blob."""
+    """46-character base58 multihash naming one stored blob, with its raw
+    sha-256 digest, decoded from the text unless ``for_content`` built both."""
 
     text: str
+    digest: bytes = field(default=b"", compare=False, repr=False)
 
     def __post_init__(self):
-        raw = base58_decode(self.text)
-        if len(raw) != 34 or raw[0] != MULTIHASH_SHA256 or raw[1] != MULTIHASH_LEN32:
-            raise EncodingError(f"not a sha2-256 multihash: {self.text!r}")
+        # the shape first: base58 decoding costs the square of the length
         if len(self.text) != 46 or not self.text.startswith("Q"):
             raise EncodingError(f"malformed content id: {self.text!r}")
+        if not self.digest:
+            raw = base58_decode(self.text)
+            if len(raw) != 34 or raw[0] != MULTIHASH_SHA256 or raw[1] != MULTIHASH_LEN32:
+                raise EncodingError(f"not a sha2-256 multihash: {self.text!r}")
+            object.__setattr__(self, "digest", raw[2:])
 
     @classmethod
     def for_content(cls, content: bytes) -> "ContentId":
         digest = hashlib.sha256(content).digest()
-        return cls(base58_encode(bytes([MULTIHASH_SHA256, MULTIHASH_LEN32]) + digest))
+        return cls(base58_encode(bytes([MULTIHASH_SHA256, MULTIHASH_LEN32]) + digest), digest)
 
-    @property
-    def digest(self) -> bytes:
-        return base58_decode(self.text)[2:]
+    def matches(self, content: bytes) -> bool:
+        """Whether ``content`` hashes to this id's digest."""
+        return hashlib.sha256(content).digest() == self.digest
 
     def __str__(self) -> str:
         return self.text
@@ -81,7 +86,7 @@ class StoreNode:
     pins: Set[str] = field(default_factory=set)
 
     def store(self, content_id: ContentId, content: bytes) -> None:
-        if ContentId.for_content(content) != content_id:
+        if not content_id.matches(content):
             raise EncodingError("content does not match its identifier")
         self.blocks[content_id.text] = content
 
@@ -143,14 +148,14 @@ class PrivateNetwork:
         """Fetch a block; a verified copy is cached on the requesting node."""
         node = self._member(node_id)
         local = node.blocks.get(content_id.text)
-        if local is not None and ContentId.for_content(local) == content_id:
+        if local is not None and content_id.matches(local):
             return local
         for holder_id in sorted(self._index.get(content_id.text, ())):
             holder = self._nodes.get(holder_id)
             if holder is None:
                 continue
             content = holder.blocks.get(content_id.text)
-            if content is None or ContentId.for_content(content) != content_id:
+            if content is None or not content_id.matches(content):
                 continue  # tampered or vanished copy: never returned
             node.store(content_id, content)
             self._index[content_id.text].add(node_id)

@@ -154,17 +154,20 @@ class SignerDirectory:
 
     Each ``signed_by`` call checks the signature in full. Pool admission and
     replica checks call it for every transaction, whose signatures never
-    repeat. Tag signatures do repeat: a consumer scan checks the same one per
-    wine until its next write. So the directory also keeps two memos of
-    derived values, never committed state: each wine's tag digest, which the
-    node's writes sign and its scans check (``tag_digest``), and the last tag
-    check ``signed_by`` accepted per wine (``tag_signed_by``). Only an
-    accepting scan fills the second: a write's fresh tag signature is first
-    checked at the wine's next scan.
+    repeat. Tag bindings do repeat: every write and scan of a wine names the
+    same tag uid and device id, and a consumer scan checks the same tag
+    signature until the wine's next write. So the directory also keeps three
+    memos of derived values, never committed state, each a pure function of
+    its key: identifier hashes by tag uid or device id (``hashed``), each
+    wine's tag digest, which the node's writes sign and its scans check
+    (``tag_digest``), and the last tag check ``signed_by`` accepted per wine
+    (``tag_signed_by``). Only an accepting scan fills the third: a write's
+    fresh tag signature is first checked at the wine's next scan.
     """
 
     def __init__(self):
         self._tables: Dict[str, secp256k1.KeyTable] = {}
+        self._identifier_hashes: Dict[str, str] = {}  # tag uid or device id -> its hash
         self._tag_digests: Dict[Tuple[str, str, str], bytes] = {}
         # wine_id -> the last (custodian, digest, signature) that signed_by accepted
         self._accepted_tags: Dict[str, Tuple[str, bytes, Signature]] = {}
@@ -184,6 +187,14 @@ class SignerDirectory:
         if keep:
             self._tables[address] = secp256k1.key_tables(point)
         return True
+
+    def hashed(self, identifier: str) -> str:
+        """``hash_identifier`` memoised by the exact tag uid or device id: the
+        maker's create hashes each once, and every later write or scan reuses it."""
+        hashed = self._identifier_hashes.get(identifier)
+        if hashed is None:
+            hashed = self._identifier_hashes[identifier] = hash_identifier(identifier)
+        return hashed
 
     def tag_digest(self, wine_id: str, tag_id: str, device_id: str) -> bytes:
         """``prefixed_digest`` of a wine's (wine_id, hashed tag, hashed

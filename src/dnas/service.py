@@ -36,7 +36,6 @@ from .keys import (
     create_keystore,
     decrypt_keystore,
     generate_keypair,
-    hash_identifier,
     sign_tag_payload,
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
@@ -112,7 +111,8 @@ class FlowReceipt:
 
 
 class BlockchainService:
-    """One member's blockchain service instance."""
+    """One member's blockchain service instance. It keeps no hash memo: the
+    chain's ``SignerDirectory`` derives each identifier hash and tag digest once."""
 
     def __init__(self, consortium: "Consortium", member_id: str, role: MemberRole,
                  node_type: NodeType, vault: Vault, vault_session: str, password: str):
@@ -129,7 +129,6 @@ class BlockchainService:
         self._key = decrypt_keystore(stored, password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
-        self._identifier_hashes: Dict[str, str] = {}  # tag uid or device id -> its hash
         self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
 
     @property
@@ -353,10 +352,10 @@ class BlockchainService:
                          custody: Dict[str, object], method: str,
                          failure_notice: Optional[str]) -> FlowReceipt:
         """One write iteration of a record: ``key`` signs the digest of the
-        wine id and ``binding``, the record's hashed tag and device (digested
-        once per node, then reused), the tag and the record take the signature
-        and the next write counter, the custody entry is logged, the
-        published subset is pinned, and the proxy call is submitted. The flow
+        wine id and ``binding``, the record's hashed tag and device (hashed
+        and digested once per chain, then reused), the tag and the record take
+        the signature and the next write counter, the custody entry is logged,
+        the published subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt; a failed one marks the record ``ERROR`` and
         sends ``failure_notice``, if one is named."""
         hash_param, chain_stage, event_name = self._ITERATIONS[method]
@@ -463,17 +462,11 @@ class BlockchainService:
         }
         return outcomes, view, session_id
 
-    def _hashed(self, identifier: str) -> str:
-        """``hash_identifier`` memoised by the exact tag uid or device id, so
-        each is hashed once per service however many writes and scans name it."""
-        hashed = self._identifier_hashes.get(identifier)
-        if hashed is None:
-            hashed = self._identifier_hashes[identifier] = hash_identifier(identifier)
-        return hashed
-
     def _binding(self, record: WineRecord) -> Tuple[str, str]:
-        """The record's (hashed tag uid, hashed device id), as a write sends them."""
-        return self._hashed(record.tag_uid), self._hashed(record.device_id)
+        """The record's (hashed tag uid, hashed device id), as a write sends
+        them; the chain's ``SignerDirectory.hashed`` hashes each once."""
+        hashed = self.chain.runtime.signers.hashed
+        return hashed(record.tag_uid), hashed(record.device_id)
 
     def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
             Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
@@ -506,7 +499,7 @@ class BlockchainService:
         except ContractError:
             return record, (on_chain, modified, "wine identifier not found on-chain")
         # the uid equals a database record's, so the memo keeps one entry per tag
-        if self._hashed(readout.tag_id) != chain_record["tag_id"]:
+        if self.chain.runtime.signers.hashed(readout.tag_id) != chain_record["tag_id"]:
             return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
         if readout.write_counter != chain_record["write_count"]:
             return record, (on_chain, reapplied, "write counter differs from on-chain state")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnas import content_store
 from dnas.content_store import (
     ContentId,
     PrivateNetwork,
@@ -62,6 +63,32 @@ def test_content_id_rejects_garbage():
         ContentId("Qmnot-base58-at-all!!")
     with pytest.raises(EncodingError):
         ContentId(base58_encode(b"\x11\x20" + bytes(32)))
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_content_id_keeps_the_raw_digest(data):
+    cid = ContentId.for_content(data)
+    parsed = ContentId(cid.text)
+    assert parsed == cid
+    assert parsed.digest == cid.digest == hashlib.sha256(data).digest()
+    assert cid.matches(data)
+    assert not cid.matches(data + b"x")
+
+
+def test_add_encodes_once_and_decodes_nothing(network, count_calls):
+    calls = count_calls([(PrivateNetwork, "add")],
+                        [("base58_encode", base58_encode), ("base58_decode", base58_decode)])
+    cid = network.add("n1", b"wine record subset")
+    assert calls == {("base58_encode", "add"): 1}
+    assert network.get("n2", cid) == b"wine record subset"
+
+
+def test_over_long_content_id_is_refused_before_decoding(monkeypatch):
+    monkeypatch.setattr(content_store, "base58_decode", None)  # any decode would raise TypeError
+    for text in ("Qm" + "z" * 99_998, "z" * 46, "Qm" + "z" * 43):
+        with pytest.raises(EncodingError):
+            ContentId(text)
 
 
 def test_add_idempotent(network):

@@ -1,6 +1,4 @@
 import json
-import sys
-from collections import Counter
 
 import pytest
 
@@ -16,6 +14,7 @@ from dnas.errors import (
     SealError,
 )
 from dnas.keys import KeyPair, hash_identifier
+from dnas.ledger import Chain
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -458,46 +457,14 @@ def test_full_pass_reads_each_source_once(consortium, monkeypatch):
     assert gets == ["W1"]
 
 
-def count_calls(monkeypatch, enclosures, callees):
-    """Counts each callee by its innermost traced enclosing function, as
-    ``(callee, enclosure or None) -> calls``. ``enclosures`` are (owner,
-    attribute) pairs; each callee is patched at every binding in ``dnas``,
-    wherever it was imported."""
-    inside, calls = [], Counter()
-
-    def enclosing(name, fn):
-        def wrapped(*args, **kwargs):
-            inside.append(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
-        return wrapped
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name, inside[-1] if inside else None] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for owner, name in enclosures:
-        monkeypatch.setattr(owner, name, enclosing(name, getattr(owner, name)))
-    for name, fn in callees:
-        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "dnas"]:
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
-    return calls
-
-
 def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(consortium,
-                                                                            monkeypatch):
+                                                                            count_calls):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     assert all(o.passed for o in dist.validate_record_flow(tag)[0])
     consortium.run_until_idle()
 
     calls = count_calls(
-        monkeypatch,
         [(WineDataContractV1, "validate_signature"), (BlockchainService, "_walk_layers")],
         [("verify", secp256k1.verify), ("keccak256", keccak.keccak256),
          ("hash_identifier", hash_identifier)])
@@ -511,11 +478,10 @@ def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(cons
     assert consortium.counters_in_sync("W1", tag)
 
 
-def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monkeypatch):
+def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count_calls):
     tags = {wine_id: create_wine(consortium, wine_id)[0] for wine_id in ("W1", "W2")}
     dist = consortium.services["dist"]
     calls = count_calls(
-        monkeypatch,
         [(BlockchainService, "_write_iteration"), (BlockchainService, "_binding"),
          (BlockchainService, "submit_tx"), (WineDataContractV1, "validate_signature")],
         [("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier),
@@ -529,11 +495,11 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monke
         assert flow.status == "ok"
         return calls - before
 
-    # the walk hashed the tag uid and the digest is the runtime's since the
-    # create; dist has never hashed the maker's device id
+    # the maker's create hashed the tag uid and the device id through the
+    # chain's memo, and the digest is the chain's since then
     first = accept(dist, "W1")
-    assert first["keccak256", "_binding"] == 1
-    assert first["hash_identifier", "_binding"] == 1
+    assert first["keccak256", "_binding"] == 0
+    assert first["hash_identifier", "_binding"] == 0
     assert first["keccak256", "_write_iteration"] == 0
     # a second wine from that device: the write derives nothing
     second = accept(dist, "W2")
@@ -564,6 +530,32 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, monke
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
         assert consortium.counters_in_sync(wine_id, tag)
+
+
+def test_identifier_hashes_are_kept_once_per_chain(consortium, count_calls):
+    tag, _ = create_wine(consortium)
+    calls = count_calls([(BlockchainService, "_walk_layers")], [("keccak256", keccak.keccak256)])
+    # the maker's create hashed the tag uid and the device id: retail's first
+    # walk of the layers hashes nothing, as the tag digest is the chain's too
+    retail = consortium.services["retail"]
+    outcomes, _, _ = retail.validate_record_flow(tag)
+    assert [o.result for o in outcomes] == ["pass"] * 3
+    assert calls["keccak256", "_walk_layers"] == 0
+    consortium.run_until_idle()
+
+    # a uid the chain has not seen is hashed once, and still fails on-chain
+    clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
+    consortium.db.update("winemaker", "W1", {"tag_uid": clone.tag_id})
+    outcomes, _, _ = retail.validate_record_flow(clone)
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.ON_CHAIN,
+                                                         AttackClass.CLONING)
+    assert calls["keccak256", "_walk_layers"] == 1
+
+    # each chain keeps its own memo: hashing through one leaves another's empty
+    first, second = (Chain(consortium.chain.genesis, contract_admin=consortium.chain.runtime.admin)
+                     for _ in range(2))
+    assert first.runtime.signers.hashed(clone.tag_id) == hash_identifier(clone.tag_id)
+    assert second.runtime.signers._identifier_hashes == {}
 
 
 def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
