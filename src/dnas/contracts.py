@@ -93,6 +93,9 @@ class PeerRegistryContract:
         self.peers: Dict[str, PeerEntry] = {}
         self.votes: Tallies = {}
         self.consensus_override: Optional[int] = None
+        # set at the bootstrap_count-th admission and never cleared, so a
+        # removal does not hand admission back to the administrator alone
+        self.bootstrapped = bootstrap_count <= 0
 
     def consensus_level(self) -> int:
         if self.consensus_override is not None:
@@ -110,7 +113,7 @@ class PeerRegistryContract:
         return [self.peers[a].to_dict() for a in sorted(self.peers)]
 
     def in_bootstrap_stage(self) -> bool:
-        return len(self.peers) < self.bootstrap_count
+        return not self.bootstrapped
 
     # -- transactions ------------------------------------------------------------
 
@@ -127,6 +130,7 @@ class PeerRegistryContract:
 
     def _admit(self, ctx: ExecutionContext, peer: PeerEntry, bootstrap: bool) -> None:
         self.peers[peer.address] = peer
+        self.bootstrapped = self.bootstrapped or len(self.peers) >= self.bootstrap_count
         ctx.emit("PeerAdded", candidate=peer.address, node_id=peer.node_id,
                  member_id=peer.member_id, role=peer.role, bootstrap=bootstrap)
 
@@ -162,6 +166,7 @@ class PeerRegistryContract:
         return {
             "admin": self.admin,
             "bootstrap_count": self.bootstrap_count,
+            "bootstrapped": self.bootstrapped,
             "consensus_override": self.consensus_override,
             "peers": {a: e.to_dict() for a, e in self.peers.items()},
             "votes": tally_snapshot(self.votes),

@@ -5,11 +5,12 @@ the validator list, with a grace-delayed skip rule for halted sealers).
 Validator membership changes through distinct-voter proposals that pass at
 floor(N/2)+1, counted by ``contracts.cast_vote`` as the registry's are; the
 votes ride block headers so replicas replaying the block sequence reproduce
-the same validator set and state root. Gas is free (price 0) but the
-per-block gas limit follows the dynamic rule driven by parent usage.
-The state root commits to all consensus state, a leaf per key: each wine
-record (its ``contracts.WineEntry``), the registry, the proxy's metadata,
-each account's nonce and balance, the validators and their tallies. Writers
+the same validator set and state root. Gas is free: a transaction carries
+no gas price and an account holds only its nonce, but the per-block gas
+limit follows the dynamic rule driven by parent usage, never below one
+transaction. The state root commits to all consensus state, a leaf per key:
+each wine record (its ``contracts.WineEntry``), the registry, the proxy's
+metadata, each account's nonce, the validators and their tallies. Writers
 mark the keys they touch and sealing rehashes only those (``StateTree``).
 """
 
@@ -40,8 +41,7 @@ _ZERO_ADDR = "0x" + "00" * 20
 _LEAF, _NODE = b"\x00", b"\x01"  # domain prefixes, as in RFC 6962
 
 
-def next_gas_limit(parent_gas_limit: int, parent_gas_used: int,
-                   floor: int = GAS_LIMIT_FLOOR) -> int:
+def next_gas_limit(parent_gas_limit: int, parent_gas_used: int) -> int:
     """Raise the limit when the parent used more than 2/3 of its budget,
     lower it otherwise; either way move at most parent/1024 and never go
     below the floor."""
@@ -50,7 +50,7 @@ def next_gas_limit(parent_gas_limit: int, parent_gas_used: int,
     target = (parent_gas_used * 3 + 1) // 2  # ceil(used * 3/2)
     step = parent_gas_limit // GAS_BOUND_DIVISOR
     delta = max(-step, min(step, target - parent_gas_limit))
-    return max(floor, parent_gas_limit + delta)
+    return max(GAS_LIMIT_FLOOR, parent_gas_limit + delta)
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,15 @@ class GenesisConfig:
     chain_id: int
     period: int
     initial_validators: Tuple[str, ...]
-    alloc: Dict[str, int] = field(default_factory=dict)  # address -> gwei
     gas_limit: int = 8_000_000
-    min_gas_limit: int = GAS_LIMIT_FLOOR
 
     def validate(self) -> None:
         if not self.initial_validators:
             raise ConfigError("genesis needs at least one validator")
         if self.period < 1:
             raise ConfigError("block period must be at least 1")
-        if self.min_gas_limit < TX_GAS:
-            raise ConfigError(f"gas limit floor below one transaction ({TX_GAS} gas)")
-        if self.gas_limit < self.min_gas_limit:
-            raise ConfigError("genesis gas limit below the configured floor")
+        if self.gas_limit < GAS_LIMIT_FLOOR:
+            raise ConfigError(f"genesis gas limit below one transaction ({TX_GAS} gas)")
 
 
 @dataclass(frozen=True)
@@ -82,21 +78,20 @@ class SignedTransaction:
     nonce: int
     chain_id: int
     signature: Signature
-    gas_price: int = 0
 
     @staticmethod
     def signing_digest(sender: str, target: str, method: str, params: Dict[str, object],
-                       nonce: int, chain_id: int, gas_price: int = 0) -> bytes:
+                       nonce: int, chain_id: int) -> bytes:
         unsigned = canonical_json_bytes({
             "sender": sender, "target": target, "method": method, "params": params,
-            "nonce": nonce, "chain_id": chain_id, "gas_price": gas_price,
+            "nonce": nonce, "chain_id": chain_id,
         })
         return hashlib.sha256(unsigned).digest()
 
     @cached_property
     def digest(self) -> bytes:
         return self.signing_digest(self.sender, self.target, self.method, self.params,
-                                   self.nonce, self.chain_id, self.gas_price)
+                                   self.nonce, self.chain_id)
 
     @cached_property
     def tx_hash(self) -> str:
@@ -106,8 +101,7 @@ class SignedTransaction:
         return {
             "sender": self.sender, "target": self.target, "method": self.method,
             "params": self.params, "nonce": self.nonce, "chain_id": self.chain_id,
-            "gas_price": self.gas_price, "signature": self.signature.hex,
-            "tx_hash": self.tx_hash,
+            "signature": self.signature.hex, "tx_hash": self.tx_hash,
         }
 
 
@@ -214,7 +208,6 @@ class Chain:
         self.state = StateTree(self.state_bytes, self.runtime.touched)
         self.validators: List[str] = list(genesis.initial_validators)
         self.tallies: Tallies = {}
-        self.balances: Dict[str, int] = dict(genesis.alloc)
         self.nonces: Dict[str, int] = {}
         self.pool: List[SignedTransaction] = []
         self._pool_hashes: Set[str] = set()
@@ -233,13 +226,13 @@ class Chain:
     def state_keys(self) -> List[str]:
         """Every key the state root commits to."""
         return [*self.runtime.state_keys(), "validators", "tallies",
-                *("nonce:" + a for a in self.nonces), *("balance:" + a for a in self.balances)]
+                *("nonce:" + a for a in self.nonces)]
 
     def state_bytes(self, key: str) -> bytes:
         """Canonical JSON of one leaf's value; empty when the key holds nothing."""
         kind, _, address = key.partition(":")
-        if kind in ("nonce", "balance"):
-            value = (self.nonces if kind == "nonce" else self.balances).get(address)
+        if kind == "nonce":
+            value = self.nonces.get(address)
         elif key == "validators":
             value = self.validators
         elif key == "tallies":
@@ -256,9 +249,6 @@ class Chain:
     def head(self) -> Block:
         return self.blocks[-1]
 
-    def balance(self, address: str) -> int:
-        return self.balances.get(address, 0)
-
     def account_nonce(self, address: str) -> int:
         return self.nonces.get(address, 0)
 
@@ -269,8 +259,6 @@ class Chain:
     # -- pool -----------------------------------------------------------------------
 
     def submit_transaction(self, tx: SignedTransaction) -> str:
-        if tx.gas_price != 0:
-            raise PoolError("gas price is fixed at zero on this network")
         if tx.tx_hash in self._pool_hashes or tx.tx_hash in self.receipts:
             raise PoolError("duplicate transaction")
         self._verify(tx, self.next_nonce(tx.sender), PoolError)
@@ -344,8 +332,7 @@ class Chain:
     def seal_block(self, sealer: str, timestamp: int) -> Block:
         parent = self.head
         self._check_seal_schedule(sealer, timestamp)
-        gas_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
-                                   self.genesis.min_gas_limit)
+        gas_limit = next_gas_limit(parent.gas_limit, parent.gas_used)
         included = self.pool[:gas_limit // TX_GAS]
         del self.pool[:len(included)]
         self._pool_hashes.difference_update(tx.tx_hash for tx in included)
@@ -394,8 +381,7 @@ class Chain:
             nonce = nonces.get(tx.sender, self.account_nonce(tx.sender))
             self._verify(tx, nonce, SealError)
             nonces[tx.sender] = nonce + 1
-        expected_limit = next_gas_limit(parent.gas_limit, parent.gas_used,
-                                        self.genesis.min_gas_limit)
+        expected_limit = next_gas_limit(parent.gas_limit, parent.gas_used)
         if block.gas_limit != expected_limit:
             raise SealError("block gas limit violates the adjustment rule")
         validators = list(self.validators)

@@ -512,13 +512,13 @@ class BlockchainService:
                             "recovered public address does not match on-chain custodian")
 
         subset = record.subset()
+        cid = ContentId.for_content(subset)
         if not self.chain.call_view("validate_wine_record_hash", {
-                "wine_id": wine_id, "wine_data_hash": ContentId.for_content(subset).text}):
+                "wine_id": wine_id, "wine_data_hash": cid.text}):
             return record, (content_store, modified,
                             "database subset hash differs from on-chain hash")
-        try:
-            fetched = self.consortium.store.get(self.store_node_id,
-                                                ContentId(chain_record["data_hash_latest"]))
+        try:  # the chain's latest id is this one, so the fetch decodes no base58
+            fetched = self.consortium.store.get(self.store_node_id, cid)
         except DnasError as exc:
             return record, (content_store, modified, f"stored subset unavailable: {exc}")
         if fetched != subset:
@@ -562,7 +562,7 @@ class Consortium:
             chain_id=chain_id, period=period,
             initial_validators=tuple(s.address for s in services
                                      if s.node_type is NodeType.VALIDATOR),
-            alloc={s.address: 10**9 for s in services}, gas_limit=gas_limit)
+            gas_limit=gas_limit)
         admin = self.shared_service
         self.chain = Chain(genesis, contract_admin=admin.address,
                            bootstrap_count=bootstrap_count)

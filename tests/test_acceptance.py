@@ -18,7 +18,7 @@ from dnas.encoding import canonical_json_bytes
 from dnas.errors import AuthError, ContractError
 from dnas.keccak import keccak256
 from dnas.keys import generate_keypair, hash_identifier, prefixed_digest, sign_tag_payload
-from dnas.ledger import Chain, GenesisConfig, next_gas_limit
+from dnas.ledger import GAS_LIMIT_FLOOR, Chain, GenesisConfig, next_gas_limit
 from dnas.scenario import MemberSpec, Scenario, Step
 from dnas.service import (
     AttackClass,
@@ -258,11 +258,10 @@ def test_criterion_4_bootstrap_semantics():
 
 def test_criterion_5_gas_limit_rule():
     rng = random.Random(500)
-    floor = 5000
     for _ in range(10_000):
-        limit = rng.randint(floor, 30_000_000)
+        limit = rng.randint(GAS_LIMIT_FLOOR, 30_000_000)
         used = rng.randint(0, limit)
-        result = next_gas_limit(limit, used, floor)
+        result = next_gas_limit(limit, used)
         step = limit // 1024
         assert abs(result - limit) <= step, "clamp exceeded limit/1024"
         if used * 3 > limit * 2:

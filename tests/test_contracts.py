@@ -350,6 +350,24 @@ def test_bootstrap_closes_at_threshold(runtime, keys):
                         {"entry": entry_dict(keys["part_d"].address.hex0x, member_id="late")})
 
 
+def test_bootstrap_stays_closed_after_a_removal(runtime, keys):
+    # four members left is below bootstrap_count, but only votes admit now
+    leaving = entry_dict(keys["part_c"].address.hex0x, member_id="part_c")
+    for voter in ("admin", "maker", "part_a"):
+        runtime.execute(keys[voter].address.hex0x, "registry", "propose_peer",
+                        {"entry": leaving, "add": False})
+    assert len(runtime.call_view("get_peers", {})) == 4
+    assert runtime.call_view("in_bootstrap_stage", {}) is False
+    with pytest.raises(ContractError):
+        runtime.execute(keys["admin"].address.hex0x, "registry", "bootstrap_add_peer",
+                        {"entry": entry_dict(keys["part_d"].address.hex0x, member_id="late")})
+
+
+def test_no_bootstrap_stage_without_a_bootstrap_count(keys):
+    rt = ContractRuntime(admin=keys["admin"].address.hex0x, bootstrap_count=0)
+    assert rt.call_view("in_bootstrap_stage", {}) is False
+
+
 def test_bootstrap_admin_only(keys):
     rt = ContractRuntime(admin=keys["admin"].address.hex0x)
     with pytest.raises(AuthError):

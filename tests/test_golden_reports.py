@@ -2,25 +2,40 @@
 
 A ``(seed, scenario)`` pair must give a byte-identical report across changes
 that claim the same behaviour (a faster signature check, a cheaper state
-root). These digests are the SHA-256 of ``Report.canonical_bytes()`` at each
-scenario's own seed and at seed 101; a change that moves one changed what
-the system does, and must say so.
+root). Each case pins two SHA-256 digests, at each scenario's own seed and
+at seed 101: one of ``Report.canonical_bytes()``, and one of the same report
+with its ``state_root`` blanked. A change of the state encoding moves only
+the first; a change that moves the second changed what the system does, and
+must say so.
 """
 
 import hashlib
 
 import pytest
 
+from dnas.encoding import canonical_json_bytes
 from dnas.scenario import load_scenario
 from dnas.simnet import run_scenario
 
-GOLDEN = {  # (scenario, seed; None for its own) -> SHA-256 of the canonical report
-    ("happy_path", None): "bd5cf544a62c3d55b504119568296a5800cc46a9799ed1873719b25ee5440929",
-    ("happy_path", 101): "54f2c5842f65b425b6a4cf7772e587e7b5ac1dca60ddb4053fcb509adae6733b",
-    ("cloned_tag", None): "15140c14df06ba381e6658d426bf451762353867d28b9e21f5cd4ce4cfb96778",
-    ("cloned_tag", 101): "3d1ccf2e6413f92c7421372c96319dd954761cd40a985ec0b7baa317e458a534",
-    ("halted_validator", None): "cd5b076e0ce49fab11d329717a142c10f294d050faed790198a2d1004b1b6a02",
-    ("halted_validator", 101): "384c08272bfaa7ea59042a58dd1da3d6f7baa360ab61b2cdac3cfce9a8c8d3e3",
+GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
+    ("happy_path", None): (
+        "d46687e1a638742c959783c49f69208c55bd43c963c792e0eb9a8edec212ac1d",
+        "8ab1d72126107ef849c4a60a438ac02ffe4ebb719087e3f240dc5eb84331880f"),
+    ("happy_path", 101): (
+        "ed1a0c8ec0116e02942e08983b7dbba955ee8c0e6af73edcefd18061a51013a7",
+        "4f5ae690ba9e7ca449eea2b3a6c34b437ee538272d47fb5497bde12a6f0a64a2"),
+    ("cloned_tag", None): (
+        "55d64550a0a167d6528602e395bdf5a04d5a09d9153867a4a0f532909cbd9b5b",
+        "67c62397796eb81d065cdfb75b0a3a14b78592cdb96f0962700438c85ad4ec99"),
+    ("cloned_tag", 101): (
+        "1a58783069cd422e32252e5fc9c5fe269941289312d08f8ab5c861fc30919d0f",
+        "c564ed41d01049fdcd66731493b8298f59f492bf963e4a51db09e791ff459b81"),
+    ("halted_validator", None): (
+        "b79f818c188d751a2f0de7e6c9d9622956cd18c8a34502ef62a3ccedae53a658",
+        "1b7d1987ee91dd3d1fda6dbb23778efb3117bdf1e751b5b03346a5f0831b0684"),
+    ("halted_validator", 101): (
+        "9557d03121e1be4be44cbce343efd0dab5d0a78d4aaa3980463ad0cfc10f992b",
+        "2326db60ed5b638b9d8d58aa4d846101e0d6b17b6e3e925e1756878a32937d3e"),
 }
 
 
@@ -29,4 +44,8 @@ GOLDEN = {  # (scenario, seed; None for its own) -> SHA-256 of the canonical rep
     for name, seed in GOLDEN])
 def test_report_bytes_are_pinned(name, seed):
     report = run_scenario(load_scenario(name), seed=seed)
-    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == GOLDEN[(name, seed)]
+    full, rootless = GOLDEN[(name, seed)]
+    # behaviour first: every report field but the state root
+    without_root = dict(report.to_dict(), state_root="")
+    assert hashlib.sha256(canonical_json_bytes(without_root)).hexdigest() == rootless
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == full

@@ -20,7 +20,7 @@ def one_sealer_genesis(**kw):
 
 def test_gas_floor_below_one_transaction_rejected():
     with pytest.raises(ConfigError):
-        one_sealer_genesis(gas_limit=TX_GAS, min_gas_limit=TX_GAS - 1).validate()
+        one_sealer_genesis(gas_limit=TX_GAS - 1).validate()
 
 
 def test_pool_drains_after_empty_blocks_at_the_floor():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dnas import keccak, secp256k1
+from dnas import content_store, keccak, secp256k1
 from dnas.contracts import ContractEvent, WineDataContractV1
 from dnas.encoding import canonical_json_bytes
 from dnas.errors import (
@@ -168,9 +168,6 @@ def test_removal_at_consensus_level_equal_to_member_count(consortium):
 
 
 def test_removed_member_can_rejoin(consortium):
-    # a sixth member keeps the registry out of its bootstrap stage after the removal
-    consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
-    consortium.run_until_idle()
     tag, _ = create_wine(consortium)
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
@@ -185,6 +182,19 @@ def test_removed_member_can_rejoin(consortium):
     consortium.run_until_idle()
     assert all(o.passed for o in outcomes)
     assert consortium.counters_in_sync("W1", tag)
+
+
+def test_removal_does_not_reopen_the_bootstrap_stage(consortium):
+    consortium.propose_member_removal("admin", "retail")
+    consortium.run_until_idle()
+    for service in consortium.services.values():
+        service.join_policy = lambda entry: False
+    result = consortium.onboard_member("stranger", MemberRole.WINEMAKER, NodeType.VALIDATOR)
+    assert result["mode"] == "vote"
+    consortium.run_until_idle()
+    stranger = consortium.services["stranger"].address
+    assert not consortium.services["maker"].peer_validate(stranger)
+    assert stranger not in consortium.chain.validators
 
 
 def test_removed_administrator_keeps_its_service(consortium):
@@ -530,6 +540,16 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
         assert consortium.counters_in_sync(wine_id, tag)
+
+
+def test_genuine_scan_decodes_no_content_id(consortium, count_calls):
+    tag, _ = create_wine(consortium)
+    calls = count_calls([(BlockchainService, "_walk_layers")],
+                        [("base58_decode", content_store.base58_decode)])
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert all(o.passed for o in outcomes)
+    # the id the scan built is the chain's latest once its hash view passes
+    assert calls["base58_decode", "_walk_layers"] == 0
 
 
 def test_identifier_hashes_are_kept_once_per_chain(consortium, count_calls):
