@@ -2,14 +2,15 @@
 
 Content identifiers are CIDv0-style multihashes: base58btc over
 0x12 (sha2-256) || 0x20 (32) || sha256(content), always 46 characters and
-starting with "Qm". Blocks replicate onto the reader's node on each fetch;
-pinned blocks survive garbage collection; stored bytes are re-verified
+starting with "Qm". A block's holders are the member nodes that store it;
+no separate index is kept. Blocks replicate onto the reader's node on each
+fetch; pinned blocks survive garbage collection; stored bytes are re-verified
 against their identifier's sha-256 digest on every store and every read.
 """
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, List, Set
 
 from .errors import AuthError, EncodingError, MembershipError, NotFoundError
 
@@ -73,9 +74,6 @@ class ContentId:
         """Whether ``content`` hashes to this id's digest."""
         return hashlib.sha256(content).digest() == self.digest
 
-    def __str__(self) -> str:
-        return self.text
-
 
 @dataclass
 class StoreNode:
@@ -95,12 +93,12 @@ class StoreNode:
 
 
 class PrivateNetwork:
-    """Membership-gated storage network with a shared lookup index."""
+    """Membership-gated storage network. A block's holders are the member
+    nodes that store it; no index of them is kept."""
 
     def __init__(self, admin: str):
         self.admin = admin
         self._nodes: Dict[str, StoreNode] = {}
-        self._index: Dict[str, Set[str]] = {}
 
     # -- membership -------------------------------------------------------------
 
@@ -114,15 +112,8 @@ class PrivateNetwork:
     def remove_member(self, caller: str, node_id: str) -> None:
         if caller != self.admin:
             raise AuthError("only the network administrator manages membership")
-        node = self._nodes.pop(node_id, None)
-        if node is None:
+        if self._nodes.pop(node_id, None) is None:
             raise NotFoundError(f"{node_id!r} is not a member")
-        for cid in list(node.blocks):
-            holders = self._index.get(cid)
-            if holders is not None:
-                holders.discard(node_id)
-                if not holders:
-                    del self._index[cid]
 
     def members(self) -> Set[str]:
         return set(self._nodes)
@@ -135,13 +126,10 @@ class PrivateNetwork:
 
     # -- block operations ---------------------------------------------------------
 
-    def add(self, node_id: str, content: bytes, path: Optional[str] = None) -> ContentId:
-        """Store content on the node and register it; the path is accepted
-        for interface parity but does not affect addressing."""
-        node = self._member(node_id)
+    def add(self, node_id: str, content: bytes) -> ContentId:
+        """Store content on the node; its id is derived from the bytes alone."""
         content_id = ContentId.for_content(content)
-        node.store(content_id, content)
-        self._index.setdefault(content_id.text, set()).add(node_id)
+        self._member(node_id).store(content_id, content)
         return content_id
 
     def get(self, node_id: str, content_id: ContentId) -> bytes:
@@ -150,15 +138,11 @@ class PrivateNetwork:
         local = node.blocks.get(content_id.text)
         if local is not None and content_id.matches(local):
             return local
-        for holder_id in sorted(self._index.get(content_id.text, ())):
-            holder = self._nodes.get(holder_id)
-            if holder is None:
-                continue
-            content = holder.blocks.get(content_id.text)
+        for holder_id in sorted(self._nodes):
+            content = self._nodes[holder_id].blocks.get(content_id.text)
             if content is None or not content_id.matches(content):
-                continue  # tampered or vanished copy: never returned
+                continue  # tampered or absent copy: never returned
             node.store(content_id, content)
-            self._index[content_id.text].add(node_id)
             return content
         raise NotFoundError(f"no member holds {content_id.text}")
 
@@ -178,13 +162,12 @@ class PrivateNetwork:
         for cid in list(node.blocks):
             if cid not in node.pins:
                 del node.blocks[cid]
-                holders = self._index.get(cid)
-                if holders is not None:
-                    holders.discard(node_id)
-                    if not holders:
-                        del self._index[cid]
                 evicted += 1
         return evicted
 
+    def pinned(self, node_id: str) -> List[str]:
+        """The content id texts the node has pinned, in sorted order."""
+        return sorted(self._member(node_id).pins)
+
     def holders(self, content_id: ContentId) -> Set[str]:
-        return set(self._index.get(content_id.text, ()))
+        return {node_id for node_id, node in self._nodes.items() if node.holds(content_id)}

@@ -68,10 +68,6 @@ class SealError(DnasError):
 class ContractError(DnasError):
     """Contract method returned its error branch; carries the on-chain message."""
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.err_message = message
-
 
 class ProxyError(DnasError):
     """Proxy delegation failure (uninitialized or re-initialization attempt)."""

@@ -229,10 +229,10 @@ class BlockchainService:
 
     def on_contract_event(self, event: ContractEvent) -> None:
         """Administrator's listener: registry admissions and removals trigger
-        the chain validator voting round, and a removed member's service
-        stops, so that the member may be onboarded again. Duplicate
-        deliveries are harmless; only registry events are remembered, since
-        no other kind is acted on."""
+        the chain validator voting round. A removed member's service stops, so
+        that it may be onboarded again, and its store node is revoked once the
+        shared node has pinned what it pinned (nothing else may hold its subsets).
+        Duplicate deliveries are harmless; only registry events are remembered."""
         if (self.role is not MemberRole.ADMINISTRATOR
                 or event.kind not in ("PeerAdded", "PeerRemoved")):
             return
@@ -243,33 +243,29 @@ class BlockchainService:
         member_id = event.fields.get("member_id", "")
         self._validator_round(event.fields["candidate"], member_id,
                               add=event.kind == "PeerAdded")
-        if event.kind == "PeerRemoved" and member_id != self.consortium.admin_member_id:
-            self.consortium.services.pop(member_id, None)  # this listener's own stays
+        if event.kind != "PeerRemoved" or member_id == self.consortium.admin_member_id:
+            return  # this listener's own service and node stay
+        removed = self.consortium.services.pop(member_id, None)
+        if removed is not None:
+            store = self.consortium.store
+            for text in store.pinned(removed.store_node_id):
+                store.pin(self.store_node_id, ContentId(text))
+            store.remove_member(self.consortium.admin_member_id, removed.store_node_id)
 
-    def _validator_round(self, candidate: str, member_id: str, add: bool) -> int:
-        """Request a chain vote from every member's node; returns the number
-        of requests issued."""
+    def _validator_round(self, candidate: str, member_id: str, add: bool) -> None:
+        """Request a chain vote from every live member's node but the candidate's.
+        The chain refuses a stale vote (a non-validator's, or on a candidate
+        already in or out) with ``SealError`` before any change; it is skipped."""
         member = self.consortium.services.get(member_id)
         if add and (member is None or member.node_type is not NodeType.VALIDATOR):
-            return 0  # listener nodes never join the sealer set
-        chain = self.chain
-        if add and candidate in chain.validators:
-            return 0
-        if not add and candidate not in chain.validators:
-            return 0
-        requests = 0
-        for voter_service in list(self.consortium.services.values()):
-            voter = voter_service.address
-            if voter == candidate or voter_service.member_id in self.consortium.halted:
+            return  # listener nodes never join the sealer set
+        for voter in self.consortium.services.values():
+            if voter.address == candidate or voter.member_id in self.consortium.halted:
                 continue
-            if voter not in chain.validators:
-                continue
-            requests += 1
             try:
-                chain.propose_validator(voter, candidate, add)
+                self.chain.propose_validator(voter.address, candidate, add)
             except SealError:
-                continue  # threshold already reached earlier in the round
-        return requests
+                continue
 
     # -- transactions -------------------------------------------------------------------
 
@@ -378,8 +374,7 @@ class BlockchainService:
 
         flow.stage = "content-store"
         try:
-            content_id = self.consortium.store.add(self.store_node_id, record.subset(),
-                                                   path=f"/records/{wine_id}.json")
+            content_id = self.consortium.store.add(self.store_node_id, record.subset())
             self.consortium.store.pin(self.store_node_id, content_id)
         except DnasError as exc:
             raise FlowError(flow.stage, str(exc)) from exc
@@ -700,8 +695,7 @@ class Consortium:
             next_seal = self._next_seal()
             if next_seal is None:
                 raise SealError("no live validator can seal")
-            self.now, sealer = next_seal
-            self._deliver_block_results(self.chain.seal_block(sealer, self.now))
+            self.seal_due(next_seal[0])
         if self.chain.pool:
             raise SealError("pool did not drain within the block budget")
 

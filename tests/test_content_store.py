@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dnas import content_store
@@ -215,7 +215,92 @@ def test_holder_count_never_decreases_except_gc_or_removal(network):
     assert counts == sorted(counts)
 
 
-def test_path_argument_ignored_for_addressing(network):
-    with_path = network.add("n1", b"payload", path="/records/W1.json")
-    without = network.add("n1", b"payload")
-    assert with_path == without
+PAYLOADS = [b"block-a", b"block-b", b"block-c"]
+_node = st.integers(min_value=0, max_value=3)
+_payload = st.integers(min_value=0, max_value=len(PAYLOADS) - 1)
+_step = st.one_of(
+    st.tuples(st.sampled_from(["add", "get", "pin", "unpin", "tamper"]), _node, _payload),
+    st.tuples(st.sampled_from(["gc", "remove_member", "add_member"]), _node, st.just(0)),
+)
+
+
+@seed(18)
+@settings(max_examples=150, deadline=None)
+@given(node_count=st.integers(min_value=3, max_value=4), steps=st.lists(_step, max_size=30))
+def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
+    """Each node's blocks and pins are modelled apart from the network:
+    holders are the members storing a block, and a read returns the original
+    bytes unless no remaining member holds an intact copy."""
+    network = PrivateNetwork(admin="admin")
+    names = [f"n{i}" for i in range(node_count)]
+    blocks, pins = {}, {}
+    for name in names:
+        network.add_member("admin", name)
+        blocks[name], pins[name] = {}, set()
+    cids = [ContentId.for_content(p) for p in PAYLOADS]
+
+    def intact(name, i):
+        return blocks[name].get(cids[i].text) == PAYLOADS[i]
+
+    def model_get(name, i):
+        if intact(name, i):
+            return PAYLOADS[i]
+        if not any(intact(holder, i) for holder in blocks):
+            return NotFoundError
+        blocks[name][cids[i].text] = PAYLOADS[i]
+        return PAYLOADS[i]
+
+    for op, k, i in steps:
+        name, cid = names[k % node_count], cids[i]
+        call = {
+            "add": lambda: network.add(name, PAYLOADS[i]),
+            "get": lambda: network.get(name, cid),
+            "pin": lambda: network.pin(name, cid),
+            "unpin": lambda: network.unpin(name, cid),
+            "gc": lambda: network.gc(name),
+            "remove_member": lambda: network.remove_member("admin", name),
+        }.get(op)
+        if op == "add_member":
+            network.add_member("admin", name)
+            blocks.setdefault(name, {})
+            pins.setdefault(name, set())
+        elif name not in blocks:
+            if call is not None:
+                with pytest.raises(NotFoundError if op == "remove_member" else MembershipError):
+                    call()
+        elif op == "add":
+            assert call() == cid
+            blocks[name][cid.text] = PAYLOADS[i]
+        elif op == "get":
+            expected = model_get(name, i)
+            if expected is NotFoundError:
+                with pytest.raises(NotFoundError):
+                    call()
+            else:
+                assert call() == expected
+        elif op == "pin":  # a held copy is pinned as it is; a missing one is fetched
+            if cid.text not in blocks[name] and model_get(name, i) is NotFoundError:
+                with pytest.raises(NotFoundError):
+                    call()
+            else:
+                call()
+                pins[name].add(cid.text)
+        elif op == "unpin":
+            call()
+            pins[name].discard(cid.text)
+        elif op == "tamper":
+            if cid.text in blocks[name]:
+                blocks[name][cid.text] = network._nodes[name].blocks[cid.text] = b"tampered"
+        elif op == "gc":
+            evicted = [c for c in blocks[name] if c not in pins[name]]
+            assert call() == len(evicted)
+            for c in evicted:
+                del blocks[name][c]
+        else:
+            call()
+            del blocks[name], pins[name]
+        assert network.members() == set(blocks)
+        for c in cids:
+            assert network.holders(c) == {n for n in blocks if c.text in blocks[n]}
+        for n in blocks:
+            assert network.pinned(n) == sorted(pins[n])

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from dnas import content_store, keccak, secp256k1
+from dnas.content_store import ContentId
 from dnas.contracts import ContractEvent, WineDataContractV1
 from dnas.encoding import canonical_json_bytes
 from dnas.errors import (
     AuthError,
     FlowError,
+    MembershipError,
     NotFoundError,
     PayloadError,
     RoutingError,
@@ -184,6 +186,28 @@ def test_removed_member_can_rejoin(consortium):
     assert consortium.counters_in_sync("W1", tag)
 
 
+def test_removed_member_store_node_is_revoked_after_hand_over(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    flow = dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "ok"
+    store, cid = consortium.store, ContentId(flow.content_id)
+    assert store.holders(cid) == {"store-dist"}  # the accepted subset's only copy
+    consortium.propose_member_removal("admin", "dist")
+    consortium.run_until_idle()
+    assert "store-dist" not in store.members()
+    with pytest.raises(MembershipError):
+        store.add("store-dist", b"after removal")
+    with pytest.raises(MembershipError):
+        store.get("store-dist", cid)
+    assert store.holders(cid) == {"store-shared"}
+    assert cid.text in store.pinned("store-shared")
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
+    assert [o.result for o in outcomes] == ["pass"] * 3
+
+
 def test_removal_does_not_reopen_the_bootstrap_stage(consortium):
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
@@ -237,25 +261,32 @@ def test_no_live_validator_leaves_the_transaction_pooled(consortium):
 
 # -- event listener -----------------------------------------------------------------------
 
+def next_header_voters(consortium):
+    """Seal until idle and name the voters in the first new block's header."""
+    height = consortium.chain.height
+    consortium.run_until_idle()
+    votes = consortium.chain.blocks[height + 1].votes
+    return [member_at(consortium, vote["voter"]) for vote in votes]
+
+
 def test_peer_added_fans_out_to_every_member(consortium):
+    # retail's vote would come after the threshold (3 of 4 validators), and
+    # ship is a listener: the chain refuses both, so neither is queued
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
-    admin = consortium.services["admin"]
-    event = ContractEvent(kind="PeerAdded", fields={
-        "candidate": consortium.services["late"].address,
-        "member_id": "late", "role": "participant", "node_id": "enode-late",
-    }, tx_hash="0xsynthetic")
-    requests = admin._validator_round(event.fields["candidate"], "late", add=True)
-    assert requests == 4  # every validator member's node is asked to vote
-    assert consortium.services["late"].address in consortium.chain.validators
+    late = consortium.services["late"].address
+    consortium.services["admin"]._validator_round(late, "late", add=True)
+    assert next_header_voters(consortium) == ["admin", "maker", "dist"]
+    assert late in consortium.chain.validators
 
 
-def test_peer_added_five_validator_members_yield_five_requests():
+def test_peer_added_five_validator_members_queue_a_threshold_of_votes():
     all_validators = [(m, r, NodeType.VALIDATOR) for m, r, _ in FIVE_MEMBERS]
     consortium = Consortium(seed=8, initial_members=all_validators, bootstrap_count=5)
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
-    requests = consortium.services["admin"]._validator_round(
-        consortium.services["late"].address, "late", add=True)
-    assert requests == 5
+    late = consortium.services["late"].address
+    consortium.services["admin"]._validator_round(late, "late", add=True)
+    assert next_header_voters(consortium) == ["admin", "maker", "dist"]
+    assert late in consortium.chain.validators
 
 
 def test_duplicate_event_delivery_is_idempotent(consortium):

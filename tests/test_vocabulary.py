@@ -1,7 +1,8 @@
 """The named surfaces clients and scenarios reach: contract methods by
 target, scenario actions and expectation kinds. The tests drive names
 through the public entry points and check their effects or errors, and
-check that the declared names, their handlers and README agree."""
+check that the declared names, their handlers and README agree and that
+README's library example runs."""
 
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from dnas.contracts import (
 )
 from dnas.errors import ContractError
 from dnas.keys import generate_keypair
+from dnas.records import WineStatus
 from dnas.scenario import MemberSpec, Scenario, Step
 from dnas.service import BlockchainService, MemberRole, NodeType
 from dnas.simnet import ScenarioRunner, run_scenario
@@ -90,9 +92,11 @@ def test_registry_views_shadow_no_wine_data_view():
 
 # -- scenario actions and expectations ------------------------------------------------
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_names(heading, pattern=r"`([a-z_]+)`"):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paragraph = text.split(f"\n{heading}: ", 1)[1].split("\n\n", 1)[0]
+    paragraph = README.read_text().split(f"\n{heading}: ", 1)[1].split("\n\n", 1)[0]
     return set(re.findall(pattern, paragraph))
 
 
@@ -103,6 +107,16 @@ def test_readme_lists_every_action_and_expectation():
 
 def test_readme_lists_every_endpoint():
     assert readme_names("Endpoints", r"`(/[a-z/-]+)`") == set(BlockchainService.ENDPOINTS)
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    consortium, tag = namespace["consortium"], namespace["tag"]
+    assert consortium.db.get("W1").wine_status is WineStatus.ACCEPTED
+    assert consortium.counters_in_sync("W1", tag)
 
 
 def test_ship_record_sets_in_transit():
