@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .content_store import ContentId
 from .encoding import canonical_json_bytes
 from .errors import AuthError, ContractError, ProxyError, RoleError
-from .keys import Signature, SignerDirectory
+from .keys import Signature, SignerDirectory, encode_tag_payload
 
 ROLE_WINEMAKER = "winemaker"
 ROLE_PARTICIPANT = "participant"
@@ -211,7 +211,10 @@ class WineDataContractV1:
             raise RoleError("create_wine_record is restricted to winemaker nodes")
         if wine_id in records:
             raise ContractError(f"wine record {wine_id!r} already exists on-chain")
-        ContentId(wine_data_hash)  # malformed hashes never enter the mapping
+        # malformed hashes and identifiers never enter the mapping, so that
+        # validate_signature can always encode an entry's tag payload
+        ContentId(wine_data_hash)
+        encode_tag_payload(wine_id, tag_id, device_id)
         records[wine_id] = WineEntry(data_hash={1: wine_data_hash},
                                      pub_addr=new_public_address, tag_id=tag_id,
                                      device_id=device_id)

@@ -1,9 +1,12 @@
 """Account key material: addresses, tag-payload signatures, keystores.
 
 Addresses are the last 20 bytes of Keccak-256 over the uncompressed 64-byte
-public key. Tag payloads are signed over a prefixed digest so the signature
-is recognisable as chain-specific; the payload encoding length-prefixes each
-field to rule out concatenation ambiguity.
+public key. A tag payload is signed in EIP-191's ``personal_sign`` form,
+Keccak-256 over ``SIGN_PREFIX``, the payload's decimal length and the
+payload, so the signature is recognisable as chain-specific. The payload is
+the length-prefixed wine id and the raw 32-byte hashes of the tag uid and
+device id, fixed-width fields that need no prefix; a wine id up to 38 UTF-8
+bytes keeps the digest one Keccak block.
 """
 
 import hashlib
@@ -17,7 +20,8 @@ from . import secp256k1
 from .errors import EncodingError, InvalidKeyError, MacError, RecoveryError
 from .keccak import keccak256
 
-SIGN_PREFIX = b"\x19Ethereum Signed Message:\n32"
+SIGN_PREFIX = b"\x19Ethereum Signed Message:\n"
+_LOWER_HEX = "0123456789abcdef"
 
 _KDF_N = 2**14
 _KDF_R = 8
@@ -32,7 +36,7 @@ class Address(bytes):
             raise InvalidKeyError(f"address must be 20 bytes, got {len(value)}")
         return super().__new__(cls, value)
 
-    @property
+    @cached_property
     def hex0x(self) -> str:
         return "0x" + self.hex()
 
@@ -108,21 +112,26 @@ def derive_address(public_key: bytes) -> Address:
 
 
 def encode_tag_payload(wine_id: str, tag_id: str, device_id: str) -> bytes:
-    """Length-prefixed UTF-8 concatenation of the three identifiers."""
-    out = bytearray()
-    for name, field in (("wine_id", wine_id), ("tag_id", tag_id), ("device_id", device_id)):
-        if not field:
-            raise EncodingError(f"{name} must be non-empty")
-        raw = field.encode("utf-8")
-        out += len(raw).to_bytes(4, "big")
-        out += raw
+    """The 4-byte big-endian length and UTF-8 bytes of ``wine_id``, then the
+    raw 32-byte hashes of the tag uid and device id (``hash_identifier``)."""
+    if not wine_id:
+        raise EncodingError("wine_id must be non-empty")
+    raw = wine_id.encode("utf-8")
+    out = bytearray(len(raw).to_bytes(4, "big") + raw)
+    for name, field in (("tag_id", tag_id), ("device_id", device_id)):
+        # bytes.fromhex alone accepts whitespace and upper case, which would
+        # give two distinct on-chain strings one digest
+        if len(field) != 64 or field.strip(_LOWER_HEX):
+            raise EncodingError(f"{name} must be 64 lowercase hex characters")
+        out += bytes.fromhex(field)
     return bytes(out)
 
 
 def prefixed_digest(wine_id: str, tag_id: str, device_id: str) -> bytes:
-    """Keccak-256 over the chain-specific prefix and the payload hash."""
-    inner = keccak256(encode_tag_payload(wine_id, tag_id, device_id))
-    return keccak256(SIGN_PREFIX + inner)
+    """EIP-191 ``personal_sign`` digest: Keccak-256 over the prefix, the
+    payload's decimal length and the payload."""
+    payload = encode_tag_payload(wine_id, tag_id, device_id)
+    return keccak256(SIGN_PREFIX + str(len(payload)).encode() + payload)
 
 
 def sign_tag_payload(digest: bytes, key: KeyPair) -> Signature:

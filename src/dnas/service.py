@@ -352,8 +352,8 @@ class BlockchainService:
         and digested once per chain, then reused), the tag and the record take
         the signature and the next write counter, the custody entry is logged,
         the published subset is pinned, and the proxy call is submitted. The flow
-        completes on the receipt; a failed one marks the record ``ERROR`` and
-        sends ``failure_notice``, if one is named."""
+        completes on the receipt; a failed one unpins the subset, marks the
+        record ``ERROR`` and sends ``failure_notice``, if one is named."""
         hash_param, chain_stage, event_name = self._ITERATIONS[method]
         wine_id = record.wine_id
         flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
@@ -394,6 +394,12 @@ class BlockchainService:
                 })
                 return
             flow.status, flow.error = "error", receipt.error
+            # no chain entry names the refused subset; if this member was
+            # removed meanwhile, its pins were handed to the shared node
+            store = self.consortium.store
+            holder = (self.store_node_id if self.store_node_id in store.members()
+                      else self.consortium.shared_service.store_node_id)
+            store.unpin(holder, content_id)
             self.consortium.db.update(ROLE_WINEMAKER, wine_id, {"wine_status": WineStatus.ERROR})
             if failure_notice is not None:
                 self.consortium.notify({

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dnas import secp256k1
+from dnas import keccak, keys, secp256k1
 from dnas.errors import EncodingError, InvalidKeyError, MacError, RecoveryError
 from dnas.keccak import keccak256
 from dnas.keys import (
@@ -66,36 +66,82 @@ def test_address_distinctness_over_ten_thousand_keys():
 
 
 def test_encode_tag_payload_layout():
-    encoded = encode_tag_payload("W1", "T1", "D1")
-    assert encoded == b"\x00\x00\x00\x02W1\x00\x00\x00\x02T1\x00\x00\x00\x02D1"
+    tag, dev = hash_identifier("T1"), hash_identifier("D1")
+    encoded = encode_tag_payload("W1", tag, dev)
+    assert encoded == b"\x00\x00\x00\x02W1" + bytes.fromhex(tag) + bytes.fromhex(dev)
 
 
 def test_encode_tag_payload_ambiguity_resistance():
-    assert encode_tag_payload("A", "BC", "D") != encode_tag_payload("AB", "C", "D")
+    assert (encode_tag_payload("A", hash_identifier("BC"), hash_identifier("D"))
+            != encode_tag_payload("AB", hash_identifier("C"), hash_identifier("D")))
 
 
 def test_encode_tag_payload_rejects_empty_field():
-    for args in (("", "T", "D"), ("W", "", "D"), ("W", "T", "")):
+    tag, dev = hash_identifier("T"), hash_identifier("D")
+    for args in (("", tag, dev), ("W", "", dev), ("W", tag, "")):
         with pytest.raises(EncodingError):
             encode_tag_payload(*args)
 
 
+_T = hash_identifier("T")
+
+
+@pytest.mark.parametrize("malformed", [
+    _T.upper(), _T[:30] + " " + _T[30:46] + " " + _T[46:62], _T[:63], _T + "0", "zz" * 32,
+], ids=["upper-case", "space-inside", "63-chars", "65-chars", "non-hex"])
+def test_encode_tag_payload_refuses_an_identifier_that_is_not_a_lowercase_hash(malformed):
+    # both 64 characters long, the first two pass bytes.fromhex: upper case
+    # would share the lowercase id's digest
+    good = hash_identifier("D")
+    for args in (("W", malformed, good), ("W", good, malformed)):
+        with pytest.raises(EncodingError, match="64 lowercase hex characters"):
+            encode_tag_payload(*args)
+    with pytest.raises(EncodingError, match="wine_id must be non-empty"):
+        prefixed_digest("", good, good)
+
+
 def test_prefixed_digest_against_keccak_oracle():
-    # Recompute with direct keccak calls over the documented layout.
-    inner = keccak256(b"\x00\x00\x00\x02W1\x00\x00\x00\x02T1\x00\x00\x00\x02D1")
-    expected = keccak256(b"\x19Ethereum Signed Message:\n32" + inner)
-    assert prefixed_digest("W1", "T1", "D1") == expected
+    # Recompute with one direct keccak call over the documented layout.
+    tag, dev = hash_identifier("T1"), hash_identifier("D1")
+    payload = b"\x00\x00\x00\x02W1" + bytes.fromhex(tag) + bytes.fromhex(dev)
+    expected = keccak256(b"\x19Ethereum Signed Message:\n70" + payload)
+    assert prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1")) == expected
+
+
+def test_prefixed_digest_is_eip191_personal_sign_over_the_bench_wine_id():
+    tag, dev = hash_identifier("tag-uid"), hash_identifier("device")
+    expected = keccak256(b"\x19Ethereum Signed Message:\n75" + bytes.fromhex("00000007")
+                         + b"B000123" + keccak256(b"tag-uid") + keccak256(b"device"))
+    assert prefixed_digest("B000123", tag, dev) == expected
+
+
+@pytest.mark.parametrize("wine_id_bytes, payload_bytes, permutations",
+                         [(7, 75, 1), (38, 106, 1), (39, 107, 2)])
+def test_prefixed_digest_is_one_keccak_block_up_to_a_38_byte_wine_id(
+        monkeypatch, wine_id_bytes, payload_bytes, permutations):
+    tag, dev = hash_identifier("T"), hash_identifier("D")
+    wine_id = "W" * wine_id_bytes
+    assert len(encode_tag_payload(wine_id, tag, dev)) == payload_bytes
+    calls = []
+    original = keccak._keccak_f
+    monkeypatch.setattr(keccak, "_keccak_f", lambda *args: calls.append(1) or original(*args))
+    digest = prefixed_digest(wine_id, tag, dev)
+    assert len(calls) == permutations
+    monkeypatch.undo()
+    assert digest == keccak256(keys.SIGN_PREFIX + str(payload_bytes).encode()
+                               + encode_tag_payload(wine_id, tag, dev))
 
 
 def test_prefixed_digest_sensitivity():
-    base = prefixed_digest("W1", "T1", "D1")
-    assert prefixed_digest("W1", "T2", "D1") != base
-    assert prefixed_digest("W1", "T1", "D1") == base
+    base = prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1"))
+    assert prefixed_digest("W1", hash_identifier("T2"), hash_identifier("D1")) != base
+    assert prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1")) == base
 
 
 def test_sign_recover_roundtrip():
     kp = generate_keypair(b"\x21" * 32)
-    digest = prefixed_digest("WINE-7", "tag-uid-7", "device-7")
+    digest = prefixed_digest("WINE-7", hash_identifier("tag-uid-7"),
+                             hash_identifier("device-7"))
     sig = sign_tag_payload(digest, kp)
     assert recover_signer(digest, sig) == kp.address
 
@@ -103,14 +149,16 @@ def test_sign_recover_roundtrip():
 def test_recovered_signer_mismatch_for_other_key():
     kp_a = generate_keypair(b"\x21" * 32)
     kp_b = generate_keypair(b"\x22" * 32)
-    digest = prefixed_digest("WINE-7", "tag-uid-7", "device-7")
+    digest = prefixed_digest("WINE-7", hash_identifier("tag-uid-7"),
+                             hash_identifier("device-7"))
     sig = sign_tag_payload(digest, kp_a)
     assert recover_signer(digest, sig) != kp_b.address
 
 
 def test_signature_byte_roundtrip():
     kp = generate_keypair(b"\x33" * 32)
-    sig = sign_tag_payload(prefixed_digest("W", "T", "D"), kp)
+    sig = sign_tag_payload(
+        prefixed_digest("W", hash_identifier("T"), hash_identifier("D")), kp)
     assert Signature.from_bytes(sig.to_bytes()) == sig
     assert len(sig.to_bytes()) == 65
 
@@ -120,7 +168,7 @@ def test_roundtrip_property_over_random_keys():
     for _ in range(20):
         kp = generate_keypair(rng.randbytes(32))
         wine, tag, dev = f"W{rng.random()}", f"T{rng.random()}", f"D{rng.random()}"
-        digest = prefixed_digest(wine, tag, dev)
+        digest = prefixed_digest(wine, hash_identifier(tag), hash_identifier(dev))
         assert recover_signer(digest, sign_tag_payload(digest, kp)) == kp.address
 
 
@@ -191,10 +239,10 @@ def _recover_and_compare(digest, sig, address):
 def test_known_signer_is_verified_without_recovery(recoveries):
     kp = generate_keypair(b"\x51" * 32)
     directory = SignerDirectory()
-    first = prefixed_digest("W1", "T1", "D1")
+    first = prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1"))
     assert directory.signed_by(first, sign_tag_payload(first, kp), kp.address.hex0x)
     assert len(recoveries) == 1
-    second = prefixed_digest("W2", "T2", "D2")
+    second = prefixed_digest("W2", hash_identifier("T2"), hash_identifier("D2"))
     assert directory.signed_by(second, sign_tag_payload(second, kp), kp.address.hex0x)
     assert len(recoveries) == 1
 
@@ -204,7 +252,7 @@ def test_failed_check_adds_no_entry(recoveries, monkeypatch):
     monkeypatch.setattr(secp256k1, "verify", lambda *args: verified.append(args))
     kp, other = generate_keypair(b"\x52" * 32), generate_keypair(b"\x53" * 32)
     directory = SignerDirectory()
-    digest = prefixed_digest("W1", "T1", "D1")
+    digest = prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1"))
     sig = sign_tag_payload(digest, kp)
     assert directory.signed_by(digest, sig, other.address.hex0x) is False
     with pytest.raises(RecoveryError, match="s above half order"):
@@ -222,7 +270,7 @@ def test_failed_check_adds_no_entry(recoveries, monkeypatch):
 def test_known_address_refuses_without_recovery(recoveries):
     kp, other = generate_keypair(b"\x56" * 32), generate_keypair(b"\x57" * 32)
     directory = SignerDirectory()
-    digest = prefixed_digest("W1", "T1", "D1")
+    digest = prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1"))
     assert directory.signed_by(digest, sign_tag_payload(digest, kp), kp.address.hex0x)
     calls = len(recoveries)
     assert directory.signed_by(digest, sign_tag_payload(digest, other),
@@ -239,7 +287,7 @@ def test_signature_naming_no_key_refused_for_a_known_address():
     # known address the directory verifies instead and simply refuses.
     kp = generate_keypair(b"\x58" * 32)
     directory = SignerDirectory()
-    digest = prefixed_digest("W1", "T1", "D1")
+    digest = prefixed_digest("W1", hash_identifier("T1"), hash_identifier("D1"))
     assert directory.signed_by(digest, sign_tag_payload(digest, kp), kp.address.hex0x)
     n = secp256k1.N
     x, y = secp256k1.multiply_generator(5)
@@ -257,10 +305,10 @@ def test_directory_agrees_with_recover_and_compare():
     kp, other = generate_keypair(b"\x54" * 32), generate_keypair(b"\x55" * 32)
     address = kp.address.hex0x
     directory = SignerDirectory()
-    first = prefixed_digest("W", "T", "D")
+    first = prefixed_digest("W", hash_identifier("T"), hash_identifier("D"))
     assert directory.signed_by(first, sign_tag_payload(first, kp), address)
     for i in range(30):
-        digest = prefixed_digest(f"W{i}", "T", "D")
+        digest = prefixed_digest(f"W{i}", hash_identifier("T"), hash_identifier("D"))
         good = sign_tag_payload(digest, kp)
         for sig in (good, sign_tag_payload(digest, other),
                     Signature(v=55 - good.v, r=good.r, s=good.s),

@@ -473,11 +473,20 @@ def test_replica_rejects_tampered_state_root(chain, keys):
         replica.apply_block(bad)
 
 
+_CREATE = {"wine_id": "W1", "wine_data_hash": ContentId.for_content(b"x").text,
+           "new_public_address": "0x" + "11" * 20,
+           "tag_id": hash_identifier("t"), "device_id": hash_identifier("d")}
+
+
 @pytest.mark.parametrize("sender, target, method, params", [
     (0, "registry", "bootstrap_add_peer", {"entry": {"bogus": 1}}),
     (1, "proxy", "create_wine_record", {"wine_id": "W1"}),
     (0, "registry", "set_consensus_level", {"level": 2, "extra": 1}),
     (0, "proxy_admin", "upgrade_to", {"version": "winedata-v2", "extra": 1}),
+    # identifiers that are not 64 lowercase hex characters: non-hex, upper case, short
+    (1, "proxy", "create_wine_record", {**_CREATE, "tag_id": "zz" * 32}),
+    (1, "proxy", "create_wine_record", {**_CREATE, "device_id": hash_identifier("d").upper()}),
+    (1, "proxy", "create_wine_record", {**_CREATE, "tag_id": hash_identifier("t")[:63]}),
 ])
 def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
                                                       params):
@@ -493,6 +502,7 @@ def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, targe
     receipt = chain.query_tx(bad)
     assert receipt.status == "error" and receipt.block_number == block.number
     assert block.state_root == rebuilt_root(chain)
+    assert not chain.runtime.proxy.records
 
 
 def _resigned(block, keys, chain_id=77, nonce_shift=0):

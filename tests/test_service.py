@@ -526,6 +526,7 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
         [(BlockchainService, "_write_iteration"), (BlockchainService, "_binding"),
          (BlockchainService, "submit_tx"), (WineDataContractV1, "validate_signature")],
         [("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier),
+         ("_keccak_f", keccak._keccak_f),
          ("sign_digest", secp256k1.sign_digest), ("verify", secp256k1.verify)])
 
     def accept(service, wine_id):
@@ -560,13 +561,14 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     assert (calls - before)["verify", "validate_signature"] == 1
 
     # a second create by the maker with the same device hashes only the new
-    # tag uid, then the two-level digest
+    # tag uid, then the one-block digest: two Keccak-f permutations in all
     before = calls.copy()
     create_wine(consortium, "W3")
     third = calls - before
     assert third["hash_identifier", "_binding"] == 1
     assert third["keccak256", "_binding"] == 1
-    assert third["keccak256", "_write_iteration"] == 2
+    assert third["keccak256", "_write_iteration"] == 1
+    assert third["_keccak_f", "_binding"] == third["_keccak_f", "_write_iteration"] == 1
     assert third["sign_digest", "_write_iteration"] == 1
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
@@ -730,6 +732,46 @@ def test_failed_append_receipt_marks_the_record_error(consortium):
     assert flow.stage == "on-chain-append"
     assert consortium.db.get("W1").wine_status is WineStatus.ERROR
     assert not [n for n in consortium.notifications if n["type"] == "creation_failed"]
+
+
+def chain_named_content_ids(consortium):
+    """Every content id some wine entry on the chain names, at any iteration."""
+    return {cid for entry in consortium.chain.runtime.proxy.records.values()
+            for cid in entry.data_hash.values()}
+
+
+def test_refused_append_of_a_removed_member_leaves_no_pin_the_chain_does_not_name(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    consortium.propose_member_removal("admin", "dist")
+    flow = dist.accept_record_flow(tag, session)
+    # the removal is mined ahead of the append in one block: dist's pins move
+    # to the shared node and store-dist is revoked before the append's receipt
+    consortium.run_until_idle()
+    assert flow.status == "error"
+    store = consortium.store
+    assert dist.store_node_id not in store.members()
+    named = chain_named_content_ids(consortium)
+    assert flow.content_id not in named
+    assert set(store.pinned(consortium.shared_service.store_node_id)) <= named
+    assert {cid for node in store.members() for cid in store.pinned(node)} == named
+
+
+def test_refused_create_unpins_its_subset_on_the_makers_node(consortium):
+    create_wine(consortium)
+    maker = consortium.services["maker"]
+    # the database forgets W1, so only the chain refuses the second create
+    consortium.db.delete("winemaker", "W1")
+    flow = maker.create_record_flow({"wine_id": "W1"}, NfcTag(uid=consortium.randbytes(7)),
+                                    "device-maker")
+    consortium.run_until_idle()
+    assert flow.status == "error" and "already exists" in flow.error
+    assert [n["type"] for n in consortium.notifications] == ["creation_failed"]
+    named = chain_named_content_ids(consortium)
+    assert flow.content_id not in named
+    assert set(consortium.store.pinned(maker.store_node_id)) == named
 
 
 def test_accept_on_flagged_record_rejected(consortium):

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from dnas.errors import CapacityError, TagLockedError, TagStateError
-from dnas.keys import Signature, generate_keypair, prefixed_digest, sign_tag_payload
+from dnas.keys import (
+    Signature,
+    generate_keypair,
+    hash_identifier,
+    prefixed_digest,
+    sign_tag_payload,
+)
 from dnas.tags import (
     TAG_MEMORY_BYTES,
     NfcTag,
@@ -14,7 +20,8 @@ from dnas.tags import (
 @pytest.fixture
 def signature():
     kp = generate_keypair(b"\x11" * 32)
-    return sign_tag_payload(prefixed_digest("W1", "tag", "dev"), kp)
+    return sign_tag_payload(
+        prefixed_digest("W1", hash_identifier("tag"), hash_identifier("dev")), kp)
 
 
 @pytest.fixture
@@ -73,7 +80,8 @@ def test_protection_blocks_unauthenticated_access(tag, signature):
 def test_wrong_password_write_leaves_payload(tag, signature):
     tag.write("W1", signature, write_counter=1)
     password = tag.enable_protection()
-    other = sign_tag_payload(prefixed_digest("W2", "t", "d"), generate_keypair(b"\x12" * 32))
+    other = sign_tag_payload(prefixed_digest("W2", hash_identifier("t"), hash_identifier("d")),
+                             generate_keypair(b"\x12" * 32))
     with pytest.raises(TagLockedError):
         tag.write("W2", other, write_counter=2, password=None)
     assert tag.read(password=password).wine_id == "W1"
@@ -115,7 +123,8 @@ def test_counterfeit_copy_differs_in_uid(tag, signature):
 
 def test_signature_roundtrip_through_tag(tag):
     kp = generate_keypair(b"\x13" * 32)
-    sig = sign_tag_payload(prefixed_digest("WINE", "TAG", "DEV"), kp)
+    sig = sign_tag_payload(
+        prefixed_digest("WINE", hash_identifier("TAG"), hash_identifier("DEV")), kp)
     tag.write("WINE", sig, write_counter=1)
     out = tag.read()
     assert isinstance(out.signature, Signature)
