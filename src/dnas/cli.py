@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    dnas run <scenario> [--seed N] [--out report.json]
+    dnas run <scenario> [--seed N] [--json] [--out FILE] [--notifications-out FILE]
     dnas query [--scenario NAME] [--seed N] (block N | tx HASH | record ID | peers | validators)
     dnas replay-check <scenario> [--runs N] [--seed N]
     dnas scenarios

@@ -185,6 +185,13 @@ class WineEntry:
     read_count: int = 0
 
 
+def _check_custodian(address: str) -> None:
+    """Refuses a custodian ``validate_signature`` could never match with a
+    recovered signer's ``hex0x``."""
+    if len(address) != 42 or address[:2] != "0x" or address[2:].strip("0123456789abcdef"):
+        raise ContractError("new_public_address must be 0x and 40 lowercase hex characters")
+
+
 def _entry(records: Dict[str, WineEntry], wine_id: str) -> WineEntry:
     entry = records.get(wine_id)
     if entry is None:
@@ -211,10 +218,11 @@ class WineDataContractV1:
             raise RoleError("create_wine_record is restricted to winemaker nodes")
         if wine_id in records:
             raise ContractError(f"wine record {wine_id!r} already exists on-chain")
-        # malformed hashes and identifiers never enter the mapping, so that
-        # validate_signature can always encode an entry's tag payload
+        # malformed hashes, identifiers and custodians never enter the mapping,
+        # so that validate_signature can always check an entry's tag signature
         ContentId(wine_data_hash)
         encode_tag_payload(wine_id, tag_id, device_id)
+        _check_custodian(new_public_address)
         records[wine_id] = WineEntry(data_hash={1: wine_data_hash},
                                      pub_addr=new_public_address, tag_id=tag_id,
                                      device_id=device_id)
@@ -232,6 +240,7 @@ class WineDataContractV1:
         if entry.tag_id != tag_id or entry.device_id != device_id:
             raise ContractError("tag or device identifier does not match the stored record")
         ContentId(new_wine_data_hash)
+        _check_custodian(new_public_address)
         previous = entry.pub_addr
         entry.write_count += 1
         entry.data_hash[entry.write_count] = new_wine_data_hash

@@ -26,7 +26,7 @@ class MacError(DnasError):
 
 
 class AuthError(DnasError):
-    """Vault or endpoint authentication / authorization failure."""
+    """Vault, contract or service authentication / authorization failure."""
 
 
 class NotFoundError(DnasError):
@@ -79,14 +79,6 @@ class FlowError(DnasError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
-
-
-class RoutingError(DnasError):
-    """Unknown service endpoint (404-equivalent)."""
-
-
-class PayloadError(DnasError):
-    """Malformed request payload for a known endpoint (400-equivalent)."""
 
 
 class ScenarioError(DnasError):

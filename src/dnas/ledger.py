@@ -14,6 +14,7 @@ metadata, each account's nonce, the validators and their tallies. Writers
 mark the keys they touch and sealing rehashes only those (``StateTree``).
 """
 
+import copy
 import hashlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -368,7 +369,9 @@ class Chain:
 
     def apply_block(self, block: Block) -> None:
         """Replay a block sealed elsewhere; verifies linkage, every
-        transaction, schedule, gas rule, and the resulting state root."""
+        transaction, schedule, gas rule, and the resulting state root. A
+        block that raises after its first write leaves the chain as it found it;
+        ``SignerDirectory`` keeps what it learned, which holds in any state."""
         parent = self.head
         if block.number != parent.number + 1:
             raise SealError(f"expected height {parent.number + 1}, got {block.number}")
@@ -384,24 +387,31 @@ class Chain:
         expected_limit = next_gas_limit(parent.gas_limit, parent.gas_used)
         if block.gas_limit != expected_limit:
             raise SealError("block gas limit violates the adjustment rule")
-        validators = list(self.validators)
-        tallies = {key: set(voters) for key, voters in self.tallies.items()}
-        for vote in block.votes:
-            try:
-                self._apply_vote(dict(vote))
-            except SealError:
-                pass  # votes that were rejected upstream stay rejected
+        # every consensus value a block writes, restored in place on refusal
+        live = (self.tallies, self.nonces, vars(self.runtime.registry),
+                vars(self.runtime.proxy))
+        validators, saved = list(self.validators), copy.deepcopy(live)
         try:
+            for vote in block.votes:
+                try:
+                    self._apply_vote(dict(vote))
+                except SealError:
+                    pass  # votes that were rejected upstream stay rejected
             # the sealer checked its schedule against the set after these votes
             self._check_seal_schedule(block.sealer, block.timestamp)
-        except SealError:
+            self._execute_block(block)
+            touched = set(self.state.touched)  # root() clears them
+            if block.state_root != self.state.root():
+                self.state.touched.update(touched)  # rehash their restored values
+                raise SealError("replayed state root differs from the sealed block")
+        except Exception:  # a malformed vote's KeyError too: nothing of the block stays
             self.validators[:] = validators
-            self.tallies.clear()
-            self.tallies.update(tallies)
+            for now, before in zip(live, saved):
+                now.clear()
+                now.update(before)
+            for tx in block.transactions:
+                self.receipts.pop(tx.tx_hash, None)
             raise
-        self._execute_block(block)
-        if block.state_root != self.state.root():
-            raise SealError("replayed state root differs from the sealed block")
         self.blocks.append(block)
 
     # -- queries -----------------------------------------------------------------------

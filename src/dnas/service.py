@@ -23,9 +23,7 @@ from .errors import (
     DnasError,
     FlowError,
     NotFoundError,
-    PayloadError,
     PoolError,
-    RoutingError,
     SealError,
     TagLockedError,
     TagStateError,
@@ -103,7 +101,6 @@ class FlowReceipt:
 
     wine_id: str
     status: str = "pending"            # pending | ok | error
-    stage: str = ""
     content_id: Optional[str] = None
     tx_hash: Optional[str] = None
     block_number: Optional[int] = None
@@ -149,47 +146,11 @@ class BlockchainService:
             "joined_at": self.consortium.now,
         }
 
-    # -- endpoint surface ----------------------------------------------------------
-
-    def _ep_record_validate(self, payload: Dict[str, object]) -> Dict[str, object]:
-        outcomes, view, session_id = self.validate_record_flow(payload["tag"])
-        return {"outcomes": [o.to_dict() for o in outcomes], "record": view,
-                "session_id": session_id}
-
-    ENDPOINTS: Dict[str, Callable[["BlockchainService", Dict[str, object]], Dict[str, object]]] = {
-        "/peer/validate": lambda svc, p: {"member": svc.peer_validate(p["address"])},
-        "/peer/propose-add": lambda svc, p: svc.vote_on_candidate(p["entry"], p.get("add", True)),
-        "/peer/get": lambda svc, p: {"peers": svc.get_peers()},
-        "/record/create": lambda svc, p: {"flow": svc.create_record_flow(
-            p["record"], p["tag"], p["device_id"])},
-        "/record/validate": _ep_record_validate,
-        "/record/append": lambda svc, p: {"flow": svc.accept_record_flow(
-            p["tag"], p["session_id"], p.get("custodian_key"),
-            purchase=p.get("purchase", False))},
-        "/admin/upgrade": lambda svc, p: {"tx_hash": svc.upgrade_contract(p["version"])},
-        "/admin/consensus-level": lambda svc, p: {"tx_hash": svc.set_consensus_level(p["level"])},
-    }
-
-    def dispatch(self, endpoint: str, payload: Dict[str, object]) -> Dict[str, object]:
-        handler = self.ENDPOINTS.get(endpoint)
-        if handler is None:
-            raise RoutingError(f"no endpoint {endpoint!r}")
-        if not isinstance(payload, dict):
-            raise PayloadError("payload must be an object")
-        try:
-            return handler(self, payload)
-        except KeyError as exc:
-            raise PayloadError(f"missing payload field {exc}") from exc
-
     # -- peer operations ------------------------------------------------------------
 
     def peer_validate(self, address: str) -> bool:
         """True iff the address is in the on-chain registry white list."""
         return bool(self.chain.call_view("is_member", {"address": address}))
-
-    def get_peers(self) -> List[Dict[str, object]]:
-        # not role-restricted: listener nodes resolve this too
-        return self.chain.call_view("get_peers", {})
 
     def vote_on_candidate(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
         """This member's vote on a registry admission or removal."""
@@ -203,17 +164,15 @@ class BlockchainService:
         return {"voted": True, "tx_hash": tx_hash}
 
     def request_votes(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
-        """Ask every registered member's service to vote on the admission or
-        removal of ``entry``; returns each member's response. All are asked
-        because the consensus level may change before the votes execute; the
-        registry ignores the votes that arrive after the change is applied."""
-        responses = {}
-        for peer in self.get_peers():
-            service = self.consortium.service_by_address(peer["address"])
-            if service is not None:
-                responses[peer["member_id"]] = service.dispatch(
-                    "/peer/propose-add", {"entry": entry, "add": add})
-        return responses
+        """Ask every registered member's service, in the registry's address
+        order, to vote on the admission or removal of ``entry``; returns each
+        member's response. All are asked because the consensus level may
+        change before the votes execute; the registry ignores the votes that
+        arrive after the change is applied."""
+        services = {s.address: s for s in self.consortium.services.values()}
+        return {peer["member_id"]: services[peer["address"]].vote_on_candidate(entry, add)
+                for peer in self.chain.call_view("get_peers", {})
+                if peer["address"] in services}
 
     # -- admin operations ------------------------------------------------------------
 
@@ -304,7 +263,7 @@ class BlockchainService:
         return self._write_iteration(record, tag, self._key, self._binding(record),
                                      WineStatus.CREATED, {
             "event": "created", "holder": self.member_id, "at": self.consortium.now,
-        }, "create_wine_record", failure_notice="creation_failed")
+        }, "create_wine_record")
 
     def accept_record_flow(self, tag: NfcTag, session_id: str,
                            custodian_key: Optional[KeyPair] = None,
@@ -335,28 +294,30 @@ class BlockchainService:
                 "holder": f"consumer-via-{self.member_id}" if purchase else self.member_id,
                 "custodian": custodian_key.address.hex0x,
                 "at": self.consortium.now,
-            }, "append_wine_record", failure_notice=None)
+            }, "append_wine_record")
 
-    # proxy method -> (content-hash parameter, flow stage, transaction_data event)
+    # proxy method -> (content-hash parameter, flow stage, transaction_data
+    # event, notice sent when the chain refuses the call)
     _ITERATIONS = {
-        "create_wine_record": ("wine_data_hash", "on-chain-create", "on-chain-created"),
-        "append_wine_record": ("new_wine_data_hash", "on-chain-append", "on-chain-appended"),
+        "create_wine_record": ("wine_data_hash", "on-chain-create", "on-chain-created",
+                               "creation_failed"),
+        "append_wine_record": ("new_wine_data_hash", "on-chain-append", "on-chain-appended",
+                               None),
     }
 
     def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
                          binding: Tuple[str, str], status: WineStatus,
-                         custody: Dict[str, object], method: str,
-                         failure_notice: Optional[str]) -> FlowReceipt:
+                         custody: Dict[str, object], method: str) -> FlowReceipt:
         """One write iteration of a record: ``key`` signs the digest of the
         wine id and ``binding``, the record's hashed tag and device (hashed
         and digested once per chain, then reused), the tag and the record take
         the signature and the next write counter, the custody entry is logged,
         the published subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt; a failed one unpins the subset, marks the
-        record ``ERROR`` and sends ``failure_notice``, if one is named."""
-        hash_param, chain_stage, event_name = self._ITERATIONS[method]
+        record ``ERROR`` and sends the method's failure notice, if it has one."""
+        hash_param, chain_stage, event_name, failure_notice = self._ITERATIONS[method]
         wine_id = record.wine_id
-        flow = FlowReceipt(wine_id=wine_id, stage="tag-write")
+        flow = FlowReceipt(wine_id=wine_id)
         hashed_tag, hashed_device = binding
         signature = sign_tag_payload(
             self.chain.runtime.signers.tag_digest(wine_id, hashed_tag, hashed_device), key)
@@ -365,22 +326,20 @@ class BlockchainService:
             tag.write(wine_id, signature, write_counter=write_counter,
                       password=bytes.fromhex(record.tag_password))
         except DnasError as exc:
-            raise FlowError(flow.stage, str(exc)) from exc
+            raise FlowError("tag-write", str(exc)) from exc
         record.write_counter = write_counter
         record.custodian_address = key.address.hex0x
         record.last_signature = signature.hex
         record.wine_status = status
         self.consortium.db.append_supply_chain_entry(wine_id, custody)
 
-        flow.stage = "content-store"
         try:
             content_id = self.consortium.store.add(self.store_node_id, record.subset())
             self.consortium.store.pin(self.store_node_id, content_id)
         except DnasError as exc:
-            raise FlowError(flow.stage, str(exc)) from exc
+            raise FlowError("content-store", str(exc)) from exc
         flow.content_id = content_id.text
 
-        flow.stage = chain_stage
         def finish(receipt: Receipt) -> None:
             if receipt.status == "ok":
                 # only transaction_data takes the mined tx details: the subset
@@ -616,12 +575,6 @@ class Consortium:
         self.deployment_secret_path = f"dnas/{proxy_address}"
 
     # -- membership ------------------------------------------------------------------
-
-    def service_by_address(self, address: str) -> Optional[BlockchainService]:
-        for service in self.services.values():
-            if service.address == address:
-                return service
-        return None
 
     def onboard_member(self, member_id: str, role: MemberRole,
                        node_type: NodeType) -> Dict[str, object]:

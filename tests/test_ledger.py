@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dnas import ledger, secp256k1
 from dnas.content_store import ContentId
+from dnas.contracts import tally_snapshot
 from dnas.errors import ConfigError, NotFoundError, PoolError, SealError
 from dnas.keys import Signature, generate_keypair, hash_identifier
 from dnas.ledger import (
@@ -487,6 +489,9 @@ _CREATE = {"wine_id": "W1", "wine_data_hash": ContentId.for_content(b"x").text,
     (1, "proxy", "create_wine_record", {**_CREATE, "tag_id": "zz" * 32}),
     (1, "proxy", "create_wine_record", {**_CREATE, "device_id": hash_identifier("d").upper()}),
     (1, "proxy", "create_wine_record", {**_CREATE, "tag_id": hash_identifier("t")[:63]}),
+    # custodians validate_signature could never match: upper-case hex, not an address
+    (1, "proxy", "create_wine_record", {**_CREATE, "new_public_address": "0x" + "AB" * 20}),
+    (1, "proxy", "create_wine_record", {**_CREATE, "new_public_address": "not-an-address"}),
 ])
 def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
                                                       params):
@@ -503,6 +508,23 @@ def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, targe
     assert receipt.status == "error" and receipt.block_number == block.number
     assert block.state_root == rebuilt_root(chain)
     assert not chain.runtime.proxy.records
+
+
+def test_append_with_a_malformed_custodian_seals_an_error_receipt(chain, keys):
+    maker = keys[1].address.hex0x
+    create = chain.submit_transaction(sign_transaction(
+        keys[1], 77, "proxy", "create_wine_record", _CREATE, nonce=chain.next_nonce(maker)))
+    append = chain.submit_transaction(sign_transaction(
+        keys[1], 77, "proxy", "append_wine_record", {
+            "wine_id": "W1", "new_wine_data_hash": ContentId.for_content(b"y").text,
+            "new_public_address": "0x" + "AB" * 20,
+            "tag_id": _CREATE["tag_id"], "device_id": _CREATE["device_id"],
+        }, nonce=chain.next_nonce(maker)))
+    chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert chain.query_tx(create).status == "ok"
+    assert chain.query_tx(append).status == "error"
+    entry = chain.runtime.proxy.records["W1"]
+    assert (entry.write_count, entry.pub_addr) == (1, _CREATE["new_public_address"])
 
 
 def _resigned(block, keys, chain_id=77, nonce_shift=0):
@@ -535,6 +557,40 @@ def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message, 
     calls = len(recoveries)
     replica.apply_block(block)
     assert len(recoveries) == calls  # verified against the admin's known key
+    assert replica.head.state_root == chain.head.state_root
+
+
+@pytest.mark.parametrize("tamper, error, message", [
+    (lambda block: replace(block, state_root="0x" + "00" * 32), SealError,
+     "^replayed state root differs"),
+    (lambda block: replace(block, votes=[*block.votes, {"voter": block.sealer}]), KeyError,
+     "candidate"),
+], ids=["zeroed-root", "malformed-vote"])
+def test_refused_block_leaves_the_replica_as_it_was(chain, keys, tamper, error, message):
+    # block 2 carries a header vote and a create, block 1 the registry bootstrap
+    chain.propose_validator(keys[0].address.hex0x, keys[5].address.hex0x, True)
+    chain.submit_transaction(sign_transaction(
+        keys[1], 77, "proxy", "create_wine_record", _CREATE,
+        nonce=chain.next_nonce(keys[1].address.hex0x)))
+    chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+
+    def state(c):
+        return (c.height, c.head.hash, dict(c.nonces), list(c.validators),
+                tally_snapshot(c.tallies), c.runtime.registry.snapshot(),
+                {w: vars(e) for w, e in c.runtime.proxy.records.items()},
+                set(c.receipts), c.head.state_root)
+
+    for block in chain.blocks[1:]:
+        assert block.transactions
+        before = copy.deepcopy(state(replica))
+        with pytest.raises(error, match=message):
+            replica.apply_block(tamper(block))
+        assert state(replica) == before
+        assert rebuilt_root(replica) == before[-1]
+        replica.apply_block(block)
+        assert replica.head.hash == block.hash
+        assert replica.head.state_root == rebuilt_root(replica)
     assert replica.head.state_root == chain.head.state_root
 
 

@@ -11,8 +11,6 @@ from dnas.errors import (
     FlowError,
     MembershipError,
     NotFoundError,
-    PayloadError,
-    RoutingError,
     SealError,
 )
 from dnas.keys import KeyPair, hash_identifier
@@ -80,6 +78,24 @@ def test_sixth_member_requires_votes(consortium):
     late_address = consortium.services["late"].address
     assert consortium.services["maker"].peer_validate(late_address)
     assert late_address in consortium.chain.validators
+
+
+def test_onboarding_vote_asks_each_registered_member_in_address_order(consortium):
+    consortium.services["ship"].join_policy = lambda entry: False
+    result = consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    members = [p["member_id"] for p in consortium.chain.call_view("get_peers", {})]
+    assert members != [m for m in consortium.services if m != "late"]  # not join order
+    responses = result["responses"]
+    assert list(responses) == members and result["contacted"] == 5
+    assert responses["ship"] == {"voted": False, "reason": "declined by local policy"}
+    voters = [m for m in members if m != "ship"]
+    assert all(responses[m]["voted"] for m in voters)
+    pooled = consortium.chain.pool
+    assert [tx.method for tx in pooled] == ["propose_peer"] * 4
+    assert [tx.sender for tx in pooled] == [consortium.services[m].address for m in voters]
+    assert [tx.tx_hash for tx in pooled] == [responses[m]["tx_hash"] for m in voters]
+    consortium.run_until_idle()
+    assert consortium.services["maker"].peer_validate(consortium.services["late"].address)
 
 
 def test_insufficient_votes_leave_candidate_pending(consortium):
@@ -729,7 +745,6 @@ def test_failed_append_receipt_marks_the_record_error(consortium):
     assert not dist.peer_validate(dist.address)
     assert flow.status == "error"
     assert flow.error == "append_wine_record requires a registered consortium member"
-    assert flow.stage == "on-chain-append"
     assert consortium.db.get("W1").wine_status is WineStatus.ERROR
     assert not [n for n in consortium.notifications if n["type"] == "creation_failed"]
 
@@ -822,64 +837,15 @@ def test_full_two_hop_chain_counters(consortium):
     assert sorted(on_chain["data_hash_history"]) == [1, 2, 3, 4]
 
 
-# -- dispatch surface ------------------------------------------------------------------------------
+# -- admin operations ------------------------------------------------------------------------------
 
-def test_dispatch_peer_validate(consortium):
-    service = consortium.services["maker"]
-    response = service.dispatch("/peer/validate", {"address": service.address})
-    assert response == {"member": True}
-
-
-def test_dispatch_peer_get(consortium):
-    response = consortium.services["ship"].dispatch("/peer/get", {})
-    assert len(response["peers"]) == 5
-
-
-def test_dispatch_record_create_role_error_propagates(consortium):
-    tag = NfcTag(uid=consortium.randbytes(7))
-    with pytest.raises(FlowError):
-        consortium.services["dist"].dispatch("/record/create", {
-            "record": {"wine_id": "WX", "pedigree_data": {}},
-            "tag": tag, "device_id": "device-dist"})
-
-
-def test_dispatch_unknown_endpoint(consortium):
-    with pytest.raises(RoutingError):
-        consortium.services["maker"].dispatch("/peer/unknown", {})
-
-
-def test_dispatch_malformed_payload(consortium):
-    with pytest.raises(PayloadError):
-        consortium.services["maker"].dispatch("/peer/validate", {})
-
-
-def test_dispatch_validate_and_append(consortium):
-    tag, _ = create_wine(consortium)
-    dist = consortium.services["dist"]
-    response = dist.dispatch("/record/validate", {"tag": tag})
-    assert [o["result"] for o in response["outcomes"]] == ["pass", "pass", "pass"]
-    append = dist.dispatch("/record/append", {"tag": tag,
-                                              "session_id": response["session_id"]})
-    consortium.run_until_idle()
-    assert append["flow"].status == "ok"
-
-
-def test_dispatch_admin_endpoints_guarded(consortium):
+def test_admin_operations_refuse_a_non_administrator(consortium):
+    maker = consortium.services["maker"]
     with pytest.raises(AuthError):
-        consortium.services["maker"].dispatch("/admin/upgrade", {"version": "winedata-v2"})
+        maker.upgrade_contract("winedata-v2")
     with pytest.raises(AuthError):
-        consortium.services["maker"].dispatch("/admin/consensus-level", {"level": 2})
-
-
-def test_dispatch_admin_upgrade_applies(consortium):
-    tag, _ = create_wine(consortium)
-    consortium.services["admin"].dispatch("/admin/upgrade", {"version": "winedata-v2"})
-    consortium.run_until_idle()
-    assert consortium.chain.runtime.proxy.current_implementation == "winedata-v2"
-    # pre-upgrade record still validates through the proxy
-    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
-    consortium.run_until_idle()
-    assert all(o.passed for o in outcomes)
+        maker.set_consensus_level(2)
+    assert not consortium.chain.pool
 
 
 def test_vault_backed_signing_key(consortium):

@@ -20,7 +20,7 @@ from dnas.errors import ContractError
 from dnas.keys import generate_keypair
 from dnas.records import WineStatus
 from dnas.scenario import MemberSpec, Scenario, Step
-from dnas.service import BlockchainService, MemberRole, NodeType
+from dnas.service import MemberRole, NodeType
 from dnas.simnet import ScenarioRunner, run_scenario
 
 FIVE = [
@@ -103,10 +103,6 @@ def readme_names(heading, pattern=r"`([a-z_]+)`"):
 def test_readme_lists_every_action_and_expectation():
     assert readme_names("Actions") == set(ScenarioRunner.ACTIONS)
     assert readme_names("Expectations") == set(ScenarioRunner.EXPECTATIONS)
-
-
-def test_readme_lists_every_endpoint():
-    assert readme_names("Endpoints", r"`(/[a-z/-]+)`") == set(BlockchainService.ENDPOINTS)
 
 
 def test_readme_library_example_runs():
