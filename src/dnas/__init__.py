@@ -16,7 +16,7 @@ from .scenario import Scenario, load_scenario
 from .service import AttackClass, BlockchainService, Consortium, MemberRole, NodeType
 from .simnet import Report, ScenarioRunner, replay_determinism_check, run_scenario
 from .tags import NfcTag
-from .vault import Vault, VaultAuthMethod
+from .vault import Vault
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "ContentId", "ContractRuntime", "DnasError", "GenesisConfig", "KeyPair",
     "MemberRole", "NfcTag", "NodeType", "PeerEntry", "PrivateNetwork",
     "RecordDatabase", "Report", "Scenario", "ScenarioRunner", "SignedTransaction",
-    "Signature", "StoreNode", "Vault", "VaultAuthMethod", "WineRecord", "WineStatus",
+    "Signature", "StoreNode", "Vault", "WineRecord", "WineStatus",
     "generate_keypair", "load_scenario", "next_gas_limit",
     "replay_determinism_check", "run_scenario",
 ]

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import DnasError, NotFoundError, ScenarioError
+from .errors import ContractError, DnasError, ScenarioError
 from .scenario import bundled_scenario_names, load_scenario
 from .simnet import ScenarioRunner, replay_determinism_check
 
@@ -85,7 +85,10 @@ def _cmd_query(args) -> int:
             print(json.dumps(chain.query_tx(args.tx_hash).to_dict(), indent=2))
         elif args.what == "record":
             record = consortium.db.get(args.wine_id)
-            on_chain = chain.call_view("get_record", {"wine_id": args.wine_id})
+            try:
+                on_chain = chain.call_view("get_record", {"wine_id": args.wine_id})
+            except ContractError:  # the chain refused it; the record stays for audit
+                on_chain = None
             latest = record.transaction_data[-1] if record.transaction_data else {}
             print(json.dumps({
                 "wine_id": record.wine_id,
@@ -103,7 +106,7 @@ def _cmd_query(args) -> int:
             print(json.dumps(chain.call_view("get_peers", {}), indent=2))
         elif args.what == "validators":
             print(json.dumps(chain.validators, indent=2))
-    except (NotFoundError, DnasError) as exc:
+    except DnasError as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK

@@ -4,8 +4,10 @@ Content identifiers are CIDv0-style multihashes: base58btc over
 0x12 (sha2-256) || 0x20 (32) || sha256(content), always 46 characters and
 starting with "Qm". A block's holders are the member nodes that store it;
 no separate index is kept. Blocks replicate onto the reader's node on each
-fetch; pinned blocks survive garbage collection; stored bytes are re-verified
-against their identifier's sha-256 digest on every store and every read.
+fetch; a node's pins name the blocks it keeps for the consortium, and a
+removed member's node hands them to the shared node; stored bytes are
+re-verified against their identifier's sha-256 digest on every store and
+every read.
 """
 
 import hashlib
@@ -154,16 +156,6 @@ class PrivateNetwork:
 
     def unpin(self, node_id: str, content_id: ContentId) -> None:
         self._member(node_id).pins.discard(content_id.text)
-
-    def gc(self, node_id: str) -> int:
-        """Evict unpinned cached blocks from the node; returns eviction count."""
-        node = self._member(node_id)
-        evicted = 0
-        for cid in list(node.blocks):
-            if cid not in node.pins:
-                del node.blocks[cid]
-                evicted += 1
-        return evicted
 
     def pinned(self, node_id: str) -> List[str]:
         """The content id texts the node has pinned, in sorted order."""

@@ -14,7 +14,7 @@ import hmac
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import secp256k1
 from .errors import EncodingError, InvalidKeyError, MacError, RecoveryError
@@ -86,12 +86,9 @@ class Signature:
         return self.to_bytes().hex()
 
 
-def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
-    """New key pair; deterministic when a 32-byte seed is supplied."""
-    if seed is not None:
-        secret = secp256k1.scalar_from_seed(seed)
-    else:
-        secret = secp256k1.random_scalar()
+def generate_keypair(seed: bytes) -> KeyPair:
+    """The key pair a 32-byte seed determines."""
+    secret = secp256k1.scalar_from_seed(seed)
     return KeyPair(secret=secret, public=secp256k1.multiply_generator(secret))
 
 

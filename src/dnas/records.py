@@ -56,9 +56,9 @@ class WineRecord:
 class RecordDatabase:
     """Embedded key-value store of wine records, keyed by wine identifier.
 
-    General create/update/delete is restricted to the winemaker role; the
-    flow-internal mutators below append transaction and custody entries on
-    behalf of validated accept/purchase operations.
+    Create and update are restricted to the winemaker role; the flow-internal
+    mutators below append transaction and custody entries on behalf of
+    validated accept/purchase operations.
     """
 
     def __init__(self):
@@ -89,13 +89,6 @@ class RecordDatabase:
                 raise NotFoundError(f"record has no field {name!r}")
             setattr(record, name, value)
         return record
-
-    def delete(self, caller_role: str, wine_id: str) -> None:
-        if caller_role != "winemaker":
-            raise RoleError("only winemaker nodes delete wine records")
-        if wine_id not in self._records:
-            raise NotFoundError(f"no record for {wine_id!r}")
-        del self._records[wine_id]
 
     def wine_ids(self) -> List[str]:
         return sorted(self._records)

@@ -20,7 +20,6 @@ reject non-canonical input.
 
 import hmac
 import hashlib
-import secrets
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import RecoveryError, RejectedSeedError
@@ -205,10 +204,6 @@ def scalar_from_seed(seed: bytes) -> int:
     if scalar == 0 or scalar >= N:
         raise RejectedSeedError("seed maps outside [1, n-1]")
     return scalar
-
-
-def random_scalar() -> int:
-    return secrets.randbelow(N - 1) + 1
 
 
 def _nonce_candidates(secret: int, digest: bytes) -> Iterator[int]:

@@ -39,7 +39,7 @@ from .keys import (
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
 from .tags import NfcTag
-from .vault import Vault, VaultAuthMethod, secret_path
+from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
 _IDLE_BLOCK_BUDGET = 64  # blocks run_until_idle may seal before it gives up
@@ -126,7 +126,6 @@ class BlockchainService:
         self._key = decrypt_keystore(stored, password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
-        self.join_policy: Callable[[Dict[str, object]], bool] = lambda entry: True
 
     @property
     def address(self) -> str:
@@ -154,8 +153,6 @@ class BlockchainService:
 
     def vote_on_candidate(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
         """This member's vote on a registry admission or removal."""
-        if not self.join_policy(entry):
-            return {"voted": False, "reason": "declined by local policy"}
         try:
             tx_hash = self.submit_tx("registry", "propose_peer",
                                      {"entry": dict(entry), "add": add})
@@ -547,9 +544,9 @@ class Consortium:
         key = generate_keypair(keccak256(f"member:{self._seed}:{member_id}".encode()))
         vault = Vault(clock=lambda: float(self.now),
                       token_source=lambda: self.rng.randbytes(16).hex())
-        role_id, secret_id = vault.create_approle([f"dnas/{member_id}/"],
+        role_id, secret_id = vault.create_approle([f"{VAULT_PREFIX_KEY}/{member_id}/"],
                                                   lease_seconds=10**9)
-        session = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
+        session = vault.login(role_id, secret_id)
         password = self.rng.randbytes(8).hex()
         keystore = create_keystore(key, password, rng=self.rng)
         vault.put(session, secret_path(member_id, "nodekey"), keystore)
@@ -564,15 +561,15 @@ class Consortium:
             return "0x" + keccak256(f"{admin.address}:{name}".encode())[-20:].hex()
         proxy_address = contract_address("proxy")
         vault = admin.vault
-        operator = vault.issue_token(["dnas"], lease_seconds=None)  # root-scoped
-        vault.put(operator, f"dnas/{proxy_address}", {
+        self.deployment_secret_path = f"{VAULT_PREFIX_KEY}/{proxy_address}"
+        operator = vault.issue_token([VAULT_PREFIX_KEY], lease_seconds=None)  # root-scoped
+        vault.put(operator, self.deployment_secret_path, {
             "kind": "SCDeploymentSecret",
             "proxy": proxy_address,
             "wine_data_contract": contract_address("winedata-v1"),
             "peer_registry_contract": contract_address("registry"),
             "owner": admin.address,
         })
-        self.deployment_secret_path = f"dnas/{proxy_address}"
 
     # -- membership ------------------------------------------------------------------
 
@@ -590,6 +587,9 @@ class Consortium:
                 "member_id": member_id, "mode": "vote"}
 
     def propose_member_removal(self, proposer_id: str, member_id: str) -> Dict[str, object]:
+        for who in (proposer_id, member_id):
+            if who not in self.services:
+                raise DnasError(f"no consortium member {who!r}")
         entry = self.services[member_id].registry_entry()
         return {"responses": self.services[proposer_id].request_votes(entry, add=False)}
 

@@ -221,7 +221,7 @@ class ScenarioRunner:
         service = self._service_for(step.actor)
         session = self.sessions.pop((step.actor, wine_id), None)
         custodian = self.consortium.consumers.get(step.actor) if purchase else None
-        service.accept_record_flow(self.tags[wine_id], session or "missing-session",
+        service.accept_record_flow(self._tag_for(step.params), session or "missing-session",
                                    custodian_key=custodian, purchase=purchase)
 
     def _onboard_member(self, step: Step) -> None:
@@ -231,9 +231,8 @@ class ScenarioRunner:
                                        NodeType(params.get("node_type", "validator")))
 
     def _clone_tag(self, step: Step) -> None:
-        wine_id = step.params["wine_id"]
-        self.cloned[wine_id] = counterfeit_copy(self.tags[wine_id],
-                                                randbytes=self.consortium.randbytes)
+        self.cloned[step.params["wine_id"]] = counterfeit_copy(
+            self._tag_for(step.params), randbytes=self.consortium.randbytes)
 
     def _tamper_tag(self, step: Step) -> None:
         tag = self._tag_for(step.params)
@@ -321,12 +320,14 @@ class ScenarioRunner:
             spec, "on-chain write count", self.consortium.chain.call_view(
                 "get_record", {"wine_id": spec["wine_id"]})["write_count"]),
         "counters_in_sync": lambda self, spec: (
-            self.consortium.counters_in_sync(spec["wine_id"], self.tags[spec["wine_id"]]),
+            self.consortium.counters_in_sync(spec["wine_id"], self._tag_for(spec)),
             f"counters of {spec['wine_id']} match on tag, database, chain"),
         "validator_count": lambda self, spec: self._measured(
             spec, "validator count", len(self.consortium.chain.validators)),
         "registry_size": lambda self, spec: self._measured(
             spec, "registry size", len(self.consortium.chain.call_view("get_peers", {}))),
+        "record_count": lambda self, spec: self._measured(
+            spec, "on-chain record count", self.consortium.chain.call_view("record_count", {})),
         "attack_logged": _expect_attack_logged,
         "no_attacks": _expect_no_attacks,
         "last_validation": _expect_last_validation,

@@ -49,10 +49,6 @@ class NfcTag:
         self.read_counter = 0
 
     @property
-    def uid(self) -> bytes:
-        return self._uid
-
-    @property
     def tag_id(self) -> str:
         return self._uid.hex()
 

@@ -1,11 +1,10 @@
-"""In-process secrets vault with token and approle authentication.
+"""In-process secrets vault with approle login and operator-issued tokens.
 
 Models the contract of an external vault product: leased tokens, approle
 login constraints, path-prefix policies, and versioned secrets. Reads are
 safe under concurrency; writes are serialized per vault.
 """
 
-import enum
 import secrets
 import threading
 import time
@@ -15,29 +14,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import AuthError, NotFoundError
 
 VAULT_PREFIX_KEY = "dnas"
-
-
-class AuthKind(enum.Enum):
-    TOKEN = "token"
-    APPROLE = "approle"
-
-
-@dataclass(frozen=True)
-class VaultAuthMethod:
-    """Credentials presented at login: a leased token or an approle pair."""
-
-    kind: AuthKind
-    token: Optional[str] = None
-    role_id: Optional[str] = None
-    secret_id: Optional[str] = None
-
-    @classmethod
-    def with_token(cls, token: str) -> "VaultAuthMethod":
-        return cls(kind=AuthKind.TOKEN, token=token)
-
-    @classmethod
-    def with_approle(cls, role_id: str, secret_id: str) -> "VaultAuthMethod":
-        return cls(kind=AuthKind.APPROLE, role_id=role_id, secret_id=secret_id)
 
 
 @dataclass(frozen=True)
@@ -60,9 +36,9 @@ class _AppRole:
     lease_seconds: float
 
 
-def secret_path(member_id: str, name: str, prefix: str = VAULT_PREFIX_KEY) -> str:
+def secret_path(member_id: str, name: str) -> str:
     """Conventional secret layout: <prefix>/<memberID>/<name>."""
-    return f"{prefix}/{member_id}/{name}"
+    return f"{VAULT_PREFIX_KEY}/{member_id}/{name}"
 
 
 class Vault:
@@ -96,20 +72,13 @@ class Vault:
 
     # -- client surface --------------------------------------------------------
 
-    def login(self, method: VaultAuthMethod) -> str:
-        """Validates credentials; returns a session token with a live lease."""
+    def login(self, role_id: str, secret_id: str) -> str:
+        """Approle login; returns a session token with a live lease."""
         with self._lock:
-            if method.kind is AuthKind.TOKEN:
-                if method.token is None:
-                    raise AuthError("token login without a token")
-                self._require_live(method.token)
-                return method.token
-            if method.role_id is None or method.secret_id is None:
-                raise AuthError("approle login needs role_id and secret_id")
-            role = self._approles.get(method.role_id)
+            role = self._approles.get(role_id)
             if role is None:
                 raise AuthError("unknown role_id")
-            if role.secret_id != method.secret_id:
+            if role.secret_id != secret_id:
                 raise AuthError("secret_id mismatch")
             return self.issue_token(list(role.policies), role.lease_seconds)
 
@@ -137,25 +106,14 @@ class Vault:
                     raise NotFoundError(f"no version {version} at {key!r}")
             return VaultSecret(key=key, value=value, version=number)
 
-    def token_lease_remaining(self, token: str) -> Optional[float]:
-        with self._lock:
-            record = self._require_live(token)
-            if record.lease_expiry is None:
-                return None
-            return record.lease_expiry - self._clock()
-
     # -- internals --------------------------------------------------------------
 
-    def _require_live(self, token: str) -> _TokenRecord:
-        record = self._tokens.get(token)
+    def _authorize(self, session: str, key: str) -> None:
+        record = self._tokens.get(session)
         if record is None:
             raise AuthError("unknown token")
         if record.lease_expiry is not None and self._clock() >= record.lease_expiry:
             raise AuthError("token lease expired; reauthentication needed")
-        return record
-
-    def _authorize(self, session: str, key: str) -> None:
-        record = self._require_live(session)
         for prefix in record.policies:
             if key == prefix or key.startswith(prefix.rstrip("/") + "/"):
                 return

@@ -56,6 +56,15 @@ def test_query_record_after_purchase(capsys):
     assert record["on_chain"]["write_count"] == 4
 
 
+def test_query_record_the_chain_refused(capsys):
+    # governance's W1 create is mined behind its maker's removal; the chain
+    # refuses it and the off-chain record stays, status error, for audit
+    assert main(["query", "--scenario", "governance", "record", "W1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "error"
+    assert record["on_chain"] is None and record["tx_hash"] is None
+
+
 def test_query_create_tx_receipt(capsys):
     # the run is deterministic, so the creation tx sits at a known height
     assert main(["query", "--scenario", "cloned_tag", "block", "3"]) == 0

@@ -125,24 +125,6 @@ def test_get_requires_membership(network):
         network.get("outsider", cid)
 
 
-def test_pin_survives_gc(network):
-    cid = network.add("n1", b"keep me")
-    network.get("n2", cid)
-    network.pin("n2", cid)
-    network.gc("n2")
-    assert network._nodes["n2"].holds(cid)
-    assert network.get("n2", cid) == b"keep me"
-
-
-def test_unpinned_cache_evicted_but_refetchable(network):
-    cid = network.add("n1", b"cache me")
-    network.pin("n1", cid)
-    network.get("n2", cid)
-    assert network.gc("n2") == 1
-    assert not network._nodes["n2"].holds(cid)
-    assert network.get("n2", cid) == b"cache me"  # refetched from n1
-
-
 def test_unpin_never_pinned_is_noop(network):
     cid = network.add("n1", b"x")
     network.unpin("n1", cid)  # acknowledgment, no error
@@ -220,7 +202,7 @@ _node = st.integers(min_value=0, max_value=3)
 _payload = st.integers(min_value=0, max_value=len(PAYLOADS) - 1)
 _step = st.one_of(
     st.tuples(st.sampled_from(["add", "get", "pin", "unpin", "tamper"]), _node, _payload),
-    st.tuples(st.sampled_from(["gc", "remove_member", "add_member"]), _node, st.just(0)),
+    st.tuples(st.sampled_from(["remove_member", "add_member"]), _node, st.just(0)),
 )
 
 
@@ -257,7 +239,6 @@ def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
             "get": lambda: network.get(name, cid),
             "pin": lambda: network.pin(name, cid),
             "unpin": lambda: network.unpin(name, cid),
-            "gc": lambda: network.gc(name),
             "remove_member": lambda: network.remove_member("admin", name),
         }.get(op)
         if op == "add_member":
@@ -291,11 +272,6 @@ def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
         elif op == "tamper":
             if cid.text in blocks[name]:
                 blocks[name][cid.text] = network._nodes[name].blocks[cid.text] = b"tampered"
-        elif op == "gc":
-            evicted = [c for c in blocks[name] if c not in pins[name]]
-            assert call() == len(evicted)
-            for c in evicted:
-                del blocks[name][c]
         else:
             call()
             del blocks[name], pins[name]

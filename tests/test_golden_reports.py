@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from dnas.encoding import canonical_json_bytes
-from dnas.scenario import load_scenario
+from dnas.scenario import bundled_scenario_names, load_scenario
 from dnas.simnet import run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
@@ -36,7 +36,23 @@ GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without
     ("halted_validator", 101): (
         "9557d03121e1be4be44cbce343efd0dab5d0a78d4aaa3980463ad0cfc10f992b",
         "2326db60ed5b638b9d8d58aa4d846101e0d6b17b6e3e925e1756878a32937d3e"),
+    ("governance", None): (
+        "6794ce4739f014516d1be30417bba4b7e44deee876249f0d740431cbafa82caf",
+        "8182110e60d3184b87b476bf8ad0a6e2fc99f8a0e65a45ee472c4c983246e69c"),
+    ("governance", 101): (
+        "9bda8386f161794872d502bc24c65e8f280e91ace782516feae57ec197d48cfa",
+        "8835f48b67f83bc80494c362a4ac5f4ff818e33f52c2d976afaa3b0868ad13f9"),
+    ("tampering", None): (
+        "0e5ff56081edd928e12df2115f37446787adbe48914ed6d25ba1602cc511960a",
+        "44382f40d6c8c7964214e2d721b27eafb6cee139cebcf2ecd76b7a989f4df3d0"),
+    ("tampering", 101): (
+        "d29eadf86ecf845a9b60a7941cc9db6754527c89215f563c6716a602ec86bd1c",
+        "2046315ff289d27dc7eae0a5e4d0152e02d70f91feb20959abe015d4a27e1e96"),
 }
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert set(bundled_scenario_names()) == {name for name, _ in GOLDEN}
 
 
 @pytest.mark.parametrize("name,seed", [

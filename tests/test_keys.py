@@ -38,10 +38,6 @@ def test_seeded_keypair_deterministic():
     assert generate_keypair(seed) == generate_keypair(seed)
 
 
-def test_unseeded_keypairs_distinct():
-    assert generate_keypair().secret != generate_keypair().secret
-
-
 def test_address_is_keccak_suffix():
     kp = generate_keypair(b"\x07" * 32)
     assert kp.address == keccak256(kp.public_bytes)[-20:]

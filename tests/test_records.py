@@ -28,14 +28,12 @@ def test_duplicate_create_rejected(db):
         db.create("winemaker", make_record())
 
 
-def test_participant_cannot_create_update_delete(db):
+def test_participant_cannot_create_or_update(db):
     with pytest.raises(RoleError):
         db.create("participant", make_record())
     db.create("winemaker", make_record())
     with pytest.raises(RoleError):
         db.update("participant", "W1", {"device_id": "d"})
-    with pytest.raises(RoleError):
-        db.delete("participant", "W1")
 
 
 def test_update_preserves_transaction_history(db):
@@ -45,11 +43,6 @@ def test_update_preserves_transaction_history(db):
         db.update("winemaker", "W1", {"transaction_data": []})
     db.update("winemaker", "W1", {"device_id": "d-new"})
     assert len(db.get("W1").transaction_data) == 1
-
-
-def test_delete_missing(db):
-    with pytest.raises(NotFoundError):
-        db.delete("winemaker", "nope")
 
 
 def test_subset_deterministic():

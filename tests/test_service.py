@@ -81,27 +81,24 @@ def test_sixth_member_requires_votes(consortium):
 
 
 def test_onboarding_vote_asks_each_registered_member_in_address_order(consortium):
-    consortium.services["ship"].join_policy = lambda entry: False
     result = consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     members = [p["member_id"] for p in consortium.chain.call_view("get_peers", {})]
     assert members != [m for m in consortium.services if m != "late"]  # not join order
     responses = result["responses"]
     assert list(responses) == members and result["contacted"] == 5
-    assert responses["ship"] == {"voted": False, "reason": "declined by local policy"}
-    voters = [m for m in members if m != "ship"]
-    assert all(responses[m]["voted"] for m in voters)
+    assert all(responses[m]["voted"] for m in members)
     pooled = consortium.chain.pool
-    assert [tx.method for tx in pooled] == ["propose_peer"] * 4
-    assert [tx.sender for tx in pooled] == [consortium.services[m].address for m in voters]
-    assert [tx.tx_hash for tx in pooled] == [responses[m]["tx_hash"] for m in voters]
+    assert [tx.method for tx in pooled] == ["propose_peer"] * 5
+    assert [tx.sender for tx in pooled] == [consortium.services[m].address for m in members]
+    assert [tx.tx_hash for tx in pooled] == [responses[m]["tx_hash"] for m in members]
     consortium.run_until_idle()
     assert consortium.services["maker"].peer_validate(consortium.services["late"].address)
 
 
 def test_insufficient_votes_leave_candidate_pending(consortium):
-    # only two of five members agree; the default consensus level is 3
-    for member in ("retail", "ship", "dist"):
-        consortium.services[member].join_policy = lambda entry: False
+    # all five members vote, and the level asks for six
+    consortium.services["admin"].set_consensus_level(6)
+    consortium.run_until_idle()
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     consortium.run_until_idle()
     late_address = consortium.services["late"].address
@@ -227,8 +224,8 @@ def test_removed_member_store_node_is_revoked_after_hand_over(consortium):
 def test_removal_does_not_reopen_the_bootstrap_stage(consortium):
     consortium.propose_member_removal("admin", "retail")
     consortium.run_until_idle()
-    for service in consortium.services.values():
-        service.join_policy = lambda entry: False
+    consortium.services["admin"].set_consensus_level(5)  # four members are left to vote
+    consortium.run_until_idle()
     result = consortium.onboard_member("stranger", MemberRole.WINEMAKER, NodeType.VALIDATOR)
     assert result["mode"] == "vote"
     consortium.run_until_idle()
@@ -368,9 +365,9 @@ def test_create_flow_duplicate_off_chain(consortium):
 
 def test_create_flow_on_chain_duplicate_keeps_audit_record(consortium):
     create_wine(consortium)
-    # the off-chain record disappears (winemaker cleanup) but the chain entry
-    # is immutable, so the retry fails at the on-chain stage
-    consortium.db.delete("winemaker", "W1")
+    # the off-chain record disappears but the chain entry is immutable, so
+    # the retry fails at the on-chain stage
+    consortium.db._records.pop("W1")
     tag = NfcTag(uid=consortium.randbytes(7))
     flow = consortium.services["maker"].create_record_flow(
         {"wine_id": "W1", "pedigree_data": {}}, tag, "device-maker")
@@ -778,7 +775,7 @@ def test_refused_create_unpins_its_subset_on_the_makers_node(consortium):
     create_wine(consortium)
     maker = consortium.services["maker"]
     # the database forgets W1, so only the chain refuses the second create
-    consortium.db.delete("winemaker", "W1")
+    consortium.db._records.pop("W1")
     flow = maker.create_record_flow({"wine_id": "W1"}, NfcTag(uid=consortium.randbytes(7)),
                                     "device-maker")
     consortium.run_until_idle()

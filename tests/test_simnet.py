@@ -142,6 +142,35 @@ def test_unexpected_step_error_fails_run():
     assert not report.steps[0]["ok"]
 
 
+def test_malformed_steps_fail_with_a_message(tmp_path):
+    # a step naming a non-member or a wine with no tag fails as a step; an
+    # expectation naming such a wine is a scenario error, not a KeyError
+    raw = {
+        "name": "malformed", "seed": 3,
+        "members": [{"member_id": m.member_id, "role": m.role.value,
+                     "node_type": m.node_type.value} for m in FIVE],
+        "extras": ["counterfeiter"],
+        "steps": [
+            {"at": 2, "actor": "admin", "action": "remove_member",
+             "params": {"member_id": "ghost"}},
+            {"at": 3, "actor": "dist", "action": "accept_record", "params": {"wine_id": "W9"}},
+            {"at": 4, "actor": "counterfeiter", "action": "clone_tag",
+             "params": {"wine_id": "W9"}},
+        ],
+        "expectations": [{"kind": "counters_in_sync", "wine_id": "W9"}],
+    }
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    runner = ScenarioRunner(load_scenario(str(path)))
+    with pytest.raises(ScenarioError, match="no tag for 'W9'"):
+        runner.run()
+    assert [(r.action, r.ok, r.error) for r in runner.step_results] == [
+        ("remove_member", False, "no consortium member 'ghost'"),
+        ("accept_record", False, "no tag for 'W9' (genuine)"),
+        ("clone_tag", False, "no tag for 'W9' (genuine)"),
+    ]
+
+
 def test_failed_expectation_fails_run():
     steps = [Step(2, "maker", "create_record", {"wine_id": "W1"})]
     report = run_scenario(simple_scenario(

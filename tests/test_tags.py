@@ -108,7 +108,7 @@ def test_read_before_any_write(tag):
 def test_uid_is_seven_bytes():
     with pytest.raises(TagStateError):
         NfcTag(uid=bytes(8))
-    assert len(NfcTag(uid=bytes(7)).uid) == 7
+    assert len(bytes.fromhex(NfcTag(uid=bytes(7)).tag_id)) == 7
 
 
 def test_counterfeit_copy_differs_in_uid(tag, signature):
@@ -116,7 +116,7 @@ def test_counterfeit_copy_differs_in_uid(tag, signature):
     tag.write("W1", signature, write_counter=1)
     password = tag.enable_protection(randbytes=rng.randbytes)
     fake = counterfeit_copy(tag, randbytes=rng.randbytes)
-    assert fake.uid != tag.uid
+    assert fake.tag_id != tag.tag_id
     assert fake.read(password=password).wine_id == "W1"
     assert fake.write_counter == tag.write_counter
 

@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from dnas.errors import AuthError, NotFoundError
-from dnas.vault import AuthKind, Vault, VaultAuthMethod, secret_path
+from dnas.vault import Vault, secret_path
 
 
 class FakeClock:
@@ -26,26 +26,28 @@ def vault(clock):
 
 def test_approle_login_mints_leased_token(vault, clock):
     role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
-    assert vault.token_lease_remaining(token) == 60
+    token = vault.login(role_id, secret_id)
+    clock.now = 59
+    assert vault.put(token, "dnas/member1/nodekey", "k1") == 1
+    clock.now = 60
+    with pytest.raises(AuthError, match="lease expired"):
+        vault.get(token, "dnas/member1/nodekey")
 
 
 def test_expired_token_rejected(vault, clock):
     role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
+    token = vault.login(role_id, secret_id)
     clock.now = 61
     with pytest.raises(AuthError):
         vault.get(token, "dnas/member1/nodekey")
-    with pytest.raises(AuthError):
-        vault.login(VaultAuthMethod.with_token(token))
 
 
 def test_reauthentication_after_lease(vault, clock):
     role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
+    token = vault.login(role_id, secret_id)
     vault.put(token, "dnas/member1/nodekey", "k1")
     clock.now = 100
-    fresh = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
+    fresh = vault.login(role_id, secret_id)
     assert fresh != token
     assert vault.get(fresh, "dnas/member1/nodekey").value == "k1"
 
@@ -53,17 +55,12 @@ def test_reauthentication_after_lease(vault, clock):
 def test_wrong_secret_id(vault):
     role_id, _ = vault.create_approle(["dnas/member1/"])
     with pytest.raises(AuthError):
-        vault.login(VaultAuthMethod.with_approle(role_id, "nope"))
+        vault.login(role_id, "nope")
 
 
 def test_unknown_role_id(vault):
     with pytest.raises(AuthError):
-        vault.login(VaultAuthMethod.with_approle("ghost", "nope"))
-
-
-def test_token_login_echoes_token(vault):
-    token = vault.issue_token(["dnas/"], lease_seconds=None)
-    assert vault.login(VaultAuthMethod.with_token(token)) == token
+        vault.login("ghost", "nope")
 
 
 def test_put_get_versioning(vault):
@@ -89,7 +86,7 @@ def test_policy_matrix_over_member_prefixes(vault):
     tokens = {}
     for m in members:
         role_id, secret_id = vault.create_approle([f"dnas/{m}/"])
-        tokens[m] = vault.login(VaultAuthMethod.with_approle(role_id, secret_id))
+        tokens[m] = vault.login(role_id, secret_id)
         vault.put(tokens[m], secret_path(m, "nodekey"), f"key-of-{m}")
     for owner in members:
         for target in members:
@@ -121,10 +118,3 @@ def test_versions_strictly_monotone_under_threads(vault):
         t.join()
     assert sorted(seen) == list(range(1, 201))
     assert vault.get(token, "dnas/shared/counter").version == 200
-
-
-def test_auth_method_constructors():
-    token_method = VaultAuthMethod.with_token("t")
-    assert token_method.kind is AuthKind.TOKEN
-    approle = VaultAuthMethod.with_approle("r", "s")
-    assert approle.kind is AuthKind.APPROLE
