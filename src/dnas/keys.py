@@ -11,7 +11,6 @@ bytes keeps the digest one Keccak block.
 
 import hashlib
 import hmac
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Tuple
@@ -247,16 +246,15 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-def create_keystore(key: KeyPair, password: str, rng=None) -> dict:
+def create_keystore(key: KeyPair, password: str, rng) -> dict:
     """Encrypt the secret key under a password; returns the keystore record.
 
     scrypt (n=2^14) derives a 32-byte key: first half encrypts via a hash
     counter-mode keystream, second half keys the Keccak MAC over the
-    ciphertext.
+    ciphertext. ``rng`` (a ``random.Random``) draws the salt and nonce.
     """
-    randbytes = rng.randbytes if rng is not None else secrets.token_bytes
-    salt = randbytes(16)
-    nonce = randbytes(16)
+    salt = rng.randbytes(16)
+    nonce = rng.randbytes(16)
     dk = hashlib.scrypt(password.encode("utf-8"), salt=salt, n=_KDF_N, r=_KDF_R,
                         p=_KDF_P, dklen=32, maxmem=64 * 1024 * 1024)
     ciphertext = bytes(a ^ b for a, b in zip(key.secret_bytes, _keystream(dk[:16], nonce, 32)))

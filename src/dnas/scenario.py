@@ -61,6 +61,14 @@ class Scenario:
             last_at = step.at
             if step.action not in ScenarioRunner.ACTIONS:
                 raise ScenarioError(f"step {index}: unknown action {step.action!r}")
+            _require(f"step {index} ({step.action})", step.params,
+                     ScenarioRunner.ACTION_PARAMS[step.action])
+            if step.action == "onboard_member":
+                try:
+                    MemberRole(step.params.get("role", "participant"))
+                    NodeType(step.params.get("node_type", "validator"))
+                except ValueError as exc:
+                    raise ScenarioError(f"step {index} (onboard_member): {exc}") from None
             if step.actor not in actors:
                 # onboarded members become actors once their step declares them
                 onboarded = {s.params.get("member_id") for s in self.steps
@@ -68,9 +76,14 @@ class Scenario:
                 if step.actor not in onboarded:
                     raise ScenarioError(f"step {index}: unknown actor {step.actor!r}")
         for index, expectation in enumerate(self.expectations):
-            if expectation.get("kind") not in ScenarioRunner.EXPECTATIONS:
-                raise ScenarioError(
-                    f"expectation {index}: unknown kind {expectation.get('kind')!r}")
+            kind = expectation.get("kind")
+            if kind not in ScenarioRunner.EXPECTATIONS:
+                raise ScenarioError(f"expectation {index}: unknown kind {kind!r}")
+            _require(f"expectation {index} ({kind})", expectation,
+                     ScenarioRunner.EXPECTATION_KEYS.get(kind, ()))
+            if kind == "step_error" and expectation["index"] not in range(len(self.steps)):
+                raise ScenarioError(f"expectation {index} (step_error): no step "
+                                    f"{expectation['index']!r}")
 
     @property
     def horizon(self) -> int:
@@ -78,6 +91,12 @@ class Scenario:
             return self.end_time
         last = max((s.at for s in self.steps), default=0)
         return last + 8 * self.period
+
+
+def _require(where: str, fields: Dict[str, object], keys) -> None:
+    for key in keys:
+        if key not in fields:
+            raise ScenarioError(f"{where}: missing {key!r}")
 
 
 # the settings a file may leave out; ``Scenario`` holds their defaults

@@ -185,10 +185,11 @@ class BlockchainService:
 
     def on_contract_event(self, event: ContractEvent) -> None:
         """Administrator's listener: registry admissions and removals trigger
-        the chain validator voting round. A removed member's service stops, so
-        that it may be onboarded again, and its store node is revoked once the
-        shared node has pinned what it pinned (nothing else may hold its subsets).
-        Duplicate deliveries are harmless; only registry events are remembered."""
+        the chain validator voting round. An admitted member gets its store node;
+        a removed member's service stops, so that it may be onboarded again, and
+        its node is revoked once the shared node has pinned what it pinned (nothing
+        else may hold its subsets). Duplicate deliveries are harmless; only
+        registry events are remembered."""
         if (self.role is not MemberRole.ADMINISTRATOR
                 or event.kind not in ("PeerAdded", "PeerRemoved")):
             return
@@ -199,14 +200,17 @@ class BlockchainService:
         member_id = event.fields.get("member_id", "")
         self._validator_round(event.fields["candidate"], member_id,
                               add=event.kind == "PeerAdded")
-        if event.kind != "PeerRemoved" or member_id == self.consortium.admin_member_id:
+        services, store = self.consortium.services, self.consortium.store
+        admin_id = self.consortium.admin_member_id
+        if event.kind == "PeerAdded" and member_id in services:
+            store.add_member(admin_id, services[member_id].store_node_id)
+        if event.kind != "PeerRemoved" or member_id == admin_id:
             return  # this listener's own service and node stay
-        removed = self.consortium.services.pop(member_id, None)
+        removed = services.pop(member_id, None)
         if removed is not None:
-            store = self.consortium.store
             for text in store.pinned(removed.store_node_id):
                 store.pin(self.store_node_id, ContentId(text))
-            store.remove_member(self.consortium.admin_member_id, removed.store_node_id)
+            store.remove_member(admin_id, removed.store_node_id)
 
     def _validator_round(self, candidate: str, member_id: str, add: bool) -> None:
         """Request a chain vote from every live member's node but the candidate's.
@@ -535,15 +539,22 @@ class Consortium:
     def randbytes(self, n: int) -> bytes:
         return self.rng.randbytes(n)
 
+    # bound methods, not closures, so that a deep copy's vaults follow the copy
+    def _vault_clock(self) -> float:
+        return float(self.now)
+
+    def _vault_token(self) -> str:
+        return self.rng.randbytes(16).hex()
+
     def _join(self, member_id: str, role: MemberRole,
               node_type: NodeType) -> BlockchainService:
-        """Provision a member's node key, vault and store node, and start its
-        service; the key is kept only as the vault's encrypted keystore."""
+        """Provision a member's node key and vault, and start its service; the
+        key is kept only as the vault's encrypted keystore. The member's store
+        node waits for its registry admission."""
         if member_id in self.services:
             raise DnasError(f"{member_id!r} is already a consortium member")
         key = generate_keypair(keccak256(f"member:{self._seed}:{member_id}".encode()))
-        vault = Vault(clock=lambda: float(self.now),
-                      token_source=lambda: self.rng.randbytes(16).hex())
+        vault = Vault(clock=self._vault_clock, token_source=self._vault_token)
         role_id, secret_id = vault.create_approle([f"{VAULT_PREFIX_KEY}/{member_id}/"],
                                                   lease_seconds=10**9)
         session = vault.login(role_id, secret_id)
@@ -551,7 +562,6 @@ class Consortium:
         keystore = create_keystore(key, password, rng=self.rng)
         vault.put(session, secret_path(member_id, "nodekey"), keystore)
         service = BlockchainService(self, member_id, role, node_type, vault, session, password)
-        self.store.add_member(self.admin_member_id, service.store_node_id)
         self.services[member_id] = service
         return service
 

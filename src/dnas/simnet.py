@@ -135,12 +135,14 @@ class ScenarioRunner:
             bootstrap_count=self.scenario.bootstrap_count,
             seed=self.seed, initial_members=members,
             session_timeout=self.scenario.session_timeout)
-        # scenario-time deliveries go through the bus with a one-tick delay
-        consortium.dispatcher = lambda fn, *args: self.bus.schedule(
-            consortium.now + 1, fn, *args)
+        consortium.dispatcher = self._dispatch
         for extra in self.scenario.extras:
             consortium.add_consumer(extra)
         return consortium
+
+    def _dispatch(self, fn: Callable, *args) -> None:
+        """Scenario-time deliveries go through the bus with a one-tick delay."""
+        self.bus.schedule(self.consortium.now + 1, fn, *args)
 
     # -- run loop -----------------------------------------------------------------------
 
@@ -269,6 +271,17 @@ class ScenarioRunner:
         "tamper_record": _tamper_record,
     }
 
+    # the params each action reads with no default; a scenario lacking one is refused at load
+    ACTION_PARAMS: Dict[str, Tuple[str, ...]] = {
+        **dict.fromkeys(("create_record", "ship_record", "validate_record", "accept_record",
+                         "purchase_record", "clone_tag"), ("wine_id",)),
+        **dict.fromkeys(("onboard_member", "remove_member"), ("member_id",)),
+        **dict.fromkeys(("halt_node", "resume_node"), ("member",)),
+        **dict.fromkeys(("tamper_tag", "tamper_record"), ("wine_id", "field", "value")),
+        "set_consensus_level": ("level",),
+        "upgrade_contract": ("version",),
+    }
+
     # -- expectations: one check per kind, returning (passed, description) ------------------
 
     def _measured(self, spec: Dict[str, object], what: str, actual: object) -> Tuple[bool, str]:
@@ -333,6 +346,16 @@ class ScenarioRunner:
         "last_validation": _expect_last_validation,
         "step_error": _expect_step_error,
         "sold_count": lambda self, spec: self._measured(spec, "sold records", self._sold_count()),
+    }
+
+    # the keys each expectation kind reads with no default, likewise refused at load
+    EXPECTATION_KEYS: Dict[str, Tuple[str, ...]] = {
+        **dict.fromkeys(("validator_count", "registry_size", "record_count", "sold_count"),
+                        ("equals",)),
+        **dict.fromkeys(("record_status", "write_count"), ("wine_id", "equals")),
+        **dict.fromkeys(("counters_in_sync", "last_validation"), ("wine_id",)),
+        "chain_height_min": ("value",),
+        "step_error": ("index",),
     }
 
     def _build_report(self) -> Report:

@@ -7,7 +7,6 @@ read (the reported value includes the read that returned it).
 """
 
 import json
-import secrets
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -90,7 +89,7 @@ class NfcTag:
             read_counter=self.read_counter,
         )
 
-    def enable_protection(self, randbytes: Callable[[int], bytes] = secrets.token_bytes) -> bytes:
+    def enable_protection(self, randbytes: Callable[[int], bytes]) -> bytes:
         """Locks the tag behind a fresh random 4-byte password and returns it."""
         if self.protection_enabled:
             raise TagStateError("protection already enabled")
@@ -99,7 +98,7 @@ class NfcTag:
         return self.password
 
 
-def counterfeit_copy(source: NfcTag, randbytes: Callable[[int], bytes] = secrets.token_bytes) -> NfcTag:
+def counterfeit_copy(source: NfcTag, randbytes: Callable[[int], bytes]) -> NfcTag:
     """Clone a tag's data onto a new tag; the UID necessarily differs."""
     copy = NfcTag(uid=randbytes(UID_BYTES))
     copy.memory = source.memory

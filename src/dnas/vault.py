@@ -1,13 +1,12 @@
 """In-process secrets vault with approle login and operator-issued tokens.
 
 Models the contract of an external vault product: leased tokens, approle
-login constraints, path-prefix policies, and versioned secrets. Reads are
-safe under concurrency; writes are serialized per vault.
+login constraints, path-prefix policies, and each secret's latest version.
+Its owner supplies the clock and the token source. Reads are safe under
+concurrency; writes are serialized per vault.
 """
 
-import secrets
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -44,14 +43,13 @@ def secret_path(member_id: str, name: str) -> str:
 class Vault:
     """Versioned secret store guarded by leased sessions."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic,
-                 token_source: Optional[Callable[[], str]] = None):
+    def __init__(self, clock: Callable[[], float], token_source: Callable[[], str]):
         self._clock = clock
-        self._new_token = token_source or (lambda: secrets.token_hex(16))
+        self._new_token = token_source
         self._lock = threading.RLock()
         self._tokens: Dict[str, _TokenRecord] = {}
         self._approles: Dict[str, _AppRole] = {}
-        self._secrets: Dict[str, List[Tuple[int, object]]] = {}
+        self._secrets: Dict[str, Tuple[int, object]] = {}  # key -> latest (version, value)
 
     # -- provisioning (vault operator surface) --------------------------------
 
@@ -85,26 +83,17 @@ class Vault:
     def put(self, session: str, key: str, value: object) -> int:
         with self._lock:
             self._authorize(session, key)
-            versions = self._secrets.setdefault(key, [])
-            version = versions[-1][0] + 1 if versions else 1
-            versions.append((version, value))
+            version = self._secrets.get(key, (0, None))[0] + 1
+            self._secrets[key] = (version, value)
             return version
 
-    def get(self, session: str, key: str, version: Optional[int] = None) -> VaultSecret:
+    def get(self, session: str, key: str) -> VaultSecret:
         with self._lock:
             self._authorize(session, key)
-            versions = self._secrets.get(key)
-            if not versions:
+            if key not in self._secrets:
                 raise NotFoundError(f"no secret at {key!r}")
-            if version is None:
-                number, value = versions[-1]
-            else:
-                for number, value in versions:
-                    if number == version:
-                        break
-                else:
-                    raise NotFoundError(f"no version {version} at {key!r}")
-            return VaultSecret(key=key, value=value, version=number)
+            version, value = self._secrets[key]
+            return VaultSecret(key=key, value=value, version=version)
 
     # -- internals --------------------------------------------------------------
 

@@ -1,9 +1,42 @@
+import copy
+import copyreg
 import sys
+import threading
 from collections import Counter
 
 import pytest
 
-from dnas import secp256k1
+from dnas import secp256k1, simnet
+from dnas.service import Consortium
+
+# a copied vault gets a lock of its own; src/ defines no copy hook
+copyreg.pickle(type(threading.RLock()), lambda lock: (threading.RLock, ()))
+
+_TEMPLATES = {}  # repr of the constructor arguments -> the consortium built with them
+
+
+def built_consortium(**kwargs):
+    """A deep copy of the one ``Consortium(**kwargs)`` built in this session.
+    A build encrypts and decrypts every member's keystore with scrypt, about
+    0.7 s for five members; a copy takes milliseconds and equals a fresh build."""
+    key = repr(sorted(kwargs.items()))
+    if key not in _TEMPLATES:
+        _TEMPLATES[key] = Consortium(**kwargs)
+    return copy.deepcopy(_TEMPLATES[key])
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "fresh_builds: scenario runs build their consortia from scratch, "
+        "for tests whose subject is that independent builds agree")
+
+
+@pytest.fixture(autouse=True)
+def copied_consortia(request, monkeypatch):
+    """Every scenario run starts from a copied template unless the test is
+    marked ``fresh_builds``."""
+    if request.node.get_closest_marker("fresh_builds") is None:
+        monkeypatch.setattr(simnet, "Consortium", built_consortium)
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from dnas.ledger import GAS_LIMIT_FLOOR, Chain, GenesisConfig, next_gas_limit
 from dnas.scenario import MemberSpec, Scenario, Step
 from dnas.service import (
     AttackClass,
-    Consortium,
     MemberRole,
     NodeType,
     ValidationLayer,
@@ -31,6 +30,7 @@ from dnas.simnet import replay_determinism_check, run_scenario
 from dnas.tags import NfcTag, counterfeit_copy
 
 import reference_ecdsa
+from conftest import built_consortium
 from test_secp256k1 import FIXED_VECTORS
 
 FIVE_MEMBERS = [
@@ -46,8 +46,8 @@ def announce(number: int, text: str) -> None:
     print(f"\n[PASS] criterion {number}: {text}")
 
 
-def fresh_consortium(seed=99):
-    return Consortium(seed=seed, initial_members=FIVE_MEMBERS, bootstrap_count=5)
+def five_member_consortium(seed=99):
+    return built_consortium(seed=seed, initial_members=FIVE_MEMBERS, bootstrap_count=5)
 
 
 def create_and_ship(consortium, wine_id="W1"):
@@ -172,7 +172,7 @@ ATTACK_MATRIX = [
 
 def test_criterion_2_attack_detection_matrix():
     for index, (name, corrupt, expected_layer, expected_class) in enumerate(ATTACK_MATRIX):
-        consortium = fresh_consortium(seed=200 + index)
+        consortium = five_member_consortium(seed=200 + index)
         tag = create_and_ship(consortium)
         scan_tag = corrupt(consortium, tag)
         outcomes, view, session = consortium.services["retail"].validate_record_flow(scan_tag)
@@ -237,7 +237,7 @@ def test_criterion_3_consensus_thresholds():
 # -- criterion 4: bootstrap semantics -------------------------------------------------------------
 
 def test_criterion_4_bootstrap_semantics():
-    consortium = fresh_consortium(seed=400)
+    consortium = five_member_consortium(seed=400)
     # the first five members joined with zero admission votes
     assert len(consortium.chain.call_view("get_peers", {})) == 5
     methods = [tx.method for block in consortium.chain.blocks for tx in block.transactions]
@@ -322,7 +322,7 @@ def test_criterion_7_content_addressing():
 # -- criterion 8: proxy upgrade ------------------------------------------------------------------------
 
 def test_criterion_8_proxy_upgrade():
-    consortium = fresh_consortium(seed=800)
+    consortium = five_member_consortium(seed=800)
     tag = create_and_ship(consortium)  # created and appended under v1
     admin = consortium.services["admin"]
     maker_record_before = consortium.chain.call_view("get_record", {"wine_id": "W1"})
@@ -391,6 +391,7 @@ def build_end_to_end_scenario(records=20):
                     expectations=expectations, extras=consumers, end_time=32)
 
 
+@pytest.mark.fresh_builds
 def test_criterion_9_end_to_end_scenario():
     scenario = build_end_to_end_scenario(records=20)
     result = replay_determinism_check(scenario, runs=3)
@@ -406,6 +407,7 @@ def test_criterion_9_end_to_end_scenario():
 
 # -- criterion 10: determinism and liveness ---------------------------------------------------------------
 
+@pytest.mark.fresh_builds
 def test_criterion_10_determinism_and_liveness():
     from dnas.scenario import bundled_scenario_names, load_scenario
     for name in bundled_scenario_names():

@@ -22,6 +22,8 @@ from dnas import cli
 
 PACKAGE = Path(dnas.__file__).resolve().parent
 
+pytestmark = pytest.mark.fresh_builds  # the pass must reach the constructor itself
+
 ALLOWED = {  # function -> why it stays with no product caller
     "ledger.Chain.apply_block":
         "a replica's block import; it gets its caller once each validator keeps a replica",

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from dnas.cli import main
 
 
@@ -30,6 +32,31 @@ def test_run_malformed_scenario_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert main(["run", str(bad)]) == 2
+
+
+def test_malformed_parameters_are_a_scenario_error(tmp_path, capsys):
+    base = json.loads(
+        resources.files("dnas").joinpath("scenarios").joinpath("governance.json").read_text())
+    cases = [  # (change to the scenario, what the refusal names)
+        (("steps", 6, "params", {}), "step 6 (set_consensus_level): missing 'level'"),
+        (("steps", 1, "params", {"member_id": "late", "role": "king"}),
+         "step 1 (onboard_member): 'king' is not a valid MemberRole"),
+        (("expectations", 1, "equals", None), "expectation 1 (validator_count): missing 'equals'"),
+        (("expectations", 6, "index", 99), "expectation 6 (step_error): no step 99"),
+        (("expectations", 6, "index", "8"), "expectation 6 (step_error): no step '8'"),
+    ]
+    for (section, index, key, value), message in cases:
+        scenario = json.loads(json.dumps(base))
+        if value is None:
+            del scenario[section][index][key]
+        else:
+            scenario[section][index][key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused at load, before any consortium is built
+        assert captured.err == f"scenario error: {message}\n"
 
 
 def test_failed_expectation_exit_code(tmp_path, capsys):
@@ -94,6 +121,7 @@ def test_query_peers(capsys):
     assert len(json.loads(capsys.readouterr().out)) == 5
 
 
+@pytest.mark.fresh_builds
 def test_replay_check(capsys):
     assert main(["replay-check", "cloned_tag", "--runs", "2"]) == 0
     result = json.loads(capsys.readouterr().out)

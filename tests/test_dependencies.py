@@ -1,5 +1,7 @@
 """The runtime has no third-party dependencies: every import in the package
-is relative or names a standard-library module."""
+is relative or names a standard-library module. Its only randomness and
+time are the consortium's seeded rng and simulated clock, and a built
+consortium is a value that ``copy.deepcopy`` copies faithfully."""
 
 import ast
 import sys
@@ -47,3 +49,25 @@ def test_no_module_level_memo_decorators(path):
     ``functools`` cache would be shared by every consortium in the process and
     never shrink."""
     assert list(_memo_decorators(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_wall_clock_or_unseeded_randomness(path):
+    assert {"secrets", "time"} & set(_absolute_imports(path)) == set()
+
+
+def _closures_over_self(path):
+    """Lambdas that read a ``self`` they do not bind: a deep copy keeps such
+    a lambda pointing at the original object, where a bound method follows
+    the copy."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Lambda):
+            bound = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            read = {n.id for n in ast.walk(node.body) if isinstance(n, ast.Name)}
+            if "self" in read - bound:
+                yield f"line {node.lineno}: {ast.unparse(node)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_lambda_closes_over_self(path):
+    assert list(_closures_over_self(path)) == []

@@ -174,21 +174,21 @@ def test_hash_identifier_is_keccak_hex():
 
 def test_keystore_roundtrip():
     kp = generate_keypair(b"\x44" * 32)
-    ks = create_keystore(kp, "correct horse")
+    ks = create_keystore(kp, "correct horse", random.Random(4))
     assert decrypt_keystore(ks, "correct horse") == kp
     assert ks["address"] == kp.address.hex0x
 
 
 def test_keystore_wrong_password_is_mac_error():
     kp = generate_keypair(b"\x44" * 32)
-    ks = create_keystore(kp, "correct horse")
+    ks = create_keystore(kp, "correct horse", random.Random(4))
     with pytest.raises(MacError):
         decrypt_keystore(ks, "battery staple")
 
 
 def test_keystore_tamper_detected():
     kp = generate_keypair(b"\x45" * 32)
-    ks = create_keystore(kp, "pw")
+    ks = create_keystore(kp, "pw", random.Random(4))
     flipped = bytearray(bytes.fromhex(ks["ciphertext"]))
     flipped[0] ^= 0xFF
     ks["ciphertext"] = flipped.hex()
@@ -198,7 +198,7 @@ def test_keystore_tamper_detected():
 
 def test_keystore_json_fields():
     kp = generate_keypair(b"\x46" * 32)
-    ks = create_keystore(kp, "pw")
+    ks = create_keystore(kp, "pw", random.Random(4))
     assert set(ks) == {"address", "ciphertext", "kdf_params", "mac"}
     assert decrypt_keystore(ks, "pw") == kp
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -19,13 +20,14 @@ from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
     BlockchainService,
-    Consortium,
     MemberRole,
     NodeType,
     ValidationLayer,
 )
 from dnas.tags import NfcTag, counterfeit_copy
 from dnas.vault import secret_path
+
+from conftest import built_consortium
 
 FIVE_MEMBERS = [
     ("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
@@ -38,7 +40,7 @@ FIVE_MEMBERS = [
 
 @pytest.fixture
 def consortium():
-    return Consortium(seed=7, initial_members=FIVE_MEMBERS, bootstrap_count=5)
+    return built_consortium(seed=7, initial_members=FIVE_MEMBERS, bootstrap_count=5)
 
 
 def create_wine(consortium, wine_id="W1"):
@@ -294,7 +296,7 @@ def test_peer_added_fans_out_to_every_member(consortium):
 
 def test_peer_added_five_validator_members_queue_a_threshold_of_votes():
     all_validators = [(m, r, NodeType.VALIDATOR) for m, r, _ in FIVE_MEMBERS]
-    consortium = Consortium(seed=8, initial_members=all_validators, bootstrap_count=5)
+    consortium = built_consortium(seed=8, initial_members=all_validators, bootstrap_count=5)
     consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     late = consortium.services["late"].address
     consortium.services["admin"]._validator_round(late, "late", add=True)
@@ -886,3 +888,49 @@ def test_member_keys_live_only_in_their_services(consortium):
         if name != "services":
             walk(value, name)
     assert found == []
+
+
+# -- copies of a built consortium ----------------------------------------------------------------
+
+def test_a_copys_vault_leases_expire_on_the_copys_clock(consortium):
+    twin = copy.deepcopy(consortium)
+    vault, key = twin.services["maker"].vault, secret_path("maker", "nodekey")
+    token = vault.issue_token(["dnas/maker/"], lease_seconds=5)
+    consortium.now += 10  # the template's clock alone moves
+    assert vault.get(token, key).value["address"] == twin.services["maker"].address
+    twin.now += 10
+    with pytest.raises(AuthError, match="lease expired"):
+        vault.get(token, key)
+
+
+def test_a_token_drawn_on_a_copy_leaves_the_templates_rng_as_it_was(consortium):
+    state = consortium.rng.getstate()
+    twin = copy.deepcopy(consortium)
+    twin.services["maker"].vault.issue_token(["dnas/maker/"])
+    assert consortium.rng.getstate() == state
+    assert twin.rng.getstate() != state
+
+
+def observed(consortium):
+    """What work on a copy must leave as it was on the template."""
+    store, chain = consortium.store, consortium.chain
+    return copy.deepcopy((
+        chain.head.hash, chain.head.state_root, [tx.tx_hash for tx in chain.pool],
+        consortium.now, {node: store.pinned(node) for node in sorted(store.members())},
+        {m: s.vault._secrets for m, s in consortium.services.items()}))
+
+
+def test_work_on_a_copy_leaves_the_template_as_it_was(consortium):
+    before = observed(consortium)
+    twin = copy.deepcopy(consortium)
+    tag, _ = create_wine(twin)
+    dist = twin.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    dist.accept_record_flow(tag, session)
+    twin.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
+    vault = twin.services["maker"].vault
+    vault.put(vault.issue_token(["dnas/maker/"]), secret_path("maker", "note"), "copy only")
+    twin.run_until_idle()
+    assert twin.counters_in_sync("W1", tag)
+    assert observed(twin) != before
+    assert observed(consortium) == before

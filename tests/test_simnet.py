@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dnas.content_store import ContentId
 from dnas.errors import ScenarioError
 from dnas.scenario import (
     MemberSpec,
@@ -178,6 +179,7 @@ def test_failed_expectation_fails_run():
     assert not report.passed
 
 
+@pytest.mark.fresh_builds
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_replay_determinism_same_seed(name):
     result = replay_determinism_check(load_scenario(name), runs=3)
@@ -185,6 +187,7 @@ def test_replay_determinism_same_seed(name):
     assert len(set(result["state_roots"])) == 1
 
 
+@pytest.mark.fresh_builds
 def test_replay_requires_two_runs():
     with pytest.raises(ScenarioError):
         replay_determinism_check(load_scenario("cloned_tag"), runs=1)
@@ -261,3 +264,15 @@ def test_transaction_references_resolve_on_ledger():
             assert receipt.block_number == entry["block_number"]
             checked += 1
     assert checked >= 4  # create + three appends in the happy path
+
+
+def test_a_candidate_the_registry_never_admits_gets_no_store_node():
+    runner = ScenarioRunner(load_scenario("governance"))
+    assert runner.run().passed
+    consortium = runner.consortium
+    store = consortium.store
+    assert "stranger" in consortium.services  # joined, but the registry left it out
+    assert "store-stranger" not in store.members()
+    latest = consortium.chain.call_view("get_record", {"wine_id": "W0"})["data_hash_latest"]
+    assert latest in store.pinned("store-late")  # the admitted member's node serves W0
+    assert store.get("store-late", ContentId(latest)) == consortium.db.get("W0").subset()

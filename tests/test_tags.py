@@ -29,6 +29,11 @@ def tag():
     return NfcTag(uid=bytes(range(7)))
 
 
+@pytest.fixture
+def randbytes():
+    return random.Random(7).randbytes
+
+
 def test_fresh_tag_write_then_read(tag, signature):
     tag.write("W1", signature, write_counter=1)
     out = tag.read()
@@ -65,9 +70,9 @@ def test_max_legal_payload_fits(signature):
     assert len(tag.memory) <= TAG_MEMORY_BYTES
 
 
-def test_protection_blocks_unauthenticated_access(tag, signature):
+def test_protection_blocks_unauthenticated_access(tag, signature, randbytes):
     tag.write("W1", signature, write_counter=1)
-    password = tag.enable_protection()
+    password = tag.enable_protection(randbytes)
     assert len(password) == 4
     with pytest.raises(TagLockedError):
         tag.read()
@@ -77,9 +82,9 @@ def test_protection_blocks_unauthenticated_access(tag, signature):
     assert tag.read(password=password).wine_id == "W1"
 
 
-def test_wrong_password_write_leaves_payload(tag, signature):
+def test_wrong_password_write_leaves_payload(tag, signature, randbytes):
     tag.write("W1", signature, write_counter=1)
-    password = tag.enable_protection()
+    password = tag.enable_protection(randbytes)
     other = sign_tag_payload(prefixed_digest("W2", hash_identifier("t"), hash_identifier("d")),
                              generate_keypair(b"\x12" * 32))
     with pytest.raises(TagLockedError):
@@ -87,10 +92,10 @@ def test_wrong_password_write_leaves_payload(tag, signature):
     assert tag.read(password=password).wine_id == "W1"
 
 
-def test_enable_protection_twice(tag):
-    tag.enable_protection()
+def test_enable_protection_twice(tag, randbytes):
+    tag.enable_protection(randbytes)
     with pytest.raises(TagStateError):
-        tag.enable_protection()
+        tag.enable_protection(randbytes)
 
 
 def test_password_always_four_bytes():
