@@ -39,9 +39,6 @@ class Address(bytes):
     def hex0x(self) -> str:
         return "0x" + self.hex()
 
-    def __repr__(self) -> str:
-        return f"Address({self.hex0x})"
-
 
 @dataclass(frozen=True)
 class KeyPair:

@@ -7,10 +7,10 @@ can be referenced by bare name.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin
 
 from .errors import ScenarioError
 from .service import MemberRole, NodeType
@@ -39,10 +39,6 @@ class Scenario:
     steps: List[Step]
     expectations: List[Dict[str, object]]
     extras: List[str] = field(default_factory=list)  # consumers / attackers
-    chain_id: int = 77
-    period: int = 1
-    gas_limit: int = 8_000_000
-    bootstrap_count: int = 5
     end_time: Optional[int] = None
     session_timeout: Optional[int] = None
 
@@ -61,8 +57,8 @@ class Scenario:
             last_at = step.at
             if step.action not in ScenarioRunner.ACTIONS:
                 raise ScenarioError(f"step {index}: unknown action {step.action!r}")
-            _require(f"step {index} ({step.action})", step.params,
-                     ScenarioRunner.ACTION_PARAMS[step.action])
+            _check(f"step {index} ({step.action})", step.params,
+                   ScenarioRunner.ACTIONS[step.action][1])
             if step.action == "onboard_member":
                 try:
                     MemberRole(step.params.get("role", "participant"))
@@ -76,52 +72,66 @@ class Scenario:
                 if step.actor not in onboarded:
                     raise ScenarioError(f"step {index}: unknown actor {step.actor!r}")
         for index, expectation in enumerate(self.expectations):
-            kind = expectation.get("kind")
+            kind = expectation.get("kind") if isinstance(expectation, dict) else None
             if kind not in ScenarioRunner.EXPECTATIONS:
                 raise ScenarioError(f"expectation {index}: unknown kind {kind!r}")
-            _require(f"expectation {index} ({kind})", expectation,
-                     ScenarioRunner.EXPECTATION_KEYS.get(kind, ()))
-            if kind == "step_error" and expectation["index"] not in range(len(self.steps)):
-                raise ScenarioError(f"expectation {index} (step_error): no step "
-                                    f"{expectation['index']!r}")
+            where = f"expectation {index} ({kind})"
+            if (kind == "step_error" and "index" in expectation
+                    and expectation["index"] not in range(len(self.steps))):
+                raise ScenarioError(f"{where}: no step {expectation['index']!r}")
+            _check(where, expectation, {"kind": str, **ScenarioRunner.EXPECTATIONS[kind][1]})
 
     @property
     def horizon(self) -> int:
         if self.end_time is not None:
             return self.end_time
-        last = max((s.at for s in self.steps), default=0)
-        return last + 8 * self.period
+        return max((s.at for s in self.steps), default=0) + 8
 
 
-def _require(where: str, fields: Dict[str, object], keys) -> None:
-    for key in keys:
-        if key not in fields:
-            raise ScenarioError(f"{where}: missing {key!r}")
+def _kind(annotation) -> Tuple[type, bool]:
+    """The type a value so annotated must have, and whether it may be left out
+    (``Optional[X]``); ``List[...]`` and ``Dict[...]`` are a list and a dict."""
+    if get_origin(annotation) is Union:
+        return _kind(get_args(annotation)[0])[0], True
+    return get_origin(annotation) or annotation, False
 
 
-# the settings a file may leave out; ``Scenario`` holds their defaults
-_OPTIONAL = ("chain_id", "period", "gas_limit", "bootstrap_count", "end_time",
-             "session_timeout")
+def _check(where: str, given: Dict[str, object], keys: Dict[str, object]) -> None:
+    """Refuse a key that ``keys`` does not declare, a declared key left out
+    unless it is ``Optional``, and a value that is not of its declared type."""
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{where}: {given!r} is not an object")
+    for key in given:
+        if key not in keys:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+    for key, annotation in keys.items():
+        kind, optional = _kind(annotation)
+        if key not in given:
+            if not optional:
+                raise ScenarioError(f"{where}: missing {key!r}")
+        elif not isinstance(given[key], kind) or kind is int and isinstance(given[key], bool):
+            raise ScenarioError(f"{where}: {key!r} must be {kind.__name__}, not {given[key]!r}")
+
+
+def _fields(cls) -> Dict[str, object]:
+    """A dataclass's fields as a key table: a field with a default may be left out."""
+    return {f.name: f.type if f.default is MISSING and f.default_factory is MISSING
+            else Optional[f.type] for f in fields(cls)}
 
 
 def scenario_from_dict(raw: Dict[str, object], name_hint: str = "scenario") -> Scenario:
     try:
-        members = [MemberSpec(member_id=m["member_id"], role=MemberRole(m["role"]),
-                              node_type=NodeType(m["node_type"]))
-                   for m in raw["members"]]
-        steps = [Step(at=s["at"], actor=s["actor"], action=s["action"],
-                      params=dict(s.get("params", {})),
-                      expect_error=s.get("expect_error"))
-                 for s in raw.get("steps", [])]
-        scenario = Scenario(
-            name=raw.get("name", name_hint),
-            seed=raw.get("seed", 0),
-            members=members,
-            steps=steps,
-            expectations=list(raw.get("expectations", [])),
-            extras=list(raw.get("extras", [])),
-            **{key: raw[key] for key in _OPTIONAL if key in raw},
-        )
+        raw = {"name": name_hint, "seed": 0, "steps": [], "expectations": [], **raw}
+        _check("scenario", raw, _fields(Scenario))
+        for index, step in enumerate(raw["steps"]):
+            _check(f"step {index}", step, _fields(Step))
+        members = []
+        for index, m in enumerate(raw["members"]):  # role and node type name enum members
+            _check(f"member {index}", m, {"member_id": str, "role": str, "node_type": str})
+            members.append(MemberSpec(m["member_id"], MemberRole(m["role"]),
+                                      NodeType(m["node_type"])))
+        scenario = Scenario(**{**raw, "members": members,
+                               "steps": [Step(**step) for step in raw["steps"]]})
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     scenario.validate()

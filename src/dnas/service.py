@@ -491,8 +491,7 @@ class BlockchainService:
 class Consortium:
     """Shared infrastructure plus the directory of member services."""
 
-    def __init__(self, chain_id: int = 77, period: int = 1, gas_limit: int = 8_000_000,
-                 bootstrap_count: int = 5, seed: int = 0,
+    def __init__(self, bootstrap_count: int = 5, seed: int = 0,
                  initial_members: Optional[List[Tuple[str, MemberRole, NodeType]]] = None,
                  session_timeout: Optional[int] = None):
         self.session_timeout = session_timeout
@@ -519,11 +518,8 @@ class Consortium:
             self._join(member_id, role, node_type)
 
         services = list(self.services.values())
-        genesis = GenesisConfig(
-            chain_id=chain_id, period=period,
-            initial_validators=tuple(s.address for s in services
-                                     if s.node_type is NodeType.VALIDATOR),
-            gas_limit=gas_limit)
+        genesis = GenesisConfig(chain_id=77, period=1, initial_validators=tuple(
+            s.address for s in services if s.node_type is NodeType.VALIDATOR))
         admin = self.shared_service
         self.chain = Chain(genesis, contract_admin=admin.address,
                            bootstrap_count=bootstrap_count)

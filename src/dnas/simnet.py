@@ -110,6 +110,11 @@ class Report:
         return "\n".join(lines)
 
 
+# the keys of a step or expectation that names a record and, by default, its genuine tag
+_TAGGED = {"wine_id": str, "tag": Optional[str]}
+_COUNT = {"equals": int}  # an expectation comparing a count
+
+
 class ScenarioRunner:
     """Executes one scenario on a fresh consortium."""
 
@@ -129,12 +134,8 @@ class ScenarioRunner:
 
     def _build_consortium(self) -> Consortium:
         members = [(m.member_id, m.role, m.node_type) for m in self.scenario.members]
-        consortium = Consortium(
-            chain_id=self.scenario.chain_id, period=self.scenario.period,
-            gas_limit=self.scenario.gas_limit,
-            bootstrap_count=self.scenario.bootstrap_count,
-            seed=self.seed, initial_members=members,
-            session_timeout=self.scenario.session_timeout)
+        consortium = Consortium(seed=self.seed, initial_members=members,
+                                session_timeout=self.scenario.session_timeout)
         consortium.dispatcher = self._dispatch
         for extra in self.scenario.extras:
             consortium.add_consumer(extra)
@@ -168,7 +169,7 @@ class ScenarioRunner:
 
     def _run_step(self, step: Step) -> None:
         try:
-            self.ACTIONS[step.action](self, step)
+            self.ACTIONS[step.action][0](self, step)
         except DnasError as exc:
             error = str(exc)
             ok = step.expect_error is not None and step.expect_error in error
@@ -250,36 +251,32 @@ class ScenarioRunner:
         record = self.consortium.db.get(step.params["wine_id"])
         record.pedigree_data[step.params["field"]] = step.params["value"]
 
-    ACTIONS: Dict[str, Callable[["ScenarioRunner", Step], None]] = {
-        "create_record": _create_record,
-        "ship_record": _ship_record,
-        "validate_record": _validate_record,
-        "accept_record": _accept_record,
-        "purchase_record": lambda self, step: self._accept_record(step, purchase=True),
-        "onboard_member": _onboard_member,
-        "remove_member": lambda self, step: self.consortium.propose_member_removal(
-            step.actor, step.params["member_id"]),
-        "set_consensus_level": lambda self, step: self._service_for(
-            step.actor).set_consensus_level(step.params["level"]),
-        "upgrade_contract": lambda self, step: self._service_for(
-            step.actor).upgrade_contract(step.params["version"]),
-        "halt_node": lambda self, step: self.consortium.halted.add(step.params["member"]),
-        "resume_node": lambda self, step: self.consortium.halted.discard(
-            step.params["member"]),
-        "clone_tag": _clone_tag,
-        "tamper_tag": _tamper_tag,
-        "tamper_record": _tamper_record,
-    }
-
-    # the params each action reads with no default; a scenario lacking one is refused at load
-    ACTION_PARAMS: Dict[str, Tuple[str, ...]] = {
-        **dict.fromkeys(("create_record", "ship_record", "validate_record", "accept_record",
-                         "purchase_record", "clone_tag"), ("wine_id",)),
-        **dict.fromkeys(("onboard_member", "remove_member"), ("member_id",)),
-        **dict.fromkeys(("halt_node", "resume_node"), ("member",)),
-        **dict.fromkeys(("tamper_tag", "tamper_record"), ("wine_id", "field", "value")),
-        "set_consensus_level": ("level",),
-        "upgrade_contract": ("version",),
+    # each action: its handler, then the params it reads with their types; an
+    # Optional param may be left out. Scenario.validate refuses a step whose
+    # params miss a key, add one, or give one another type
+    ACTIONS: Dict[str, Tuple[Callable[["ScenarioRunner", Step], None], Dict[str, object]]] = {
+        "create_record": (_create_record, {"wine_id": str, "pedigree": Optional[dict],
+                                           "device_id": Optional[str]}),
+        "ship_record": (_ship_record, {"wine_id": str}),
+        "validate_record": (_validate_record, _TAGGED),
+        "accept_record": (_accept_record, _TAGGED),
+        "purchase_record": (lambda self, step: self._accept_record(step, purchase=True),
+                            _TAGGED),
+        "onboard_member": (_onboard_member, {"member_id": str, "role": Optional[str],
+                                             "node_type": Optional[str]}),
+        "remove_member": (lambda self, step: self.consortium.propose_member_removal(
+            step.actor, step.params["member_id"]), {"member_id": str}),
+        "set_consensus_level": (lambda self, step: self._service_for(
+            step.actor).set_consensus_level(step.params["level"]), {"level": int}),
+        "upgrade_contract": (lambda self, step: self._service_for(
+            step.actor).upgrade_contract(step.params["version"]), {"version": str}),
+        "halt_node": (lambda self, step: self.consortium.halted.add(step.params["member"]),
+                      {"member": str}),
+        "resume_node": (lambda self, step: self.consortium.halted.discard(
+            step.params["member"]), {"member": str}),
+        "clone_tag": (_clone_tag, _TAGGED),
+        "tamper_tag": (_tamper_tag, {**_TAGGED, "field": str, "value": object}),
+        "tamper_record": (_tamper_record, {"wine_id": str, "field": str, "value": object}),
     }
 
     # -- expectations: one check per kind, returning (passed, description) ------------------
@@ -322,40 +319,38 @@ class ScenarioRunner:
         db = self.consortium.db
         return sum(1 for w in db.wine_ids() if db.get(w).wine_status is WineStatus.SOLD)
 
-    EXPECTATIONS: Dict[str, Callable[["ScenarioRunner", Dict[str, object]], Tuple[bool, str]]] = {
-        "chain_height_min": lambda self, spec: (
+    # each expectation kind: its check, then the keys it reads, likewise refused at load
+    EXPECTATIONS: Dict[str, Tuple[Callable[["ScenarioRunner", Dict[str, object]],
+                                           Tuple[bool, str]], Dict[str, object]]] = {
+        "chain_height_min": (lambda self, spec: (
             self.consortium.chain.height >= spec["value"],
-            f"chain height {self.consortium.chain.height} >= {spec['value']}"),
-        "record_status": lambda self, spec: self._measured(
+            f"chain height {self.consortium.chain.height} >= {spec['value']}"), {"value": int}),
+        "record_status": (lambda self, spec: self._measured(
             spec, f"record {spec['wine_id']} status",
             self.consortium.db.get(spec["wine_id"]).wine_status.value),
-        "write_count": lambda self, spec: self._measured(
+            {"wine_id": str, "equals": str}),
+        "write_count": (lambda self, spec: self._measured(
             spec, "on-chain write count", self.consortium.chain.call_view(
                 "get_record", {"wine_id": spec["wine_id"]})["write_count"]),
-        "counters_in_sync": lambda self, spec: (
+            {"wine_id": str, "equals": int}),
+        "counters_in_sync": (lambda self, spec: (
             self.consortium.counters_in_sync(spec["wine_id"], self._tag_for(spec)),
-            f"counters of {spec['wine_id']} match on tag, database, chain"),
-        "validator_count": lambda self, spec: self._measured(
-            spec, "validator count", len(self.consortium.chain.validators)),
-        "registry_size": lambda self, spec: self._measured(
+            f"counters of {spec['wine_id']} match on tag, database, chain"), _TAGGED),
+        "validator_count": (lambda self, spec: self._measured(
+            spec, "validator count", len(self.consortium.chain.validators)), _COUNT),
+        "registry_size": (lambda self, spec: self._measured(
             spec, "registry size", len(self.consortium.chain.call_view("get_peers", {}))),
-        "record_count": lambda self, spec: self._measured(
+            _COUNT),
+        "record_count": (lambda self, spec: self._measured(
             spec, "on-chain record count", self.consortium.chain.call_view("record_count", {})),
-        "attack_logged": _expect_attack_logged,
-        "no_attacks": _expect_no_attacks,
-        "last_validation": _expect_last_validation,
-        "step_error": _expect_step_error,
-        "sold_count": lambda self, spec: self._measured(spec, "sold records", self._sold_count()),
-    }
-
-    # the keys each expectation kind reads with no default, likewise refused at load
-    EXPECTATION_KEYS: Dict[str, Tuple[str, ...]] = {
-        **dict.fromkeys(("validator_count", "registry_size", "record_count", "sold_count"),
-                        ("equals",)),
-        **dict.fromkeys(("record_status", "write_count"), ("wine_id", "equals")),
-        **dict.fromkeys(("counters_in_sync", "last_validation"), ("wine_id",)),
-        "chain_height_min": ("value",),
-        "step_error": ("index",),
+            _COUNT),
+        "attack_logged": (_expect_attack_logged, dict.fromkeys(
+            ("wine_id", "attack_class", "layer"), Optional[str])),
+        "no_attacks": (_expect_no_attacks, {}),
+        "last_validation": (_expect_last_validation, {"wine_id": str, "result": Optional[str]}),
+        "step_error": (_expect_step_error, {"index": int, "contains": Optional[str]}),
+        "sold_count": (lambda self, spec: self._measured(spec, "sold records",
+                                                         self._sold_count()), _COUNT),
     }
 
     def _build_report(self) -> Report:
@@ -363,7 +358,7 @@ class ScenarioRunner:
         expectations = []
         all_passed = True
         for spec in self.scenario.expectations:
-            passed, description = self.EXPECTATIONS[spec["kind"]](self, spec)
+            passed, description = self.EXPECTATIONS[spec["kind"]][0](self, spec)
             expectations.append({"kind": spec["kind"], "description": description,
                                  "passed": passed})
             all_passed = all_passed and passed

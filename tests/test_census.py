@@ -33,7 +33,6 @@ ALLOWED = {  # function -> why it stays with no product caller
     "service.ValidationOutcome.passed": "the bench reads it",
     "content_store.PrivateNetwork.holders":
         "a read view the hand-over and replication tests use as their oracle",
-    "keys.Address.__repr__": "for debugging",
 }
 
 

@@ -37,20 +37,35 @@ def test_run_malformed_scenario_file(tmp_path, capsys):
 def test_malformed_parameters_are_a_scenario_error(tmp_path, capsys):
     base = json.loads(
         resources.files("dnas").joinpath("scenarios").joinpath("governance.json").read_text())
-    cases = [  # (change to the scenario, what the refusal names)
+    cases = [  # (path to a key, its new value or None to delete it; what the refusal names)
         (("steps", 6, "params", {}), "step 6 (set_consensus_level): missing 'level'"),
         (("steps", 1, "params", {"member_id": "late", "role": "king"}),
          "step 1 (onboard_member): 'king' is not a valid MemberRole"),
         (("expectations", 1, "equals", None), "expectation 1 (validator_count): missing 'equals'"),
         (("expectations", 6, "index", 99), "expectation 6 (step_error): no step 99"),
         (("expectations", 6, "index", "8"), "expectation 6 (step_error): no step '8'"),
+        (("steps", 1, "at", "2"), "step 1: 'at' must be int, not '2'"),
+        (("steps", 0, "params", "pedigree", [1]),
+         "step 0 (create_record): 'pedigree' must be dict, not [1]"),
+        (("steps", 6, "params", "level", "6"),
+         "step 6 (set_consensus_level): 'level' must be int, not '6'"),
+        (("period", 2), "scenario: unknown key 'period'"),
+        (("end_tme", 30), "scenario: unknown key 'end_tme'"),
+        (("steps", 6, "params", "levl", 6), "step 6 (set_consensus_level): unknown key 'levl'"),
+        (("steps", 0, [1]), "step 0: [1] is not an object"),
+        (("members", 1, "member_id", ["maker"]),
+         "member 1: 'member_id' must be str, not ['maker']"),
+        (("expectations", 0, [1]), "expectation 0: unknown kind None"),
     ]
-    for (section, index, key, value), message in cases:
+    for (*parents, key, value), message in cases:
         scenario = json.loads(json.dumps(base))
+        target = scenario
+        for part in parents:
+            target = target[part]
         if value is None:
-            del scenario[section][index][key]
+            del target[key]
         else:
-            scenario[section][index][key] = value
+            target[key] = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(scenario))
         assert main(["run", str(path)]) == 2

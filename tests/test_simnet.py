@@ -104,6 +104,15 @@ def test_two_administrators_rejected():
         Scenario(name="x", seed=1, members=members, steps=[], expectations=[]).validate()
 
 
+def test_every_action_and_expectation_kind_is_in_a_bundled_scenario():
+    # the census sees only defs, so a table entry no scenario reaches shows here
+    scenarios = [load_scenario(name) for name in bundled_scenario_names()]
+    actions = {step.action for scenario in scenarios for step in scenario.steps}
+    kinds = {spec["kind"] for scenario in scenarios for spec in scenario.expectations}
+    assert sorted(set(ScenarioRunner.ACTIONS) - actions) == []
+    assert sorted(set(ScenarioRunner.EXPECTATIONS) - kinds) == []
+
+
 # -- runner ----------------------------------------------------------------------------------
 
 def test_happy_path_scenario_passes():
