@@ -49,6 +49,9 @@ class Scenario:
         admin_count = sum(1 for m in self.members if m.role is MemberRole.ADMINISTRATOR)
         if admin_count != 1:
             raise ScenarioError("scenario needs exactly one administrator")
+        for extra in self.extras:
+            if not isinstance(extra, str):
+                raise ScenarioError(f"scenario: 'extras' entry must be str, not {extra!r}")
         actors = {m.member_id for m in self.members} | set(self.extras)
         last_at = None
         for index, step in enumerate(self.steps):
@@ -65,6 +68,9 @@ class Scenario:
                     NodeType(step.params.get("node_type", "validator"))
                 except ValueError as exc:
                     raise ScenarioError(f"step {index} (onboard_member): {exc}") from None
+            if step.action == "tamper_tag" and step.params["field"] == "read_counter":
+                _check(f"step {index} (tamper_tag)", {"value": step.params["value"]},
+                       {"value": int})  # a tag's read counter is an int; other fields any value
             if step.actor not in actors:
                 # onboarded members become actors once their step declares them
                 onboarded = {s.params.get("member_id") for s in self.steps

@@ -4,22 +4,25 @@ Jacobian-coordinate arithmetic. The generator G and every known signer key Q
 are fixed bases, multiplied with signed fixed-window tables (Hankerson,
 Menezes and Vanstone, Guide to ECC, Alg. 3.41): a scalar is recoded into
 signed base-2**w digits, row i of the base's table holds the multiples
-(j + 1) * 2**(w * i) of it that digit i can name, and each digit costs one
-mixed addition and no doubling. G's table is built once, at import, with
-10-bit windows (26 rows of 512 points, about 2.3 MB); a key's is built once
-per signer with 6-bit windows (``key_tables``, 43 rows of 32, 1,376 points).
-Signing takes k*G from G's table in 26 additions; verifying against a known
-key (SEC 1 v2, 4.1.4) sums u1*G and u2*Q from the two in 69. Recovery's R is
-fresh, so u2*R builds only the first row of R's 6-bit table and walks the
-same signed digits from the most significant, with six doublings per digit
-(one chain of about 256); u1*G comes from G's table. Nonces follow
-the RFC 6979 HMAC-SHA256 construction so signatures are reproducible;
-produced signatures are canonical (low-s) and recovery and verification
-reject non-canonical input.
+(j + 1) * 2**(w * i) of it that digit i can name, and each nonzero digit
+names one table point, with no doubling. G's table is built once, at
+import, with 10-bit windows (26 rows of 512 points, about 2.3 MB); a key's
+is built once per signer with 7-bit windows (``key_tables``, 37 rows of 64,
+2,368 points). The named points are summed as a set (``_sum``): while 32 or
+more remain they are added in affine pairs, each round sharing one field
+inversion (Montgomery's simultaneous inversion), and fewer take one mixed
+addition each. Signing sums k*G's at most 26 points by mixed additions;
+verifying against a known key (SEC 1 v2, 4.1.4) sums the at most 63 of
+u1*G and u2*Q in one or two affine rounds, then at most 31 mixed additions.
+Recovery's R is fresh, so u2*R builds only the first row of R's 6-bit
+table and walks the same signed digits from the most significant, with six
+doublings per digit (one chain of about 256); u1*G comes from G's table.
+Nonces follow the RFC 6979 HMAC-SHA256 construction so signatures are
+reproducible; produced signatures are canonical (low-s) and recovery and
+verification reject non-canonical input.
 """
 
 import hmac
-import hashlib
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import RecoveryError, RejectedSeedError
@@ -107,12 +110,32 @@ def _affine_all(points: List[_Jac]) -> List[Point]:
     return out
 
 
+def _affine_sums(firsts: List[Point], seconds: List[Point]) -> Optional[List[Point]]:
+    """firsts[i] + seconds[i] for every i, with one inversion for all; None
+    when some pair shares its x (a doubling, or a point and its negation)."""
+    dxs = [x2 - x1 for (x1, _), (x2, _) in zip(firsts, seconds)]
+    if 0 in dxs:
+        return None
+    out = []
+    for (x1, y1), (x2, y2), inv in zip(firsts, seconds, _inverses(dxs)):
+        lam = (y2 - y1) * inv % P
+        x3 = (lam * lam - x1 - x2) % P
+        out.append((x3, (lam * (x1 - x3) - y1) % P))
+    return out
+
+
 # Signed fixed-window digits of w bits lie in [-2**(w - 1), 2**(w - 1)]; a
 # negative digit carries one into the next window, so a scalar below N can
 # need 257 bits of windows. A key's table is built once per signer and G's
-# once per process, so G takes the wider windows.
-_KEY_WINDOW = 6
+# once per process, so G takes the wider windows. Recovery's fresh R builds
+# one row per signature at one inversion per point, so it keeps 6 bits.
+_KEY_WINDOW = 7
 _G_WINDOW = 10
+_FRESH_WINDOW = 6
+# In CPython an inversion mod P costs about four mixed additions and an
+# affine pair about two thirds of one, so an affine round pays from about 24
+# points; from 32, signing's 26 stay on mixed additions.
+_AFFINE_MIN = 32
 KeyTable = List[List[Point]]
 
 
@@ -123,11 +146,9 @@ def _grow_rows(firsts: List[_Jac], window: int) -> KeyTable:
     flat = _affine_all(firsts)
     rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
     for _ in range(2, 1 << (window - 1)):
-        for row, inv in zip(rows, _inverses([row[-1][0] - row[0][0] for row in rows])):
-            (x1, y1), (x2, y2) = row[-1], row[0]
-            lam = (y1 - y2) * inv % P
-            x3 = (lam * lam - x1 - x2) % P
-            row.append((x3, (lam * (x1 - x3) - y1) % P))
+        column = _affine_sums([row[-1] for row in rows], [row[0] for row in rows])
+        for row, pt in zip(rows, column):
+            row.append(pt)
     return rows
 
 
@@ -162,25 +183,43 @@ def _signed_digits(k: int, window: int) -> List[int]:
     return digits
 
 
-def _mul_fixed(k: int, rows: KeyTable, acc: _Jac = _INFINITY) -> _Jac:
-    """acc + k * point for 0 <= k < N, with ``rows`` the point's ``key_tables``
-    of any window: one mixed addition per nonzero digit and no doubling."""
-    for row, d in zip(rows, _signed_digits(k, len(rows[0]).bit_length())):
-        if d:
-            x, y = row[abs(d) - 1]
-            acc = _jadd_affine(acc, x, y if d > 0 else P - y)
+def _sum(points: List[Point], acc: _Jac = _INFINITY) -> _Jac:
+    """acc plus the sum of affine points. While at least _AFFINE_MIN remain,
+    they are added in pairs, each round sharing one inversion; fewer take
+    one mixed addition each, and so do all that remain once a round meets
+    a pair with equal x."""
+    while len(points) >= _AFFINE_MIN:
+        half = _affine_sums(points[0::2], points[1::2])
+        if half is None:
+            break
+        points = half + points[2 * len(half):]
+    for x, y in points:
+        acc = _jadd_affine(acc, x, y)
     return acc
 
 
+def _mul_fixed(*terms: Tuple[int, KeyTable], acc: _Jac = _INFINITY) -> _Jac:
+    """acc plus k * point for each term (k, rows), 0 <= k < N and ``rows`` the
+    point's ``key_tables`` of any window: one table point per nonzero digit,
+    and no doubling."""
+    points = []
+    for k, rows in terms:
+        for row, d in zip(rows, _signed_digits(k, len(rows[0]).bit_length())):
+            if d:
+                x, y = row[abs(d) - 1]
+                points.append((x, y) if d > 0 else (x, P - y))
+    return _sum(points, acc)
+
+
 def _mul_fresh(k: int, point: Point) -> _Jac:
-    """k * point for 0 <= k < N and a point with no table: the first row of
-    its ``key_tables`` alone, and _KEY_WINDOW doublings per digit from the most
-    significant."""
+    """k * point for 0 <= k < N and a point with no table: only the first row
+    of its ``key_tables`` of _FRESH_WINDOW bits, and _FRESH_WINDOW doublings
+    per digit from the most significant."""
     jac = (point[0], point[1], 1)
-    row, = _grow_rows([jac, _jdouble(jac)], _KEY_WINDOW)
+    row, = _grow_rows([jac, _jdouble(jac)], _FRESH_WINDOW)
     acc = _INFINITY
-    for d in reversed(_signed_digits(k, _KEY_WINDOW)):
-        for _ in range(_KEY_WINDOW):
+    for d in reversed(_signed_digits(k, _FRESH_WINDOW)):
+        for _ in range(_FRESH_WINDOW):
             acc = _jdouble(acc)
         if d:
             x, y = row[abs(d) - 1]
@@ -190,7 +229,7 @@ def _mul_fresh(k: int, point: Point) -> _Jac:
 
 def multiply_generator(k: int) -> Point:
     """k * G in affine coordinates; k is reduced mod N and must not vanish."""
-    pt = _to_affine(_mul_fixed(k % N, _G_ROWS))
+    pt = _to_affine(_mul_fixed((k % N, _G_ROWS)))
     if pt is None:
         raise ValueError("scalar is zero modulo the curve order")
     return pt
@@ -210,18 +249,17 @@ def _nonce_candidates(secret: int, digest: bytes) -> Iterator[int]:
     """RFC 6979 deterministic nonce stream for (secret, digest)."""
     bx = secret.to_bytes(32, "big") + (int.from_bytes(digest, "big") % N).to_bytes(32, "big")
     v = b"\x01" * 32
-    k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + bx, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + bx, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
+    k = hmac.digest(b"\x00" * 32, v + b"\x00" + bx, "sha256")
+    v = hmac.digest(k, v, "sha256")
+    k = hmac.digest(k, v + b"\x01" + bx, "sha256")
+    v = hmac.digest(k, v, "sha256")
     while True:
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        v = hmac.digest(k, v, "sha256")
         candidate = int.from_bytes(v, "big")
         if 1 <= candidate < N:
             yield candidate
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
+        k = hmac.digest(k, v + b"\x00", "sha256")
+        v = hmac.digest(k, v, "sha256")
 
 
 def sign_digest(secret: int, digest: bytes) -> Tuple[int, int, int]:
@@ -232,7 +270,7 @@ def sign_digest(secret: int, digest: bytes) -> Tuple[int, int, int]:
         raise ValueError("secret scalar out of range")
     z = int.from_bytes(digest, "big")
     for k in _nonce_candidates(secret, digest):
-        rx, ry = _to_affine(_mul_fixed(k, _G_ROWS))
+        rx, ry = _to_affine(_mul_fixed((k, _G_ROWS)))
         if rx >= N:  # would need a recovery id beyond {0, 1}; next nonce
             continue
         r = rx
@@ -283,7 +321,7 @@ def recover_pubkey(digest: bytes, v: int, r: int, s: int) -> Point:
     rinv = pow(r, -1, N)
     u1 = -z * rinv % N
     u2 = s * rinv % N
-    point = _to_affine(_mul_fixed(u1, _G_ROWS, _mul_fresh(u2, big_r)))
+    point = _to_affine(_mul_fixed((u1, _G_ROWS), acc=_mul_fresh(u2, big_r)))
     if point is None:
         raise RecoveryError("recovery produced the point at infinity")
     return point
@@ -301,8 +339,8 @@ def verify(digest: bytes, v: int, r: int, s: int, tables: KeyTable) -> bool:
     """
     v = _recovery_id(digest, v, r, s)
     sinv = pow(s, -1, N)
-    u2q = _mul_fixed(r * sinv % N, tables)
-    point = _to_affine(_mul_fixed(int.from_bytes(digest, "big") * sinv % N, _G_ROWS, u2q))
+    point = _to_affine(_mul_fixed((int.from_bytes(digest, "big") * sinv % N, _G_ROWS),
+                                  (r * sinv % N, tables)))
     if point is not None and point[0] == r and point[1] & 1 == v:
         return True
     _lift_x(r, v)  # a match proves that r lifts; only a refusal pays for the check

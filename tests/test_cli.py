@@ -56,6 +56,10 @@ def test_malformed_parameters_are_a_scenario_error(tmp_path, capsys):
         (("members", 1, "member_id", ["maker"]),
          "member 1: 'member_id' must be str, not ['maker']"),
         (("expectations", 0, [1]), "expectation 0: unknown kind None"),
+        (("extras", [["x"]]), "scenario: 'extras' entry must be str, not ['x']"),
+        (("steps", 9, {"at": 24, "actor": "admin", "action": "tamper_tag", "params":
+                       {"wine_id": "W0", "field": "read_counter", "value": "abc"}}),
+         "step 9 (tamper_tag): 'value' must be int, not 'abc'"),
     ]
     for (*parents, key, value), message in cases:
         scenario = json.loads(json.dumps(base))
@@ -82,6 +86,27 @@ def test_failed_expectation_exit_code(tmp_path, capsys):
     path = tmp_path / "failing.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "record_status", "wine_id": "NOPE", "equals": "sold"},
+     "record_status: no record for 'NOPE'"),
+    ({"kind": "write_count", "wine_id": "NOPE", "equals": 1},
+     "write_count: no wine record for 'NOPE'"),
+    ({"kind": "counters_in_sync", "wine_id": "NOPE"},
+     "counters_in_sync: no tag for 'NOPE' (genuine)"),
+], ids=["record_status", "write_count", "counters_in_sync"])
+def test_an_expectation_on_a_missing_record_fails_in_the_report(tmp_path, capsys, spec,
+                                                                message):
+    scenario = json.loads(
+        resources.files("dnas").joinpath("scenarios").joinpath("governance.json").read_text())
+    scenario["expectations"].append(spec)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"  [FAIL] {message}\n" in out
+    assert out.count("  [ok ] ") == len(scenario["expectations"]) - 1  # the rest still ran
 
 
 def test_query_block(capsys):

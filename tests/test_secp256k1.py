@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 
@@ -195,8 +196,9 @@ def test_order_matches_openssl_boundary():
 
 # -- fixed-window multiplication -----------------------------------------------------------
 
-_W = secp256k1._KEY_WINDOW  # a key's table and recovery's fresh R
+_W = secp256k1._KEY_WINDOW  # a key's table
 _GW = secp256k1._G_WINDOW
+_FW = secp256k1._FRESH_WINDOW  # recovery's fresh R
 _KEY = ref.point_mul(0xC0FFEE << 200 | 0x5EED, ref.G)
 _BASES = {"G": (ref.G, secp256k1._G_ROWS), "key": (_KEY, secp256k1.key_tables(_KEY))}
 _TOP = (len(_BASES["key"][1]) - 1) * _W  # the lowest bit of a key table's top window
@@ -204,7 +206,7 @@ _G_TOP = (len(secp256k1._G_ROWS) - 1) * _GW  # the same for G's table
 
 
 _MULTIPLY = {
-    "fixed": lambda k, point, rows: secp256k1._mul_fixed(k, rows),
+    "fixed": lambda k, point, rows: secp256k1._mul_fixed((k, rows)),
     "fresh": lambda k, point, rows: secp256k1._mul_fresh(k, point),  # recovery's, no table
 }
 
@@ -218,7 +220,7 @@ _MULTIPLY = {
 @example(k=secp256k1.N - 1, base="key", method="fixed")
 @example(k=1 << (_W - 1), base="key", method="fixed")  # a digit of exactly 2**(w - 1)
 @example(k=(1 << (_W - 1)) << (7 * _W), base="key", method="fixed")
-@example(k=(31 << _W) | ((1 << _W) - 1), base="key", method="fixed")  # a carry makes a digit of 2**(w - 1)
+@example(k=(((1 << (_W - 1)) - 1) << _W) | ((1 << _W) - 1), base="key", method="fixed")  # a carry makes a digit of 2**(w - 1)
 @example(k=(1 << _TOP) - 1, base="key", method="fixed")  # all ones: the carry runs into the top window
 @example(k=(1 << 255) - 1, base="G", method="fixed")
 @example(k=1 << (_GW - 1), base="G", method="fixed")  # G's width: a digit of exactly 2**9
@@ -228,7 +230,7 @@ _MULTIPLY = {
 @example(k=0, base="key", method="fresh")
 @example(k=1, base="key", method="fresh")
 @example(k=secp256k1.N - 1, base="G", method="fresh")
-@example(k=1 << (_W - 1), base="key", method="fresh")  # a digit of exactly 2**(w - 1)
+@example(k=1 << (_FW - 1), base="key", method="fresh")  # a digit of exactly 2**(w - 1)
 @example(k=(1 << _TOP) - 1, base="G", method="fresh")  # all ones: the carry runs into the top window
 def test_fixed_window_multiply_matches_reference(k, base, method):
     point, rows = _BASES[base]
@@ -238,7 +240,7 @@ def test_fixed_window_multiply_matches_reference(k, base, method):
 @pytest.mark.parametrize("base", sorted(_BASES))
 def test_fixed_window_table_entries(base):
     point, rows = _BASES[base]
-    shape = {"G": (26, 512), "key": (43, 32)}[base]  # (rows, points per row)
+    shape = {"G": (26, 512), "key": (37, 64)}[base]  # (rows, points per row)
     assert len(rows) == shape[0]
     assert {len(row) for row in rows} == {shape[1]}
     window = shape[1].bit_length()  # the width ``_mul_fixed`` reads from the table
@@ -252,26 +254,93 @@ def test_fixed_window_table_entries(base):
         assert rows[i][j] == ref.point_mul((j + 1) << (window * i), point)
 
 
+def _table_point(base, k):
+    """k * base for 0 < abs(k) <= 64, read from row 0 of the base's table."""
+    x, y = _BASES[base][1][0][abs(k) - 1]
+    return (x, y) if k > 0 else (x, secp256k1.P - y)
+
+
+_TERM = st.tuples(st.sampled_from(sorted(_BASES)),
+                  st.integers(-64, 64).filter(bool))  # 64 fits a key table row
+_CLASH = [("G", 1), ("G", 3), ("G", 1), ("G", 3)]  # round one gives 4G twice: round two doubles
+_LONG = [("key", k) for k in range(1, 61)]  # round one pairs no equal x
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(_TERM, max_size=80), start=st.integers(-64, 64), small=st.booleans())
+@example(terms=[], start=0, small=False)  # the empty set: the point at infinity
+@example(terms=[], start=5, small=False)  # u1 = 0 in recovery: the R half alone
+@example(terms=[("key", 7)], start=0, small=False)  # one point
+@example(terms=[("G", 5)] * 64, start=0, small=False)  # every round-one pair doubles
+@example(terms=[("key", 9), ("key", -9)] * 32, start=0, small=False)  # every pair cancels
+@example(terms=_LONG[:10] + [("G", 2), ("G", 2)] + _LONG[10:], start=0, small=False)
+@example(terms=_LONG[:10] + [("G", 2), ("G", -2)] + _LONG[10:], start=3, small=False)
+@example(terms=_LONG + [("G", 1), ("G", 2), ("G", 3)], start=0, small=False)  # two rounds
+@example(terms=_CLASH + _LONG, start=0, small=False)
+@example(terms=_CLASH + _LONG[:59], start=-2, small=False)  # 63 points, as in verify
+@example(terms=_LONG[:31] + [("key", -31)] + _LONG[:31], start=0, small=False)
+@example(terms=[("G", 1), ("G", -1)] * 16 + [("G", 2)], start=0, small=True)
+def test_sum_matches_the_reference_sum(terms, start, small):
+    """``_sum`` adds any affine points onto any Jacobian start, equal and
+    opposite points included, as the reference adds them one at a time.
+    ``small`` draws the points from a pool of four, so that rounds meet
+    equal x often."""
+    if small:
+        terms = [(base, k % 4 - 2 or 2) for base, k in terms]
+    points = [_table_point(base, k) for base, k in terms]
+    expected = None
+    if start:
+        expected = x, y = _table_point("G", start)
+        z = 0xC0FFEE  # a start with z != 1, as recovery's R half is
+        acc = (x * z * z % secp256k1.P, y * z * z * z % secp256k1.P, z)
+    else:
+        acc = secp256k1._INFINITY
+    for point in points:
+        expected = ref.point_add(expected, point)
+    assert secp256k1._to_affine(secp256k1._sum(points, acc)) == expected
+
+
 def test_fixed_bases_cost_one_addition_per_table_row(monkeypatch):
-    """A deterministic cost guard: signing pays at most one mixed addition
-    per row of G's table, and verifying against a known key one per row of
-    G's table and of the key's. A narrower G table fails here."""
-    calls = []
-    add = secp256k1._jadd_affine
-    monkeypatch.setattr(secp256k1, "_jadd_affine",
-                        lambda *args: calls.append(1) or add(*args))
-    g_rows, key_rows = 26, 43  # fixed here, so a narrower table cannot move the bound
+    """A deterministic cost guard. Signing pays at most one addition per row
+    of G's table, all of them mixed, and one inversion mod P. Verifying
+    against a known key pays at most one addition, affine or mixed, per row
+    of G's table and of the key's; at most three inversions mod P, for two
+    affine rounds and the final affine form; and fewer mixed additions than
+    an affine round needs points. A narrower table, an extra round or a sum
+    left to mixed additions fails here."""
+    counts = collections.Counter()
+    add, sums = secp256k1._jadd_affine, secp256k1._affine_sums
+
+    def counting_add(*args):
+        counts["mixed"] += 1
+        return add(*args)
+
+    def counting_sums(firsts, seconds):
+        out = sums(firsts, seconds)
+        counts["affine"] += len(out or ())
+        return out
+
+    def counting_pow(base, exponent, modulus=None):
+        counts["inversions"] += exponent == -1 and modulus == secp256k1.P
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(secp256k1, "_jadd_affine", counting_add)
+    monkeypatch.setattr(secp256k1, "_affine_sums", counting_sums)
+    monkeypatch.setattr(secp256k1, "pow", counting_pow, raising=False)
+    g_rows, key_rows = 26, 37  # fixed here, so a narrower table cannot move the bound
     assert (len(secp256k1._G_ROWS), len(_BASES["key"][1])) == (g_rows, key_rows)
     rng = random.Random(1414)
     for _ in range(8):
         secret, digest = rng.randrange(1, secp256k1.N), rng.randbytes(32)
         tables = secp256k1.key_tables(secp256k1.multiply_generator(secret))
-        calls.clear()
+        counts.clear()
         v, r, s = secp256k1.sign_digest(secret, digest)
-        assert 0 < len(calls) <= g_rows
-        calls.clear()
+        assert 0 < counts["mixed"] <= g_rows and counts["affine"] == 0
+        assert counts["inversions"] == 1
+        counts.clear()
         assert secp256k1.verify(digest, v, r, s, tables)
-        assert 0 < len(calls) <= g_rows + key_rows
+        assert 0 < counts["mixed"] + counts["affine"] <= g_rows + key_rows
+        assert counts["mixed"] <= 31 and counts["inversions"] <= 3
 
 
 @settings(max_examples=30, deadline=None)

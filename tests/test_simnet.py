@@ -154,7 +154,7 @@ def test_unexpected_step_error_fails_run():
 
 def test_malformed_steps_fail_with_a_message(tmp_path):
     # a step naming a non-member or a wine with no tag fails as a step; an
-    # expectation naming such a wine is a scenario error, not a KeyError
+    # expectation naming such a wine fails in the report, not a KeyError
     raw = {
         "name": "malformed", "seed": 3,
         "members": [{"member_id": m.member_id, "role": m.role.value,
@@ -172,8 +172,10 @@ def test_malformed_steps_fail_with_a_message(tmp_path):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(raw))
     runner = ScenarioRunner(load_scenario(str(path)))
-    with pytest.raises(ScenarioError, match="no tag for 'W9'"):
-        runner.run()
+    report = runner.run()
+    assert not report.passed
+    assert report.expectations == [{"kind": "counters_in_sync", "passed": False,
+                                    "description": "counters_in_sync: no tag for 'W9' (genuine)"}]
     assert [(r.action, r.ok, r.error) for r in runner.step_results] == [
         ("remove_member", False, "no consortium member 'ghost'"),
         ("accept_record", False, "no tag for 'W9' (genuine)"),
