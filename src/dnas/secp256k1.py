@@ -15,8 +15,9 @@ addition each. Signing sums k*G's at most 26 points by mixed additions;
 verifying against a known key (SEC 1 v2, 4.1.4) sums the at most 63 of
 u1*G and u2*Q in one or two affine rounds, then at most 31 mixed additions.
 Recovery's R is fresh, so u2*R builds only the first row of R's 6-bit
-table and walks the same signed digits from the most significant, with six
-doublings per digit (one chain of about 256); u1*G comes from G's table.
+table, by 31 mixed additions and one inversion, and walks the same signed
+digits from the most significant, with six doublings per digit (one chain
+of about 256); u1*G comes from G's table.
 Nonces follow the RFC 6979 HMAC-SHA256 construction so signatures are
 reproducible; produced signatures are canonical (low-s) and recovery and
 verification reject non-canonical input.
@@ -128,7 +129,7 @@ def _affine_sums(firsts: List[Point], seconds: List[Point]) -> Optional[List[Poi
 # negative digit carries one into the next window, so a scalar below N can
 # need 257 bits of windows. A key's table is built once per signer and G's
 # once per process, so G takes the wider windows. Recovery's fresh R builds
-# one row per signature at one inversion per point, so it keeps 6 bits.
+# one row per signature at one mixed addition per point, so it keeps 6 bits.
 _KEY_WINDOW = 7
 _G_WINDOW = 10
 _FRESH_WINDOW = 6
@@ -139,22 +140,10 @@ _AFFINE_MIN = 32
 KeyTable = List[List[Point]]
 
 
-def _grow_rows(firsts: List[_Jac], window: int) -> KeyTable:
-    """Rows [b, 2b, ..., 2**(window - 1) * b] from the Jacobian b and 2b of
-    each row, listed row after row. The other columns grow all rows together
-    in affine form, with one inversion per column."""
-    flat = _affine_all(firsts)
-    rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
-    for _ in range(2, 1 << (window - 1)):
-        column = _affine_sums([row[-1] for row in rows], [row[0] for row in rows])
-        for row, pt in zip(rows, column):
-            row.append(pt)
-    return rows
-
-
 def key_tables(point: Point, window: int = _KEY_WINDOW) -> KeyTable:
     """rows[i][j] == (j + 1) * 2**(window * i) * point, built once per key.
-    One doubling chain gives each row's b and 2b."""
+    One doubling chain gives each row's b and 2b; the other columns grow all
+    rows together in affine form, with one inversion per column."""
     jac: List[_Jac] = []
     acc = (point[0], point[1], 1)
     for _ in range(-(-257 // window)):
@@ -163,7 +152,13 @@ def key_tables(point: Point, window: int = _KEY_WINDOW) -> KeyTable:
         for _ in range(window - 1):
             twice = _jdouble(twice)
         acc = twice
-    return _grow_rows(jac, window)
+    flat = _affine_all(jac)
+    rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+    for _ in range(2, 1 << (window - 1)):
+        column = _affine_sums([row[-1] for row in rows], [row[0] for row in rows])
+        for row, pt in zip(rows, column):
+            row.append(pt)
+    return rows
 
 
 _G_ROWS = key_tables((GX, GY), _G_WINDOW)
@@ -213,10 +208,14 @@ def _mul_fixed(*terms: Tuple[int, KeyTable], acc: _Jac = _INFINITY) -> _Jac:
 
 def _mul_fresh(k: int, point: Point) -> _Jac:
     """k * point for 0 <= k < N and a point with no table: only the first row
-    of its ``key_tables`` of _FRESH_WINDOW bits, and _FRESH_WINDOW doublings
-    per digit from the most significant."""
-    jac = (point[0], point[1], 1)
-    row, = _grow_rows([jac, _jdouble(jac)], _FRESH_WINDOW)
+    of its ``key_tables`` of _FRESH_WINDOW bits, built by mixed additions and
+    made affine with one inversion, and _FRESH_WINDOW doublings per digit
+    from the most significant."""
+    x, y = point
+    row = [(x, y, 1)]
+    for _ in range(1, 1 << (_FRESH_WINDOW - 1)):
+        row.append(_jadd_affine(row[-1], x, y))
+    row = _affine_all(row)
     acc = _INFINITY
     for d in reversed(_signed_digits(k, _FRESH_WINDOW)):
         for _ in range(_FRESH_WINDOW):

@@ -122,8 +122,8 @@ class BlockchainService:
                               else f"store-{member_id}")
         self.vault = vault
         # the node key is read from the vault and decrypted once; no other copy is kept
-        stored = vault.get(vault_session, secret_path(member_id, "nodekey")).value
-        self._key = decrypt_keystore(stored, password)
+        self._key = decrypt_keystore(vault.get(vault_session, secret_path(member_id, "nodekey")),
+                                     password)
         self._sessions: Dict[str, ValidationSession] = {}
         self._seen_events: Set[Tuple[str, str, object]] = set()
 
@@ -257,7 +257,7 @@ class BlockchainService:
         if tag.protection_enabled:  # before the database write, which it would orphan
             raise FlowError("tag-write", "protection already enabled")
         try:
-            self.consortium.db.create(self.role.registry_role, record)
+            self.consortium.db.create(record)
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
         record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
@@ -279,14 +279,7 @@ class BlockchainService:
         record = self.consortium.db.get(session.wine_id)
         if tag.tag_id != record.tag_uid:
             raise FlowError("session", "tag is not the one the session validated")
-        if record.wine_status is WineStatus.FLAGGED:
-            raise FlowError("acceptance", "flagged records cannot be accepted")
-        if record.wine_status is WineStatus.ERROR:
-            raise FlowError("acceptance", "record is in an error state")
-        binding = self._binding(record)
-        on_chain = self.chain.call_view("get_record", {"wine_id": record.wine_id})
-        if binding != (on_chain["tag_id"], on_chain["device_id"]):  # the append would fail
-            raise FlowError("acceptance", "tag or device identifier differs from the chain's")
+        binding = self._append_binding(record, "acceptance")
         custodian_key = custodian_key or self._key
         return self._write_iteration(
             record, tag, custodian_key, binding,
@@ -296,6 +289,56 @@ class BlockchainService:
                 "custodian": custodian_key.address.hex0x,
                 "at": self.consortium.now,
             }, "append_wine_record")
+
+    def ship_record_flow(self, tag: NfcTag) -> FlowReceipt:
+        """The custodian hands its wine to a carrier: a write iteration under
+        its own key that sets ``IN_TRANSIT`` and logs a ``shipped`` entry.
+        It takes no validation session, so it first checks, moving no
+        counter, that the record still hashes to the chain's latest id and
+        that the tag still holds what the record's last write put there: the
+        write overwrites both, and would otherwise re-anchor a tampered copy."""
+        self._require_member()
+        try:
+            record = self.consortium.db.get(tag.peek_wine_id())
+        except (NotFoundError, TagStateError) as exc:
+            raise FlowError("shipping", str(exc)) from exc
+        if tag.tag_id != record.tag_uid:
+            raise FlowError("shipping", "tag is not the record's")
+        if record.custodian_address != self.address:
+            raise FlowError("shipping", f"{self.member_id} is not the record's custodian")
+        binding = self._append_binding(record, "shipping")
+        if not self.chain.call_view("validate_wine_record_hash", {
+                "wine_id": record.wine_id,
+                "wine_data_hash": ContentId.for_content(record.subset()).text}):
+            raise FlowError("shipping", "database subset hash differs from on-chain hash")
+        try:
+            readout = tag.peek(password=bytes.fromhex(record.tag_password))
+        except DnasError as exc:
+            raise FlowError("shipping", str(exc)) from exc
+        if (readout.wine_id, readout.signature.hex, readout.write_counter,
+                readout.read_counter) != (record.wine_id, record.last_signature,
+                                          record.write_counter, record.read_counter):
+            raise FlowError("shipping", "tag payload or counters differ from the database")
+        return self._write_iteration(record, tag, self._key, binding, WineStatus.IN_TRANSIT, {
+            "event": "shipped", "holder": self.member_id, "at": self.consortium.now,
+        }, "append_wine_record")
+
+    def _append_binding(self, record: WineRecord, stage: str) -> Tuple[str, str]:
+        """The binding an append of ``record`` sends, checked before its first
+        write: a flagged or failed record takes no append, nor does one whose
+        tag or device identifier differs from the chain's, which would refuse it."""
+        if record.wine_status is WineStatus.FLAGGED:
+            raise FlowError(stage, "flagged records take no further writes")
+        if record.wine_status is WineStatus.ERROR:
+            raise FlowError(stage, "record is in an error state")
+        binding = self._binding(record)
+        try:
+            on_chain = self.chain.call_view("get_record", {"wine_id": record.wine_id})
+        except ContractError as exc:  # a shipment before the create was mined
+            raise FlowError(stage, str(exc)) from exc
+        if binding != (on_chain["tag_id"], on_chain["device_id"]):
+            raise FlowError(stage, "tag or device identifier differs from the chain's")
+        return binding
 
     # proxy method -> (content-hash parameter, flow stage, transaction_data
     # event, notice sent when the chain refuses the call)
@@ -332,7 +375,7 @@ class BlockchainService:
         record.custodian_address = key.address.hex0x
         record.last_signature = signature.hex
         record.wine_status = status
-        self.consortium.db.append_supply_chain_entry(wine_id, custody)
+        record.supply_chain_data.append(custody)
 
         try:
             content_id = self.consortium.store.add(self.store_node_id, record.subset())
@@ -347,7 +390,7 @@ class BlockchainService:
                 # published for this iteration must stay reproducible from the record
                 flow.status = "ok"
                 flow.block_number = receipt.block_number
-                self.consortium.db.append_transaction_entry(wine_id, {
+                record.transaction_data.append({
                     "event": event_name, "tx_hash": receipt.tx_hash,
                     "block_number": receipt.block_number,
                     "actor": self.address, "timestamp": self.consortium.now,
@@ -360,7 +403,7 @@ class BlockchainService:
             holder = (self.store_node_id if self.store_node_id in store.members()
                       else self.consortium.shared_service.store_node_id)
             store.unpin(holder, content_id)
-            self.consortium.db.update(ROLE_WINEMAKER, wine_id, {"wine_status": WineStatus.ERROR})
+            record.wine_status = WineStatus.ERROR
             if failure_notice is not None:
                 self.consortium.notify({
                     "type": failure_notice, "wine_id": wine_id, "stage": chain_stage,
@@ -395,9 +438,11 @@ class BlockchainService:
             layer, attack, details = failure
             outcomes.append(ValidationOutcome(layer=layer, result=attack, details=details))
             if record is not None:
-                self.consortium.db.log_unsuccessful_validation(
-                    wine_id, attack.value, layer.value, details,
-                    timestamp=self.consortium.now)
+                record.unsuccessful_validation_data.append({
+                    "attack_class": attack.value, "layer": layer.value,
+                    "details": details, "timestamp": self.consortium.now,
+                })
+                record.wine_status = WineStatus.FLAGGED
             self.consortium.notify({
                 "type": "record_flagged", "wine_id": wine_id,
                 "attack_class": attack.value, "layer": layer.value,

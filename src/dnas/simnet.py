@@ -207,10 +207,6 @@ class ScenarioRunner:
             {"wine_id": wine_id, "pedigree_data": step.params.get("pedigree", {})},
             tag, step.params.get("device_id", f"device-{step.actor}"))
 
-    def _ship_record(self, step: Step) -> None:
-        self.consortium.db.update("winemaker", step.params["wine_id"],
-                                  {"wine_status": WineStatus.IN_TRANSIT})
-
     def _validate_record(self, step: Step) -> None:
         wine_id = step.params["wine_id"]
         service = self._service_for(step.actor)
@@ -257,7 +253,8 @@ class ScenarioRunner:
     ACTIONS: Dict[str, Tuple[Callable[["ScenarioRunner", Step], None], Dict[str, object]]] = {
         "create_record": (_create_record, {"wine_id": str, "pedigree": Optional[dict],
                                            "device_id": Optional[str]}),
-        "ship_record": (_ship_record, {"wine_id": str}),
+        "ship_record": (lambda self, step: self._service_for(step.actor).ship_record_flow(
+            self._tag_for(step.params)), {"wine_id": str}),
         "validate_record": (_validate_record, _TAGGED),
         "accept_record": (_accept_record, _TAGGED),
         "purchase_record": (lambda self, step: self._accept_record(step, purchase=True),

@@ -76,11 +76,18 @@ class NfcTag:
         return json.loads(self.memory)["wine_id"]
 
     def read(self, password: Optional[bytes] = None) -> TagReadout:
+        readout = self.peek(password)
+        self.read_counter += 1
+        readout.read_counter = self.read_counter
+        return readout
+
+    def peek(self, password: Optional[bytes] = None) -> TagReadout:
+        """What a read returns, but the read counter does not move: a
+        custodian checks its tag this way before a write overwrites it."""
         self._check_password(password)
         if not self.memory:
             raise TagStateError("tag has never been written")
         fields = json.loads(self.memory)
-        self.read_counter += 1
         return TagReadout(
             uid=self._uid,
             wine_id=fields["wine_id"],

@@ -1,25 +1,18 @@
 """In-process secrets vault with approle login and operator-issued tokens.
 
 Models the contract of an external vault product: leased tokens, approle
-login constraints, path-prefix policies, and each secret's latest version.
-Its owner supplies the clock and the token source. Reads are safe under
-concurrency; writes are serialized per vault.
+login constraints, and path-prefix policies over a plain key-value store.
+Its owner supplies the clock and the token source. Like the rest of the
+package it is single-threaded, so it takes no lock, and a deep copy of its
+owner copies it whole.
 """
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import AuthError, NotFoundError
 
 VAULT_PREFIX_KEY = "dnas"
-
-
-@dataclass(frozen=True)
-class VaultSecret:
-    key: str
-    value: object
-    version: int
 
 
 @dataclass
@@ -41,59 +34,50 @@ def secret_path(member_id: str, name: str) -> str:
 
 
 class Vault:
-    """Versioned secret store guarded by leased sessions."""
+    """Secret store guarded by leased sessions."""
 
     def __init__(self, clock: Callable[[], float], token_source: Callable[[], str]):
         self._clock = clock
         self._new_token = token_source
-        self._lock = threading.RLock()
         self._tokens: Dict[str, _TokenRecord] = {}
         self._approles: Dict[str, _AppRole] = {}
-        self._secrets: Dict[str, Tuple[int, object]] = {}  # key -> latest (version, value)
+        self._secrets: Dict[str, object] = {}
 
     # -- provisioning (vault operator surface) --------------------------------
 
     def issue_token(self, policies: List[str], lease_seconds: Optional[float] = None) -> str:
-        with self._lock:
-            token = self._new_token()
-            expiry = self._clock() + lease_seconds if lease_seconds is not None else None
-            self._tokens[token] = _TokenRecord(tuple(policies), expiry)
-            return token
+        token = self._new_token()
+        expiry = self._clock() + lease_seconds if lease_seconds is not None else None
+        self._tokens[token] = _TokenRecord(tuple(policies), expiry)
+        return token
 
     def create_approle(self, policies: List[str], lease_seconds: float = 3600.0) -> Tuple[str, str]:
         """Registers an approle; returns the (role_id, secret_id) pair."""
-        with self._lock:
-            role_id = self._new_token()
-            secret_id = self._new_token()
-            self._approles[role_id] = _AppRole(secret_id, tuple(policies), lease_seconds)
-            return role_id, secret_id
+        role_id = self._new_token()
+        secret_id = self._new_token()
+        self._approles[role_id] = _AppRole(secret_id, tuple(policies), lease_seconds)
+        return role_id, secret_id
 
     # -- client surface --------------------------------------------------------
 
     def login(self, role_id: str, secret_id: str) -> str:
         """Approle login; returns a session token with a live lease."""
-        with self._lock:
-            role = self._approles.get(role_id)
-            if role is None:
-                raise AuthError("unknown role_id")
-            if role.secret_id != secret_id:
-                raise AuthError("secret_id mismatch")
-            return self.issue_token(list(role.policies), role.lease_seconds)
+        role = self._approles.get(role_id)
+        if role is None:
+            raise AuthError("unknown role_id")
+        if role.secret_id != secret_id:
+            raise AuthError("secret_id mismatch")
+        return self.issue_token(list(role.policies), role.lease_seconds)
 
-    def put(self, session: str, key: str, value: object) -> int:
-        with self._lock:
-            self._authorize(session, key)
-            version = self._secrets.get(key, (0, None))[0] + 1
-            self._secrets[key] = (version, value)
-            return version
+    def put(self, session: str, key: str, value: object) -> None:
+        self._authorize(session, key)
+        self._secrets[key] = value
 
-    def get(self, session: str, key: str) -> VaultSecret:
-        with self._lock:
-            self._authorize(session, key)
-            if key not in self._secrets:
-                raise NotFoundError(f"no secret at {key!r}")
-            version, value = self._secrets[key]
-            return VaultSecret(key=key, value=value, version=version)
+    def get(self, session: str, key: str) -> object:
+        self._authorize(session, key)
+        if key not in self._secrets:
+            raise NotFoundError(f"no secret at {key!r}")
+        return self._secrets[key]
 
     # -- internals --------------------------------------------------------------
 

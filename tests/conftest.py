@@ -1,16 +1,11 @@
 import copy
-import copyreg
 import sys
-import threading
 from collections import Counter
 
 import pytest
 
 from dnas import secp256k1, simnet
 from dnas.service import Consortium
-
-# a copied vault gets a lock of its own; src/ defines no copy hook
-copyreg.pickle(type(threading.RLock()), lambda lock: (threading.RLock, ()))
 
 _TEMPLATES = {}  # repr of the constructor arguments -> the consortium built with them
 

@@ -1,7 +1,8 @@
 """The runtime has no third-party dependencies: every import in the package
 is relative or names a standard-library module. Its only randomness and
-time are the consortium's seeded rng and simulated clock, and a built
-consortium is a value that ``copy.deepcopy`` copies faithfully."""
+time are the consortium's seeded rng and simulated clock, it runs on one
+thread, and a built consortium is a value that ``copy.deepcopy`` copies
+faithfully."""
 
 import ast
 import sys
@@ -54,6 +55,13 @@ def test_no_module_level_memo_decorators(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_wall_clock_or_unseeded_randomness(path):
     assert {"secrets", "time"} & set(_absolute_imports(path)) == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_threads(path):
+    """The package is single-threaded: it starts no thread and keeps no lock,
+    so a lock would protect nothing and stop a deep copy."""
+    assert "threading" not in set(_absolute_imports(path))
 
 
 def _closures_over_self(path):

@@ -43,11 +43,11 @@ GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without
         "9bda8386f161794872d502bc24c65e8f280e91ace782516feae57ec197d48cfa",
         "8835f48b67f83bc80494c362a4ac5f4ff818e33f52c2d976afaa3b0868ad13f9"),
     ("tampering", None): (
-        "0e5ff56081edd928e12df2115f37446787adbe48914ed6d25ba1602cc511960a",
-        "44382f40d6c8c7964214e2d721b27eafb6cee139cebcf2ecd76b7a989f4df3d0"),
+        "ca4dfff0f5c6d9f0d68d8e1123f688a4fe2f0ddf498d996bbcc5f13134b8e674",
+        "51d03d8e7639b4fe6bd94450d277b9900f4c386d22430408b14dd37749550038"),
     ("tampering", 101): (
-        "d29eadf86ecf845a9b60a7941cc9db6754527c89215f563c6716a602ec86bd1c",
-        "2046315ff289d27dc7eae0a5e4d0152e02d70f91feb20959abe015d4a27e1e96"),
+        "b2675162ac8bcb966dbbd59ce2c3c4345e563335415b80b775f68611dfebcb8f",
+        "0a4a9ea82e9c317b444602959aeed721ba688a6d0f02e81003c9f4ef78ab0078"),
 }
 
 

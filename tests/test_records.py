@@ -1,8 +1,15 @@
+import json
+
 import pytest
 
 from dnas.content_store import ContentId
-from dnas.errors import NotFoundError, RoleError
+from dnas.encoding import canonical_json_bytes
+from dnas.errors import NotFoundError
 from dnas.records import RecordDatabase, WineRecord, WineStatus
+from dnas.service import MemberRole, NodeType
+from dnas.tags import NfcTag, counterfeit_copy
+
+from conftest import built_consortium
 
 
 def make_record(wine_id="W1"):
@@ -18,31 +25,25 @@ def db():
 
 
 def test_create_then_get(db):
-    record = db.create("winemaker", make_record())
+    record = db.create(make_record())
     assert db.get("W1") is record
 
 
 def test_duplicate_create_rejected(db):
-    db.create("winemaker", make_record())
+    db.create(make_record())
     with pytest.raises(NotFoundError):
-        db.create("winemaker", make_record())
+        db.create(make_record())
 
 
-def test_participant_cannot_create_or_update(db):
-    with pytest.raises(RoleError):
-        db.create("participant", make_record())
-    db.create("winemaker", make_record())
-    with pytest.raises(RoleError):
-        db.update("participant", "W1", {"device_id": "d"})
+def test_get_unknown_record(db):
+    with pytest.raises(NotFoundError):
+        db.get("ghost")
 
 
-def test_update_preserves_transaction_history(db):
-    db.create("winemaker", make_record())
-    db.append_transaction_entry("W1", {"tx_hash": "0xaa", "block_number": 1})
-    with pytest.raises(RoleError):
-        db.update("winemaker", "W1", {"transaction_data": []})
-    db.update("winemaker", "W1", {"device_id": "d-new"})
-    assert len(db.get("W1").transaction_data) == 1
+def test_wine_ids_are_sorted(db):
+    for wine_id in ("W2", "W10", "W1"):
+        db.create(make_record(wine_id))
+    assert db.wine_ids() == ["W1", "W10", "W2"]
 
 
 def test_subset_deterministic():
@@ -58,7 +59,6 @@ def test_subset_sensitive_to_pedigree():
 
 
 def test_subset_includes_custody_entries_and_version():
-    import json
     record = make_record()
     record.write_counter = 3
     for hop in range(3):
@@ -71,23 +71,55 @@ def test_subset_includes_custody_entries_and_version():
     assert "unsuccessful_validation_data" not in payload
 
 
-def test_log_unsuccessful_validation_flags_record(db):
-    db.create("winemaker", make_record())
-    db.log_unsuccessful_validation("W1", "modification", "off_chain_db", "sig mismatch")
-    record = db.get("W1")
+# -- the validation flow logs each failed scan on the record it read --------------------
+
+THREE_MEMBERS = [
+    ("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
+    ("maker", MemberRole.WINEMAKER, NodeType.VALIDATOR),
+    ("dist", MemberRole.PARTICIPANT, NodeType.VALIDATOR),
+]
+
+
+@pytest.fixture
+def created():
+    """A consortium with W1 created, and W1's genuine tag."""
+    consortium = built_consortium(seed=3, initial_members=THREE_MEMBERS)
+    tag = NfcTag(uid=consortium.randbytes(7))
+    consortium.services["maker"].create_record_flow({"wine_id": "W1"}, tag, "device-maker")
+    consortium.run_until_idle()
+    return consortium, tag
+
+
+def scan(consortium, tag):
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    return outcomes[-1].result.value
+
+
+def test_log_unsuccessful_validation_flags_record(created):
+    consortium, tag = created
+    assert scan(consortium, counterfeit_copy(tag, randbytes=consortium.randbytes)) == "cloning"
+    record = consortium.db.get("W1")
     assert record.wine_status is WineStatus.FLAGGED
-    assert len(record.unsuccessful_validation_data) == 1
+    assert [(e["attack_class"], e["layer"], e["timestamp"])
+            for e in record.unsuccessful_validation_data] == [
+                ("cloning", "off_chain_db", consortium.now)]
 
 
-def test_two_attacks_logged_in_order(db):
-    db.create("winemaker", make_record())
-    db.log_unsuccessful_validation("W1", "cloning", "off_chain_db", "uid")
-    db.log_unsuccessful_validation("W1", "reapplication", "on_chain", "counter")
-    classes = [e["attack_class"] for e in db.get("W1").unsuccessful_validation_data]
+def test_two_attacks_logged_in_order(created):
+    consortium, tag = created
+    scan(consortium, counterfeit_copy(tag, randbytes=consortium.randbytes))
+    tag.read_counter += 5
+    assert scan(consortium, tag) == "reapplication"
+    classes = [e["attack_class"] for e in consortium.db.get("W1").unsuccessful_validation_data]
     assert classes == ["cloning", "reapplication"]
 
 
-def test_log_unknown_record(db):
-    with pytest.raises(NotFoundError):
-        db.log_unsuccessful_validation("ghost", "cloning", "off_chain_db", "x")
-
+def test_log_unknown_record(created):
+    consortium, tag = created
+    fake = counterfeit_copy(tag, randbytes=consortium.randbytes)
+    fake.memory = canonical_json_bytes({**json.loads(fake.memory), "wine_id": "ghost"})
+    assert scan(consortium, fake) == "modification"
+    assert consortium.notifications[-1]["wine_id"] == "ghost"
+    # no record is made for the unknown wine, and W1's log stays empty
+    assert consortium.db.wine_ids() == ["W1"]
+    assert not consortium.db.get("W1").unsuccessful_validation_data

@@ -170,7 +170,7 @@ def test_member_onboarded_by_vote_gets_store_node_and_vault_keystore(consortium)
     service = consortium.services["late"]
     assert "store-late" in consortium.store.members()
     token = service.vault.issue_token(["dnas"], lease_seconds=None)
-    keystore = service.vault.get(token, secret_path("late", "nodekey")).value
+    keystore = service.vault.get(token, secret_path("late", "nodekey"))
     assert keystore["address"] == service.address
 
 
@@ -613,7 +613,7 @@ def test_identifier_hashes_are_kept_once_per_chain(consortium, count_calls):
 
     # a uid the chain has not seen is hashed once, and still fails on-chain
     clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
-    consortium.db.update("winemaker", "W1", {"tag_uid": clone.tag_id})
+    consortium.db.get("W1").tag_uid = clone.tag_id
     outcomes, _, _ = retail.validate_record_flow(clone)
     assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.ON_CHAIN,
                                                          AttackClass.CLONING)
@@ -634,7 +634,7 @@ def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
     consortium.run_until_idle()
     assert flow.status == "ok"
     # dist has written W1 once; its device id no longer matches the chain's
-    consortium.db.update("winemaker", "W1", {"device_id": "device-forged"})
+    consortium.db.get("W1").device_id = "device-forged"
     _, _, session = dist.validate_record_flow(tag)
     consortium.run_until_idle()
     record = consortium.db.get("W1")
@@ -793,7 +793,9 @@ def test_accept_on_flagged_record_rejected(consortium):
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
     consortium.run_until_idle()
-    consortium.db.log_unsuccessful_validation("W1", "cloning", "off_chain_db", "clone spotted")
+    clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(clone)
+    assert outcomes[-1].result is AttackClass.CLONING
     with pytest.raises(FlowError) as err:
         dist.accept_record_flow(tag, session)
     assert "flagged" in str(err.value)
@@ -836,6 +838,102 @@ def test_full_two_hop_chain_counters(consortium):
     assert sorted(on_chain["data_hash_history"]) == [1, 2, 3, 4]
 
 
+# -- shipping flow ----------------------------------------------------------------------------------
+
+def test_a_shipped_wine_validates_and_is_accepted(consortium):
+    tag, _ = create_wine(consortium)
+    flow = consortium.services["maker"].ship_record_flow(tag)
+    consortium.run_until_idle()
+    assert flow.status == "ok"
+    record = consortium.db.get("W1")
+    assert (record.wine_status, record.write_counter) == (WineStatus.IN_TRANSIT, 2)
+    # the shipment is a write iteration: the next genuine scan passes every layer
+    dist = consortium.services["dist"]
+    outcomes, view, session = dist.validate_record_flow(tag)
+    assert all(o.passed for o in outcomes)
+    assert view["wine_status"] == "in_transit"
+    dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert [e["event"] for e in record.supply_chain_data] == ["created", "shipped", "accepted"]
+    assert [e["event"] for e in record.transaction_data] == [
+        "on-chain-created", "on-chain-appended", "on-chain-appended"]
+    assert consortium.counters_in_sync("W1", tag)
+    assert consortium.chain.call_view("get_record", {"wine_id": "W1"})["write_count"] == 3
+    assert not consortium.notifications
+
+
+def test_ship_refuses_a_caller_that_is_not_the_custodian_and_a_cloned_tag(consortium):
+    tag, _ = create_wine(consortium)
+    with pytest.raises(FlowError, match="not the record's custodian") as err:
+        consortium.services["dist"].ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
+    with pytest.raises(FlowError, match="tag is not the record's"):
+        consortium.services["maker"].ship_record_flow(clone)
+    assert consortium.db.get("W1").write_counter == tag.write_counter == 1
+    assert not consortium.chain.pool
+
+
+def test_ship_before_the_create_is_mined_is_refused(consortium):
+    tag = NfcTag(uid=consortium.randbytes(7))
+    maker = consortium.services["maker"]
+    maker.create_record_flow({"wine_id": "W1"}, tag, "device-maker")
+    with pytest.raises(FlowError, match="no wine record") as err:
+        maker.ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    assert tag.write_counter == 1
+    consortium.run_until_idle()
+    assert consortium.counters_in_sync("W1", tag)
+
+
+def test_ship_refuses_a_flagged_record(consortium):
+    tag, _ = create_wine(consortium)
+    consortium.services["dist"].validate_record_flow(
+        counterfeit_copy(tag, randbytes=consortium.randbytes))
+    with pytest.raises(FlowError, match="flagged") as err:
+        consortium.services["maker"].ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    assert consortium.db.get("W1").wine_status is WineStatus.FLAGGED
+    assert tag.write_counter == 1
+
+
+def test_ship_refuses_a_tampered_record_and_leaves_the_evidence(consortium):
+    tag, _ = create_wine(consortium)
+    record = consortium.db.get("W1")
+    record.pedigree_data["vintage"] = 1899
+    with pytest.raises(FlowError, match="subset hash differs") as err:
+        consortium.services["maker"].ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    assert (record.write_counter, tag.write_counter, tag.read_counter) == (1, 1, 0)
+    assert not consortium.chain.pool
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.CONTENT_STORE,
+                                                         AttackClass.MODIFICATION)
+
+
+@pytest.mark.parametrize("changes, attack", [
+    ({"write_counter": 9}, AttackClass.REAPPLICATION),
+    ({"signature": "00" * 65}, AttackClass.MODIFICATION),
+    ({"read_counter": 4}, AttackClass.REAPPLICATION),
+])
+def test_ship_refuses_a_tampered_tag_and_leaves_the_evidence(consortium, changes, attack):
+    tag, _ = create_wine(consortium)
+    if "read_counter" in changes:
+        tag.read_counter = changes["read_counter"]
+    else:
+        tamper_payload(tag, **changes)
+    memory = tag.memory
+    with pytest.raises(FlowError, match="differ from the database") as err:
+        consortium.services["maker"].ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    # the check reads the tag without counting a read, and writes nothing
+    assert tag.memory == memory and tag.read_counter == changes.get("read_counter", 0)
+    assert consortium.db.get("W1").write_counter == 1
+    assert not consortium.chain.pool
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB, attack)
+
+
 # -- admin operations ------------------------------------------------------------------------------
 
 def test_admin_operations_refuse_a_non_administrator(consortium):
@@ -851,7 +949,7 @@ def test_vault_backed_signing_key(consortium):
     # the service signs with the key fetched from its vault keystore
     service = consortium.services["maker"]
     token = service.vault.issue_token(["dnas"], lease_seconds=None)
-    keystore = service.vault.get(token, secret_path("maker", "nodekey")).value
+    keystore = service.vault.get(token, secret_path("maker", "nodekey"))
     assert service.address == keystore["address"]
 
 
@@ -859,8 +957,8 @@ def test_deployment_secret_stored(consortium):
     vault = consortium.services["admin"].vault
     token = vault.issue_token(["dnas"], lease_seconds=None)
     secret = vault.get(token, consortium.deployment_secret_path)
-    assert secret.value["kind"] == "SCDeploymentSecret"
-    assert secret.value["owner"] == consortium.services["admin"].address
+    assert secret["kind"] == "SCDeploymentSecret"
+    assert secret["owner"] == consortium.services["admin"].address
 
 
 def test_member_keys_live_only_in_their_services(consortium):
@@ -897,7 +995,7 @@ def test_a_copys_vault_leases_expire_on_the_copys_clock(consortium):
     vault, key = twin.services["maker"].vault, secret_path("maker", "nodekey")
     token = vault.issue_token(["dnas/maker/"], lease_seconds=5)
     consortium.now += 10  # the template's clock alone moves
-    assert vault.get(token, key).value["address"] == twin.services["maker"].address
+    assert vault.get(token, key)["address"] == twin.services["maker"].address
     twin.now += 10
     with pytest.raises(AuthError, match="lease expired"):
         vault.get(token, key)

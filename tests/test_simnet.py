@@ -134,6 +134,21 @@ def test_halted_validator_keeps_liveness():
     assert report.chain_height >= 20
 
 
+@pytest.mark.parametrize("wine_id", ["W2", "W3"])
+def test_shipping_a_tampered_wine_is_refused_and_the_attack_still_caught(wine_id):
+    scenario = load_scenario("tampering")
+    ship = next(i for i, step in enumerate(scenario.steps) if step.action == "ship_record")
+    scenario.steps[ship] = Step(7, "maker", "ship_record", {"wine_id": wine_id},
+                                expect_error="differ")
+    scenario.expectations = [spec for spec in scenario.expectations
+                             if spec.get("wine_id") != "W4"]
+    report = run_scenario(scenario)
+    assert report.passed
+    assert report.steps[ship]["ok"] and "differ" in report.steps[ship]["error"]
+    assert {(entry["wine_id"], entry["attack_class"]) for entry in report.attack_log} == {
+        ("W2", "reapplication"), ("W3", "modification")}
+
+
 def test_expect_error_step():
     steps = [
         Step(2, "maker", "create_record", {"wine_id": "W1"}),

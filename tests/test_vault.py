@@ -1,5 +1,4 @@
 import random
-import threading
 
 import pytest
 
@@ -30,7 +29,7 @@ def test_approle_login_mints_leased_token(vault, clock):
     role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
     token = vault.login(role_id, secret_id)
     clock.now = 59
-    assert vault.put(token, "dnas/member1/nodekey", "k1") == 1
+    vault.put(token, "dnas/member1/nodekey", "k1")
     clock.now = 60
     with pytest.raises(AuthError, match="lease expired"):
         vault.get(token, "dnas/member1/nodekey")
@@ -51,7 +50,7 @@ def test_reauthentication_after_lease(vault, clock):
     clock.now = 100
     fresh = vault.login(role_id, secret_id)
     assert fresh != token
-    assert vault.get(fresh, "dnas/member1/nodekey").value == "k1"
+    assert vault.get(fresh, "dnas/member1/nodekey") == "k1"
 
 
 def test_wrong_secret_id(vault):
@@ -65,13 +64,12 @@ def test_unknown_role_id(vault):
         vault.login("ghost", "nope")
 
 
-def test_put_get_versioning(vault):
+def test_a_read_sees_the_latest_write(vault):
     token = vault.issue_token(["dnas/member42/"])
-    assert vault.put(token, "dnas/member42/nodekey", b"k") == 1
-    assert vault.get(token, "dnas/member42/nodekey").value == b"k"
-    assert vault.put(token, "dnas/member42/nodekey", b"k2") == 2
-    got = vault.get(token, "dnas/member42/nodekey")
-    assert (got.value, got.version) == (b"k2", 2)  # a read sees the latest write
+    vault.put(token, "dnas/member42/nodekey", b"k")
+    assert vault.get(token, "dnas/member42/nodekey") == b"k"
+    vault.put(token, "dnas/member42/nodekey", b"k2")
+    assert vault.get(token, "dnas/member42/nodekey") == b"k2"
 
 
 def test_get_unknown_key(vault):
@@ -91,7 +89,7 @@ def test_policy_matrix_over_member_prefixes(vault):
     for owner in members:
         for target in members:
             if owner == target:
-                assert vault.get(tokens[owner], secret_path(target, "nodekey")).value == f"key-of-{target}"
+                assert vault.get(tokens[owner], secret_path(target, "nodekey")) == f"key-of-{target}"
             else:
                 with pytest.raises(AuthError):
                     vault.get(tokens[owner], secret_path(target, "nodekey"))
@@ -101,20 +99,3 @@ def test_prefix_must_match_segment_boundary(vault):
     token = vault.issue_token(["dnas/member1/"])
     with pytest.raises(AuthError):
         vault.put(token, "dnas/member10/nodekey", "sneaky")
-
-
-def test_versions_strictly_monotone_under_threads(vault):
-    token = vault.issue_token(["dnas/shared/"])
-    seen = []
-
-    def writer():
-        for _ in range(50):
-            seen.append(vault.put(token, "dnas/shared/counter", "x"))
-
-    threads = [threading.Thread(target=writer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(seen) == list(range(1, 201))
-    assert vault.get(token, "dnas/shared/counter").version == 200

@@ -116,10 +116,18 @@ def test_readme_library_example_runs():
 
 
 def test_ship_record_sets_in_transit():
+    # the custodian's shipment is a write iteration, so the next scan passes
     steps = [Step(2, "maker", "create_record", {"wine_id": "W1"}),
-             Step(6, "maker", "ship_record", {"wine_id": "W1"})]
+             Step(4, "dist", "ship_record", {"wine_id": "W1"},
+                  expect_error="not the record's custodian"),
+             Step(6, "maker", "ship_record", {"wine_id": "W1"}),
+             Step(8, "dist", "validate_record", {"wine_id": "W1"})]
     report = run_scenario(inline(
-        steps, [{"kind": "record_status", "wine_id": "W1", "equals": "in_transit"}]))
+        steps, [{"kind": "record_status", "wine_id": "W1", "equals": "in_transit"},
+                {"kind": "write_count", "wine_id": "W1", "equals": 2},
+                {"kind": "last_validation", "wine_id": "W1"},
+                {"kind": "no_attacks"},
+                {"kind": "counters_in_sync", "wine_id": "W1"}]))
     assert report.passed, report.render_text()
 
 
