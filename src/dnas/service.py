@@ -5,14 +5,14 @@ chain account, vault, and store node. The services are the consortium's
 member directory: a member's node key lives only in its vault, as an
 encrypted keystore, and in its service. The consortium object owns the
 shared infrastructure (one ledger, one private store network, the record
-database) and routes receipts and contract events back to services; a
-pluggable dispatcher lets the simulator defer those deliveries by one tick.
+database) and its tick clock; each mined receipt and contract event waits on
+its message bus and reaches the services on the next tick, after the block.
 """
 
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .content_store import ContentId, PrivateNetwork
 from .contracts import ContractEvent, ROLE_PARTICIPANT, ROLE_WINEMAKER
@@ -42,7 +42,7 @@ from .tags import NfcTag
 from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
-_IDLE_BLOCK_BUDGET = 64  # blocks run_until_idle may seal before it gives up
+_IDLE_TICKS = 64  # ticks run_until_idle may take before it gives up
 
 
 class MemberRole(enum.Enum):
@@ -229,14 +229,10 @@ class BlockchainService:
 
     # -- transactions -------------------------------------------------------------------
 
-    def submit_tx(self, target: str, method: str, params: Dict[str, object],
-                  on_receipt: Optional[Callable[[Receipt], None]] = None) -> str:
+    def submit_tx(self, target: str, method: str, params: Dict[str, object]) -> str:
         tx = sign_transaction(self._key, self.chain.genesis.chain_id, target, method,
                               params, nonce=self.chain.next_nonce(self.address))
-        tx_hash = self.chain.submit_transaction(tx)
-        if on_receipt is not None:
-            self.consortium.track_receipt(tx_hash, on_receipt)
-        return tx_hash
+        return self.chain.submit_transaction(tx)
 
     # -- record flows ----------------------------------------------------------------------
 
@@ -357,9 +353,10 @@ class BlockchainService:
         and digested once per chain, then reused), the tag and the record take
         the signature and the next write counter, the custody entry is logged,
         the published subset is pinned, and the proxy call is submitted. The flow
-        completes on the receipt; a failed one unpins the subset, marks the
-        record ``ERROR`` and sends the method's failure notice, if it has one."""
-        hash_param, chain_stage, event_name, failure_notice = self._ITERATIONS[method]
+        completes on the receipt, in ``_finish_write``; a failed one unpins the
+        subset, marks the record ``ERROR`` and sends the method's failure notice,
+        if it has one."""
+        hash_param = self._ITERATIONS[method][0]
         wine_id = record.wine_id
         flow = FlowReceipt(wine_id=wine_id)
         hashed_tag, hashed_device = binding
@@ -383,41 +380,46 @@ class BlockchainService:
         except DnasError as exc:
             raise FlowError("content-store", str(exc)) from exc
         flow.content_id = content_id.text
-
-        def finish(receipt: Receipt) -> None:
-            if receipt.status == "ok":
-                # only transaction_data takes the mined tx details: the subset
-                # published for this iteration must stay reproducible from the record
-                flow.status = "ok"
-                flow.block_number = receipt.block_number
-                record.transaction_data.append({
-                    "event": event_name, "tx_hash": receipt.tx_hash,
-                    "block_number": receipt.block_number,
-                    "actor": self.address, "timestamp": self.consortium.now,
-                })
-                return
-            flow.status, flow.error = "error", receipt.error
-            # no chain entry names the refused subset; if this member was
-            # removed meanwhile, its pins were handed to the shared node
-            store = self.consortium.store
-            holder = (self.store_node_id if self.store_node_id in store.members()
-                      else self.consortium.shared_service.store_node_id)
-            store.unpin(holder, content_id)
-            record.wine_status = WineStatus.ERROR
-            if failure_notice is not None:
-                self.consortium.notify({
-                    "type": failure_notice, "wine_id": wine_id, "stage": chain_stage,
-                    "error": receipt.error, "tag_reissue": record.tag_uid,
-                    "at": self.consortium.now,
-                })
         flow.tx_hash = self.submit_tx("proxy", method, {
             "wine_id": wine_id,
             hash_param: content_id.text,
             "new_public_address": key.address.hex0x,
             "tag_id": hashed_tag,
             "device_id": hashed_device,
-        }, on_receipt=finish)
+        })
+        # a bound method and plain values: a deep copy's receipt completes the copy's flow
+        self.consortium.track_receipt(flow.tx_hash, self._finish_write, flow, record,
+                                      content_id, method)
         return flow
+
+    def _finish_write(self, flow: FlowReceipt, record: WineRecord, content_id: ContentId,
+                      method: str, receipt: Receipt) -> None:
+        _, chain_stage, event_name, failure_notice = self._ITERATIONS[method]
+        if receipt.status == "ok":
+            # only transaction_data takes the mined tx details: the subset
+            # published for this iteration must stay reproducible from the record
+            flow.status = "ok"
+            flow.block_number = receipt.block_number
+            record.transaction_data.append({
+                "event": event_name, "tx_hash": receipt.tx_hash,
+                "block_number": receipt.block_number,
+                "actor": self.address, "timestamp": self.consortium.now,
+            })
+            return
+        flow.status, flow.error = "error", receipt.error
+        # no chain entry names the refused subset; if this member was
+        # removed meanwhile, its pins were handed to the shared node
+        store = self.consortium.store
+        holder = (self.store_node_id if self.store_node_id in store.members()
+                  else self.consortium.shared_service.store_node_id)
+        store.unpin(holder, content_id)
+        record.wine_status = WineStatus.ERROR
+        if failure_notice is not None:
+            self.consortium.notify({
+                "type": failure_notice, "wine_id": record.wine_id, "stage": chain_stage,
+                "error": receipt.error, "tag_reissue": record.tag_uid,
+                "at": self.consortium.now,
+            })
 
     # -- three-layered validation flow -------------------------------------------------------
 
@@ -539,16 +541,16 @@ class Consortium:
     def __init__(self, bootstrap_count: int = 5, seed: int = 0,
                  initial_members: Optional[List[Tuple[str, MemberRole, NodeType]]] = None,
                  session_timeout: Optional[int] = None):
+        from .simnet import MessageBus  # simnet imports this module
         self.session_timeout = session_timeout
         self.rng = random.Random(seed)
         self.now = 0
-        # receipts and events are delivered at once unless a simulator defers them
-        self.dispatcher: Callable[..., None] = lambda fn, *args: fn(*args)
+        self.bus = MessageBus()
         self.services: Dict[str, BlockchainService] = {}
         self.consumers: Dict[str, KeyPair] = {}
         self.halted: Set[str] = set()
         self.notifications: List[Dict[str, object]] = []
-        self._receipt_watchers: Dict[str, List[Callable[[Receipt], None]]] = {}
+        self._receipt_watchers: Dict[str, List[Tuple[Callable[..., None], tuple]]] = {}
         self._session_serial = 0
         self._seed = seed
 
@@ -658,18 +660,24 @@ class Consortium:
 
     # -- receipts and events ------------------------------------------------------------
 
-    def track_receipt(self, tx_hash: str, callback: Callable[[Receipt], None]) -> None:
-        self._receipt_watchers.setdefault(tx_hash, []).append(callback)
+    def track_receipt(self, tx_hash: str, callback: Callable[..., None], *args) -> None:
+        """Call ``callback(*args, receipt)`` once the transaction's receipt is delivered."""
+        self._receipt_watchers.setdefault(tx_hash, []).append((callback, args))
 
     def notify(self, payload: Dict[str, object]) -> None:
         self.notifications.append(payload)
+
+    def dispatcher(self, fn: Callable[..., None], *args) -> None:
+        """Deliver ``fn(*args)`` on the next tick: a block's receipts and events
+        reach the services after the block, never inside the call that sealed it."""
+        self.bus.schedule(self.now + 1, fn, *args)
 
     def _deliver_block_results(self, block) -> None:
         admin_service = self.services[self.admin_member_id]
         for tx in block.transactions:
             receipt = self.chain.receipts[tx.tx_hash]
-            for callback in self._receipt_watchers.pop(tx.tx_hash, []):
-                self.dispatcher(callback, receipt)
+            for callback, args in self._receipt_watchers.pop(tx.tx_hash, []):
+                self.dispatcher(callback, *args, receipt)
             for event in receipt.events:
                 self.dispatcher(admin_service.on_contract_event, event)
 
@@ -688,7 +696,6 @@ class Consortium:
 
     def seal_due(self, now: int) -> Optional[object]:
         """Seal a block if some live validator's turn window is open."""
-        self.now = max(self.now, now)
         next_seal = self._next_seal()
         if next_seal is None or now < next_seal[0]:
             return None
@@ -696,18 +703,24 @@ class Consortium:
         self._deliver_block_results(block)
         return block
 
+    def tick(self, now: int, operations: Iterable[Callable[[], None]] = ()) -> None:
+        """One tick of the clock: deliver what is due, run the caller's
+        operations in order, then seal if a live validator's turn is open."""
+        self.now = now
+        self.bus.deliver_due(now)
+        for operation in operations:
+            operation()
+        self.seal_due(now)
+
     def run_until_idle(self) -> None:
-        """Advance simulated time and seal until no work remains; serves the
-        synchronous (non-simulator) use of the consortium."""
-        for _ in range(_IDLE_BLOCK_BUDGET):
-            if not self.chain.pool and not self._receipt_watchers:
-                return
-            next_seal = self._next_seal()
-            if next_seal is None:
-                raise SealError("no live validator can seal")
-            self.seal_due(next_seal[0])
-        if self.chain.pool:
-            raise SealError("pool did not drain within the block budget")
+        """Tick until the pool, the receipt watchers and the bus are empty,
+        for at most 64 ticks; a scenario run drains by this same rule."""
+        stop = self.now + _IDLE_TICKS
+        while self.chain.pool or self._receipt_watchers or self.bus.pending():
+            if self.now >= stop:
+                raise SealError("no live validator can seal" if self._next_seal() is None
+                                else f"work is left after {_IDLE_TICKS} ticks")
+            self.tick(self.now + 1)
 
     def next_session_serial(self) -> int:
         self._session_serial += 1

@@ -1,21 +1,23 @@
-"""Deterministic multi-node simulation: clock, message bus, scenario runner.
+"""Deterministic multi-node simulation: message bus and scenario runner.
 
-Cross-component deliveries (mined receipts, contract events) are deferred by
-one tick through the bus, whose delivery order is a pure function of
-(enqueue time, sequence number). Everything random flows from the scenario
-seed, so a (seed, scenario) pair always produces the same transcript.
+A consortium's bus delivers each mined receipt and contract event on the next
+tick, in (enqueue time, sequence number) order; the runner ticks it through
+the steps and drains it with ``run_until_idle``. All randomness flows from
+the seed, so a (seed, scenario) pair always produces the same transcript.
 """
 
+import contextlib
+import functools
 import heapq
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .encoding import canonical_json_bytes
-from .errors import DnasError, ScenarioError
+from .errors import DnasError, ScenarioError, SealError
 from .records import WineStatus
 from .scenario import Scenario, Step
-from .service import Consortium, MemberRole, NodeType
+from .service import Consortium, MemberRole, NodeType, ValidationOutcome
 from .tags import NfcTag, counterfeit_copy
 
 
@@ -122,12 +124,11 @@ class ScenarioRunner:
         scenario.validate()
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.bus = MessageBus()
         self.consortium: Optional[Consortium] = None
         self.tags: Dict[str, NfcTag] = {}
         self.cloned: Dict[str, NfcTag] = {}
         self.sessions: Dict[Tuple[str, str], str] = {}
-        self.last_validation: Dict[str, List[Dict[str, object]]] = {}
+        self.last_validation: Dict[str, List[ValidationOutcome]] = {}
         self.step_results: List[StepResult] = []
 
     # -- setup -------------------------------------------------------------------------
@@ -136,35 +137,21 @@ class ScenarioRunner:
         members = [(m.member_id, m.role, m.node_type) for m in self.scenario.members]
         consortium = Consortium(seed=self.seed, initial_members=members,
                                 session_timeout=self.scenario.session_timeout)
-        consortium.dispatcher = self._dispatch
         for extra in self.scenario.extras:
             consortium.add_consumer(extra)
         return consortium
 
-    def _dispatch(self, fn: Callable, *args) -> None:
-        """Scenario-time deliveries go through the bus with a one-tick delay."""
-        self.bus.schedule(self.consortium.now + 1, fn, *args)
-
     # -- run loop -----------------------------------------------------------------------
 
     def run(self) -> Report:
-        self.consortium = self._build_consortium()
-        consortium = self.consortium
-        base = consortium.now
-        pending = sorted(self.scenario.steps, key=lambda s: s.at)
-        horizon = base + self.scenario.horizon
-        t = base
-        index = 0
-        while t <= horizon or self.bus.pending() or consortium.chain.pool:
-            consortium.now = t
-            self.bus.deliver_due(t)
-            while index < len(pending) and base + pending[index].at <= t:
-                self._run_step(pending[index])
-                index += 1
-            consortium.seal_due(t)
-            t += 1
-            if t > horizon + 64:  # hard stop: drain window after the horizon
-                break
+        self.consortium = consortium = self._build_consortium()
+        base, steps = consortium.now, self.scenario.steps  # validate() keeps them in order
+        for t in range(base, base + self.scenario.horizon + 1):
+            due = [step for step in steps if base + step.at <= t]
+            steps = steps[len(due):]
+            consortium.tick(t, [functools.partial(self._run_step, step) for step in due])
+        with contextlib.suppress(SealError):  # the report's drained check names what is left
+            consortium.run_until_idle()
         return self._build_report()
 
     def _run_step(self, step: Step) -> None:
@@ -211,7 +198,7 @@ class ScenarioRunner:
         wine_id = step.params["wine_id"]
         service = self._service_for(step.actor)
         outcomes, _, session = service.validate_record_flow(self._tag_for(step.params))
-        self.last_validation[wine_id] = [o.to_dict() for o in outcomes]
+        self.last_validation[wine_id] = outcomes
         if session is not None:
             self.sessions[(step.actor, wine_id)] = session
 
@@ -300,9 +287,9 @@ class ScenarioRunner:
     def _expect_last_validation(self, spec: Dict[str, object]) -> Tuple[bool, str]:
         outcomes = self.last_validation.get(spec["wine_id"], [])
         if spec.get("result", "pass") == "pass":
-            ok = bool(outcomes) and all(o["result"] == "pass" for o in outcomes)
+            ok = bool(outcomes) and all(o.passed for o in outcomes)
         else:
-            ok = bool(outcomes) and outcomes[-1]["result"] == spec["result"]
+            ok = bool(outcomes) and outcomes[-1].to_dict()["result"] == spec["result"]
         return ok, f"last validation of {spec['wine_id']} is {spec.get('result', 'pass')}"
 
     def _expect_step_error(self, spec: Dict[str, object]) -> Tuple[bool, str]:
@@ -362,9 +349,9 @@ class ScenarioRunner:
             expectations.append({"kind": spec["kind"], "description": description,
                                  "passed": passed})
             all_passed = all_passed and passed
-        pooled, queued = len(consortium.chain.pool), self.bus.pending()
+        pooled, queued = len(consortium.chain.pool), consortium.bus.pending()
         if pooled or queued:
-            # only a run cut at the hard stop gets here: work it started never finished
+            # only a run whose drain gave up gets here: work it started never finished
             expectations.append({"kind": "drained", "passed": False, "description":
                                  f"run drains before the hard stop ({pooled} pooled "
                                  f"tx(s), {queued} bus message(s) left)"})

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from dnas import secp256k1, simnet
-from dnas.service import Consortium
+from dnas.service import BlockchainService, Consortium
 
 _TEMPLATES = {}  # repr of the constructor arguments -> the consortium built with them
 
@@ -32,6 +32,26 @@ def copied_consortia(request, monkeypatch):
     marked ``fresh_builds``."""
     if request.node.get_closest_marker("fresh_builds") is None:
         monkeypatch.setattr(simnet, "Consortium", built_consortium)
+
+
+@pytest.fixture
+def flow_statuses(monkeypatch):
+    """``(flows, statuses)``: every create flow the test starts, and after
+    each ``Consortium.tick`` the status of each, keyed by that tick."""
+    flows, statuses = [], {}
+    create, tick = BlockchainService.create_record_flow, Consortium.tick
+
+    def observed_create(self, *args):
+        flows.append(create(self, *args))
+        return flows[-1]
+
+    def observed_tick(self, now, operations=()):
+        tick(self, now, operations)
+        statuses[now] = [flow.status for flow in flows]
+
+    monkeypatch.setattr(BlockchainService, "create_record_flow", observed_create)
+    monkeypatch.setattr(Consortium, "tick", observed_tick)
+    return flows, statuses
 
 
 @pytest.fixture

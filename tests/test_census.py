@@ -30,7 +30,6 @@ ALLOWED = {  # function -> why it stays with no product caller
     "keys.recover_signer": "BENCHMARK.json names it as a traced layer",
     "ledger.SignedTransaction.digest":
         "derives the digest of any transaction that sign_transaction did not build",
-    "service.ValidationOutcome.passed": "the bench reads it",
     "content_store.PrivateNetwork.holders":
         "a read view the hand-over and replication tests use as their oracle",
 }

@@ -133,11 +133,14 @@ def test_query_record_the_chain_refused(capsys):
 
 
 def test_query_create_tx_receipt(capsys):
-    # the run is deterministic, so the creation tx sits at a known height
-    assert main(["query", "--scenario", "cloned_tag", "block", "3"]) == 0
-    block = json.loads(capsys.readouterr().out)
-    create_txs = [t for t in block["transactions"] if t["method"] == "create_wine_record"]
-    assert create_txs
+    # walk the chain from its first block to the one holding the creation tx;
+    # past the head the query fails, so the walk ends
+    create_txs, height = [], 0
+    while not create_txs:
+        height += 1
+        assert main(["query", "--scenario", "cloned_tag", "block", str(height)]) == 0
+        block = json.loads(capsys.readouterr().out)
+        create_txs = [t for t in block["transactions"] if t["method"] == "create_wine_record"]
     assert main(["query", "--scenario", "cloned_tag", "tx", create_txs[0]["tx_hash"]]) == 0
     receipt = json.loads(capsys.readouterr().out)
     assert receipt["status"] == "ok"

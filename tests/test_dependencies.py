@@ -65,15 +65,16 @@ def test_no_threads(path):
 
 
 def _closures_over_self(path):
-    """Lambdas that read a ``self`` they do not bind: a deep copy keeps such
-    a lambda pointing at the original object, where a bound method follows
-    the copy."""
+    """Lambdas and nested functions that read a ``self`` they do not bind: a
+    deep copy keeps such a closure pointing at the original object, where a
+    bound method follows the copy."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Lambda):
+        if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
             bound = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
-            read = {n.id for n in ast.walk(node.body) if isinstance(n, ast.Name)}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
             if "self" in read - bound:
-                yield f"line {node.lineno}: {ast.unparse(node)}"
+                yield f"line {node.lineno}: {getattr(node, 'name', None) or ast.unparse(node)}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

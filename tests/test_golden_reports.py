@@ -19,35 +19,35 @@ from dnas.simnet import run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
     ("happy_path", None): (
-        "d46687e1a638742c959783c49f69208c55bd43c963c792e0eb9a8edec212ac1d",
-        "8ab1d72126107ef849c4a60a438ac02ffe4ebb719087e3f240dc5eb84331880f"),
+        "b696c157a79279b4fdada319375790aab4ef480117f61c512f13bd5459baa85e",
+        "b562af171ead314b0830adecadf8329df89ef0e3f41cf4d35186f206986e3f65"),
     ("happy_path", 101): (
-        "ed1a0c8ec0116e02942e08983b7dbba955ee8c0e6af73edcefd18061a51013a7",
-        "4f5ae690ba9e7ca449eea2b3a6c34b437ee538272d47fb5497bde12a6f0a64a2"),
+        "ddf71426c61e3c1b0acd0eee453eda000d3c3ababa554d743dc2a5e1fc585ac7",
+        "b62e315c76c6535e99192dbb61021c1562c391b34bcb71c3d83903375d36bffd"),
     ("cloned_tag", None): (
-        "55d64550a0a167d6528602e395bdf5a04d5a09d9153867a4a0f532909cbd9b5b",
-        "67c62397796eb81d065cdfb75b0a3a14b78592cdb96f0962700438c85ad4ec99"),
+        "ffdadbe063dd232805fdbb6cb4dbd1c8ae5bcc963c1a5eb307014056b6961671",
+        "07b19b08304c8d47795cf0caa5504a09c7dd2c816244da4b9013fd12a50c8540"),
     ("cloned_tag", 101): (
-        "1a58783069cd422e32252e5fc9c5fe269941289312d08f8ab5c861fc30919d0f",
-        "c564ed41d01049fdcd66731493b8298f59f492bf963e4a51db09e791ff459b81"),
+        "896fec0e17c383385f745c71c475a0a8e6a0a27fdb2840b0d2c443eb776429d3",
+        "94cf406ac75489fd981df3fa9a971bc246d74e96d9548010a61cd8f040690dcb"),
     ("halted_validator", None): (
-        "b79f818c188d751a2f0de7e6c9d9622956cd18c8a34502ef62a3ccedae53a658",
-        "1b7d1987ee91dd3d1fda6dbb23778efb3117bdf1e751b5b03346a5f0831b0684"),
+        "03df73f9d246863d488962384302a2a91480f5ca4cbee6a0e2725d1090f3e231",
+        "cd34baf2eeed19cdb847aeaccacd0834dc7a5b34b51c89e02fce48e61bf52bea"),
     ("halted_validator", 101): (
-        "9557d03121e1be4be44cbce343efd0dab5d0a78d4aaa3980463ad0cfc10f992b",
-        "2326db60ed5b638b9d8d58aa4d846101e0d6b17b6e3e925e1756878a32937d3e"),
+        "2deb8d8502e41f4499b3eb7105664d86004088012760eb95a736b6528dec7036",
+        "8108fee4ac3644b2187701de8d6c15d7a3469dedc61a3009dd5d76ef2522ceec"),
     ("governance", None): (
-        "6794ce4739f014516d1be30417bba4b7e44deee876249f0d740431cbafa82caf",
-        "8182110e60d3184b87b476bf8ad0a6e2fc99f8a0e65a45ee472c4c983246e69c"),
+        "4a6a37aca8cc96bf41014059328c1dc492b9d30a69a2df1ebbe249f174eea3a4",
+        "00cf0f755087fe3499d0ec46496df36e2b9f023615a41f9db4ed91577f236785"),
     ("governance", 101): (
-        "9bda8386f161794872d502bc24c65e8f280e91ace782516feae57ec197d48cfa",
-        "8835f48b67f83bc80494c362a4ac5f4ff818e33f52c2d976afaa3b0868ad13f9"),
+        "4dfc4f9254e7899ccafb45c4ab093dc8db34db6419f74772096f729b216ef0d7",
+        "1cf1a9b5765464dc1f90e5c3e966a67b207659fcfd9716d2c24f70478bc3d52a"),
     ("tampering", None): (
-        "ca4dfff0f5c6d9f0d68d8e1123f688a4fe2f0ddf498d996bbcc5f13134b8e674",
-        "51d03d8e7639b4fe6bd94450d277b9900f4c386d22430408b14dd37749550038"),
+        "92632a7cd8975e0727939f5fecb23e6cfeb86d53670899a58e711960c4794bbd",
+        "6089b7a6e94d1e54e5b0b34b9b0875c2c3d3abe34f75c79fab3715c2d6160684"),
     ("tampering", 101): (
-        "b2675162ac8bcb966dbbd59ce2c3c4345e563335415b80b775f68611dfebcb8f",
-        "0a4a9ea82e9c317b444602959aeed721ba688a6d0f02e81003c9f4ef78ab0078"),
+        "e8d501ba8783be7d94288ac0502f97fd621fd36bacf72670955e3e7ea6a3e560",
+        "97f1bfa27a3adda40eba99ecf6db0af526d651cc512641380e7a9d5c37463cb7"),
 }
 
 

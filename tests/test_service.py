@@ -348,6 +348,21 @@ def test_create_flow_happy_path(consortium):
     assert receipt.events[0].kind == "WineRecordCreated"
 
 
+@pytest.mark.parametrize("drive", ["tick", "run_until_idle"])
+def test_a_create_completes_on_the_tick_after_its_block(consortium, flow_statuses, drive):
+    flows, statuses = flow_statuses
+    consortium.services["maker"].create_record_flow(
+        {"wine_id": "W1"}, NfcTag(uid=consortium.randbytes(7)), "device-maker")
+    if drive == "tick":
+        for _ in range(3):
+            consortium.tick(consortium.now + 1)
+    else:
+        consortium.run_until_idle()
+    sealed = consortium.chain.blocks[flows[0].block_number].timestamp
+    assert (statuses[sealed], statuses[sealed + 1]) == (["pending"], ["ok"])
+    assert consortium.db.get("W1").transaction_data[0]["timestamp"] == sealed + 1
+
+
 def test_create_flow_rejects_non_winemaker(consortium):
     tag = NfcTag(uid=consortium.randbytes(7))
     with pytest.raises(FlowError) as err:
@@ -1032,3 +1047,16 @@ def test_work_on_a_copy_leaves_the_template_as_it_was(consortium):
     assert twin.counters_in_sync("W1", tag)
     assert observed(twin) != before
     assert observed(consortium) == before
+
+
+def test_a_copy_taken_during_a_write_completes_only_its_own_record(consortium):
+    tag = NfcTag(uid=consortium.randbytes(7))
+    flow = consortium.services["maker"].create_record_flow({"wine_id": "W1"}, tag,
+                                                           "device-maker")
+    twin = copy.deepcopy(consortium)
+    twin.run_until_idle()
+    assert [e["event"] for e in twin.db.get("W1").transaction_data] == ["on-chain-created"]
+    assert twin.counters_in_sync("W1", tag)
+    assert flow.status == "pending" and consortium.db.get("W1").transaction_data == []
+    consortium.run_until_idle()
+    assert flow.status == "ok" and len(consortium.db.get("W1").transaction_data) == 1

@@ -292,6 +292,18 @@ def test_transaction_references_resolve_on_ledger():
     assert checked >= 4  # create + three appends in the happy path
 
 
+def test_a_scenario_create_completes_on_the_tick_after_its_block(flow_statuses):
+    flows, statuses = flow_statuses
+    runner = ScenarioRunner(simple_scenario([
+        Step(1, "maker", "create_record", {"wine_id": "W1"}),
+        Step(3, "maker", "create_record", {"wine_id": "W2"})], []))
+    assert runner.run().passed
+    assert len(flows) == 2
+    for index, flow in enumerate(flows):
+        sealed = runner.consortium.chain.blocks[flow.block_number].timestamp
+        assert (statuses[sealed][index], statuses[sealed + 1][index]) == ("pending", "ok")
+
+
 def test_a_candidate_the_registry_never_admits_gets_no_store_node():
     runner = ScenarioRunner(load_scenario("governance"))
     assert runner.run().passed
