@@ -4,13 +4,15 @@ The wine data contract maps each wine to one ``WineEntry`` (content hash per
 write iteration, custodian address, hashed tag and device identifiers,
 counters) and exposes create / validate / append semantics with their error
 branches. The registry is the consortium white list with distinct-voter
-tallies (``cast_vote``, which the ledger's sealer votes share); the proxy
-swaps wine-contract versions in place while the records it holds persist.
+tallies (``cast_vote``, which the ledger's sealer votes share). The proxy is
+deployed with its wine-contract versions, the first one live; an upgrade
+swaps versions in place while the records it holds persist, and claims each
+version at most once.
 """
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .content_store import ContentId
 from .encoding import canonical_json_bytes
@@ -300,6 +302,7 @@ class WineDataContractV2(WineDataContractV1):
 
 class Proxy:
     """Stable entry point delegating to the current implementation version.
+    It is deployed with its implementations, and the first of them is live.
 
     The wine records live here, so an upgrade changes behaviour without
     touching recorded state; the original caller identity is preserved through the
@@ -310,56 +313,36 @@ class Proxy:
     TRANSACTIONS = frozenset({"upgrade_to"})
     VIEWS = frozenset()
 
-    def __init__(self, owner: str):
+    def __init__(self, owner: str, implementations: Iterable[WineDataContractV1]):
         self.owner = owner
         self.records: Dict[str, WineEntry] = {}
-        self.current_implementation: Optional[str] = None
-        self.initialize_counter: Dict[str, int] = {}
-        self._implementations: Dict[str, WineDataContractV1] = {}
-
-    def register_implementation(self, contract: WineDataContractV1) -> None:
-        self._implementations[contract.version] = contract
-
-    def initialize(self, ctx: ExecutionContext, version: str) -> None:
-        """First-time wiring of the implementation slot (deployment step)."""
-        if ctx.caller != self.owner:
-            raise AuthError("only the proxy owner deploys implementations")
-        if self.current_implementation is not None:
-            raise ProxyError("proxy already initialized; use upgrade_to")
-        self._claim_version(version)
+        self._implementations = {impl.version: impl for impl in implementations}
+        self.current_implementation = next(iter(self._implementations))  # deployed live
+        self.initialize_counter: Dict[str, int] = {self.current_implementation: 1}
 
     def upgrade_to(self, ctx: ExecutionContext, version: str) -> Dict[str, object]:
+        """Claims ``version`` once; a version already claimed is never live again."""
         if ctx.caller != self.owner:
             raise AuthError("only the proxy owner may upgrade")
-        if self.current_implementation is None:
-            raise ProxyError("proxy not initialized")
-        self._claim_version(version)
-        ctx.emit("Upgraded", version=version)
-        return {"current_implementation": version}
-
-    def _claim_version(self, version: str) -> None:
         if version not in self._implementations:
             raise ProxyError(f"unknown implementation version {version!r}")
-        if self.initialize_counter.get(version, 0) != 0:
+        if version in self.initialize_counter:
             raise ProxyError(f"version {version!r} already initialized")
         self.initialize_counter[version] = 1
         self.current_implementation = version
-
-    def _implementation(self) -> WineDataContractV1:
-        if self.current_implementation is None:
-            raise ProxyError("proxy not initialized: no implementation set")
-        return self._implementations[self.current_implementation]
+        ctx.emit("Upgraded", version=version)
+        return {"current_implementation": version}
 
     def call(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
         """Runs a transaction method of the current implementation."""
-        impl = self._implementation()
+        impl = self._implementations[self.current_implementation]
         if method not in impl.TRANSACTIONS:
             raise ContractError(f"no transaction method {method!r} in {impl.version}")
         return getattr(impl, method)(self.records, ctx, **params)
 
     def view(self, ctx: ExecutionContext, method: str, params: Dict[str, object]) -> object:
         """Runs a read-only method of the current implementation."""
-        impl = self._implementation()
+        impl = self._implementations[self.current_implementation]
         if method not in impl.VIEWS:
             raise ContractError(f"no view method {method!r} in {impl.version}")
         return getattr(impl, method)(self.records, ctx, **params)
@@ -383,11 +366,8 @@ class ContractRuntime:
         self.touched: Set[str] = set()  # state keys written since the last state root
         self.signers = SignerDirectory()  # the owning node's, shared with its chain
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)
-        self.proxy = Proxy(owner=admin)
-        self.proxy.register_implementation(WineDataContractV1())
-        self.proxy.register_implementation(WineDataContractV2())
-        deploy_ctx = ExecutionContext(caller=admin, registry=self.registry, signers=self.signers)
-        self.proxy.initialize(deploy_ctx, WineDataContractV1.version)
+        self.proxy = Proxy(owner=admin,
+                           implementations=(WineDataContractV1(), WineDataContractV2()))
 
     def execute(self, caller: str, target: str, method: str,
                 params: Dict[str, object]) -> Tuple[object, List[ContractEvent]]:

@@ -70,7 +70,7 @@ class ContractError(DnasError):
 
 
 class ProxyError(DnasError):
-    """Proxy delegation failure (uninitialized or re-initialization attempt)."""
+    """Proxy upgrade refused: an unknown or an already claimed version."""
 
 
 class FlowError(DnasError):

@@ -58,6 +58,8 @@ class Scenario:
             if last_at is not None and step.at < last_at:
                 raise ScenarioError(f"step {index} is out of time order")
             last_at = step.at
+            if self.end_time is not None and step.at > self.end_time:
+                raise ScenarioError(f"step {index} at t={step.at} is after end_time {self.end_time}")
             if step.action not in ScenarioRunner.ACTIONS:
                 raise ScenarioError(f"step {index}: unknown action {step.action!r}")
             _check(f"step {index} ({step.action})", step.params,

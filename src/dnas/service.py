@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .content_store import ContentId, PrivateNetwork
 from .contracts import ContractEvent, ROLE_PARTICIPANT, ROLE_WINEMAKER
-from .encoding import canonical_json_bytes
 from .errors import (
     AuthError,
     ContractError,
@@ -125,7 +124,6 @@ class BlockchainService:
         self._key = decrypt_keystore(vault.get(vault_session, secret_path(member_id, "nodekey")),
                                      password)
         self._sessions: Dict[str, ValidationSession] = {}
-        self._seen_events: Set[Tuple[str, str, object]] = set()
 
     @property
     def address(self) -> str:
@@ -184,19 +182,16 @@ class BlockchainService:
         return self.submit_tx("registry", "set_consensus_level", {"level": level})
 
     def on_contract_event(self, event: ContractEvent) -> None:
-        """Administrator's listener: registry admissions and removals trigger
-        the chain validator voting round. An admitted member gets its store node;
-        a removed member's service stops, so that it may be onboarded again, and
-        its node is revoked once the shared node has pinned what it pinned (nothing
-        else may hold its subsets). Duplicate deliveries are harmless; only
-        registry events are remembered."""
-        if (self.role is not MemberRole.ADMINISTRATOR
-                or event.kind not in ("PeerAdded", "PeerRemoved")):
+        """Administrator's listener (the consortium sends events to no other
+        service): registry admissions and removals trigger the chain validator
+        voting round. An admitted member gets its store node; a removed member's
+        service stops, so that it may be onboarded again, and its node is revoked
+        once the shared node has pinned what it pinned (nothing else may hold its
+        subsets). It keeps no memo: on a re-delivered event the chain refuses
+        every stale vote, the store keeps the node it has, and the removed
+        service is already gone."""
+        if event.kind not in ("PeerAdded", "PeerRemoved"):
             return
-        key = (event.kind, event.tx_hash or "", canonical_json_bytes(event.fields))
-        if key in self._seen_events:
-            return
-        self._seen_events.add(key)
         member_id = event.fields.get("member_id", "")
         self._validator_round(event.fields["candidate"], member_id,
                               add=event.kind == "PeerAdded")

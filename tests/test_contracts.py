@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from dnas.contracts import (
     ContractRuntime,
-    ExecutionContext,
     Proxy,
     WineDataContractV1,
     WineDataContractV2,
@@ -466,14 +465,20 @@ def test_proxy_preserves_caller_identity(runtime, keys):
     assert record["pub_addr"] == keys["maker"].address.hex0x
 
 
-def test_uninitialized_proxy_rejects_calls(keys):
-    proxy = Proxy(owner=keys["admin"].address.hex0x)
-    proxy.register_implementation(WineDataContractV1())
-    runtime = ContractRuntime(keys["admin"].address.hex0x)
-    ctx = ExecutionContext(caller=keys["admin"].address.hex0x, registry=runtime.registry,
-                           signers=runtime.signers)
-    with pytest.raises(ProxyError):
-        proxy.call(ctx, "get_record", {"wine_id": "W1"})
+def test_proxy_is_deployed_with_its_first_implementation_live(keys):
+    owner = keys["admin"].address.hex0x
+    proxy = Proxy(owner=owner, implementations=(WineDataContractV1(), WineDataContractV2()))
+    assert proxy.snapshot() == {"owner": owner, "current_implementation": "winedata-v1",
+                                "initialize_counter": {"winedata-v1": 1}}
+    assert ContractRuntime(admin=owner).state_bytes("proxy_admin") == canonical_json_bytes(
+        proxy.snapshot())
+
+
+def test_upgrade_to_an_unknown_version_is_refused(runtime, keys):
+    with pytest.raises(ProxyError, match="unknown implementation version 'winedata-v3'"):
+        runtime.execute(keys["admin"].address.hex0x, "proxy_admin", "upgrade_to",
+                        {"version": "winedata-v3"})
+    assert runtime.proxy.current_implementation == "winedata-v1"
 
 
 def test_upgrade_preserves_storage(runtime, keys):

@@ -10,6 +10,7 @@ from dnas.scenario import (
     Step,
     bundled_scenario_names,
     load_scenario,
+    scenario_from_dict,
 )
 from dnas.service import MemberRole, NodeType
 from dnas.simnet import MessageBus, ScenarioRunner, replay_determinism_check, run_scenario
@@ -96,6 +97,20 @@ def test_steps_must_be_time_ordered():
              Step(2, "maker", "create_record", {"wine_id": "B"})]
     with pytest.raises(ScenarioError):
         simple_scenario(steps, []).validate()
+
+
+def test_a_step_after_end_time_is_refused_at_load():
+    # the runner ticks no further than end_time, so W2 would never be made
+    members = [{"member_id": "admin", "role": "administrator", "node_type": "validator"},
+               {"member_id": "maker", "role": "winemaker", "node_type": "validator"},
+               {"member_id": "retail", "role": "participant", "node_type": "validator"}]
+    raw = {"seed": 3, "members": members, "end_time": 10, "steps": [
+        {"at": 1, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 20, "actor": "maker", "action": "create_record", "params": {"wine_id": "W2"}}]}
+    with pytest.raises(ScenarioError, match="^step 1 at t=20 is after end_time 10$"):
+        scenario_from_dict(raw)
+    raw["end_time"] = 20  # a step at end_time runs
+    assert scenario_from_dict(raw).end_time == 20
 
 
 def test_two_administrators_rejected():
