@@ -4,9 +4,11 @@ Addresses are the last 20 bytes of Keccak-256 over the uncompressed 64-byte
 public key. A tag payload is signed in EIP-191's ``personal_sign`` form,
 Keccak-256 over ``SIGN_PREFIX``, the payload's decimal length and the
 payload, so the signature is recognisable as chain-specific. The payload is
-the length-prefixed wine id and the raw 32-byte hashes of the tag uid and
-device id, fixed-width fields that need no prefix; a wine id up to 38 UTF-8
-bytes keeps the digest one Keccak block.
+the length-prefixed wine id and the raw 32-byte SHA-256 of the tag uid and of
+the device id, fixed-width fields that need no prefix; a wine id up to 38
+UTF-8 bytes keeps the digest one Keccak block. Keccak is used only where an
+Ethereum format requires it; the identifier hash, like every other hash the
+chain commits to, is SHA-256.
 """
 
 import hashlib
@@ -106,7 +108,7 @@ def derive_address(public_key: bytes) -> Address:
 
 def encode_tag_payload(wine_id: str, tag_id: str, device_id: str) -> bytes:
     """The 4-byte big-endian length and UTF-8 bytes of ``wine_id``, then the
-    raw 32-byte hashes of the tag uid and device id (``hash_identifier``)."""
+    raw 32-byte SHA-256 of the tag uid and of the device id (``hash_identifier``)."""
     if not wine_id:
         raise EncodingError("wine_id must be non-empty")
     raw = wine_id.encode("utf-8")
@@ -158,18 +160,17 @@ class SignerDirectory:
     replica checks call it for every transaction, whose signatures never
     repeat. Tag bindings do repeat: every write and scan of a wine names the
     same tag uid and device id, and a consumer scan checks the same tag
-    signature until the wine's next write. So the directory also keeps three
+    signature until the wine's next write. So the directory also keeps two
     memos of derived values, never committed state, each a pure function of
-    its key: identifier hashes by tag uid or device id (``hashed``), each
-    wine's tag digest, which the node's writes sign and its scans check
-    (``tag_digest``), and the last tag check ``signed_by`` accepted per wine
-    (``tag_signed_by``). Only an accepting scan fills the third: a write's
-    fresh tag signature is first checked at the wine's next scan.
+    its key: each wine's tag digest, which the node's writes sign and its
+    scans check (``tag_digest``), and the last tag check ``signed_by``
+    accepted per wine (``tag_signed_by``). Only an accepting scan fills the
+    second: a write's fresh tag signature is first checked at the wine's
+    next scan.
     """
 
     def __init__(self):
         self._tables: Dict[str, secp256k1.KeyTable] = {}
-        self._identifier_hashes: Dict[str, str] = {}  # tag uid or device id -> its hash
         self._tag_digests: Dict[Tuple[str, str, str], bytes] = {}
         # wine_id -> the last (custodian, digest, signature) that signed_by accepted
         self._accepted_tags: Dict[str, Tuple[str, bytes, Signature]] = {}
@@ -189,14 +190,6 @@ class SignerDirectory:
         if keep:
             self._tables[address] = secp256k1.key_tables(point)
         return True
-
-    def hashed(self, identifier: str) -> str:
-        """``hash_identifier`` memoised by the exact tag uid or device id: the
-        maker's create hashes each once, and every later write or scan reuses it."""
-        hashed = self._identifier_hashes.get(identifier)
-        if hashed is None:
-            hashed = self._identifier_hashes[identifier] = hash_identifier(identifier)
-        return hashed
 
     def tag_digest(self, wine_id: str, tag_id: str, device_id: str) -> bytes:
         """``prefixed_digest`` of a wine's (wine_id, hashed tag, hashed
@@ -230,8 +223,8 @@ class SignerDirectory:
 
 
 def hash_identifier(identifier: str) -> str:
-    """Hex Keccak-256 of an identifier, the form kept in on-chain mappings."""
-    return keccak256(identifier.encode("utf-8")).hex()
+    """Hex SHA-256 of an identifier, the form kept in on-chain mappings."""
+    return hashlib.sha256(identifier.encode("utf-8")).hexdigest()
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

@@ -33,6 +33,7 @@ from .keys import (
     create_keystore,
     decrypt_keystore,
     generate_keypair,
+    hash_identifier,
     sign_tag_payload,
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
@@ -90,7 +91,7 @@ class ValidationOutcome:
 class ValidationSession:
     """Single-use pass token linking a full validation to one acceptance."""
 
-    wine_id: str
+    session_id: str
     issued_at: int
 
 
@@ -108,7 +109,7 @@ class FlowReceipt:
 
 class BlockchainService:
     """One member's blockchain service instance. It keeps no hash memo: the
-    chain's ``SignerDirectory`` derives each identifier hash and tag digest once."""
+    chain's ``SignerDirectory`` derives each tag digest once."""
 
     def __init__(self, consortium: "Consortium", member_id: str, role: MemberRole,
                  node_type: NodeType, vault: Vault, vault_session: str, password: str):
@@ -123,6 +124,8 @@ class BlockchainService:
         # the node key is read from the vault and decrypted once; no other copy is kept
         self._key = decrypt_keystore(vault.get(vault_session, secret_path(member_id, "nodekey")),
                                      password)
+        # wine_id -> its latest full pass here: a newer one replaces the older
+        # session, which validated a tag state that the later read moved past
         self._sessions: Dict[str, ValidationSession] = {}
 
     @property
@@ -261,13 +264,15 @@ class BlockchainService:
                            custodian_key: Optional[KeyPair] = None,
                            purchase: bool = False) -> FlowReceipt:
         self._require_member()
-        session = self._sessions.pop(session_id, None)
-        if session is None:
+        wine_id = next((wine for wine, open_session in self._sessions.items()
+                        if open_session.session_id == session_id), None)
+        if wine_id is None:
             raise FlowError("session", "acceptance requires a fresh full-pass validation")
+        session = self._sessions.pop(wine_id)
         timeout = self.consortium.session_timeout
         if timeout is not None and self.consortium.now - session.issued_at > timeout:
             raise FlowError("session", "validation session expired; re-validate first")
-        record = self.consortium.db.get(session.wine_id)
+        record = self.consortium.db.get(wine_id)
         if tag.tag_id != record.tag_uid:
             raise FlowError("session", "tag is not the one the session validated")
         binding = self._append_binding(record, "acceptance")
@@ -344,8 +349,8 @@ class BlockchainService:
                          binding: Tuple[str, str], status: WineStatus,
                          custody: Dict[str, object], method: str) -> FlowReceipt:
         """One write iteration of a record: ``key`` signs the digest of the
-        wine id and ``binding``, the record's hashed tag and device (hashed
-        and digested once per chain, then reused), the tag and the record take
+        wine id and ``binding``, the record's hashed tag and device (digested
+        once per chain, then reused), the tag and the record take
         the signature and the next write counter, the custody entry is logged,
         the published subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt, in ``_finish_write``; a failed one unpins the
@@ -451,8 +456,8 @@ class BlockchainService:
         record.read_counter += 1
         self.submit_tx("proxy", "increment_read_count", {"wine_id": wine_id})
         session_id = f"session-{self.member_id}-{wine_id}-{self.consortium.next_session_serial()}"
-        self._sessions[session_id] = ValidationSession(wine_id=wine_id,
-                                                       issued_at=self.consortium.now)
+        self._sessions[wine_id] = ValidationSession(session_id=session_id,
+                                                    issued_at=self.consortium.now)
         latest_tx = record.transaction_data[-1] if record.transaction_data else {}
         view = {
             "wine_id": wine_id,
@@ -466,10 +471,9 @@ class BlockchainService:
         return outcomes, view, session_id
 
     def _binding(self, record: WineRecord) -> Tuple[str, str]:
-        """The record's (hashed tag uid, hashed device id), as a write sends
-        them; the chain's ``SignerDirectory.hashed`` hashes each once."""
-        hashed = self.chain.runtime.signers.hashed
-        return hashed(record.tag_uid), hashed(record.device_id)
+        """The SHA-256 of the record's tag uid and of its device id
+        (``hash_identifier``), as a write sends them."""
+        return hash_identifier(record.tag_uid), hash_identifier(record.device_id)
 
     def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
             Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
@@ -501,8 +505,7 @@ class BlockchainService:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
             return record, (on_chain, modified, "wine identifier not found on-chain")
-        # the uid equals a database record's, so the memo keeps one entry per tag
-        if self.chain.runtime.signers.hashed(readout.tag_id) != chain_record["tag_id"]:
+        if hash_identifier(readout.tag_id) != chain_record["tag_id"]:
             return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
         if readout.write_counter != chain_record["write_count"]:
             return record, (on_chain, reapplied, "write counter differs from on-chain state")

@@ -19,34 +19,34 @@ from dnas.simnet import run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
     ("happy_path", None): (
-        "b696c157a79279b4fdada319375790aab4ef480117f61c512f13bd5459baa85e",
+        "21f4e392a2fdba1de5aa6028fc5a1796324a58f8f5e939ac9e767675b2c616a0",
         "b562af171ead314b0830adecadf8329df89ef0e3f41cf4d35186f206986e3f65"),
     ("happy_path", 101): (
-        "ddf71426c61e3c1b0acd0eee453eda000d3c3ababa554d743dc2a5e1fc585ac7",
+        "6076443540c4b3b59857fc02e7b9502d84ffbcdc17f00d30db12dd26df160176",
         "b62e315c76c6535e99192dbb61021c1562c391b34bcb71c3d83903375d36bffd"),
     ("cloned_tag", None): (
-        "ffdadbe063dd232805fdbb6cb4dbd1c8ae5bcc963c1a5eb307014056b6961671",
+        "0df2c33b4ca68ed15301be4183be9bc07a58baccc858379d180ef55028a34bb0",
         "07b19b08304c8d47795cf0caa5504a09c7dd2c816244da4b9013fd12a50c8540"),
     ("cloned_tag", 101): (
-        "896fec0e17c383385f745c71c475a0a8e6a0a27fdb2840b0d2c443eb776429d3",
+        "16b3a9bfae43aa9fac462e5fa8a5ed8c5aeb73b8153f338ae5e4657c447b141e",
         "94cf406ac75489fd981df3fa9a971bc246d74e96d9548010a61cd8f040690dcb"),
     ("halted_validator", None): (
-        "03df73f9d246863d488962384302a2a91480f5ca4cbee6a0e2725d1090f3e231",
+        "5575d910ea8f09d501c701c0f37eb20a113e950fb819da213b65752820ae1063",
         "cd34baf2eeed19cdb847aeaccacd0834dc7a5b34b51c89e02fce48e61bf52bea"),
     ("halted_validator", 101): (
-        "2deb8d8502e41f4499b3eb7105664d86004088012760eb95a736b6528dec7036",
+        "e4242da94d209c46cb47480a3082061286454521697c1b2b1321c3a4c3c1b3b2",
         "8108fee4ac3644b2187701de8d6c15d7a3469dedc61a3009dd5d76ef2522ceec"),
     ("governance", None): (
-        "4a6a37aca8cc96bf41014059328c1dc492b9d30a69a2df1ebbe249f174eea3a4",
+        "7abd88cccecf3d6a0c93216a1991b38e6a7ca5a6405e2d3f9ca5ea0e6ffe1938",
         "00cf0f755087fe3499d0ec46496df36e2b9f023615a41f9db4ed91577f236785"),
     ("governance", 101): (
-        "4dfc4f9254e7899ccafb45c4ab093dc8db34db6419f74772096f729b216ef0d7",
+        "7003be74fced9b025a70c4f5cb16ae073ecd4050c92315f4a3af8500205b14ac",
         "1cf1a9b5765464dc1f90e5c3e966a67b207659fcfd9716d2c24f70478bc3d52a"),
     ("tampering", None): (
-        "92632a7cd8975e0727939f5fecb23e6cfeb86d53670899a58e711960c4794bbd",
+        "03a5f036cde3a0c9015531684432f2d9cfab1c4a39a2f60fead2550151355859",
         "6089b7a6e94d1e54e5b0b34b9b0875c2c3d3abe34f75c79fab3715c2d6160684"),
     ("tampering", 101): (
-        "e8d501ba8783be7d94288ac0502f97fd621fd36bacf72670955e3e7ea6a3e560",
+        "73e685a9278363d69215f7ed3e9e90aa333b9f9240fc174cadc84da80ca43c0c",
         "97f1bfa27a3adda40eba99ecf6db0af526d651cc512641380e7a9d5c37463cb7"),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -106,8 +107,10 @@ def test_prefixed_digest_against_keccak_oracle():
 
 def test_prefixed_digest_is_eip191_personal_sign_over_the_bench_wine_id():
     tag, dev = hash_identifier("tag-uid"), hash_identifier("device")
+    # the identifiers are SHA-256 digests; only the EIP-191 digest is Keccak
     expected = keccak256(b"\x19Ethereum Signed Message:\n75" + bytes.fromhex("00000007")
-                         + b"B000123" + keccak256(b"tag-uid") + keccak256(b"device"))
+                         + b"B000123" + hashlib.sha256(b"tag-uid").digest()
+                         + hashlib.sha256(b"device").digest())
     assert prefixed_digest("B000123", tag, dev) == expected
 
 
@@ -168,8 +171,11 @@ def test_roundtrip_property_over_random_keys():
         assert recover_signer(digest, sign_tag_payload(digest, kp)) == kp.address
 
 
-def test_hash_identifier_is_keccak_hex():
-    assert hash_identifier("tag-1") == keccak256(b"tag-1").hex()
+def test_hash_identifier_is_sha256_hex():
+    # FIPS 180-4's one-block example, and a UTF-8 identifier
+    assert hash_identifier("abc") == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+    assert hash_identifier("tag-ü") == hashlib.sha256("tag-ü".encode("utf-8")).hexdigest()
 
 
 def test_keystore_roundtrip():

@@ -14,8 +14,7 @@ from dnas.errors import (
     NotFoundError,
     SealError,
 )
-from dnas.keys import KeyPair, hash_identifier
-from dnas.ledger import Chain
+from dnas.keys import KeyPair
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -564,13 +563,12 @@ def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(cons
 
     calls = count_calls(
         [(WineDataContractV1, "validate_signature"), (BlockchainService, "_walk_layers")],
-        [("verify", secp256k1.verify), ("keccak256", keccak.keccak256),
-         ("hash_identifier", hash_identifier)])
+        [("verify", secp256k1.verify), ("_keccak_f", keccak._keccak_f)])
     outcomes, _, _ = dist.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
-    assert calls["keccak256", "validate_signature"] == 0
+    assert calls["_keccak_f", "validate_signature"] == 0
     assert calls["verify", "validate_signature"] == 0
-    assert calls["hash_identifier", "_walk_layers"] == 0
+    assert calls["_keccak_f", "_walk_layers"] == 0
     assert calls["verify", None] >= 1  # the read-count transaction's pool admission
     consortium.run_until_idle()
     assert consortium.counters_in_sync("W1", tag)
@@ -582,8 +580,7 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     calls = count_calls(
         [(BlockchainService, "_write_iteration"), (BlockchainService, "_binding"),
          (BlockchainService, "submit_tx"), (WineDataContractV1, "validate_signature")],
-        [("keccak256", keccak.keccak256), ("hash_identifier", hash_identifier),
-         ("_keccak_f", keccak._keccak_f),
+        [("_keccak_f", keccak._keccak_f),
          ("sign_digest", secp256k1.sign_digest), ("verify", secp256k1.verify)])
 
     def accept(service, wine_id):
@@ -594,18 +591,10 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
         assert flow.status == "ok"
         return calls - before
 
-    # the maker's create hashed the tag uid and the device id through the
-    # chain's memo, and the digest is the chain's since then
-    first = accept(dist, "W1")
-    assert first["keccak256", "_binding"] == 0
-    assert first["hash_identifier", "_binding"] == 0
-    assert first["keccak256", "_write_iteration"] == 0
-    # a second wine from that device: the write derives nothing
-    second = accept(dist, "W2")
-    assert second["keccak256", "_binding"] == 0
-    assert second["keccak256", "_write_iteration"] == 0
-    assert second["hash_identifier", "_binding"] == 0
-    for write in (first, second):
+    for write in (accept(dist, "W1"), accept(dist, "W2")):
+        # the binding is two SHA-256 digests, and the tag digest is the
+        # chain's since the maker's create
+        assert write["_keccak_f", "_binding"] == write["_keccak_f", "_write_iteration"] == 0
         # a fresh tag signature and a fresh transaction signature, and pool
         # admission still verifies the transaction
         assert write["sign_digest", "_write_iteration"] == 1
@@ -617,15 +606,13 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     assert all(o.passed for o in outcomes)
     assert (calls - before)["verify", "validate_signature"] == 1
 
-    # a second create by the maker with the same device hashes only the new
-    # tag uid, then the one-block digest: two Keccak-f permutations in all
+    # a third create by the maker: its one Keccak-f permutation is the
+    # one-block tag digest
     before = calls.copy()
     create_wine(consortium, "W3")
     third = calls - before
-    assert third["hash_identifier", "_binding"] == 1
-    assert third["keccak256", "_binding"] == 1
-    assert third["keccak256", "_write_iteration"] == 1
-    assert third["_keccak_f", "_binding"] == third["_keccak_f", "_write_iteration"] == 1
+    assert third["_keccak_f", "_binding"] == 0
+    assert third["_keccak_f", "_write_iteration"] == 1
     assert third["sign_digest", "_write_iteration"] == 1
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
@@ -642,30 +629,32 @@ def test_genuine_scan_decodes_no_content_id(consortium, count_calls):
     assert calls["base58_decode", "_walk_layers"] == 0
 
 
-def test_identifier_hashes_are_kept_once_per_chain(consortium, count_calls):
-    tag, _ = create_wine(consortium)
-    calls = count_calls([(BlockchainService, "_walk_layers")], [("keccak256", keccak.keccak256)])
-    # the maker's create hashed the tag uid and the device id: retail's first
-    # walk of the layers hashes nothing, as the tag digest is the chain's too
-    retail = consortium.services["retail"]
-    outcomes, _, _ = retail.validate_record_flow(tag)
-    assert [o.result for o in outcomes] == ["pass"] * 3
-    assert calls["keccak256", "_walk_layers"] == 0
-    consortium.run_until_idle()
-
-    # a uid the chain has not seen is hashed once, and still fails on-chain
+def test_a_create_runs_one_keccak_permutation_and_its_later_writes_and_scans_none(
+        consortium, count_calls):
+    # a member's first transaction recovers its key, and an address is the
+    # Keccak of a key: W1 has the maker, dist and retail each send one first
+    first, _ = create_wine(consortium, "W1")
+    for member in ("dist", "retail"):
+        service = consortium.services[member]
+        service.accept_record_flow(first, service.validate_record_flow(first)[2])
+        consortium.run_until_idle()
+    calls = count_calls([], [("_keccak_f", keccak._keccak_f)])
+    tag, _ = create_wine(consortium, "W2")
+    # the EIP-191 tag digest; the tag uid and the device id are SHA-256
+    assert calls["_keccak_f", None] == 1
+    for member in ("dist", "retail"):
+        service = consortium.services[member]
+        flow = service.accept_record_flow(tag, service.validate_record_flow(tag)[2])
+        consortium.run_until_idle()
+        assert flow.status == "ok"
+    # a uid the chain has never seen fails on-chain, hashed with no permutation
     clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
-    consortium.db.get("W1").tag_uid = clone.tag_id
-    outcomes, _, _ = retail.validate_record_flow(clone)
+    consortium.db.get("W2").tag_uid = clone.tag_id
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(clone)
     assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.ON_CHAIN,
                                                          AttackClass.CLONING)
-    assert calls["keccak256", "_walk_layers"] == 1
-
-    # each chain keeps its own memo: hashing through one leaves another's empty
-    first, second = (Chain(consortium.chain.genesis, contract_admin=consortium.chain.runtime.admin)
-                     for _ in range(2))
-    assert first.runtime.signers.hashed(clone.tag_id) == hash_identifier(clone.tag_id)
-    assert second.runtime.signers._identifier_hashes == {}
+    consortium.run_until_idle()
+    assert calls["_keccak_f", None] == 1
 
 
 def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
@@ -751,6 +740,24 @@ def test_session_single_use(consortium):
     consortium.run_until_idle()
     with pytest.raises(FlowError):
         dist.accept_record_flow(tag, session)
+
+
+def test_a_newer_full_pass_replaces_the_older_session(consortium):
+    tag, _ = create_wine(consortium)
+    shared = consortium.shared_service
+    sessions = []
+    for _ in range(4):
+        sessions.append(shared.validate_record_flow(tag)[2])
+        consortium.run_until_idle()
+    assert len(shared._sessions) == 1
+    for older in sessions[:-1]:
+        with pytest.raises(FlowError, match="acceptance requires a fresh full-pass validation"):
+            shared.accept_record_flow(tag, older)
+    flow = shared.accept_record_flow(tag, sessions[-1])
+    consortium.run_until_idle()
+    assert flow.status == "ok"
+    assert not shared._sessions
+    assert consortium.counters_in_sync("W1", tag)
 
 
 def test_session_is_spent_and_bound_to_the_validated_tag(consortium):
