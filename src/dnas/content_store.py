@@ -104,12 +104,10 @@ class PrivateNetwork:
 
     # -- membership -------------------------------------------------------------
 
-    def add_member(self, caller: str, node_id: str) -> StoreNode:
+    def add_member(self, caller: str, node_id: str) -> None:
         if caller != self.admin:
             raise AuthError("only the network administrator manages membership")
-        if node_id not in self._nodes:
-            self._nodes[node_id] = StoreNode(node_id=node_id)
-        return self._nodes[node_id]
+        self._nodes.setdefault(node_id, StoreNode(node_id=node_id))
 
     def remove_member(self, caller: str, node_id: str) -> None:
         if caller != self.admin:

@@ -38,7 +38,7 @@ from .keys import (
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
-from .tags import NfcTag
+from .tags import NfcTag, TagReadout
 from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
@@ -250,32 +250,36 @@ class BlockchainService:
                             tag_uid=tag.tag_id, device_id=device_id)
         if tag.protection_enabled:  # before the database write, which it would orphan
             raise FlowError("tag-write", "protection already enabled")
-        try:
+        binding = self._binding(record)
+        try:  # the tag digest (memoised for _write_iteration) first, for the same reason
+            self.chain.runtime.signers.tag_digest(record.wine_id, *binding)
             self.consortium.db.create(record)
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
         record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
-        return self._write_iteration(record, tag, self._key, self._binding(record),
-                                     WineStatus.CREATED, {
+        return self._write_iteration(record, tag, self._key, binding, WineStatus.CREATED, {
             "event": "created", "holder": self.member_id, "at": self.consortium.now,
         }, "create_wine_record")
 
     def accept_record_flow(self, tag: NfcTag, session_id: str,
                            custodian_key: Optional[KeyPair] = None,
                            purchase: bool = False) -> FlowReceipt:
+        """An acceptance, or a consumer's purchase under ``custodian_key``: it
+        spends this service's session for the tag's wine, then makes the pre-write check."""
         self._require_member()
-        wine_id = next((wine for wine, open_session in self._sessions.items()
-                        if open_session.session_id == session_id), None)
-        if wine_id is None:
+        try:
+            wine_id = tag.peek_wine_id()
+        except TagStateError as exc:
+            raise FlowError("session", str(exc)) from exc
+        session = self._sessions.get(wine_id)
+        if session is None or session.session_id != session_id:
             raise FlowError("session", "acceptance requires a fresh full-pass validation")
-        session = self._sessions.pop(wine_id)
+        del self._sessions[wine_id]
         timeout = self.consortium.session_timeout
         if timeout is not None and self.consortium.now - session.issued_at > timeout:
             raise FlowError("session", "validation session expired; re-validate first")
         record = self.consortium.db.get(wine_id)
-        if tag.tag_id != record.tag_uid:
-            raise FlowError("session", "tag is not the one the session validated")
-        binding = self._append_binding(record, "acceptance")
+        binding = self._append_binding(record, tag, "acceptance")
         custodian_key = custodian_key or self._key
         return self._write_iteration(
             record, tag, custodian_key, binding,
@@ -289,40 +293,24 @@ class BlockchainService:
     def ship_record_flow(self, tag: NfcTag) -> FlowReceipt:
         """The custodian hands its wine to a carrier: a write iteration under
         its own key that sets ``IN_TRANSIT`` and logs a ``shipped`` entry.
-        It takes no validation session, so it first checks, moving no
-        counter, that the record still hashes to the chain's latest id and
-        that the tag still holds what the record's last write put there: the
-        write overwrites both, and would otherwise re-anchor a tampered copy."""
+        Only the custodian ships; it needs no session, only the pre-write check."""
         self._require_member()
         try:
             record = self.consortium.db.get(tag.peek_wine_id())
         except (NotFoundError, TagStateError) as exc:
             raise FlowError("shipping", str(exc)) from exc
-        if tag.tag_id != record.tag_uid:
-            raise FlowError("shipping", "tag is not the record's")
         if record.custodian_address != self.address:
             raise FlowError("shipping", f"{self.member_id} is not the record's custodian")
-        binding = self._append_binding(record, "shipping")
-        if not self.chain.call_view("validate_wine_record_hash", {
-                "wine_id": record.wine_id,
-                "wine_data_hash": ContentId.for_content(record.subset()).text}):
-            raise FlowError("shipping", "database subset hash differs from on-chain hash")
-        try:
-            readout = tag.peek(password=bytes.fromhex(record.tag_password))
-        except DnasError as exc:
-            raise FlowError("shipping", str(exc)) from exc
-        if (readout.wine_id, readout.signature.hex, readout.write_counter,
-                readout.read_counter) != (record.wine_id, record.last_signature,
-                                          record.write_counter, record.read_counter):
-            raise FlowError("shipping", "tag payload or counters differ from the database")
+        binding = self._append_binding(record, tag, "shipping")
         return self._write_iteration(record, tag, self._key, binding, WineStatus.IN_TRANSIT, {
             "event": "shipped", "holder": self.member_id, "at": self.consortium.now,
         }, "append_wine_record")
 
-    def _append_binding(self, record: WineRecord, stage: str) -> Tuple[str, str]:
-        """The binding an append of ``record`` sends, checked before its first
-        write: a flagged or failed record takes no append, nor does one whose
-        tag or device identifier differs from the chain's, which would refuse it."""
+    def _append_binding(self, record: WineRecord, tag: NfcTag, stage: str) -> Tuple[str, str]:
+        """Every append's pre-write check; returns the binding it sends. A write
+        must not re-anchor a tampered copy, so it refuses a flagged or failed
+        record, a binding or subset id that differs from the chain's, and a tag
+        whose peek (no read counted) differs from the record."""
         if record.wine_status is WineStatus.FLAGGED:
             raise FlowError(stage, "flagged records take no further writes")
         if record.wine_status is WineStatus.ERROR:
@@ -330,10 +318,15 @@ class BlockchainService:
         binding = self._binding(record)
         try:
             on_chain = self.chain.call_view("get_record", {"wine_id": record.wine_id})
-        except ContractError as exc:  # a shipment before the create was mined
+        except ContractError as exc:  # an append before the create was mined
             raise FlowError(stage, str(exc)) from exc
         if binding != (on_chain["tag_id"], on_chain["device_id"]):
             raise FlowError(stage, "tag or device identifier differs from the chain's")
+        if ContentId.for_content(record.subset()).text != on_chain["data_hash_latest"]:
+            raise FlowError(stage, "database subset hash differs from on-chain hash")
+        differs = self._check_tag(tag, record, count_read=False)[1]
+        if differs is not None:
+            raise FlowError(stage, differs[1])
         return binding
 
     # proxy method -> (content-hash parameter, flow stage, transaction_data
@@ -475,6 +468,28 @@ class BlockchainService:
         (``hash_identifier``), as a write sends them."""
         return hash_identifier(record.tag_uid), hash_identifier(record.device_id)
 
+    @staticmethod
+    def _check_tag(tag: NfcTag, record: WineRecord, count_read: bool) -> Tuple[
+            Optional[TagReadout], Optional[Tuple[AttackClass, str]]]:
+        """The readout of a scan's counted read (one read ahead of the record) or
+        of a write's peek, and its first difference from the record as (attack, details)."""
+        try:
+            readout = (tag.read if count_read else tag.peek)(bytes.fromhex(record.tag_password))
+        except TagLockedError:
+            return None, (AttackClass.MODIFICATION, "tag rejects the injected password")
+        except TagStateError as exc:
+            return None, (AttackClass.MODIFICATION, str(exc))
+        if readout.tag_id != record.tag_uid:
+            return readout, (AttackClass.CLONING, "inconsistent tag identifier")
+        if readout.write_counter != record.write_counter:
+            return readout, (AttackClass.REAPPLICATION, "write counter differs from the database")
+        if readout.read_counter != record.read_counter + count_read:
+            return readout, (AttackClass.REAPPLICATION, "read counter differs from the database")
+        if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
+            return readout, (AttackClass.MODIFICATION,
+                             "wine identifier or signature differs from the database")
+        return readout, None
+
     def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
             Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
         """Runs the three layers in order, reading each source once. Returns
@@ -487,19 +502,9 @@ class BlockchainService:
             record = self.consortium.db.get(wine_id)
         except NotFoundError:
             return None, (off_chain, modified, "wine identifier not found in the database")
-        try:
-            readout = tag.read(password=bytes.fromhex(record.tag_password))
-        except TagLockedError:
-            return record, (off_chain, modified, "tag rejects the injected password")
-        if readout.tag_id != record.tag_uid:
-            return record, (off_chain, cloned, "inconsistent tag identifier")
-        if readout.write_counter != record.write_counter:
-            return record, (off_chain, reapplied, "write counter differs from the database")
-        if readout.read_counter != record.read_counter + 1:
-            return record, (off_chain, reapplied, "read counter differs from the database")
-        if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
-            return record, (off_chain, modified,
-                            "wine identifier or signature differs from the database")
+        readout, differs = self._check_tag(tag, record, count_read=True)
+        if differs is not None:
+            return record, (off_chain, *differs)
 
         try:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})

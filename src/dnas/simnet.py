@@ -32,13 +32,10 @@ class MessageBus:
         heapq.heappush(self._queue, (at, self._seq, fn, args))
         self._seq += 1
 
-    def deliver_due(self, now: int) -> int:
-        delivered = 0
+    def deliver_due(self, now: int) -> None:
         while self._queue and self._queue[0][0] <= now:
             _, _, fn, args = heapq.heappop(self._queue)
             fn(*args)
-            delivered += 1
-        return delivered
 
     def pending(self) -> int:
         return len(self._queue)
@@ -376,8 +373,7 @@ class ScenarioRunner:
             validators=list(consortium.chain.validators),
             registry=consortium.chain.call_view("get_peers", {}),
             records=records,
-            attack_log=[n for n in consortium.notifications
-                        if n["type"] == "record_flagged"],
+            attack_log=self._flagged(),
             steps=[asdict(s) for s in self.step_results],
             expectations=expectations,
             notifications=list(consortium.notifications),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .encoding import canonical_json_bytes
-from .errors import CapacityError, TagLockedError, TagStateError
+from .errors import CapacityError, RecoveryError, TagLockedError, TagStateError
 from .keys import Signature
 
 TAG_MEMORY_BYTES = 888
@@ -82,19 +82,19 @@ class NfcTag:
         return readout
 
     def peek(self, password: Optional[bytes] = None) -> TagReadout:
-        """What a read returns, but the read counter does not move: a
-        custodian checks its tag this way before a write overwrites it."""
+        """What a read returns, but the read counter does not move: every append
+        checks its tag this way before overwriting it. A tag never written, or
+        whose payload does not parse, raises ``TagStateError``."""
         self._check_password(password)
         if not self.memory:
             raise TagStateError("tag has never been written")
         fields = json.loads(self.memory)
-        return TagReadout(
-            uid=self._uid,
-            wine_id=fields["wine_id"],
-            signature=Signature.from_bytes(bytes.fromhex(fields["signature"])),
-            write_counter=fields["write_counter"],
-            read_counter=self.read_counter,
-        )
+        try:
+            signature = Signature.from_bytes(bytes.fromhex(fields["signature"]))
+        except (RecoveryError, TypeError, ValueError) as exc:
+            raise TagStateError(f"tag payload does not parse: {exc}") from exc
+        return TagReadout(uid=self._uid, wine_id=fields["wine_id"], signature=signature,
+                          write_counter=fields["write_counter"], read_counter=self.read_counter)
 
     def enable_protection(self, randbytes: Callable[[int], bytes]) -> bytes:
         """Locks the tag behind a fresh random 4-byte password and returns it."""

@@ -442,6 +442,17 @@ def test_create_flow_on_locked_tag_leaves_no_record(consortium):
     assert consortium.db.get("W2").wine_status is WineStatus.CREATED
 
 
+def test_a_create_with_an_empty_wine_id_leaves_no_record_and_an_unlocked_tag(consortium):
+    # the tag digest is derived before the database write, so its refusal orphans nothing
+    tag = NfcTag(uid=consortium.randbytes(7))
+    with pytest.raises(FlowError, match="wine_id must be non-empty"):
+        consortium.services["maker"].create_record_flow({"wine_id": ""}, tag, "device-maker")
+    assert consortium.db.wine_ids() == []
+    assert not tag.protection_enabled and tag.memory == b"" and tag.write_counter == 0
+    assert not consortium.chain.pool
+    assert all(not consortium.store.pinned(node) for node in consortium.store.members())
+
+
 # -- validation flow ---------------------------------------------------------------------------
 
 def test_validation_happy_path_counters(consortium):
@@ -578,8 +589,9 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     tags = {wine_id: create_wine(consortium, wine_id)[0] for wine_id in ("W1", "W2")}
     dist = consortium.services["dist"]
     calls = count_calls(
-        [(BlockchainService, "_write_iteration"), (BlockchainService, "_binding"),
-         (BlockchainService, "submit_tx"), (WineDataContractV1, "validate_signature")],
+        [(BlockchainService, "create_record_flow"), (BlockchainService, "_write_iteration"),
+         (BlockchainService, "_binding"), (BlockchainService, "submit_tx"),
+         (WineDataContractV1, "validate_signature")],
         [("_keccak_f", keccak._keccak_f),
          ("sign_digest", secp256k1.sign_digest), ("verify", secp256k1.verify)])
 
@@ -607,12 +619,12 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
     assert (calls - before)["verify", "validate_signature"] == 1
 
     # a third create by the maker: its one Keccak-f permutation is the
-    # one-block tag digest
+    # one-block tag digest, derived before the database write and reused by the write
     before = calls.copy()
     create_wine(consortium, "W3")
     third = calls - before
-    assert third["_keccak_f", "_binding"] == 0
-    assert third["_keccak_f", "_write_iteration"] == 1
+    assert third["_keccak_f", "_binding"] == third["_keccak_f", "_write_iteration"] == 0
+    assert third["_keccak_f", "create_record_flow"] == 1
     assert third["sign_digest", "_write_iteration"] == 1
     consortium.run_until_idle()
     for wine_id, tag in tags.items():
@@ -766,9 +778,9 @@ def test_session_is_spent_and_bound_to_the_validated_tag(consortium):
     _, _, session = dist.validate_record_flow(tag)
     consortium.run_until_idle()
     clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
-    with pytest.raises(FlowError) as err:
+    with pytest.raises(FlowError, match="inconsistent tag identifier") as err:
         dist.accept_record_flow(clone, session)
-    assert err.value.stage == "session"
+    assert err.value.stage == "acceptance"
     assert clone.write_counter == tag.write_counter == 1
     assert not consortium.chain.pool
     assert not dist._sessions
@@ -917,7 +929,7 @@ def test_ship_refuses_a_caller_that_is_not_the_custodian_and_a_cloned_tag(consor
         consortium.services["dist"].ship_record_flow(tag)
     assert err.value.stage == "shipping"
     clone = counterfeit_copy(tag, randbytes=consortium.randbytes)
-    with pytest.raises(FlowError, match="tag is not the record's"):
+    with pytest.raises(FlowError, match="inconsistent tag identifier"):
         consortium.services["maker"].ship_record_flow(clone)
     assert consortium.db.get("W1").write_counter == tag.write_counter == 1
     assert not consortium.chain.pool
@@ -972,7 +984,7 @@ def test_ship_refuses_a_tampered_tag_and_leaves_the_evidence(consortium, changes
     else:
         tamper_payload(tag, **changes)
     memory = tag.memory
-    with pytest.raises(FlowError, match="differ from the database") as err:
+    with pytest.raises(FlowError, match="differs from the database") as err:
         consortium.services["maker"].ship_record_flow(tag)
     assert err.value.stage == "shipping"
     # the check reads the tag without counting a read, and writes nothing
@@ -981,6 +993,70 @@ def test_ship_refuses_a_tampered_tag_and_leaves_the_evidence(consortium, changes
     assert not consortium.chain.pool
     outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
     assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB, attack)
+
+
+# -- the pre-write check of every append ---------------------------------------------------------
+
+def _tamper(consortium, tag, what, value):
+    if what == "pedigree":
+        consortium.db.get("W1").pedigree_data["vintage"] = value
+    else:
+        tamper_payload(tag, **{what: value})
+
+
+def _written_state(consortium, tag):
+    record, store = consortium.db.get("W1"), consortium.store
+    return (tag.memory, tag.write_counter, tag.read_counter, record.write_counter,
+            list(record.supply_chain_data), {n: store.pinned(n) for n in store.members()})
+
+
+@pytest.mark.parametrize("purchase", [False, True], ids=["accept", "purchase"])
+@pytest.mark.parametrize("what, value, layer, attack", [
+    ("pedigree", 1899, ValidationLayer.CONTENT_STORE, AttackClass.MODIFICATION),
+    ("write_counter", 7, ValidationLayer.OFF_CHAIN_DB, AttackClass.REAPPLICATION),
+    ("signature", "00" * 65, ValidationLayer.OFF_CHAIN_DB, AttackClass.MODIFICATION),
+], ids=["pedigree", "write_counter", "signature"])
+def test_an_append_after_a_tamper_writes_nothing(consortium, purchase, what, value, layer,
+                                                 attack):
+    tag, _ = create_wine(consortium)
+    service = consortium.shared_service if purchase else consortium.services["dist"]
+    custodian = consortium.add_consumer("alice") if purchase else None
+    outcomes, _, session = service.validate_record_flow(tag)
+    consortium.run_until_idle()
+    assert all(o.passed for o in outcomes)
+    _tamper(consortium, tag, what, value)
+    before = _written_state(consortium, tag)
+    with pytest.raises(FlowError) as err:
+        service.accept_record_flow(tag, session, custodian_key=custodian, purchase=purchase)
+    assert err.value.stage == "acceptance"
+    assert _written_state(consortium, tag) == before
+    assert not consortium.chain.pool
+    assert consortium.chain.call_view("get_record", {"wine_id": "W1"})["write_count"] == 1
+    # the refused append re-anchored nothing: the next scan still catches the attack
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result) == (layer, attack)
+
+
+@pytest.mark.parametrize("signature", ["zz", 5, "00"])
+def test_a_tag_signature_that_does_not_parse_is_refused_and_caught(consortium, signature):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    tamper_payload(tag, signature=signature)
+    before = _written_state(consortium, tag)
+    for append, stage in ((lambda: dist.accept_record_flow(tag, session), "acceptance"),
+                          (lambda: consortium.services["maker"].ship_record_flow(tag),
+                           "shipping")):
+        with pytest.raises(FlowError, match="tag payload does not parse") as err:
+            append()
+        assert err.value.stage == stage
+    assert _written_state(consortium, tag) == before
+    assert not consortium.chain.pool
+    outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB,
+                                                         AttackClass.MODIFICATION)
+    assert "tag payload does not parse" in outcomes[-1].details
 
 
 # -- admin operations ------------------------------------------------------------------------------

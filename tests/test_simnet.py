@@ -164,6 +164,50 @@ def test_shipping_a_tampered_wine_is_refused_and_the_attack_still_caught(wine_id
         ("W2", "reapplication"), ("W3", "modification")}
 
 
+THREE = [{"member_id": "admin", "role": "administrator", "node_type": "validator"},
+         {"member_id": "maker", "role": "winemaker", "node_type": "validator"},
+         {"member_id": "dist", "role": "participant", "node_type": "validator"}]
+
+
+def test_an_accept_after_a_record_tamper_is_refused_and_the_attack_still_caught():
+    # the accept's pre-write check refuses to re-anchor the tampered record on-chain
+    raw = {"seed": 3, "members": THREE, "extras": ["alice", "forger"], "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record",
+         "params": {"wine_id": "W1", "pedigree": {"producer": "Chateau Demo", "vintage": 2019}}},
+        {"at": 5, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 6, "actor": "forger", "action": "tamper_record",
+         "params": {"wine_id": "W1", "field": "vintage", "value": 1899}},
+        {"at": 7, "actor": "dist", "action": "accept_record", "params": {"wine_id": "W1"},
+         "expect_error": "subset hash differs"},
+        {"at": 10, "actor": "alice", "action": "validate_record", "params": {"wine_id": "W1"}}],
+        "expectations": [
+            {"kind": "step_error", "index": 3, "contains": "subset hash differs"},
+            {"kind": "write_count", "wine_id": "W1", "equals": 1},
+            {"kind": "attack_logged", "wine_id": "W1", "attack_class": "modification",
+             "layer": "content_store"},
+            {"kind": "last_validation", "wine_id": "W1", "result": "modification"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed
+    assert [(e["wine_id"], e["attack_class"], e["layer"]) for e in report.attack_log] == [
+        ("W1", "modification", "content_store")]
+
+
+@pytest.mark.parametrize("value", ["zz", 5, "00"])
+def test_a_tag_signature_that_does_not_parse_is_logged_as_a_modification(value):
+    raw = {"seed": 3, "members": THREE, "extras": ["forger"], "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 4, "actor": "forger", "action": "tamper_tag",
+         "params": {"wine_id": "W1", "field": "signature", "value": value}},
+        {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}}],
+        "expectations": [{"kind": "attack_logged", "wine_id": "W1",
+                          "attack_class": "modification", "layer": "off_chain_db"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed and all(step["ok"] for step in report.steps)
+    assert [(e["attack_class"], e["layer"]) for e in report.attack_log] == [
+        ("modification", "off_chain_db")]
+    assert report.attack_log[0]["details"].startswith("tag payload does not parse")
+
+
 def test_expect_error_step():
     steps = [
         Step(2, "maker", "create_record", {"wine_id": "W1"}),
