@@ -149,7 +149,7 @@ class SignerDirectory:
     being checked; the address is a Keccak commitment to the key, so the key
     is as sound as one read from the chain. Later checks for that address
     verify against its fixed-window table instead of recovering. An entry is
-    2,368 affine points (roughly 420 KB), so only addresses the chain
+    4,224 packed points (roughly 440 KB), so only addresses the chain
     vouches for are kept: a registry member or the registry administrator
     sending a transaction, and the custodian a wine record names. A key
     whose signature checked out is kept also when its transaction or block

@@ -5,15 +5,17 @@ are fixed bases, multiplied with signed fixed-window tables (Hankerson,
 Menezes and Vanstone, Guide to ECC, Alg. 3.41): a scalar is recoded into
 signed base-2**w digits, row i of the base's table holds the multiples
 (j + 1) * 2**(w * i) of it that digit i can name, and each nonzero digit
-names one table point, with no doubling. G's table is built once, at
-import, with 10-bit windows (26 rows of 512 points, about 2.3 MB); a key's
-is built once per signer with 7-bit windows (``key_tables``, 37 rows of 64,
-2,368 points). The named points are summed as a set (``_sum``): while 32 or
+names one table point, with no doubling. A table point is packed into one
+int, x << 256 | y, about half the memory of an (x, y) tuple, which pays for
+the wider windows. G's table is built once, at import, with 12-bit windows
+(22 rows of 2,048 points, about 4.7 MB); a key's is built once per signer
+with 8-bit windows (``key_tables``, 33 rows of 128, 4,224 points, about
+440 KB). The named points are summed as a set (``_sum``): while 32 or
 more remain they are added in affine pairs, each round sharing one field
 inversion (Montgomery's simultaneous inversion), and fewer take one mixed
-addition each. Signing sums k*G's at most 26 points by mixed additions;
-verifying against a known key (SEC 1 v2, 4.1.4) sums the at most 63 of
-u1*G and u2*Q in one or two affine rounds, then at most 31 mixed additions.
+addition each. Signing sums k*G's at most 22 points by mixed additions;
+verifying against a known key (SEC 1 v2, 4.1.4) sums the at most 55 of
+u1*G and u2*Q in one affine round, then at most 31 mixed additions.
 Recovery's R is fresh, so u2*R builds only the first row of R's 6-bit
 table, by 31 mixed additions and one inversion, and walks the same signed
 digits from the most significant, with six doublings per digit (one chain
@@ -130,20 +132,22 @@ def _affine_sums(firsts: List[Point], seconds: List[Point]) -> Optional[List[Poi
 # need 257 bits of windows. A key's table is built once per signer and G's
 # once per process, so G takes the wider windows. Recovery's fresh R builds
 # one row per signature at one mixed addition per point, so it keeps 6 bits.
-_KEY_WINDOW = 7
-_G_WINDOW = 10
+_KEY_WINDOW = 8
+_G_WINDOW = 12
 _FRESH_WINDOW = 6
 # In CPython an inversion mod P costs about four mixed additions and an
 # affine pair about two thirds of one, so an affine round pays from about 24
-# points; from 32, signing's 26 stay on mixed additions.
+# points; from 32, signing's 22 stay on mixed additions.
 _AFFINE_MIN = 32
-KeyTable = List[List[Point]]
+_Y_MASK = (1 << 256) - 1
+KeyTable = List[List[int]]  # each point packed as x << 256 | y
 
 
 def key_tables(point: Point, window: int = _KEY_WINDOW) -> KeyTable:
-    """rows[i][j] == (j + 1) * 2**(window * i) * point, built once per key.
-    One doubling chain gives each row's b and 2b; the other columns grow all
-    rows together in affine form, with one inversion per column."""
+    """rows[i][j] == (j + 1) * 2**(window * i) * point, packed as x << 256 | y,
+    built once per key. One doubling chain gives each row's b and 2b; the
+    other columns grow all rows together in affine form, with one inversion
+    per column, and only the last column is held unpacked."""
     jac: List[_Jac] = []
     acc = (point[0], point[1], 1)
     for _ in range(-(-257 // window)):
@@ -153,11 +157,12 @@ def key_tables(point: Point, window: int = _KEY_WINDOW) -> KeyTable:
             twice = _jdouble(twice)
         acc = twice
     flat = _affine_all(jac)
-    rows = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+    firsts, column = flat[0::2], flat[1::2]
+    rows = [[x1 << 256 | y1, x2 << 256 | y2] for (x1, y1), (x2, y2) in zip(firsts, column)]
     for _ in range(2, 1 << (window - 1)):
-        column = _affine_sums([row[-1] for row in rows], [row[0] for row in rows])
-        for row, pt in zip(rows, column):
-            row.append(pt)
+        column = _affine_sums(column, firsts)
+        for row, (x, y) in zip(rows, column):
+            row.append(x << 256 | y)
     return rows
 
 
@@ -201,8 +206,9 @@ def _mul_fixed(*terms: Tuple[int, KeyTable], acc: _Jac = _INFINITY) -> _Jac:
     for k, rows in terms:
         for row, d in zip(rows, _signed_digits(k, len(rows[0]).bit_length())):
             if d:
-                x, y = row[abs(d) - 1]
-                points.append((x, y) if d > 0 else (x, P - y))
+                xy = row[abs(d) - 1]
+                y = xy & _Y_MASK
+                points.append((xy >> 256, y if d > 0 else P - y))
     return _sum(points, acc)
 
 

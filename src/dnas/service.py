@@ -423,9 +423,12 @@ class BlockchainService:
         try:
             wine_id = tag.peek_wine_id()
         except TagStateError as exc:
-            raise FlowError("tag-read", str(exc)) from exc
-
-        record, failure = self._walk_layers(wine_id, tag)
+            if not tag.memory:
+                raise FlowError("tag-read", str(exc)) from exc
+            wine_id, record = None, None  # a payload naming no wine: no record to flag
+            failure = (ValidationLayer.OFF_CHAIN_DB, AttackClass.MODIFICATION, str(exc))
+        else:
+            record, failure = self._walk_layers(wine_id, tag)
         layers = list(ValidationLayer)
         passed = layers[:layers.index(failure[0])] if failure else layers
         outcomes = [ValidationOutcome(layer=layer, result="pass") for layer in passed]

@@ -7,16 +7,51 @@ read (the reported value includes the read that returned it).
 """
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .encoding import canonical_json_bytes
-from .errors import CapacityError, RecoveryError, TagLockedError, TagStateError
+from .errors import CapacityError, TagLockedError, TagStateError
 from .keys import Signature
 
 TAG_MEMORY_BYTES = 888
 UID_BYTES = 7
 PASSWORD_BYTES = 4
+_PAYLOAD_KEYS = {"wine_id", "signature", "write_counter"}
+_SIGNATURE_HEX = re.compile("[0-9a-f]{130}")  # 65 bytes, as Signature.hex writes them
+
+
+def _parse_payload(memory: bytes) -> Tuple[str, Signature, int]:
+    """The wine id, signature and write counter of a tag's memory: a JSON
+    object with exactly those keys, a non-empty string wine id, 130 lowercase
+    hex characters of signature and a non-negative integer counter. Empty
+    memory raises ``TagStateError`` "tag has never been written"; anything
+    else raises it as "tag payload does not parse", with ``wine_id`` the
+    payload's wine id when that is a string."""
+    if not memory:
+        raise TagStateError("tag has never been written")
+    claimed = None
+    try:
+        fields = json.loads(memory)
+        if not isinstance(fields, dict):
+            raise ValueError("not a JSON object")
+        if isinstance(fields.get("wine_id"), str):
+            claimed = fields["wine_id"]
+        if fields.keys() != _PAYLOAD_KEYS:
+            raise ValueError(f"keys are not {sorted(_PAYLOAD_KEYS)}")
+        signature, counter = fields["signature"], fields["write_counter"]
+        if not claimed:
+            raise ValueError("wine_id is not a non-empty string")
+        if not isinstance(signature, str) or not _SIGNATURE_HEX.fullmatch(signature):
+            raise ValueError("signature is not 130 lowercase hex characters")
+        if type(counter) is not int or counter < 0:
+            raise ValueError("write_counter is not a non-negative integer")
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        error = TagStateError(f"tag payload does not parse: {exc}")
+        error.wine_id = claimed
+        raise error from exc
+    return claimed, Signature.from_bytes(bytes.fromhex(signature)), counter
 
 
 @dataclass
@@ -70,10 +105,17 @@ class NfcTag:
 
     def peek_wine_id(self) -> str:
         """Wine identifier from the unprotected header area; readable without
-        authentication so a scanner can resolve the record password."""
-        if not self.memory:
-            raise TagStateError("tag has never been written")
-        return json.loads(self.memory)["wine_id"]
+        authentication so a scanner can resolve the record password. A tag
+        never written, or whose payload names no string wine id, raises
+        ``TagStateError``; a string wine id is returned even when the rest of
+        the payload does not parse, so that the caller reaches the record and
+        ``peek`` refuses the tag there."""
+        try:
+            return _parse_payload(self.memory)[0]
+        except TagStateError as exc:
+            if exc.wine_id is None:
+                raise
+            return exc.wine_id
 
     def read(self, password: Optional[bytes] = None) -> TagReadout:
         readout = self.peek(password)
@@ -86,15 +128,9 @@ class NfcTag:
         checks its tag this way before overwriting it. A tag never written, or
         whose payload does not parse, raises ``TagStateError``."""
         self._check_password(password)
-        if not self.memory:
-            raise TagStateError("tag has never been written")
-        fields = json.loads(self.memory)
-        try:
-            signature = Signature.from_bytes(bytes.fromhex(fields["signature"]))
-        except (RecoveryError, TypeError, ValueError) as exc:
-            raise TagStateError(f"tag payload does not parse: {exc}") from exc
-        return TagReadout(uid=self._uid, wine_id=fields["wine_id"], signature=signature,
-                          write_counter=fields["write_counter"], read_counter=self.read_counter)
+        wine_id, signature, write_counter = _parse_payload(self.memory)
+        return TagReadout(uid=self._uid, wine_id=wine_id, signature=signature,
+                          write_counter=write_counter, read_counter=self.read_counter)
 
     def enable_protection(self, randbytes: Callable[[int], bytes]) -> bytes:
         """Locks the tag behind a fresh random 4-byte password and returns it."""

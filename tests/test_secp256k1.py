@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -218,15 +219,16 @@ _MULTIPLY = {
 @example(k=1, base="key", method="fixed")
 @example(k=secp256k1.N - 1, base="G", method="fixed")
 @example(k=secp256k1.N - 1, base="key", method="fixed")
-@example(k=1 << (_W - 1), base="key", method="fixed")  # a digit of exactly 2**(w - 1)
+@example(k=1 << (_W - 1), base="key", method="fixed")  # a key's width: a digit of exactly 2**7
 @example(k=(1 << (_W - 1)) << (7 * _W), base="key", method="fixed")
-@example(k=(((1 << (_W - 1)) - 1) << _W) | ((1 << _W) - 1), base="key", method="fixed")  # a carry makes a digit of 2**(w - 1)
-@example(k=(1 << _TOP) - 1, base="key", method="fixed")  # all ones: the carry runs into the top window
+@example(k=(127 << _W) | ((1 << _W) - 1), base="key", method="fixed")  # a carry makes a digit of 2**7
+@example(k=129 << (31 * _W), base="key", method="fixed")  # a digit of -127 in row 31 carries into row 32
+@example(k=(1 << _TOP) - 1, base="key", method="fixed")  # all ones into a key's top window (bit 256)
 @example(k=(1 << 255) - 1, base="G", method="fixed")
-@example(k=1 << (_GW - 1), base="G", method="fixed")  # G's width: a digit of exactly 2**9
+@example(k=1 << (_GW - 1), base="G", method="fixed")  # G's width: a digit of exactly 2**11
 @example(k=(1 << (_GW - 1)) << (11 * _GW), base="G", method="fixed")
-@example(k=(511 << _GW) | ((1 << _GW) - 1), base="G", method="fixed")  # a carry makes a digit of 2**9
-@example(k=(1 << _G_TOP) - 1, base="G", method="fixed")  # all ones into G's top window (bit 250)
+@example(k=(2047 << _GW) | ((1 << _GW) - 1), base="G", method="fixed")  # a carry makes a digit of 2**11
+@example(k=(1 << _G_TOP) - 1, base="G", method="fixed")  # all ones into G's top window (bit 252)
 @example(k=0, base="key", method="fresh")
 @example(k=1, base="key", method="fresh")
 @example(k=secp256k1.N - 1, base="G", method="fresh")
@@ -240,7 +242,7 @@ def test_fixed_window_multiply_matches_reference(k, base, method):
 @pytest.mark.parametrize("base", sorted(_BASES))
 def test_fixed_window_table_entries(base):
     point, rows = _BASES[base]
-    shape = {"G": (26, 512), "key": (37, 64)}[base]  # (rows, points per row)
+    shape = {"G": (22, 2048), "key": (33, 128)}[base]  # (rows, points per row)
     assert len(rows) == shape[0]
     assert {len(row) for row in rows} == {shape[1]}
     window = shape[1].bit_length()  # the width ``_mul_fixed`` reads from the table
@@ -251,12 +253,32 @@ def test_fixed_window_table_entries(base):
     spots = {(0, 0), (0, 1), (0, 2), (0, last_j), (last_i, 0), (last_i, last_j)}
     spots |= {(rng.randrange(last_i + 1), rng.randrange(last_j + 1)) for _ in range(6)}
     for i, j in sorted(spots):
-        assert rows[i][j] == ref.point_mul((j + 1) << (window * i), point)
+        packed = rows[i][j]
+        assert (packed >> 256, packed & (2**256 - 1)) == ref.point_mul((j + 1) << (window * i),
+                                                                        point)
+
+
+def test_fixed_window_tables_stay_packed():
+    """The memory a table keeps, built at G's 12-bit and a key's 8-bit
+    windows: one int per point fits; an (x, y) tuple per point, or a second
+    copy of a table, does not."""
+    for point, window, ceiling in (((secp256k1.GX, secp256k1.GY), 12, 5.0e6),
+                                   (_KEY, 8, 0.5e6)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = secp256k1.key_tables(point, window)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) * len(rows[0]) == -(-257 // window) << (window - 1)
+        assert kept < ceiling, (window, kept)
 
 
 def _table_point(base, k):
-    """k * base for 0 < abs(k) <= 64, read from row 0 of the base's table."""
-    x, y = _BASES[base][1][0][abs(k) - 1]
+    """k * base for 0 < abs(k) <= 64, unpacked from row 0 of the base's table."""
+    packed = _BASES[base][1][0][abs(k) - 1]
+    x, y = packed >> 256, packed & (2**256 - 1)
     return (x, y) if k > 0 else (x, secp256k1.P - y)
 
 
@@ -277,7 +299,7 @@ _LONG = [("key", k) for k in range(1, 61)]  # round one pairs no equal x
 @example(terms=_LONG[:10] + [("G", 2), ("G", -2)] + _LONG[10:], start=3, small=False)
 @example(terms=_LONG + [("G", 1), ("G", 2), ("G", 3)], start=0, small=False)  # two rounds
 @example(terms=_CLASH + _LONG, start=0, small=False)
-@example(terms=_CLASH + _LONG[:59], start=-2, small=False)  # 63 points, as in verify
+@example(terms=_CLASH + _LONG[:59], start=-2, small=False)  # 63 points: two affine rounds
 @example(terms=_LONG[:31] + [("key", -31)] + _LONG[:31], start=0, small=False)
 @example(terms=[("G", 1), ("G", -1)] * 16 + [("G", 2)], start=0, small=True)
 def test_sum_matches_the_reference_sum(terms, start, small):
@@ -304,8 +326,8 @@ def test_fixed_bases_cost_one_addition_per_table_row(monkeypatch):
     """A deterministic cost guard. Signing pays at most one addition per row
     of G's table, all of them mixed, and one inversion mod P. Verifying
     against a known key pays at most one addition, affine or mixed, per row
-    of G's table and of the key's; at most three inversions mod P, for two
-    affine rounds and the final affine form; and fewer mixed additions than
+    of G's table and of the key's; at most two inversions mod P, for one
+    affine round and the final affine form; and fewer mixed additions than
     an affine round needs points. A narrower table, an extra round or a sum
     left to mixed additions fails here."""
     counts = collections.Counter()
@@ -327,7 +349,7 @@ def test_fixed_bases_cost_one_addition_per_table_row(monkeypatch):
     monkeypatch.setattr(secp256k1, "_jadd_affine", counting_add)
     monkeypatch.setattr(secp256k1, "_affine_sums", counting_sums)
     monkeypatch.setattr(secp256k1, "pow", counting_pow, raising=False)
-    g_rows, key_rows = 26, 37  # fixed here, so a narrower table cannot move the bound
+    g_rows, key_rows = 22, 33  # fixed here, so a narrower table cannot move the bound
     assert (len(secp256k1._G_ROWS), len(_BASES["key"][1])) == (g_rows, key_rows)
     rng = random.Random(1414)
     for _ in range(8):
@@ -340,7 +362,7 @@ def test_fixed_bases_cost_one_addition_per_table_row(monkeypatch):
         counts.clear()
         assert secp256k1.verify(digest, v, r, s, tables)
         assert 0 < counts["mixed"] + counts["affine"] <= g_rows + key_rows
-        assert counts["mixed"] <= 31 and counts["inversions"] <= 3
+        assert counts["mixed"] <= 31 and counts["inversions"] <= 2
 
 
 @settings(max_examples=30, deadline=None)

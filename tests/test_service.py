@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from dnas import content_store, keccak, secp256k1
 from dnas.content_store import ContentId
@@ -23,7 +25,7 @@ from dnas.service import (
     NodeType,
     ValidationLayer,
 )
-from dnas.tags import NfcTag, counterfeit_copy
+from dnas.tags import TAG_MEMORY_BYTES, NfcTag, counterfeit_copy
 from dnas.vault import secret_path
 
 from conftest import built_consortium
@@ -1057,6 +1059,108 @@ def test_a_tag_signature_that_does_not_parse_is_refused_and_caught(consortium, s
     assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB,
                                                          AttackClass.MODIFICATION)
     assert "tag payload does not parse" in outcomes[-1].details
+
+
+def _drop(key):
+    def tamper(tag):
+        fields = json.loads(tag.memory)
+        del fields[key]
+        tag.memory = canonical_json_bytes(fields)
+    return tamper
+
+
+def _set_memory(memory):
+    def tamper(tag):
+        tag.memory = memory
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_set_memory(b"\xff\x00garbage"), None),
+    (_drop("wine_id"), None),
+    (_set_memory(b"[1,2]"), None),
+    (_drop("write_counter"), "W1"),
+    (lambda tag: tamper_payload(tag, wine_id=["W1"]), None),
+], ids=["not_json", "no_wine_id", "a_list", "no_write_counter", "a_list_wine_id"])
+def test_a_tag_payload_that_does_not_parse_is_refused_and_caught(consortium, tamper, named):
+    """Every payload but an object with exactly a non-empty string wine id, a
+    130-character hex signature and a non-negative counter: accept and ship
+    refuse it and write nothing, and a scan logs a modification at the
+    off-chain layer, naming the payload's wine id when it is a string."""
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    tamper(tag)
+    before = _written_state(consortium, tag)
+    for append in (lambda: dist.accept_record_flow(tag, session),
+                   lambda: consortium.services["maker"].ship_record_flow(tag)):
+        with pytest.raises(FlowError, match="tag payload does not parse"):
+            append()
+    assert _written_state(consortium, tag) == before
+    assert not consortium.chain.pool
+    outcomes, view, _ = consortium.services["retail"].validate_record_flow(tag)
+    assert view is None
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB,
+                                                         AttackClass.MODIFICATION)
+    assert outcomes[-1].details.startswith("tag payload does not parse")
+    flagged = consortium.notifications[-1]
+    assert (flagged["type"], flagged["wine_id"]) == ("record_flagged", named)
+    assert (consortium.db.get("W1").wine_status is WineStatus.FLAGGED) == (named == "W1")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12) | st.sampled_from(["W1", "", "00" * 65, "AB" * 65]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+_PAYLOAD_KEYS = ["wine_id", "signature", "write_counter"]
+_TAG_MEMORY = st.one_of(
+    st.binary(max_size=TAG_MEMORY_BYTES),
+    st.tuples(st.sets(st.sampled_from(_PAYLOAD_KEYS)),
+              st.dictionaries(st.sampled_from(_PAYLOAD_KEYS), _JSON_VALUES),
+              st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=2)))
+_SCANNED = []  # one (consortium, tag, session) after a full scan, copied per example
+
+
+def _scanned_wine():
+    if not _SCANNED:
+        consortium = built_consortium(seed=7, initial_members=FIVE_MEMBERS, bootstrap_count=5)
+        tag, _ = create_wine(consortium)
+        outcomes, _, session = consortium.services["dist"].validate_record_flow(tag)
+        consortium.run_until_idle()
+        assert all(o.passed for o in outcomes)
+        _SCANNED.append((consortium, tag, session))
+    return copy.deepcopy(_SCANNED[0])
+
+
+@seed(31)
+@settings(max_examples=150, deadline=None, database=None)
+@given(memory=_TAG_MEMORY)
+def test_fuzzed_tag_memory_is_refused_and_caught(memory):
+    """Whatever a counterfeiter writes into a scanned wine's tag: an accept
+    and a ship raise ``FlowError`` and write nothing, and a scan returns
+    failing outcomes or raises ``FlowError``."""
+    consortium, tag, session = _scanned_wine()
+    if isinstance(memory, tuple):  # the genuine payload with keys dropped, retyped and added
+        dropped, retyped, added = memory
+        fields = {**json.loads(tag.memory), **retyped, **added}
+        memory = canonical_json_bytes({k: v for k, v in fields.items() if k not in dropped})
+    assume(memory != tag.memory)
+    tag.memory = memory
+    before = _written_state(consortium, tag)
+    for append in (lambda: consortium.services["dist"].accept_record_flow(tag, session),
+                   lambda: consortium.services["maker"].ship_record_flow(tag)):
+        with pytest.raises(FlowError):
+            append()
+    assert _written_state(consortium, tag) == before
+    assert not consortium.chain.pool
+    try:
+        outcomes, view, _ = consortium.services["retail"].validate_record_flow(tag)
+    except FlowError:
+        return
+    assert view is None and not outcomes[-1].passed
 
 
 # -- admin operations ------------------------------------------------------------------------------

@@ -208,6 +208,27 @@ def test_a_tag_signature_that_does_not_parse_is_logged_as_a_modification(value):
     assert report.attack_log[0]["details"].startswith("tag payload does not parse")
 
 
+def test_a_tag_naming_a_list_for_its_wine_is_logged_with_no_wine():
+    # a wine id that is no string is a modification at the off-chain layer;
+    # the notice names no wine, and the accept is refused like the scan's session
+    raw = {"seed": 3, "members": THREE, "extras": ["forger"], "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 4, "actor": "forger", "action": "tamper_tag",
+         "params": {"wine_id": "W1", "field": "wine_id", "value": ["W1"]}},
+        {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 8, "actor": "dist", "action": "accept_record", "params": {"wine_id": "W1"},
+         "expect_error": "tag payload does not parse"}],
+        "expectations": [{"kind": "attack_logged", "attack_class": "modification",
+                          "layer": "off_chain_db"},
+                         {"kind": "write_count", "wine_id": "W1", "equals": 1}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed and all(step["ok"] for step in report.steps)
+    assert [(e["wine_id"], e["attack_class"], e["layer"]) for e in report.attack_log] == [
+        (None, "modification", "off_chain_db")]
+    assert report.attack_log[0]["details"].startswith("tag payload does not parse")
+    assert report.records["W1"]["flags"] == 0
+
+
 def test_expect_error_step():
     steps = [
         Step(2, "maker", "create_record", {"wine_id": "W1"}),

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from dnas.encoding import canonical_json_bytes
 from dnas.errors import CapacityError, TagLockedError, TagStateError
 from dnas.keys import (
     Signature,
@@ -134,3 +136,38 @@ def test_signature_roundtrip_through_tag(tag):
     out = tag.read()
     assert isinstance(out.signature, Signature)
     assert out.signature.to_bytes() == sig.to_bytes()
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"extra": 1}, "W1"),
+    ({"wine_id": ""}, ""),
+    ({"wine_id": 7}, None),
+    ({"signature": None}, "W1"),
+    ({"write_counter": -1}, "W1"),
+    ({"write_counter": True}, "W1"),
+    ({"write_counter": 1.0}, "W1"),
+], ids=["extra_key", "empty_wine_id", "integer_wine_id", "no_signature", "negative_counter",
+        "boolean_counter", "float_counter"])
+def test_only_the_exact_payload_parses(tag, signature, change, named):
+    """``peek`` reads only an object with exactly a non-empty string wine id,
+    130 lowercase hex characters of signature and a non-negative integer
+    counter. A string wine id, the empty one included, travels on the error,
+    and ``peek_wine_id`` returns it, so that a scan still names its record."""
+    tag.write("W1", signature, write_counter=1)
+    tag.memory = canonical_json_bytes({**json.loads(tag.memory), **change})
+    with pytest.raises(TagStateError, match="tag payload does not parse") as err:
+        tag.peek()
+    assert err.value.wine_id == named
+    if named is not None:
+        assert tag.peek_wine_id() == named
+    else:
+        with pytest.raises(TagStateError, match="tag payload does not parse"):
+            tag.peek_wine_id()
+
+
+def test_an_upper_case_signature_does_not_parse(tag, signature):
+    tag.write("W1", signature, write_counter=1)
+    tag.memory = tag.memory.replace(signature.hex.encode(), signature.hex.upper().encode())
+    with pytest.raises(TagStateError, match="130 lowercase hex"):
+        tag.read()
+    assert tag.read_counter == 0
