@@ -137,11 +137,6 @@ def sign_tag_payload(digest: bytes, key: KeyPair) -> Signature:
     return Signature(v=v, r=r, s=s)
 
 
-def recover_signer(digest: bytes, sig: Signature) -> Address:
-    """Signer address of a canonical signature over ``digest``."""
-    return derive_address(_point_bytes(secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)))
-
-
 class SignerDirectory:
     """Public keys of the signers one node has checked, by 0x-hex address.
 

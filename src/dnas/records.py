@@ -3,9 +3,9 @@
 A record carries the four data categories (pedigree, transaction history,
 supply-chain custody, unsuccessful validations) plus the mirrors the
 validation layers compare against: tag identity, counters, the custodian
-address, and the last tag signature. The published subset is the
-deterministic slice fed to content storage. The database only creates,
-reads and lists records; the service flows change the records they hold.
+address, and the last tag signature. The status is a local annotation: the
+published subset fed to content storage is the wine id, pedigree and custody
+log. The database only creates, reads and lists records; flows change them.
 """
 
 import enum
@@ -43,14 +43,12 @@ class WineRecord:
     last_signature: str = ""
 
     def subset(self) -> bytes:
-        """Canonical bytes of the published slice; excludes validation logs
-        and raw transaction history (those live on-chain by hash)."""
+        """Canonical bytes of the published slice: wine id, pedigree and custody
+        log; not the local status, nor the write counter (the log's length)."""
         return canonical_json_bytes({
             "wine_id": self.wine_id,
             "pedigree_data": self.pedigree_data,
-            "wine_status": self.wine_status.value,
             "supply_chain_data": self.supply_chain_data,
-            "subset_version": self.write_counter,
         })
 
 

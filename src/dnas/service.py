@@ -257,9 +257,8 @@ class BlockchainService:
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
         record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
-        return self._write_iteration(record, tag, self._key, binding, WineStatus.CREATED, {
-            "event": "created", "holder": self.member_id, "at": self.consortium.now,
-        }, "create_wine_record")
+        return self._write_iteration(record, tag, self._key, binding, WineStatus.CREATED,
+                                     self.member_id, "create_wine_record")
 
     def accept_record_flow(self, tag: NfcTag, session_id: str,
                            custodian_key: Optional[KeyPair] = None,
@@ -280,15 +279,10 @@ class BlockchainService:
             raise FlowError("session", "validation session expired; re-validate first")
         record = self.consortium.db.get(wine_id)
         binding = self._append_binding(record, tag, "acceptance")
-        custodian_key = custodian_key or self._key
         return self._write_iteration(
-            record, tag, custodian_key, binding,
-            WineStatus.SOLD if purchase else WineStatus.ACCEPTED, {
-                "event": "purchased" if purchase else "accepted",
-                "holder": f"consumer-via-{self.member_id}" if purchase else self.member_id,
-                "custodian": custodian_key.address.hex0x,
-                "at": self.consortium.now,
-            }, "append_wine_record")
+            record, tag, custodian_key or self._key, binding,
+            WineStatus.SOLD if purchase else WineStatus.ACCEPTED,
+            f"consumer-via-{self.member_id}" if purchase else self.member_id, "append_wine_record")
 
     def ship_record_flow(self, tag: NfcTag) -> FlowReceipt:
         """The custodian hands its wine to a carrier: a write iteration under
@@ -302,9 +296,8 @@ class BlockchainService:
         if record.custodian_address != self.address:
             raise FlowError("shipping", f"{self.member_id} is not the record's custodian")
         binding = self._append_binding(record, tag, "shipping")
-        return self._write_iteration(record, tag, self._key, binding, WineStatus.IN_TRANSIT, {
-            "event": "shipped", "holder": self.member_id, "at": self.consortium.now,
-        }, "append_wine_record")
+        return self._write_iteration(record, tag, self._key, binding, WineStatus.IN_TRANSIT,
+                                     self.member_id, "append_wine_record")
 
     def _append_binding(self, record: WineRecord, tag: NfcTag, stage: str) -> Tuple[str, str]:
         """Every append's pre-write check; returns the binding it sends. A write
@@ -337,15 +330,18 @@ class BlockchainService:
         "append_wine_record": ("new_wine_data_hash", "on-chain-append", "on-chain-appended",
                                None),
     }
+    # the custody event a write iteration logs for the status it sets
+    _CUSTODY_EVENTS = {WineStatus.CREATED: "created", WineStatus.IN_TRANSIT: "shipped",
+                       WineStatus.ACCEPTED: "accepted", WineStatus.SOLD: "purchased"}
 
     def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
-                         binding: Tuple[str, str], status: WineStatus,
-                         custody: Dict[str, object], method: str) -> FlowReceipt:
-        """One write iteration of a record: ``key`` signs the digest of the
-        wine id and ``binding``, the record's hashed tag and device (digested
-        once per chain, then reused), the tag and the record take
-        the signature and the next write counter, the custody entry is logged,
-        the published subset is pinned, and the proxy call is submitted. The flow
+                         binding: Tuple[str, str], status: WineStatus, holder: str,
+                         method: str) -> FlowReceipt:
+        """One write iteration of a record: ``key`` signs the digest of the wine
+        id and ``binding`` (the record's hashed tag and device, digested once per
+        chain), the tag and record take the signature and next write counter, the
+        record takes ``status`` and logs its event, ``holder``, ``key``'s address and
+        the time, the subset is pinned, and the proxy call is submitted. The flow
         completes on the receipt, in ``_finish_write``; a failed one unpins the
         subset, marks the record ``ERROR`` and sends the method's failure notice,
         if it has one."""
@@ -365,7 +361,8 @@ class BlockchainService:
         record.custodian_address = key.address.hex0x
         record.last_signature = signature.hex
         record.wine_status = status
-        record.supply_chain_data.append(custody)
+        record.supply_chain_data.append({"event": self._CUSTODY_EVENTS[status], "holder": holder,
+                                         "custodian": key.address.hex0x, "at": self.consortium.now})
 
         try:
             content_id = self.consortium.store.add(self.store_node_id, record.subset())

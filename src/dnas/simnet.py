@@ -186,10 +186,10 @@ class ScenarioRunner:
     def _create_record(self, step: Step) -> None:
         wine_id = step.params["wine_id"]
         tag = NfcTag(uid=self.consortium.randbytes(7))
-        self.tags[wine_id] = tag
         self._service_for(step.actor).create_record_flow(
             {"wine_id": wine_id, "pedigree_data": step.params.get("pedigree", {})},
             tag, step.params.get("device_id", f"device-{step.actor}"))
+        self.tags[wine_id] = tag  # a refused create keeps the wine's earlier tag, if any
 
     def _validate_record(self, step: Step) -> None:
         wine_id = step.params["wine_id"]

@@ -27,7 +27,6 @@ pytestmark = pytest.mark.fresh_builds  # the pass must reach the constructor its
 ALLOWED = {  # function -> why it stays with no product caller
     "ledger.Chain.apply_block":
         "a replica's block import; it gets its caller once each validator keeps a replica",
-    "keys.recover_signer": "BENCHMARK.json names it as a traced layer",
     "ledger.SignedTransaction.digest":
         "derives the digest of any transaction that sign_transaction did not build",
     "content_store.PrivateNetwork.holders":

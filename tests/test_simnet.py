@@ -192,6 +192,51 @@ def test_an_accept_after_a_record_tamper_is_refused_and_the_attack_still_caught(
         ("W1", "modification", "content_store")]
 
 
+def test_a_flag_leaves_the_published_subset_so_a_later_genuine_scan_passes():
+    # the flag is a local annotation: the record still hashes to the chain's
+    # content id, so the genuine tag's scan logs no second attack
+    raw = {"seed": 3, "members": THREE, "extras": ["counterfeiter"], "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 5, "actor": "counterfeiter", "action": "clone_tag", "params": {"wine_id": "W1"}},
+        {"at": 6, "actor": "dist", "action": "validate_record",
+         "params": {"wine_id": "W1", "tag": "cloned"}},
+        {"at": 8, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 10, "actor": "dist", "action": "accept_record", "params": {"wine_id": "W1"},
+         "expect_error": "flagged"}],
+        "expectations": [{"kind": "last_validation", "wine_id": "W1", "result": "pass"},
+                         {"kind": "step_error", "index": 4, "contains": "flagged"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed, report.render_text()
+    assert [(e["wine_id"], e["attack_class"], e["layer"]) for e in report.attack_log] == [
+        ("W1", "cloning", "off_chain_db")]
+    assert (report.records["W1"]["read_counter"], report.records["W1"]["flags"]) == (1, 1)
+
+
+def test_a_refused_duplicate_create_keeps_the_wines_tag():
+    raw = {"seed": 3, "members": THREE, "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 3, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"},
+         "expect_error": "already exists"},
+        {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}}],
+        "expectations": [{"kind": "last_validation", "wine_id": "W1", "result": "pass"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed, report.render_text()
+    assert all(step["ok"] for step in report.steps) and report.attack_log == []
+
+
+def test_a_refused_create_stores_no_tag_to_tamper_with():
+    raw = {"seed": 3, "members": THREE, "extras": ["forger"], "steps": [
+        {"at": 2, "actor": "dist", "action": "create_record", "params": {"wine_id": "W1"},
+         "expect_error": "winemaker"},
+        {"at": 4, "actor": "forger", "action": "tamper_tag",
+         "params": {"wine_id": "W1", "field": "write_counter", "value": 9},
+         "expect_error": "no tag for 'W1' (genuine)"}],
+        "expectations": []}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed, report.render_text()
+    assert report.steps[1]["error"] == "no tag for 'W1' (genuine)"
+
+
 @pytest.mark.parametrize("value", ["zz", 5, "00"])
 def test_a_tag_signature_that_does_not_parse_is_logged_as_a_modification(value):
     raw = {"seed": 3, "members": THREE, "extras": ["forger"], "steps": [
