@@ -81,7 +81,7 @@ class Scenario:
                     raise ScenarioError(f"step {index}: unknown actor {step.actor!r}")
         for index, expectation in enumerate(self.expectations):
             kind = expectation.get("kind") if isinstance(expectation, dict) else None
-            if kind not in ScenarioRunner.EXPECTATIONS:
+            if not isinstance(kind, str) or kind not in ScenarioRunner.EXPECTATIONS:
                 raise ScenarioError(f"expectation {index}: unknown kind {kind!r}")
             where = f"expectation {index} ({kind})"
             if (kind == "step_error" and "index" in expectation

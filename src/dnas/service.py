@@ -30,6 +30,7 @@ from .errors import (
 from .keccak import keccak256
 from .keys import (
     KeyPair,
+    Signature,
     create_keystore,
     decrypt_keystore,
     generate_keypair,
@@ -38,7 +39,7 @@ from .keys import (
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
-from .tags import NfcTag, TagReadout
+from .tags import NfcTag, TagReadout, encode_payload
 from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
@@ -89,7 +90,7 @@ class ValidationOutcome:
 
 @dataclass
 class ValidationSession:
-    """Single-use pass token linking a full validation to one acceptance."""
+    """Single-use pass token for one acceptance, named by its full pass's read tx hash."""
 
     session_id: str
     issued_at: int
@@ -251,8 +252,10 @@ class BlockchainService:
         if tag.protection_enabled:  # before the database write, which it would orphan
             raise FlowError("tag-write", "protection already enabled")
         binding = self._binding(record)
-        try:  # the tag digest (memoised for _write_iteration) first, for the same reason
+        try:  # the tag digest (memoised for _write_iteration) and a first payload's
+            # fit on the tag (any signature has its length) first, for the same reason
             self.chain.runtime.signers.tag_digest(record.wine_id, *binding)
+            encode_payload(record.wine_id, Signature(27, 0, 0), write_counter=1)
             self.consortium.db.create(record)
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
@@ -317,7 +320,7 @@ class BlockchainService:
             raise FlowError(stage, "tag or device identifier differs from the chain's")
         if ContentId.for_content(record.subset()).text != on_chain["data_hash_latest"]:
             raise FlowError(stage, "database subset hash differs from on-chain hash")
-        differs = self._check_tag(tag, record, count_read=False)[1]
+        differs = self._check_tag(tag, record)[1]
         if differs is not None:
             raise FlowError(stage, differs[1])
         return binding
@@ -445,10 +448,10 @@ class BlockchainService:
             })
             return outcomes, None, None
 
-        # full pass: increment the read counters everywhere and mint a session
+        # full pass: one read, counted on the chain, the tag and the record; the session is its tx
+        session_id = self.submit_tx("proxy", "increment_read_count", {"wine_id": wine_id})
+        tag.read(bytes.fromhex(record.tag_password))
         record.read_counter += 1
-        self.submit_tx("proxy", "increment_read_count", {"wine_id": wine_id})
-        session_id = f"session-{self.member_id}-{wine_id}-{self.consortium.next_session_serial()}"
         self._sessions[wine_id] = ValidationSession(session_id=session_id,
                                                     issued_at=self.consortium.now)
         latest_tx = record.transaction_data[-1] if record.transaction_data else {}
@@ -469,12 +472,12 @@ class BlockchainService:
         return hash_identifier(record.tag_uid), hash_identifier(record.device_id)
 
     @staticmethod
-    def _check_tag(tag: NfcTag, record: WineRecord, count_read: bool) -> Tuple[
+    def _check_tag(tag: NfcTag, record: WineRecord) -> Tuple[
             Optional[TagReadout], Optional[Tuple[AttackClass, str]]]:
-        """The readout of a scan's counted read (one read ahead of the record) or
-        of a write's peek, and its first difference from the record as (attack, details)."""
+        """The readout of a peek at the tag, which counts no read, and its first
+        difference from the record as (attack, details)."""
         try:
-            readout = (tag.read if count_read else tag.peek)(bytes.fromhex(record.tag_password))
+            readout = tag.peek(bytes.fromhex(record.tag_password))
         except TagLockedError:
             return None, (AttackClass.MODIFICATION, "tag rejects the injected password")
         except TagStateError as exc:
@@ -483,7 +486,7 @@ class BlockchainService:
             return readout, (AttackClass.CLONING, "inconsistent tag identifier")
         if readout.write_counter != record.write_counter:
             return readout, (AttackClass.REAPPLICATION, "write counter differs from the database")
-        if readout.read_counter != record.read_counter + count_read:
+        if readout.read_counter != record.read_counter:
             return readout, (AttackClass.REAPPLICATION, "read counter differs from the database")
         if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
             return readout, (AttackClass.MODIFICATION,
@@ -502,7 +505,7 @@ class BlockchainService:
             record = self.consortium.db.get(wine_id)
         except NotFoundError:
             return None, (off_chain, modified, "wine identifier not found in the database")
-        readout, differs = self._check_tag(tag, record, count_read=True)
+        readout, differs = self._check_tag(tag, record)
         if differs is not None:
             return record, (off_chain, *differs)
 
@@ -514,7 +517,7 @@ class BlockchainService:
             return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
         if readout.write_counter != chain_record["write_count"]:
             return record, (on_chain, reapplied, "write counter differs from on-chain state")
-        if readout.read_counter != chain_record["read_count"] + 1:
+        if readout.read_counter != chain_record["read_count"]:
             return record, (on_chain, reapplied, "read counter differs from on-chain state")
         sig = readout.signature
         if not self.chain.call_view("validate_signature", {
@@ -554,7 +557,6 @@ class Consortium:
         self.halted: Set[str] = set()
         self.notifications: List[Dict[str, object]] = []
         self._receipt_watchers: Dict[str, List[Tuple[Callable[..., None], tuple]]] = {}
-        self._session_serial = 0
         self._seed = seed
 
         members = initial_members or []
@@ -724,10 +726,6 @@ class Consortium:
                 raise SealError("no live validator can seal" if self._next_seal() is None
                                 else f"work is left after {_IDLE_TICKS} ticks")
             self.tick(self.now + 1)
-
-    def next_session_serial(self) -> int:
-        self._session_serial += 1
-        return self._session_serial
 
     # -- reporting ------------------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 7-byte UID fixed at manufacture, 888 bytes of usable memory, an optional
 4-byte password lock, and hardware-style counters: the write counter keeps
-the highest value written, the read counter increments on every successful
-read (the reported value includes the read that returned it).
+the highest value written, and the read counter moves only on ``read``. A
+scan's checks and a write's pre-check ``peek``; only a scan's full pass reads.
 """
 
 import json
@@ -54,6 +54,15 @@ def _parse_payload(memory: bytes) -> Tuple[str, Signature, int]:
     return claimed, Signature.from_bytes(bytes.fromhex(signature)), counter
 
 
+def encode_payload(wine_id: str, signature: Signature, write_counter: int) -> bytes:
+    """A write's tag memory; ``CapacityError`` when it would overflow the tag."""
+    payload = canonical_json_bytes({"wine_id": wine_id, "signature": signature.hex,
+                                    "write_counter": write_counter})
+    if len(payload) > TAG_MEMORY_BYTES:
+        raise CapacityError(f"payload is {len(payload)} bytes; tag holds {TAG_MEMORY_BYTES}")
+    return payload
+
+
 @dataclass
 class TagReadout:
     """Everything a scan returns: payload fields, identity, counters."""
@@ -93,14 +102,7 @@ class NfcTag:
     def write(self, wine_id: str, signature: Signature, write_counter: int,
               password: Optional[bytes] = None) -> None:
         self._check_password(password)
-        payload = canonical_json_bytes({
-            "wine_id": wine_id,
-            "signature": signature.hex,
-            "write_counter": write_counter,
-        })
-        if len(payload) > TAG_MEMORY_BYTES:
-            raise CapacityError(f"payload is {len(payload)} bytes; tag holds {TAG_MEMORY_BYTES}")
-        self.memory = payload
+        self.memory = encode_payload(wine_id, signature, write_counter)
         self.write_counter = max(self.write_counter, write_counter)
 
     def peek_wine_id(self) -> str:
@@ -124,9 +126,9 @@ class NfcTag:
         return readout
 
     def peek(self, password: Optional[bytes] = None) -> TagReadout:
-        """What a read returns, but the read counter does not move: every append
-        checks its tag this way before overwriting it. A tag never written, or
-        whose payload does not parse, raises ``TagStateError``."""
+        """What a read returns, but the read counter does not move: a scan and
+        every append check the tag this way before they count a read or write.
+        A tag never written, or whose payload does not parse, raises ``TagStateError``."""
         self._check_password(password)
         wine_id, signature, write_counter = _parse_payload(self.memory)
         return TagReadout(uid=self._uid, wine_id=wine_id, signature=signature,

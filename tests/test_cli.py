@@ -1,9 +1,13 @@
+import copy
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from dnas.cli import main
+from dnas.scenario import bundled_scenario_names
 
 
 def test_run_happy_path(capsys):
@@ -56,6 +60,9 @@ def test_malformed_parameters_are_a_scenario_error(tmp_path, capsys):
         (("members", 1, "member_id", ["maker"]),
          "member 1: 'member_id' must be str, not ['maker']"),
         (("expectations", 0, [1]), "expectation 0: unknown kind None"),
+        (("expectations", 0, "kind", ["record_status"]),
+         "expectation 0: unknown kind ['record_status']"),
+        (("expectations", 0, "kind", {}), "expectation 0: unknown kind {}"),
         (("extras", [["x"]]), "scenario: 'extras' entry must be str, not ['x']"),
         (("steps", 9, {"at": 24, "actor": "admin", "action": "tamper_tag", "params":
                        {"wine_id": "W0", "field": "read_counter", "value": "abc"}}),
@@ -76,6 +83,50 @@ def test_malformed_parameters_are_a_scenario_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""  # refused at load, before any consortium is built
         assert captured.err == f"scenario error: {message}\n"
+
+
+_BUNDLED = {name: json.loads(resources.files("dnas").joinpath("scenarios").joinpath(
+    f"{name}.json").read_text()) for name in bundled_scenario_names()}
+
+
+def _paths(value, path=()):
+    """The path to every value nested in ``value``, as keys and list indexes."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A bundled scenario with one key or list entry dropped, one value
+    swapped for another type, or one step moved to another time."""
+    scenario = copy.deepcopy(_BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))])
+    mutation = draw(st.sampled_from(["drop", "swap", "move"]))
+    if mutation == "move":
+        step = draw(st.sampled_from(scenario["steps"]))
+        step["at"] = draw(st.integers(-2, max(s["at"] for s in scenario["steps"]) + 2))
+        return scenario
+    *parents, key = draw(st.sampled_from(list(_paths(scenario))))
+    target = scenario
+    for part in parents:
+        target = target[part]
+    if mutation == "drop":
+        del target[key]
+    else:
+        target[key] = draw(st.sampled_from([None, True, 0, "", [], ["W1"], {}]))
+    return scenario
+
+
+@seed(33)
+@settings(max_examples=300, deadline=None, database=None)
+@given(scenario=_mutated_scenarios())
+def test_a_mutated_bundled_scenario_runs_or_is_refused_without_a_traceback(tmp_path_factory,
+                                                                          scenario):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) in (0, 1, 2)
 
 
 def test_failed_expectation_exit_code(tmp_path, capsys):

@@ -455,6 +455,21 @@ def test_a_create_with_an_empty_wine_id_leaves_no_record_and_an_unlocked_tag(con
     assert all(not consortium.store.pinned(node) for node in consortium.store.members())
 
 
+def test_a_create_whose_payload_overflows_the_tag_leaves_no_record_and_an_unlocked_tag(
+        consortium):
+    # 711 ASCII characters make a first write's payload exactly the tag's 888 bytes
+    tag, _ = create_wine(consortium, wine_id="W" * 711)
+    assert len(tag.memory) == TAG_MEMORY_BYTES
+    blank, pool = NfcTag(uid=consortium.randbytes(7)), list(consortium.chain.pool)
+    with pytest.raises(FlowError, match="payload is 889 bytes; tag holds 888"):
+        consortium.services["maker"].create_record_flow({"wine_id": "X" * 712}, blank,
+                                                        "device-maker")
+    assert consortium.db.wine_ids() == ["W" * 711]
+    assert not blank.protection_enabled and blank.memory == b""
+    assert list(consortium.chain.pool) == pool
+    create_wine(consortium, wine_id="X" * 711)  # a shorter id fits the same kind of tag
+
+
 # -- validation flow ---------------------------------------------------------------------------
 
 def test_validation_happy_path_counters(consortium):
@@ -536,6 +551,58 @@ def test_subset_drift_is_layer3_modification(consortium):
     assert [o.passed for o in outcomes] == [True, True, False]
     assert outcomes[-1].layer is ValidationLayer.CONTENT_STORE
     assert outcomes[-1].result is AttackClass.MODIFICATION
+
+
+def _bump_tag_reads(consortium, tag):
+    tag.read_counter += 1  # read off the network by a skimmer
+
+
+def _bump_tag_and_row_reads(consortium, tag):
+    tag.read_counter += 1  # an insider who runs the database hides the skim there
+    consortium.db.get("W1").read_counter += 1
+
+
+def _tamper_row(consortium, tag):
+    consortium.db.get("W1").pedigree_data["vintage"] = 1900
+
+
+@pytest.mark.parametrize("tamper, layer, attack", [
+    (_bump_tag_reads, ValidationLayer.OFF_CHAIN_DB, AttackClass.REAPPLICATION),
+    (_bump_tag_and_row_reads, ValidationLayer.ON_CHAIN, AttackClass.REAPPLICATION),
+    (_tamper_row, ValidationLayer.CONTENT_STORE, AttackClass.MODIFICATION),
+], ids=["off_chain_db", "on_chain", "content_store"])
+def test_a_failed_scan_counts_no_read_in_any_store(consortium, tamper, layer, attack):
+    # every layer peeks at the tag; only a full pass counts its read, so a
+    # failed scan leaves the tag, the database and the chain where they were
+    tag, _ = create_wine(consortium)
+    tamper(consortium, tag)
+    record = consortium.db.get("W1")
+
+    def read_counts():
+        chain = consortium.chain.call_view("get_record", {"wine_id": "W1"})["read_count"]
+        return tag.read_counter, record.read_counter, chain
+
+    before = read_counts()
+    for _ in range(2):  # a re-scan finds the same attack, not a read it left behind
+        outcomes, view, session = consortium.services["dist"].validate_record_flow(tag)
+        consortium.run_until_idle()
+        assert (outcomes[-1].layer, outcomes[-1].result) == (layer, attack)
+        assert view is None and session is None
+        assert read_counts() == before
+
+
+def test_a_full_pass_session_is_its_read_count_transaction(consortium):
+    tag, _ = create_wine(consortium)
+    _, view, session = consortium.services["dist"].validate_record_flow(tag)
+    consortium.run_until_idle()
+    receipt = consortium.chain.query_tx(session)
+    tx = next(tx for tx in consortium.chain.blocks[receipt.block_number].transactions
+              if tx.tx_hash == session)
+    assert (tx.method, tx.params, tx.sender) == (
+        "increment_read_count", {"wine_id": "W1"}, consortium.services["dist"].address)
+    assert (receipt.status, receipt.result) == ("ok", 1)
+    assert tag.read_counter == view["read_counter"] == 1
+    assert consortium.counters_in_sync("W1", tag)
 
 
 @pytest.mark.parametrize("wine_id, attack_class", [
@@ -917,11 +984,22 @@ def test_a_shipped_wine_validates_and_is_accepted(consortium):
     assert view["wine_status"] == "in_transit"
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
-    assert [e["event"] for e in record.supply_chain_data] == ["created", "shipped", "accepted"]
+    # and so does every later hop: a retailer's acceptance, then a consumer's purchase
+    retail, shared = consortium.services["retail"], consortium.shared_service
+    retail.accept_record_flow(tag, retail.validate_record_flow(tag)[2])
+    consortium.run_until_idle()
+    outcomes, _, session = shared.validate_record_flow(tag)
+    assert all(o.passed for o in outcomes)
+    shared.accept_record_flow(tag, session, custodian_key=consortium.add_consumer("alice"),
+                              purchase=True)
+    consortium.run_until_idle()
+    assert record.wine_status is WineStatus.SOLD
+    assert [e["event"] for e in record.supply_chain_data] == [
+        "created", "shipped", "accepted", "accepted", "purchased"]
     assert [e["event"] for e in record.transaction_data] == [
-        "on-chain-created", "on-chain-appended", "on-chain-appended"]
-    assert consortium.counters_in_sync("W1", tag)
-    assert consortium.chain.call_view("get_record", {"wine_id": "W1"})["write_count"] == 3
+        "on-chain-created"] + ["on-chain-appended"] * 4
+    assert consortium.counters_in_sync("W1", tag) and tag.read_counter == 3
+    assert consortium.chain.call_view("get_record", {"wine_id": "W1"})["write_count"] == 5
     assert not consortium.notifications
 
 

@@ -210,6 +210,43 @@ def test_a_flag_leaves_the_published_subset_so_a_later_genuine_scan_passes():
     assert [(e["wine_id"], e["attack_class"], e["layer"]) for e in report.attack_log] == [
         ("W1", "cloning", "off_chain_db")]
     assert (report.records["W1"]["read_counter"], report.records["W1"]["flags"]) == (1, 1)
+    assert report.records["W1"]["status"] == "flagged"
+
+
+def test_a_scan_failed_at_the_content_store_leaves_the_tag_for_the_next_scan():
+    # a failed scan counts no read, so the re-scan finds the injected
+    # modification again, not a reapplication the first scan left behind
+    raw = {"seed": 3, "members": THREE, "extras": ["forger"], "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 5, "actor": "forger", "action": "tamper_record",
+         "params": {"wine_id": "W1", "field": "vintage", "value": 1899}},
+        {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 8, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}}],
+        "expectations": [{"kind": "last_validation", "wine_id": "W1",
+                          "result": "modification"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed, report.render_text()
+    assert [(e["wine_id"], e["attack_class"], e["layer"]) for e in report.attack_log] == [
+        ("W1", "modification", "content_store")] * 2
+    assert report.records["W1"]["read_counter"] == 0
+
+
+def test_a_scan_in_the_creates_own_tick_leaves_a_later_scan_passing():
+    # the first scan runs before the create is mined and is flagged as
+    # "wine identifier not found on-chain": a spurious attack, the open
+    # defect of a scan of a pooled create. It counts no read, so the scan
+    # after the block passes with the tag, the database and the chain in step
+    raw = {"seed": 3, "members": THREE, "steps": [
+        {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
+        {"at": 2, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}}],
+        "expectations": [{"kind": "last_validation", "wine_id": "W1", "result": "pass"},
+                         {"kind": "counters_in_sync", "wine_id": "W1"}]}
+    report = run_scenario(scenario_from_dict(raw))
+    assert report.passed, report.render_text()
+    assert [(e["attack_class"], e["layer"], e["details"]) for e in report.attack_log] == [
+        ("modification", "on_chain", "wine identifier not found on-chain")]
+    assert report.records["W1"]["read_counter"] == 1
 
 
 def test_a_refused_duplicate_create_keeps_the_wines_tag():
