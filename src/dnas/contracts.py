@@ -48,6 +48,14 @@ class ExecutionContext:
         self.events.append(ContractEvent(kind=kind, fields=fields))
 
 
+def _check_address(address: object, name: str) -> None:
+    """Refuses anything but a recovered signer's ``hex0x``, the one form a custodian
+    ``validate_signature`` can match and a peer the registry can order takes."""
+    if not (isinstance(address, str) and len(address) == 42 and address[:2] == "0x"
+            and not address[2:].strip("0123456789abcdef")):
+        raise ContractError(f"{name} must be 0x and 40 lowercase hex characters")
+
+
 @dataclass
 class PeerEntry:
     address: str
@@ -55,6 +63,16 @@ class PeerEntry:
     node_id: str
     member_id: str
     joined_at: int = 0
+
+    def __post_init__(self) -> None:
+        """A registry entry is typed before it is admitted or voted on."""
+        _check_address(self.address, "address")
+        if self.role not in (ROLE_WINEMAKER, ROLE_PARTICIPANT):
+            raise ContractError(f"unknown peer role {self.role!r}")
+        if not (isinstance(self.node_id, str) and isinstance(self.member_id, str)):
+            raise ContractError("node_id and member_id must be strings")
+        if type(self.joined_at) is not int:
+            raise ContractError("joined_at must be an integer")
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -139,7 +157,9 @@ class PeerRegistryContract:
     def propose_peer(self, ctx: ExecutionContext, entry: Dict[str, object],
                      add: bool) -> Dict[str, object]:
         peer = PeerEntry(**entry)
-        if (peer.address in self.peers) == bool(add):
+        if type(add) is not bool:  # a truthy "no" would count as an admission vote
+            raise ContractError("add must be true or false")
+        if (peer.address in self.peers) == add:
             # the change is already in effect: a vote that arrives after the
             # threshold (the voter may be the member it removed) changes nothing
             return {"tally": 0, "required": self.consensus_level(), "applied": False}
@@ -159,8 +179,8 @@ class PeerRegistryContract:
     def set_consensus_level(self, ctx: ExecutionContext, level: int) -> int:
         if ctx.caller != self.admin:
             raise AuthError("the consensus level can only be set by the administrator")
-        if level < 1:
-            raise ContractError("consensus level must be at least 1")
+        if type(level) is not int or level < 1:
+            raise ContractError("consensus level must be an integer of at least 1")
         self.consensus_override = level
         return level
 
@@ -185,13 +205,6 @@ class WineEntry:
     device_id: str             # hashed device identifier
     write_count: int = 1
     read_count: int = 0
-
-
-def _check_custodian(address: str) -> None:
-    """Refuses a custodian ``validate_signature`` could never match with a
-    recovered signer's ``hex0x``."""
-    if len(address) != 42 or address[:2] != "0x" or address[2:].strip("0123456789abcdef"):
-        raise ContractError("new_public_address must be 0x and 40 lowercase hex characters")
 
 
 def _entry(records: Dict[str, WineEntry], wine_id: str) -> WineEntry:
@@ -224,7 +237,7 @@ class WineDataContractV1:
         # so that validate_signature can always check an entry's tag signature
         ContentId(wine_data_hash)
         encode_tag_payload(wine_id, tag_id, device_id)
-        _check_custodian(new_public_address)
+        _check_address(new_public_address, "new_public_address")
         records[wine_id] = WineEntry(data_hash={1: wine_data_hash},
                                      pub_addr=new_public_address, tag_id=tag_id,
                                      device_id=device_id)
@@ -242,7 +255,7 @@ class WineDataContractV1:
         if entry.tag_id != tag_id or entry.device_id != device_id:
             raise ContractError("tag or device identifier does not match the stored record")
         ContentId(new_wine_data_hash)
-        _check_custodian(new_public_address)
+        _check_address(new_public_address, "new_public_address")
         previous = entry.pub_addr
         entry.write_count += 1
         entry.data_hash[entry.write_count] = new_wine_data_hash

@@ -269,9 +269,11 @@ class Chain:
         return tx.tx_hash
 
     def _verify(self, tx: SignedTransaction, nonce: int, error: type) -> None:
-        """Chain id, signer and nonce, at admission and before a replica executes."""
+        """Chain id, params, signer and nonce, at admission and before a replica executes."""
         if tx.chain_id != self.genesis.chain_id:
             raise error(f"wrong chain id {tx.chain_id}")
+        if not isinstance(tx.params, dict):  # every method takes keyword parameters
+            raise error("params must be a JSON object")
         registry = self.runtime.registry
         vouched = registry.is_member(tx.sender) or tx.sender == registry.admin
         try:

@@ -39,7 +39,7 @@ from .keys import (
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
-from .tags import NfcTag, TagReadout, encode_payload
+from .tags import NfcTag, encode_payload
 from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
@@ -305,25 +305,14 @@ class BlockchainService:
     def _append_binding(self, record: WineRecord, tag: NfcTag, stage: str) -> Tuple[str, str]:
         """Every append's pre-write check; returns the binding it sends. A write
         must not re-anchor a tampered copy, so it refuses a flagged or failed
-        record, a binding or subset id that differs from the chain's, and a tag
-        whose peek (no read counted) differs from the record."""
+        record and any record and tag a scan would flag (``_check_record``)."""
         if record.wine_status is WineStatus.FLAGGED:
             raise FlowError(stage, "flagged records take no further writes")
         if record.wine_status is WineStatus.ERROR:
             raise FlowError(stage, "record is in an error state")
-        binding = self._binding(record)
-        try:
-            on_chain = self.chain.call_view("get_record", {"wine_id": record.wine_id})
-        except ContractError as exc:  # an append before the create was mined
-            raise FlowError(stage, str(exc)) from exc
-        if binding != (on_chain["tag_id"], on_chain["device_id"]):
-            raise FlowError(stage, "tag or device identifier differs from the chain's")
-        if ContentId.for_content(record.subset()).text != on_chain["data_hash_latest"]:
-            raise FlowError(stage, "database subset hash differs from on-chain hash")
-        differs = self._check_tag(tag, record)[1]
-        if differs is not None:
-            raise FlowError(stage, differs[1])
-        return binding
+        if (failure := self._check_record(record, tag)) is not None:
+            raise FlowError(stage, failure[2])
+        return self._binding(record)
 
     # proxy method -> (content-hash parameter, flow stage, transaction_data
     # event, notice sent when the chain refuses the call)
@@ -422,13 +411,18 @@ class BlockchainService:
         self._require_member()
         try:
             wine_id = tag.peek_wine_id()
+            record = self.consortium.db.get(wine_id)
         except TagStateError as exc:
             if not tag.memory:
                 raise FlowError("tag-read", str(exc)) from exc
             wine_id, record = None, None  # a payload naming no wine: no record to flag
             failure = (ValidationLayer.OFF_CHAIN_DB, AttackClass.MODIFICATION, str(exc))
+        except NotFoundError:
+            record = None
+            failure = (ValidationLayer.OFF_CHAIN_DB, AttackClass.MODIFICATION,
+                       "wine identifier not found in the database")
         else:
-            record, failure = self._walk_layers(wine_id, tag)
+            failure = self._check_record(record, tag)
         layers = list(ValidationLayer)
         passed = layers[:layers.index(failure[0])] if failure else layers
         outcomes = [ValidationOutcome(layer=layer, result="pass") for layer in passed]
@@ -471,74 +465,65 @@ class BlockchainService:
         (``hash_identifier``), as a write sends them."""
         return hash_identifier(record.tag_uid), hash_identifier(record.device_id)
 
-    @staticmethod
-    def _check_tag(tag: NfcTag, record: WineRecord) -> Tuple[
-            Optional[TagReadout], Optional[Tuple[AttackClass, str]]]:
-        """The readout of a peek at the tag, which counts no read, and its first
-        difference from the record as (attack, details)."""
-        try:
-            readout = tag.peek(bytes.fromhex(record.tag_password))
-        except TagLockedError:
-            return None, (AttackClass.MODIFICATION, "tag rejects the injected password")
-        except TagStateError as exc:
-            return None, (AttackClass.MODIFICATION, str(exc))
-        if readout.tag_id != record.tag_uid:
-            return readout, (AttackClass.CLONING, "inconsistent tag identifier")
-        if readout.write_counter != record.write_counter:
-            return readout, (AttackClass.REAPPLICATION, "write counter differs from the database")
-        if readout.read_counter != record.read_counter:
-            return readout, (AttackClass.REAPPLICATION, "read counter differs from the database")
-        if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
-            return readout, (AttackClass.MODIFICATION,
-                             "wine identifier or signature differs from the database")
-        return readout, None
-
-    def _walk_layers(self, wine_id: str, tag: NfcTag) -> Tuple[
-            Optional[WineRecord], Optional[Tuple[ValidationLayer, AttackClass, str]]]:
-        """Runs the three layers in order, reading each source once. Returns
-        the database record (None when it has no such wine) and the first
-        failure as (layer, attack, details), or None on a full pass."""
+    def _check_record(self, record: WineRecord, tag: NfcTag) -> Optional[
+            Tuple[ValidationLayer, AttackClass, str]]:
+        """The three layers in order, reading each source once: a peek at the
+        tag (no read counted) against the database record, both against the
+        chain, then the record's subset against the chain's hash and the store.
+        Returns the first failure as (layer, attack, details), or None. While
+        the pool holds a transaction for the wine, the chain is not yet the
+        record's to judge against: raises ``FlowError``."""
         off_chain, on_chain, content_store = ValidationLayer
         modified, cloned, reapplied = (AttackClass.MODIFICATION, AttackClass.CLONING,
                                        AttackClass.REAPPLICATION)
         try:
-            record = self.consortium.db.get(wine_id)
-        except NotFoundError:
-            return None, (off_chain, modified, "wine identifier not found in the database")
-        readout, differs = self._check_tag(tag, record)
-        if differs is not None:
-            return record, (off_chain, *differs)
+            readout = tag.peek(bytes.fromhex(record.tag_password))
+        except TagLockedError:
+            return off_chain, modified, "tag rejects the injected password"
+        except TagStateError as exc:
+            return off_chain, modified, str(exc)
+        if readout.tag_id != record.tag_uid:
+            return off_chain, cloned, "inconsistent tag identifier"
+        if readout.write_counter != record.write_counter:
+            return off_chain, reapplied, "write counter differs from the database"
+        if readout.read_counter != record.read_counter:
+            return off_chain, reapplied, "read counter differs from the database"
+        if readout.wine_id != record.wine_id or readout.signature.hex != record.last_signature:
+            return off_chain, modified, "wine identifier or signature differs from the database"
 
+        wine_id = record.wine_id
+        if any(tx.params.get("wine_id") == wine_id for tx in self.chain.pool):
+            raise FlowError("chain-pending", f"a transaction for {wine_id!r} is not yet mined")
         try:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
-            return record, (on_chain, modified, "wine identifier not found on-chain")
-        if hash_identifier(readout.tag_id) != chain_record["tag_id"]:
-            return record, (on_chain, cloned, "inconsistent tag identifier on-chain")
+            return on_chain, modified, "wine identifier not found on-chain"
+        hashed_tag, hashed_device = self._binding(record)
+        if hashed_tag != chain_record["tag_id"]:
+            return on_chain, cloned, "inconsistent tag identifier on-chain"
+        if hashed_device != chain_record["device_id"]:
+            return on_chain, modified, "inconsistent device identifier on-chain"
         if readout.write_counter != chain_record["write_count"]:
-            return record, (on_chain, reapplied, "write counter differs from on-chain state")
+            return on_chain, reapplied, "write counter differs from on-chain state"
         if readout.read_counter != chain_record["read_count"]:
-            return record, (on_chain, reapplied, "read counter differs from on-chain state")
+            return on_chain, reapplied, "read counter differs from on-chain state"
         sig = readout.signature
         if not self.chain.call_view("validate_signature", {
                 "wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s}):
-            return record, (on_chain, modified,
-                            "recovered public address does not match on-chain custodian")
+            return on_chain, modified, "recovered public address does not match on-chain custodian"
 
         subset = record.subset()
         cid = ContentId.for_content(subset)
         if not self.chain.call_view("validate_wine_record_hash", {
                 "wine_id": wine_id, "wine_data_hash": cid.text}):
-            return record, (content_store, modified,
-                            "database subset hash differs from on-chain hash")
+            return content_store, modified, "database subset hash differs from on-chain hash"
         try:  # the chain's latest id is this one, so the fetch decodes no base58
             fetched = self.consortium.store.get(self.store_node_id, cid)
         except DnasError as exc:
-            return record, (content_store, modified, f"stored subset unavailable: {exc}")
+            return content_store, modified, f"stored subset unavailable: {exc}"
         if fetched != subset:
-            return record, (content_store, modified,
-                            "stored subset bytes differ from the database")
-        return record, None
+            return content_store, modified, "stored subset bytes differ from the database"
+        return None
 
 
 class Consortium:

@@ -59,6 +59,7 @@ def create_and_ship(consortium, wine_id="W1"):
     consortium.run_until_idle()
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()  # the scan's read is mined before the accept checks the chain
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     return tag

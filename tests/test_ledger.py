@@ -1,14 +1,15 @@
 import copy
 import hashlib
+import inspect
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dnas import ledger, secp256k1
 from dnas.content_store import ContentId
-from dnas.contracts import tally_snapshot
+from dnas.contracts import PeerRegistryContract, Proxy, WineDataContractV1, tally_snapshot
 from dnas.errors import ConfigError, NotFoundError, PoolError, SealError
 from dnas.keys import Signature, generate_keypair, hash_identifier
 from dnas.ledger import (
@@ -143,6 +144,18 @@ def test_nonce_gap_rejected(chain, keys):
     with pytest.raises(PoolError):
         chain.submit_transaction(peer_tx(keys[0], chain,
                                          nonce=chain.next_nonce(keys[0].address.hex0x) + 2))
+
+
+@pytest.mark.parametrize("params", [["W1"], "W1", None])
+def test_params_that_are_not_an_object_rejected(chain, keys, params):
+    # every method takes keyword parameters, and a scan looks for its wine
+    # by name in the pooled transactions' params
+    key = keys[0]
+    tx = sign_transaction(key, 77, "proxy", "increment_read_count", params,
+                          nonce=chain.next_nonce(key.address.hex0x))
+    with pytest.raises(PoolError, match="^params must be a JSON object$"):
+        chain.submit_transaction(tx)
+    assert not chain.pool
 
 
 def test_tampered_sender_rejected(chain, keys):
@@ -492,6 +505,12 @@ _CREATE = {"wine_id": "W1", "wine_data_hash": ContentId.for_content(b"x").text,
     # custodians validate_signature could never match: upper-case hex, not an address
     (1, "proxy", "create_wine_record", {**_CREATE, "new_public_address": "0x" + "AB" * 20}),
     (1, "proxy", "create_wine_record", {**_CREATE, "new_public_address": "not-an-address"}),
+    # a consensus level no tally of voters compares with, and a vote that is no boolean
+    (0, "registry", "set_consensus_level", {"level": 1.5}),
+    (0, "registry", "set_consensus_level", {"level": True}),
+    (0, "registry", "propose_peer", {"entry": {
+        "address": "0x" + "ab" * 20, "role": "participant", "node_id": "enode-x",
+        "member_id": "mx", "joined_at": 0}, "add": "no"}),
 ])
 def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
                                                       params):
@@ -525,6 +544,91 @@ def test_append_with_a_malformed_custodian_seals_an_error_receipt(chain, keys):
     assert chain.query_tx(append).status == "error"
     entry = chain.runtime.proxy.records["W1"]
     assert (entry.write_count, entry.pub_addr) == (1, _CREATE["new_public_address"])
+
+
+_FUZZ_KEYS = [generate_keypair(bytes([i + 1]) * 32) for i in range(6)]  # the keys fixture's
+_FUZZ_CHAIN = []  # keys[0] admits itself and the winemaker keys[1], which creates W1
+
+
+def _fuzz_chain():
+    """A copy of a chain still in its bootstrap stage, holding W1."""
+    if not _FUZZ_CHAIN:
+        admin, maker = (k.address.hex0x for k in _FUZZ_KEYS[:2])
+        chain = Chain(make_genesis(_FUZZ_KEYS), contract_admin=admin, bootstrap_count=5)
+        for address, role in ((admin, "participant"), (maker, "winemaker")):
+            chain.submit_transaction(sign_transaction(_FUZZ_KEYS[0], 77, "registry",
+                                                      "bootstrap_add_peer", {
+                "entry": {"address": address, "role": role, "node_id": "enode",
+                          "member_id": role, "joined_at": 0}}, nonce=chain.next_nonce(admin)))
+        chain.submit_transaction(sign_transaction(
+            _FUZZ_KEYS[1], 77, "proxy", "create_wine_record",
+            {**_CREATE, "new_public_address": maker}, nonce=chain.next_nonce(maker)))
+        chain.seal_block(chain.sealer_at_offset(0), timestamp=1)
+        assert all(r.status == "ok" for r in chain.receipts.values())
+        assert chain.call_view("in_bootstrap_stage", {})
+        _FUZZ_CHAIN.append(chain)
+    return copy.deepcopy(_FUZZ_CHAIN[0])
+
+
+def _parameters(method):
+    return [p for p in inspect.signature(method).parameters if p not in ("self", "ctx", "records")]
+
+
+# every transaction method: the registry's, the proxy administrator's and the live wine contract's
+_FUZZ_METHODS = sorted(
+    [("registry", m, _parameters(getattr(PeerRegistryContract, m)))
+     for m in PeerRegistryContract.TRANSACTIONS]
+    + [("proxy_admin", m, _parameters(getattr(Proxy, m))) for m in Proxy.TRANSACTIONS]
+    + [("proxy", m, _parameters(getattr(WineDataContractV1, m)))
+       for m in WineDataContractV1.TRANSACTIONS])
+_ENTRY = {"address": "0x" + "ab" * 20, "role": "participant", "node_id": "enode-x",
+          "member_id": "mx", "joined_at": 0}
+_PLAUSIBLE = st.sampled_from([
+    *(k.address.hex0x for k in _FUZZ_KEYS), "winemaker", "participant", "W1", "winedata-v2",
+    *_CREATE.values(), 1, 2, True])
+_LEAVES = st.one_of(  # weighted toward values a method accepts, to reach its later checks
+    _PLAUSIBLE, _PLAUSIBLE, _PLAUSIBLE, st.none(), st.booleans(), st.integers(-2, 2**70),
+    st.floats(), st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.just("0x" + "AB" * 20))
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(sorted(_ENTRY)) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=8)
+# a registry entry with one field replaced, or any value
+_ENTRIES = st.builds(lambda key, value: {**_ENTRY, key: value},
+                     st.sampled_from(sorted(_ENTRY)), _LEAVES) | _VALUES
+
+
+def _arguments(names):
+    """Each parameter given a value, and perhaps an unknown one, or any keys at all."""
+    values = {name: _ENTRIES if name == "entry" else _PLAUSIBLE | _VALUES for name in names}
+    return st.one_of(st.fixed_dictionaries(values), st.fixed_dictionaries(values),
+                     st.fixed_dictionaries(values, optional={"extra": _VALUES}),
+                     st.dictionaries(st.sampled_from([*names, "extra"]), _VALUES))
+
+
+_FUZZ_CALLS = st.sampled_from(_FUZZ_METHODS).flatmap(
+    lambda call: st.tuples(st.just(call[:2]), _arguments(call[2])))
+
+
+@seed(34)
+@settings(max_examples=300, deadline=None, database=None)
+@given(sender=st.sampled_from([0, 1, 5]), call=_FUZZ_CALLS)
+def test_a_fuzzed_transaction_seals_and_an_error_receipt_moves_only_the_nonce(sender, call):
+    """Random parameters to every transaction method, from the administrator,
+    the winemaker or an outsider: the seal never raises, and an ``error``
+    receipt leaves every state leaf but the sender's nonce as it was."""
+    (target, method), params = call
+    chain, key = _fuzz_chain(), _FUZZ_KEYS[sender]
+    expected = copy.deepcopy(chain)
+    address = key.address.hex0x
+    tx = chain.submit_transaction(sign_transaction(key, 77, target, method, params,
+                                                   nonce=chain.next_nonce(address)))
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    assert block.state_root == rebuilt_root(chain)
+    if chain.query_tx(tx).status == "error":
+        expected.nonces[address] = expected.nonces.get(address, 0) + 1
+        assert rebuilt_root(chain) == rebuilt_root(expected)
 
 
 def _resigned(block, keys, chain_id=77, nonce_shift=0):

@@ -16,7 +16,7 @@ from dnas.errors import (
     NotFoundError,
     SealError,
 )
-from dnas.keys import KeyPair
+from dnas.keys import KeyPair, hash_identifier, sign_tag_payload
 from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
@@ -206,6 +206,7 @@ def test_removed_member_store_node_is_revoked_after_hand_over(consortium):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
     flow = dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     assert flow.status == "ok"
@@ -642,13 +643,13 @@ def test_second_genuine_scan_hashes_and_verifies_nothing_in_its_view_checks(cons
     consortium.run_until_idle()
 
     calls = count_calls(
-        [(WineDataContractV1, "validate_signature"), (BlockchainService, "_walk_layers")],
+        [(WineDataContractV1, "validate_signature"), (BlockchainService, "_check_record")],
         [("verify", secp256k1.verify), ("_keccak_f", keccak._keccak_f)])
     outcomes, _, _ = dist.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
     assert calls["_keccak_f", "validate_signature"] == 0
     assert calls["verify", "validate_signature"] == 0
-    assert calls["_keccak_f", "_walk_layers"] == 0
+    assert calls["_keccak_f", "_check_record"] == 0
     assert calls["verify", None] >= 1  # the read-count transaction's pool admission
     consortium.run_until_idle()
     assert consortium.counters_in_sync("W1", tag)
@@ -666,6 +667,7 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
 
     def accept(service, wine_id):
         _, _, session = service.validate_record_flow(tags[wine_id])
+        consortium.run_until_idle()
         before = calls.copy()
         flow = service.accept_record_flow(tags[wine_id], session)
         consortium.run_until_idle()
@@ -702,12 +704,12 @@ def test_write_reuses_the_binding_and_still_signs_and_verifies(consortium, count
 
 def test_genuine_scan_decodes_no_content_id(consortium, count_calls):
     tag, _ = create_wine(consortium)
-    calls = count_calls([(BlockchainService, "_walk_layers")],
+    calls = count_calls([(BlockchainService, "_check_record")],
                         [("base58_decode", content_store.base58_decode)])
     outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
     # the id the scan built is the chain's latest once its hash view passes
-    assert calls["base58_decode", "_walk_layers"] == 0
+    assert calls["base58_decode", "_check_record"] == 0
 
 
 def test_a_create_runs_one_keccak_permutation_and_its_later_writes_and_scans_none(
@@ -717,7 +719,9 @@ def test_a_create_runs_one_keccak_permutation_and_its_later_writes_and_scans_non
     first, _ = create_wine(consortium, "W1")
     for member in ("dist", "retail"):
         service = consortium.services[member]
-        service.accept_record_flow(first, service.validate_record_flow(first)[2])
+        session = service.validate_record_flow(first)[2]
+        consortium.run_until_idle()
+        service.accept_record_flow(first, session)
         consortium.run_until_idle()
     calls = count_calls([], [("_keccak_f", keccak._keccak_f)])
     tag, _ = create_wine(consortium, "W2")
@@ -725,7 +729,9 @@ def test_a_create_runs_one_keccak_permutation_and_its_later_writes_and_scans_non
     assert calls["_keccak_f", None] == 1
     for member in ("dist", "retail"):
         service = consortium.services[member]
-        flow = service.accept_record_flow(tag, service.validate_record_flow(tag)[2])
+        session = service.validate_record_flow(tag)[2]
+        consortium.run_until_idle()
+        flow = service.accept_record_flow(tag, session)
         consortium.run_until_idle()
         assert flow.status == "ok"
     # a uid the chain has never seen fails on-chain, hashed with no permutation
@@ -742,29 +748,28 @@ def test_write_hashes_the_identifiers_the_record_holds_now(consortium):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
     flow = dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     assert flow.status == "ok"
     # dist has written W1 once; its device id no longer matches the chain's
-    consortium.db.get("W1").device_id = "device-forged"
-    _, _, session = dist.validate_record_flow(tag)
-    consortium.run_until_idle()
     record = consortium.db.get("W1")
+    record.device_id = "device-forged"
     before = (tag.write_counter, tag.memory, record.write_counter,
               len(record.supply_chain_data), record.wine_status)
-    # the accept hashes the identifiers the record holds now, sees that the
+    # the shipment hashes the identifiers the record holds now, sees that the
     # chain would refuse the append, and writes nothing
-    with pytest.raises(FlowError) as err:
-        dist.accept_record_flow(tag, session)
-    assert err.value.stage == "acceptance"
-    assert "differs from the chain" in str(err.value)
+    with pytest.raises(FlowError, match="inconsistent device identifier on-chain") as err:
+        dist.ship_record_flow(tag)
+    assert err.value.stage == "shipping"
     assert (tag.write_counter, tag.memory, record.write_counter,
             len(record.supply_chain_data), record.wine_status) == before
     assert not consortium.chain.pool
     assert consortium.counters_in_sync("W1", tag)
+    # a scan makes the same check
     outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
-    consortium.run_until_idle()
-    assert all(o.passed for o in outcomes)
+    assert [(o.layer, o.result) for o in outcomes[1:]] == [
+        (ValidationLayer.ON_CHAIN, AttackClass.MODIFICATION)]
 
 
 def test_removed_member_can_neither_validate_nor_accept(consortium):
@@ -793,6 +798,7 @@ def test_accept_transfers_custody(consortium):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
     flow = dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     assert flow.status == "ok"
@@ -817,10 +823,29 @@ def test_session_single_use(consortium):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     with pytest.raises(FlowError):
         dist.accept_record_flow(tag, session)
+
+
+def test_an_accept_in_its_scans_tick_is_refused_as_pending_and_spends_the_session(consortium):
+    tag, _ = create_wine(consortium)
+    dist = consortium.services["dist"]
+    _, _, session = dist.validate_record_flow(tag)
+    with pytest.raises(FlowError, match="'W1' is not yet mined") as err:
+        dist.accept_record_flow(tag, session)  # the scan's read is still pooled
+    assert err.value.stage == "chain-pending"
+    assert not dist._sessions and tag.write_counter == 1
+    consortium.run_until_idle()
+    with pytest.raises(FlowError, match="fresh full-pass validation"):
+        dist.accept_record_flow(tag, session)
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    flow = dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "ok" and consortium.counters_in_sync("W1", tag)
 
 
 def test_a_newer_full_pass_replaces_the_older_session(consortium):
@@ -854,6 +879,7 @@ def test_session_is_spent_and_bound_to_the_validated_tag(consortium):
     assert not consortium.chain.pool
     assert not dist._sessions
     outcomes, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     assert all(o.passed for o in outcomes)
@@ -936,6 +962,7 @@ def test_consumer_purchase_and_post_sale_transfer(consortium):
     shared = consortium.shared_service
     alice = consortium.add_consumer("alice")
     _, _, session = shared.validate_record_flow(tag)
+    consortium.run_until_idle()
     flow = shared.accept_record_flow(tag, session, custodian_key=alice, purchase=True)
     consortium.run_until_idle()
     assert flow.status == "ok"
@@ -953,11 +980,13 @@ def test_full_two_hop_chain_counters(consortium):
     for member in ("dist", "retail"):
         service = consortium.services[member]
         _, _, session = service.validate_record_flow(tag)
+        consortium.run_until_idle()
         service.accept_record_flow(tag, session)
         consortium.run_until_idle()
     shared = consortium.shared_service
     buyer = consortium.add_consumer("bob")
     _, _, session = shared.validate_record_flow(tag)
+    consortium.run_until_idle()
     shared.accept_record_flow(tag, session, custodian_key=buyer, purchase=True)
     consortium.run_until_idle()
     record = consortium.db.get("W1")
@@ -982,14 +1011,18 @@ def test_a_shipped_wine_validates_and_is_accepted(consortium):
     outcomes, view, session = dist.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
     assert view["wine_status"] == "in_transit"
+    consortium.run_until_idle()
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()
     # and so does every later hop: a retailer's acceptance, then a consumer's purchase
     retail, shared = consortium.services["retail"], consortium.shared_service
-    retail.accept_record_flow(tag, retail.validate_record_flow(tag)[2])
+    session = retail.validate_record_flow(tag)[2]
+    consortium.run_until_idle()
+    retail.accept_record_flow(tag, session)
     consortium.run_until_idle()
     outcomes, _, session = shared.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
+    consortium.run_until_idle()
     shared.accept_record_flow(tag, session, custodian_key=consortium.add_consumer("alice"),
                               purchase=True)
     consortium.run_until_idle()
@@ -1019,9 +1052,9 @@ def test_ship_before_the_create_is_mined_is_refused(consortium):
     tag = NfcTag(uid=consortium.randbytes(7))
     maker = consortium.services["maker"]
     maker.create_record_flow({"wine_id": "W1"}, tag, "device-maker")
-    with pytest.raises(FlowError, match="no wine record") as err:
+    with pytest.raises(FlowError, match="'W1' is not yet mined") as err:
         maker.ship_record_flow(tag)
-    assert err.value.stage == "shipping"
+    assert err.value.stage == "chain-pending"
     assert tag.write_counter == 1
     consortium.run_until_idle()
     assert consortium.counters_in_sync("W1", tag)
@@ -1250,8 +1283,9 @@ _SCAN_OPS = st.lists(st.tuples(
 @settings(max_examples=100, deadline=None, database=None)
 @given(ops=_SCAN_OPS)
 def test_nothing_but_a_write_moves_the_published_subset(ops):
-    """Scans that pass or fail, refused accepts and ticks leave W1's subset
-    hashing to the chain's latest content id: a flag is a local annotation."""
+    """Scans that pass, fail or meet a pooled read, refused accepts and ticks
+    leave W1's subset hashing to the chain's latest content id: a flag is a
+    local annotation."""
     if not _CREATED:
         consortium = built_consortium(seed=7, initial_members=FIVE_MEMBERS, bootstrap_count=5)
         _CREATED.append((consortium, create_wine(consortium)[0]))
@@ -1268,11 +1302,116 @@ def test_nothing_but_a_write_moves_the_published_subset(ops):
                 tag.read_counter += k
             scanned = (counterfeit_copy(tag, randbytes=consortium.randbytes)
                        if kind == "clone" else tag)
-            service.validate_record_flow(scanned)
+            try:
+                service.validate_record_flow(scanned)
+            except FlowError as exc:  # an earlier scan's read is still pooled
+                assert exc.stage == "chain-pending"
     consortium.run_until_idle()
     record = consortium.db.get("W1")
     on_chain = consortium.chain.call_view("get_record", {"wine_id": "W1"})
     assert ContentId.for_content(record.subset()).text == on_chain["data_hash_latest"]
+
+
+def resign(consortium, tag, key):
+    """An insider who knows W1's tag password re-signs its tag under ``key``
+    and copies the signature into the database row."""
+    record = consortium.db.get("W1")
+    signature = sign_tag_payload(consortium.chain.runtime.signers.tag_digest(
+        "W1", hash_identifier(record.tag_uid), hash_identifier(record.device_id)), key)
+    tag.write("W1", signature, write_counter=record.write_counter,
+              password=bytes.fromhex(record.tag_password))
+    record.last_signature = signature.hex
+
+
+def bump_reads(consortium, tag):
+    """An insider adds a read to the tag's counter and to the row's."""
+    tag.read_counter += 1
+    consortium.db.get("W1").read_counter += 1
+
+
+@pytest.mark.parametrize("insider, attack, details", [
+    (lambda consortium, tag: resign(consortium, tag, consortium.add_consumer("mallory")),
+     AttackClass.MODIFICATION, "recovered public address does not match on-chain custodian"),
+    (bump_reads, AttackClass.REAPPLICATION, "read counter differs from on-chain state"),
+], ids=["resigned", "bumped_reads"])
+def test_an_insiders_edit_of_row_and_tag_is_refused_at_the_append_and_caught_by_a_scan(
+        consortium, insider, attack, details):
+    tag, _ = create_wine(consortium)
+    insider(consortium, tag)
+    before = _written_state(consortium, tag)
+    with pytest.raises(FlowError, match=details) as err:
+        consortium.services["maker"].ship_record_flow(tag)
+    assert err.value.stage == "shipping"
+    assert _written_state(consortium, tag) == before
+    assert not consortium.chain.pool
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result, outcomes[-1].details) == (
+        ValidationLayer.ON_CHAIN, attack, details)
+
+
+def _insider(consortium, tag, kind, value):
+    """One edit of W1's tag or database row; returns the tag presented next."""
+    record = consortium.db.get("W1")
+    if kind == "clone":
+        return counterfeit_copy(tag, randbytes=consortium.randbytes)
+    if kind == "tag_field":
+        tamper_payload(tag, **dict([value]))
+    elif kind == "tag_reads":
+        tag.read_counter += value
+    elif kind == "bumped_reads":
+        bump_reads(consortium, tag)
+    elif kind == "pedigree":
+        record.pedigree_data["vintage"] = value
+    elif kind == "row_tag_uid":  # the presented tag's, a clone's after a clone
+        record.tag_uid = tag.tag_id
+    elif kind in ("write_counter", "read_counter"):
+        setattr(record, kind, getattr(record, kind) + value)
+    elif kind == "last_signature":
+        record.last_signature = value
+    else:  # a re-signed tag
+        resign(consortium, tag, consortium.services[value]._key if value in
+               consortium.services else consortium.add_consumer(value))
+    return tag
+
+
+_INSIDER_EDITS = st.one_of(
+    st.tuples(st.just("clone"), st.none()),
+    st.tuples(st.just("tag_field"), st.tuples(
+        st.sampled_from(_PAYLOAD_KEYS), st.sampled_from(["W1", "W2", 1, 2, "00" * 65]))),
+    st.tuples(st.sampled_from(["tag_reads", "write_counter", "read_counter"]),
+              st.integers(-1, 1)),
+    st.tuples(st.just("pedigree"), st.sampled_from([2019, 1899])),
+    st.tuples(st.sampled_from(["row_tag_uid", "bumped_reads"]), st.none()),
+    st.tuples(st.just("last_signature"), st.just("00" * 65)),
+    st.tuples(st.just("resign"), st.sampled_from(["maker", "dist", "mallory"])))
+
+
+@seed(34)
+@settings(max_examples=150, deadline=None, database=None)
+@given(edits=st.lists(_INSIDER_EDITS, min_size=1, max_size=3),
+       append=st.sampled_from(["accept", "ship"]))
+def test_an_append_is_refused_exactly_where_a_scan_would_flag(edits, append):
+    """After any edits of the tag and the database row, dist's accept or the
+    maker's shipment is refused exactly when a scan of a copy fails, and a
+    refused append writes nothing anywhere."""
+    consortium, tag, session = _scanned_wine()
+    for kind, value in edits:
+        tag = _insider(consortium, tag, kind, value)
+    twin, twin_tag = copy.deepcopy((consortium, tag))
+    flagged = not twin.services["retail"].validate_record_flow(twin_tag)[0][-1].passed
+    before = (_written_state(consortium, tag), list(consortium.chain.pool))
+    try:
+        if append == "accept":
+            flow = consortium.services["dist"].accept_record_flow(tag, session)
+        else:
+            flow = consortium.services["maker"].ship_record_flow(tag)
+    except FlowError:
+        assert flagged
+        assert (_written_state(consortium, tag), list(consortium.chain.pool)) == before
+    else:
+        assert not flagged
+        consortium.run_until_idle()
+        assert flow.status == "ok"
 
 
 # -- admin operations ------------------------------------------------------------------------------
@@ -1365,6 +1504,7 @@ def test_work_on_a_copy_leaves_the_template_as_it_was(consortium):
     tag, _ = create_wine(twin)
     dist = twin.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
+    twin.run_until_idle()
     dist.accept_record_flow(tag, session)
     twin.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     vault = twin.services["maker"].vault

@@ -232,21 +232,39 @@ def test_a_scan_failed_at_the_content_store_leaves_the_tag_for_the_next_scan():
 
 
 def test_a_scan_in_the_creates_own_tick_leaves_a_later_scan_passing():
-    # the first scan runs before the create is mined and is flagged as
-    # "wine identifier not found on-chain": a spurious attack, the open
-    # defect of a scan of a pooled create. It counts no read, so the scan
-    # after the block passes with the tag, the database and the chain in step
+    # the first scan runs before the create is mined: the chain is not yet the
+    # record's to judge against, so the scan is refused as pending, logs no
+    # attack, flags nothing and counts no read; the scan after the block passes
     raw = {"seed": 3, "members": THREE, "steps": [
         {"at": 2, "actor": "maker", "action": "create_record", "params": {"wine_id": "W1"}},
-        {"at": 2, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}},
+        {"at": 2, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"},
+         "expect_error": "chain-pending: a transaction for 'W1' is not yet mined"},
         {"at": 6, "actor": "dist", "action": "validate_record", "params": {"wine_id": "W1"}}],
         "expectations": [{"kind": "last_validation", "wine_id": "W1", "result": "pass"},
-                         {"kind": "counters_in_sync", "wine_id": "W1"}]}
+                         {"kind": "counters_in_sync", "wine_id": "W1"},
+                         {"kind": "no_attacks"}]}
     report = run_scenario(scenario_from_dict(raw))
     assert report.passed, report.render_text()
-    assert [(e["attack_class"], e["layer"], e["details"]) for e in report.attack_log] == [
-        ("modification", "on_chain", "wine identifier not found on-chain")]
-    assert report.records["W1"]["read_counter"] == 1
+    assert report.attack_log == [] and not report.notifications
+    assert (report.records["W1"]["read_counter"], report.records["W1"]["flags"]) == (1, 0)
+
+
+def test_two_scans_in_one_tick_flag_nothing():
+    # retail's scan meets dist's pooled read: it is refused as pending, not
+    # logged as a reapplication, and both later scans pass
+    steps = [Step(2, "maker", "create_record", {"wine_id": "W1"}),
+             Step(5, "dist", "validate_record", {"wine_id": "W1"}),
+             Step(5, "retail", "validate_record", {"wine_id": "W1"},
+                  expect_error="not yet mined"),
+             Step(7, "retail", "validate_record", {"wine_id": "W1"}),
+             Step(9, "dist", "accept_record", {"wine_id": "W1"}),
+             Step(11, "retail", "validate_record", {"wine_id": "W1"})]
+    report = run_scenario(simple_scenario(steps, [
+        {"kind": "no_attacks"}, {"kind": "last_validation", "wine_id": "W1"},
+        {"kind": "record_status", "wine_id": "W1", "equals": "accepted"},
+        {"kind": "counters_in_sync", "wine_id": "W1"}]))
+    assert report.passed, report.render_text()
+    assert (report.records["W1"]["read_counter"], report.records["W1"]["flags"]) == (3, 0)
 
 
 def test_a_refused_duplicate_create_keeps_the_wines_tag():
