@@ -89,19 +89,9 @@ def _cmd_query(args) -> int:
                 on_chain = chain.call_view("get_record", {"wine_id": args.wine_id})
             except ContractError:  # the chain refused it; the record stays for audit
                 on_chain = None
-            latest = record.transaction_data[-1] if record.transaction_data else {}
-            print(json.dumps({
-                "wine_id": record.wine_id,
-                "status": record.wine_status.value,
-                "pedigree_data": record.pedigree_data,
-                "write_counter": record.write_counter,
-                "read_counter": record.read_counter,
-                "custodian": record.custodian_address,
-                "tx_hash": latest.get("tx_hash"),
-                "block_number": latest.get("block_number"),
-                "on_chain": on_chain,
-                "unsuccessful_validations": record.unsuccessful_validation_data,
-            }, indent=2))
+            print(json.dumps({**record.view(), "on_chain": on_chain,
+                              "unsuccessful_validations": record.unsuccessful_validation_data},
+                             indent=2))
         elif args.what == "peers":
             print(json.dumps(chain.call_view("get_peers", {}), indent=2))
         elif args.what == "validators":

@@ -8,8 +8,14 @@ state-root agreement rely on.
 import json
 from typing import Any
 
+from .errors import EncodingError
+
 
 def canonical_json_bytes(value: Any) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    """``EncodingError`` for what JSON or UTF-8 cannot encode, such as a set or a lone surrogate."""
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError is a ValueError
+        raise EncodingError(f"value has no canonical encoding: {exc}") from exc
 

@@ -46,11 +46,7 @@ class TagLockedError(DnasError):
 
 
 class TagStateError(DnasError):
-    """Tag operation invalid in the tag's current state. When a written tag's
-    payload does not parse, ``wine_id`` is the payload's wine id if that is a
-    string."""
-
-    wine_id = None
+    """Tag operation invalid in the tag's current state."""
 
 
 class RoleError(DnasError):

@@ -23,6 +23,7 @@ from .keccak import keccak256
 
 SIGN_PREFIX = b"\x19Ethereum Signed Message:\n"
 _LOWER_HEX = "0123456789abcdef"
+WINE_ID_BYTES = 64  # JSON-escaped on a tag, 6 bytes to 1, it leaves room for a 300-digit counter
 
 _KDF_N = 2**14
 _KDF_R = 8
@@ -109,9 +110,11 @@ def derive_address(public_key: bytes) -> Address:
 def encode_tag_payload(wine_id: str, tag_id: str, device_id: str) -> bytes:
     """The 4-byte big-endian length and UTF-8 bytes of ``wine_id``, then the
     raw 32-byte SHA-256 of the tag uid and of the device id (``hash_identifier``)."""
-    if not wine_id:
-        raise EncodingError("wine_id must be non-empty")
     raw = wine_id.encode("utf-8")
+    if not raw:
+        raise EncodingError("wine_id must be non-empty")
+    if len(raw) > WINE_ID_BYTES:
+        raise EncodingError(f"wine_id is {len(raw)} UTF-8 bytes; at most {WINE_ID_BYTES}")
     out = bytearray(len(raw).to_bytes(4, "big") + raw)
     for name, field in (("tag_id", tag_id), ("device_id", device_id)):
         # bytes.fromhex alone accepts whitespace and upper case, which would
@@ -219,7 +222,10 @@ class SignerDirectory:
 
 def hash_identifier(identifier: str) -> str:
     """Hex SHA-256 of an identifier, the form kept in on-chain mappings."""
-    return hashlib.sha256(identifier.encode("utf-8")).hexdigest()
+    try:
+        return hashlib.sha256(identifier.encode("utf-8")).hexdigest()
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise EncodingError(f"identifier is not valid UTF-8: {exc}") from exc
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

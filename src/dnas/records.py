@@ -51,6 +51,14 @@ class WineRecord:
             "supply_chain_data": self.supply_chain_data,
         })
 
+    def view(self) -> Dict[str, object]:
+        """The record as a full pass returns it and ``dnas query record`` prints it."""
+        latest = self.transaction_data[-1] if self.transaction_data else {}  # the last mined
+        return {"wine_id": self.wine_id, "status": self.wine_status.value,
+                "pedigree_data": dict(self.pedigree_data), "write_counter": self.write_counter,
+                "read_counter": self.read_counter, "custodian": self.custodian_address,
+                "tx_hash": latest.get("tx_hash"), "block_number": latest.get("block_number")}
+
 
 class RecordDatabase:
     """Embedded key-value store of wine records, keyed by wine identifier.

@@ -12,7 +12,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union, get_args, get_origin
 
-from .errors import ScenarioError
+from .encoding import canonical_json_bytes
+from .errors import EncodingError, ScenarioError
 from .service import MemberRole, NodeType
 
 @dataclass
@@ -129,6 +130,7 @@ def _fields(cls) -> Dict[str, object]:
 
 def scenario_from_dict(raw: Dict[str, object], name_hint: str = "scenario") -> Scenario:
     try:
+        canonical_json_bytes(raw)  # a lone surrogate parses as JSON, but encodes nowhere
         raw = {"name": name_hint, "seed": 0, "steps": [], "expectations": [], **raw}
         _check("scenario", raw, _fields(Scenario))
         for index, step in enumerate(raw["steps"]):
@@ -140,7 +142,7 @@ def scenario_from_dict(raw: Dict[str, object], name_hint: str = "scenario") -> S
                                       NodeType(m["node_type"])))
         scenario = Scenario(**{**raw, "members": members,
                                "steps": [Step(**step) for step in raw["steps"]]})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, EncodingError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     scenario.validate()
     return scenario
@@ -160,7 +162,7 @@ def load_scenario(ref: str) -> Scenario:
     if path.exists():
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
             raise ScenarioError(f"cannot parse {ref}: {exc}") from exc
         return scenario_from_dict(raw, name_hint=path.stem)
     candidate = resources.files("dnas").joinpath("scenarios").joinpath(f"{ref}.json")

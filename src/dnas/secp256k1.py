@@ -16,10 +16,9 @@ inversion (Montgomery's simultaneous inversion), and fewer take one mixed
 addition each. Signing sums k*G's at most 22 points by mixed additions;
 verifying against a known key (SEC 1 v2, 4.1.4) sums the at most 55 of
 u1*G and u2*Q in one affine round, then at most 31 mixed additions.
-Recovery's R is fresh, so u2*R builds only the first row of R's 6-bit
-table, by 31 mixed additions and one inversion, and walks the same signed
-digits from the most significant, with six doublings per digit (one chain
-of about 256); u1*G comes from G's table.
+Recovery's R is fresh and has no table, so u2*R is a plain double-and-add
+(about 256 doublings and 128 mixed additions); u1*G comes from G's table.
+Recovery runs only for a signer whose key has no table yet.
 Nonces follow the RFC 6979 HMAC-SHA256 construction so signatures are
 reproducible; produced signatures are canonical (low-s) and recovery and
 verification reject non-canonical input.
@@ -130,11 +129,9 @@ def _affine_sums(firsts: List[Point], seconds: List[Point]) -> Optional[List[Poi
 # Signed fixed-window digits of w bits lie in [-2**(w - 1), 2**(w - 1)]; a
 # negative digit carries one into the next window, so a scalar below N can
 # need 257 bits of windows. A key's table is built once per signer and G's
-# once per process, so G takes the wider windows. Recovery's fresh R builds
-# one row per signature at one mixed addition per point, so it keeps 6 bits.
+# once per process, so G takes the wider windows.
 _KEY_WINDOW = 8
 _G_WINDOW = 12
-_FRESH_WINDOW = 6
 # In CPython an inversion mod P costs about four mixed additions and an
 # affine pair about two thirds of one, so an affine round pays from about 24
 # points; from 32, signing's 22 stay on mixed additions.
@@ -213,22 +210,14 @@ def _mul_fixed(*terms: Tuple[int, KeyTable], acc: _Jac = _INFINITY) -> _Jac:
 
 
 def _mul_fresh(k: int, point: Point) -> _Jac:
-    """k * point for 0 <= k < N and a point with no table: only the first row
-    of its ``key_tables`` of _FRESH_WINDOW bits, built by mixed additions and
-    made affine with one inversion, and _FRESH_WINDOW doublings per digit
-    from the most significant."""
+    """k * point for 0 <= k < N and a point with no table: double-and-add
+    from the most significant bit."""
     x, y = point
-    row = [(x, y, 1)]
-    for _ in range(1, 1 << (_FRESH_WINDOW - 1)):
-        row.append(_jadd_affine(row[-1], x, y))
-    row = _affine_all(row)
     acc = _INFINITY
-    for d in reversed(_signed_digits(k, _FRESH_WINDOW)):
-        for _ in range(_FRESH_WINDOW):
-            acc = _jdouble(acc)
-        if d:
-            x, y = row[abs(d) - 1]
-            acc = _jadd_affine(acc, x, y if d > 0 else P - y)
+    for bit in bin(k)[2:]:
+        acc = _jdouble(acc)
+        if bit == "1":
+            acc = _jadd_affine(acc, x, y)
     return acc
 
 

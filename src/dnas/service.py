@@ -30,7 +30,6 @@ from .errors import (
 from .keccak import keccak256
 from .keys import (
     KeyPair,
-    Signature,
     create_keystore,
     decrypt_keystore,
     generate_keypair,
@@ -39,7 +38,7 @@ from .keys import (
 )
 from .ledger import Chain, GenesisConfig, Receipt, sign_transaction
 from .records import RecordDatabase, WineRecord, WineStatus
-from .tags import NfcTag, encode_payload
+from .tags import NfcTag
 from .vault import VAULT_PREFIX_KEY, Vault, secret_path
 
 
@@ -249,19 +248,17 @@ class BlockchainService:
         record = WineRecord(wine_id=record_fields["wine_id"],
                             pedigree_data=dict(record_fields.get("pedigree_data", {})),
                             tag_uid=tag.tag_id, device_id=device_id)
-        if tag.protection_enabled:  # before the database write, which it would orphan
+        if tag.password is not None:  # before the database write, which a failure would orphan
             raise FlowError("tag-write", "protection already enabled")
-        binding = self._binding(record)
-        try:  # the tag digest (memoised for _write_iteration) and a first payload's
-            # fit on the tag (any signature has its length) first, for the same reason
-            self.chain.runtime.signers.tag_digest(record.wine_id, *binding)
-            encode_payload(record.wine_id, Signature(27, 0, 0), write_counter=1)
+        try:  # for the same reason: the subset's encoding, the binding and the tag
+            # digest (memoised for _write_iteration; it bounds the wine id)
+            record.subset()
+            self.chain.runtime.signers.tag_digest(record.wine_id, *self._binding(record))
             self.consortium.db.create(record)
         except DnasError as exc:
             raise FlowError("off-chain-create", str(exc)) from exc
         record.tag_password = tag.enable_protection(randbytes=self.consortium.randbytes).hex()
-        return self._write_iteration(record, tag, self._key, binding, WineStatus.CREATED,
-                                     self.member_id, "create_wine_record")
+        return self._write_iteration(record, tag, self._key, WineStatus.CREATED, self.member_id)
 
     def accept_record_flow(self, tag: NfcTag, session_id: str,
                            custodian_key: Optional[KeyPair] = None,
@@ -281,11 +278,11 @@ class BlockchainService:
         if timeout is not None and self.consortium.now - session.issued_at > timeout:
             raise FlowError("session", "validation session expired; re-validate first")
         record = self.consortium.db.get(wine_id)
-        binding = self._append_binding(record, tag, "acceptance")
+        self._check_append(record, tag, "acceptance")
         return self._write_iteration(
-            record, tag, custodian_key or self._key, binding,
+            record, tag, custodian_key or self._key,
             WineStatus.SOLD if purchase else WineStatus.ACCEPTED,
-            f"consumer-via-{self.member_id}" if purchase else self.member_id, "append_wine_record")
+            f"consumer-via-{self.member_id}" if purchase else self.member_id)
 
     def ship_record_flow(self, tag: NfcTag) -> FlowReceipt:
         """The custodian hands its wine to a carrier: a write iteration under
@@ -298,21 +295,19 @@ class BlockchainService:
             raise FlowError("shipping", str(exc)) from exc
         if record.custodian_address != self.address:
             raise FlowError("shipping", f"{self.member_id} is not the record's custodian")
-        binding = self._append_binding(record, tag, "shipping")
-        return self._write_iteration(record, tag, self._key, binding, WineStatus.IN_TRANSIT,
-                                     self.member_id, "append_wine_record")
+        self._check_append(record, tag, "shipping")
+        return self._write_iteration(record, tag, self._key, WineStatus.IN_TRANSIT, self.member_id)
 
-    def _append_binding(self, record: WineRecord, tag: NfcTag, stage: str) -> Tuple[str, str]:
-        """Every append's pre-write check; returns the binding it sends. A write
-        must not re-anchor a tampered copy, so it refuses a flagged or failed
-        record and any record and tag a scan would flag (``_check_record``)."""
+    def _check_append(self, record: WineRecord, tag: NfcTag, stage: str) -> None:
+        """Every append's pre-write check. A write must not re-anchor a tampered
+        copy, so it refuses a flagged or failed record and any record and tag a
+        scan would flag (``_check_record``)."""
         if record.wine_status is WineStatus.FLAGGED:
             raise FlowError(stage, "flagged records take no further writes")
         if record.wine_status is WineStatus.ERROR:
             raise FlowError(stage, "record is in an error state")
         if (failure := self._check_record(record, tag)) is not None:
             raise FlowError(stage, failure[2])
-        return self._binding(record)
 
     # proxy method -> (content-hash parameter, flow stage, transaction_data
     # event, notice sent when the chain refuses the call)
@@ -327,20 +322,20 @@ class BlockchainService:
                        WineStatus.ACCEPTED: "accepted", WineStatus.SOLD: "purchased"}
 
     def _write_iteration(self, record: WineRecord, tag: NfcTag, key: KeyPair,
-                         binding: Tuple[str, str], status: WineStatus, holder: str,
-                         method: str) -> FlowReceipt:
+                         status: WineStatus, holder: str) -> FlowReceipt:
         """One write iteration of a record: ``key`` signs the digest of the wine
-        id and ``binding`` (the record's hashed tag and device, digested once per
-        chain), the tag and record take the signature and next write counter, the
-        record takes ``status`` and logs its event, ``holder``, ``key``'s address and
-        the time, the subset is pinned, and the proxy call is submitted. The flow
-        completes on the receipt, in ``_finish_write``; a failed one unpins the
-        subset, marks the record ``ERROR`` and sends the method's failure notice,
-        if it has one."""
+        id and the record's binding (digested once per chain), the tag and record
+        take the signature and next write counter, the record takes ``status`` and
+        logs its event, ``holder``, ``key``'s address and the time, the subset is
+        pinned, and the proxy call is submitted: the create for ``CREATED``, else
+        the append. The flow completes on the receipt, in ``_finish_write``; a
+        failed one unpins the subset, marks the record ``ERROR`` and sends the
+        method's failure notice, if it has one."""
+        method = "create_wine_record" if status is WineStatus.CREATED else "append_wine_record"
         hash_param = self._ITERATIONS[method][0]
         wine_id = record.wine_id
         flow = FlowReceipt(wine_id=wine_id)
-        hashed_tag, hashed_device = binding
+        hashed_tag, hashed_device = self._binding(record)
         signature = sign_tag_payload(
             self.chain.runtime.signers.tag_digest(wine_id, hashed_tag, hashed_device), key)
         write_counter = record.write_counter + 1
@@ -448,17 +443,7 @@ class BlockchainService:
         record.read_counter += 1
         self._sessions[wine_id] = ValidationSession(session_id=session_id,
                                                     issued_at=self.consortium.now)
-        latest_tx = record.transaction_data[-1] if record.transaction_data else {}
-        view = {
-            "wine_id": wine_id,
-            "pedigree_data": dict(record.pedigree_data),
-            "wine_status": record.wine_status.value,
-            "tx_hash": latest_tx.get("tx_hash"),
-            "block_number": latest_tx.get("block_number"),
-            "write_counter": record.write_counter,
-            "read_counter": record.read_counter,
-        }
-        return outcomes, view, session_id
+        return outcomes, record.view(), session_id
 
     def _binding(self, record: WineRecord) -> Tuple[str, str]:
         """The SHA-256 of the record's tag uid and of its device id

@@ -1,7 +1,8 @@
 """Simulated NTAG-216-style NFC tags.
 
 7-byte UID fixed at manufacture, 888 bytes of usable memory, an optional
-4-byte password lock, and hardware-style counters: the write counter keeps
+4-byte password (a tag is locked once its password is set, as on NXP's
+NTAG213/215/216), and hardware-style counters: the write counter keeps
 the highest value written, and the read counter moves only on ``read``. A
 scan's checks and a write's pre-check ``peek``; only a scan's full pass reads.
 """
@@ -27,31 +28,25 @@ def _parse_payload(memory: bytes) -> Tuple[str, Signature, int]:
     object with exactly those keys, a non-empty string wine id, 130 lowercase
     hex characters of signature and a non-negative integer counter. Empty
     memory raises ``TagStateError`` "tag has never been written"; anything
-    else raises it as "tag payload does not parse", with ``wine_id`` the
-    payload's wine id when that is a string."""
+    else raises it as "tag payload does not parse"."""
     if not memory:
         raise TagStateError("tag has never been written")
-    claimed = None
     try:
         fields = json.loads(memory)
         if not isinstance(fields, dict):
             raise ValueError("not a JSON object")
-        if isinstance(fields.get("wine_id"), str):
-            claimed = fields["wine_id"]
         if fields.keys() != _PAYLOAD_KEYS:
             raise ValueError(f"keys are not {sorted(_PAYLOAD_KEYS)}")
-        signature, counter = fields["signature"], fields["write_counter"]
-        if not claimed:
+        wine_id, signature, counter = fields["wine_id"], fields["signature"], fields["write_counter"]
+        if not isinstance(wine_id, str) or not wine_id:
             raise ValueError("wine_id is not a non-empty string")
         if not isinstance(signature, str) or not _SIGNATURE_HEX.fullmatch(signature):
             raise ValueError("signature is not 130 lowercase hex characters")
         if type(counter) is not int or counter < 0:
             raise ValueError("write_counter is not a non-negative integer")
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        error = TagStateError(f"tag payload does not parse: {exc}")
-        error.wine_id = claimed
-        raise error from exc
-    return claimed, Signature.from_bytes(bytes.fromhex(signature)), counter
+        raise TagStateError(f"tag payload does not parse: {exc}") from exc
+    return wine_id, Signature.from_bytes(bytes.fromhex(signature)), counter
 
 
 def encode_payload(wine_id: str, signature: Signature, write_counter: int) -> bytes:
@@ -67,15 +62,11 @@ def encode_payload(wine_id: str, signature: Signature, write_counter: int) -> by
 class TagReadout:
     """Everything a scan returns: payload fields, identity, counters."""
 
-    uid: bytes
+    tag_id: str
     wine_id: str
     signature: Signature
     write_counter: int
     read_counter: int
-
-    @property
-    def tag_id(self) -> str:
-        return self.uid.hex()
 
 
 class NfcTag:
@@ -86,8 +77,7 @@ class NfcTag:
             raise TagStateError(f"uid must be {UID_BYTES} bytes, got {len(uid)}")
         self._uid = uid
         self.memory: bytes = b""
-        self.password: Optional[bytes] = None
-        self.protection_enabled = False
+        self.password: Optional[bytes] = None  # the lock: set once, by enable_protection
         self.write_counter = 0
         self.read_counter = 0
 
@@ -96,7 +86,7 @@ class NfcTag:
         return self._uid.hex()
 
     def _check_password(self, password: Optional[bytes]) -> None:
-        if self.protection_enabled and password != self.password:
+        if self.password is not None and password != self.password:
             raise TagLockedError("tag is password protected")
 
     def write(self, wine_id: str, signature: Signature, write_counter: int,
@@ -107,17 +97,17 @@ class NfcTag:
 
     def peek_wine_id(self) -> str:
         """Wine identifier from the unprotected header area; readable without
-        authentication so a scanner can resolve the record password. A tag
-        never written, or whose payload names no string wine id, raises
-        ``TagStateError``; a string wine id is returned even when the rest of
-        the payload does not parse, so that the caller reaches the record and
-        ``peek`` refuses the tag there."""
+        authentication so a scanner can resolve the record password. A string
+        wine id is returned even when the rest of the payload does not parse,
+        so that the caller reaches the record and ``peek`` refuses the tag
+        there; a tag never written, or whose payload names no string wine id,
+        raises ``TagStateError``."""
         try:
-            return _parse_payload(self.memory)[0]
-        except TagStateError as exc:
-            if exc.wine_id is None:
-                raise
-            return exc.wine_id
+            wine_id = json.loads(self.memory).get("wine_id")
+        except (ValueError, RecursionError, AttributeError):  # not JSON, or not an object
+            wine_id = None
+        # with no string wine id, the payload does not parse: the strict parser raises
+        return wine_id if isinstance(wine_id, str) else _parse_payload(self.memory)[0]
 
     def read(self, password: Optional[bytes] = None) -> TagReadout:
         readout = self.peek(password)
@@ -131,15 +121,14 @@ class NfcTag:
         A tag never written, or whose payload does not parse, raises ``TagStateError``."""
         self._check_password(password)
         wine_id, signature, write_counter = _parse_payload(self.memory)
-        return TagReadout(uid=self._uid, wine_id=wine_id, signature=signature,
+        return TagReadout(tag_id=self.tag_id, wine_id=wine_id, signature=signature,
                           write_counter=write_counter, read_counter=self.read_counter)
 
     def enable_protection(self, randbytes: Callable[[int], bytes]) -> bytes:
         """Locks the tag behind a fresh random 4-byte password and returns it."""
-        if self.protection_enabled:
+        if self.password is not None:
             raise TagStateError("protection already enabled")
         self.password = randbytes(PASSWORD_BYTES)
-        self.protection_enabled = True
         return self.password
 
 
@@ -148,7 +137,6 @@ def counterfeit_copy(source: NfcTag, randbytes: Callable[[int], bytes]) -> NfcTa
     copy = NfcTag(uid=randbytes(UID_BYTES))
     copy.memory = source.memory
     copy.password = source.password
-    copy.protection_enabled = source.protection_enabled
     copy.write_counter = source.write_counter
     copy.read_counter = source.read_counter
     return copy

@@ -115,7 +115,7 @@ def _mutated_scenarios(draw):
     if mutation == "drop":
         del target[key]
     else:
-        target[key] = draw(st.sampled_from([None, True, 0, "", [], ["W1"], {}]))
+        target[key] = draw(st.sampled_from([None, True, 0, "", [], ["W1"], {}, "\ud800"]))
     return scenario
 
 
@@ -127,6 +127,24 @@ def test_a_mutated_bundled_scenario_runs_or_is_refused_without_a_traceback(tmp_p
     path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("old, new, codes", [
+    ('"seed": 11', '"seed": ' + "7" * 5000, (0, 1, 2)),  # past the int-string limit, if any
+    ('"vintage": 2019', '"vintage": ' + "7" * 5000, (0, 1, 2)),
+    ('"vintage": 2019', '"vintage": ' + "[" * 100_000 + "]" * 100_000, (2,)),
+    ('"vintage": 2019', '"vintage": "\\ud800"', (2,)),
+    ('"wine_id": "W1"', '"wine_id": "W\\ud800"', (2,)),
+], ids=["long_seed", "long_pedigree_value", "deep_nesting", "surrogate_pedigree_value",
+        "surrogate_wine_id"])
+def test_a_scenario_that_json_or_utf8_refuses_exits_without_a_traceback(tmp_path, capsys,
+                                                                        old, new, codes):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_BUNDLED["happy_path"]).replace(old, new, 1))
+    code = main(["run", str(path)])
+    assert code in codes
+    if code == 2:
+        assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 def test_failed_expectation_exit_code(tmp_path, capsys):

@@ -199,7 +199,6 @@ def test_order_matches_openssl_boundary():
 
 _W = secp256k1._KEY_WINDOW  # a key's table
 _GW = secp256k1._G_WINDOW
-_FW = secp256k1._FRESH_WINDOW  # recovery's fresh R
 _KEY = ref.point_mul(0xC0FFEE << 200 | 0x5EED, ref.G)
 _BASES = {"G": (ref.G, secp256k1._G_ROWS), "key": (_KEY, secp256k1.key_tables(_KEY))}
 _TOP = (len(_BASES["key"][1]) - 1) * _W  # the lowest bit of a key table's top window
@@ -232,8 +231,9 @@ _MULTIPLY = {
 @example(k=0, base="key", method="fresh")
 @example(k=1, base="key", method="fresh")
 @example(k=secp256k1.N - 1, base="G", method="fresh")
-@example(k=1 << (_FW - 1), base="key", method="fresh")  # a digit of exactly 2**(w - 1)
-@example(k=(1 << _TOP) - 1, base="G", method="fresh")  # all ones: the carry runs into the top window
+@example(k=1 << 255, base="key", method="fresh")  # a single top bit: doublings and one addition
+@example(k=(1 << 255) - 1, base="G", method="fresh")  # all ones: an addition after every doubling
+@example(k=int("10" * 128, 2), base="key", method="fresh")  # alternating bits
 def test_fixed_window_multiply_matches_reference(k, base, method):
     point, rows = _BASES[base]
     assert secp256k1._to_affine(_MULTIPLY[method](k, point, rows)) == ref.point_mul(k, point)

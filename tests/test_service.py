@@ -372,7 +372,7 @@ def test_create_flow_happy_path(consortium):
     record = consortium.db.get("W1")
     assert record.wine_status is WineStatus.CREATED
     assert record.write_counter == 1
-    assert tag.protection_enabled
+    assert tag.password is not None
     receipt = consortium.chain.query_tx(flow.tx_hash)
     assert receipt.events[0].kind == "WineRecordCreated"
 
@@ -451,24 +451,50 @@ def test_a_create_with_an_empty_wine_id_leaves_no_record_and_an_unlocked_tag(con
     with pytest.raises(FlowError, match="wine_id must be non-empty"):
         consortium.services["maker"].create_record_flow({"wine_id": ""}, tag, "device-maker")
     assert consortium.db.wine_ids() == []
-    assert not tag.protection_enabled and tag.memory == b"" and tag.write_counter == 0
+    assert tag.password is None and tag.memory == b"" and tag.write_counter == 0
     assert not consortium.chain.pool
     assert all(not consortium.store.pinned(node) for node in consortium.store.members())
 
 
 def test_a_create_whose_payload_overflows_the_tag_leaves_no_record_and_an_unlocked_tag(
         consortium):
-    # 711 ASCII characters make a first write's payload exactly the tag's 888 bytes
-    tag, _ = create_wine(consortium, wine_id="W" * 711)
-    assert len(tag.memory) == TAG_MEMORY_BYTES
-    blank, pool = NfcTag(uid=consortium.randbytes(7)), list(consortium.chain.pool)
-    with pytest.raises(FlowError, match="payload is 889 bytes; tag holds 888"):
-        consortium.services["maker"].create_record_flow({"wine_id": "X" * 712}, blank,
+    # a wine id is bounded at 64 UTF-8 bytes, so that every later write fits its tag
+    blank = NfcTag(uid=consortium.randbytes(7))
+    with pytest.raises(FlowError, match="wine_id is 65 UTF-8 bytes; at most 64"):
+        consortium.services["maker"].create_record_flow({"wine_id": "X" * 65}, blank,
                                                         "device-maker")
-    assert consortium.db.wine_ids() == ["W" * 711]
-    assert not blank.protection_enabled and blank.memory == b""
-    assert list(consortium.chain.pool) == pool
-    create_wine(consortium, wine_id="X" * 711)  # a shorter id fits the same kind of tag
+    assert consortium.db.wine_ids() == []
+    assert blank.password is None and blank.memory == b""
+    assert not consortium.chain.pool
+    # 64 characters that JSON escapes to six bytes each: the longest payload a wine id makes
+    tag, _ = create_wine(consortium, wine_id="\x00" * 64)
+    for _ in range(12):
+        flow = consortium.services["maker"].ship_record_flow(tag)
+        consortium.run_until_idle()
+        assert flow.status == "ok"
+    assert json.loads(tag.memory)["write_counter"] == 13
+    assert len(tag.memory) + 300 < TAG_MEMORY_BYTES  # room for a counter of 300 more digits
+
+
+@pytest.mark.parametrize("fields, device_id", [
+    ({"wine_id": "W1", "pedigree_data": {"lots": {1, 2}}}, "device-maker"),
+    ({"wine_id": "W1", "pedigree_data": {"v": "\udfff"}}, "device-maker"),
+    ({"wine_id": "W1"}, "device-\ud800"),
+    ({"wine_id": "W\ud800"}, "device-maker"),
+], ids=["set_pedigree", "surrogate_pedigree", "surrogate_device", "surrogate_wine_id"])
+def test_a_create_that_cannot_be_encoded_leaves_no_record_and_an_unlocked_tag(
+        consortium, fields, device_id):
+    # the binding, tag digest and subset are derived before the database write
+    tag = NfcTag(uid=consortium.randbytes(7))
+    with pytest.raises(FlowError) as err:
+        consortium.services["maker"].create_record_flow(fields, tag, device_id)
+    assert err.value.stage == "off-chain-create"
+    assert consortium.db.wine_ids() == []
+    assert tag.password is None and tag.memory == b""
+    assert not consortium.chain.pool
+    flow = consortium.services["maker"].create_record_flow({"wine_id": "W1"}, tag, "device-maker")
+    consortium.run_until_idle()
+    assert flow.status == "ok"
 
 
 # -- validation flow ---------------------------------------------------------------------------
@@ -481,7 +507,8 @@ def test_validation_happy_path_counters(consortium):
     assert [o.layer for o in outcomes] == [ValidationLayer.OFF_CHAIN_DB,
                                            ValidationLayer.ON_CHAIN,
                                            ValidationLayer.CONTENT_STORE]
-    assert view["wine_status"] == "created"
+    assert view["status"] == "created"
+    assert view["custodian"] == consortium.services["maker"].address
     assert view["tx_hash"] and view["block_number"]
     assert session is not None
     assert consortium.counters_in_sync("W1", tag)
@@ -971,7 +998,7 @@ def test_consumer_purchase_and_post_sale_transfer(consortium):
     outcomes, view, _ = shared.validate_record_flow(tag)
     consortium.run_until_idle()
     assert all(o.passed for o in outcomes)
-    assert view["wine_status"] == "sold"
+    assert view["status"] == "sold"
     assert consortium.counters_in_sync("W1", tag)
 
 
@@ -1010,7 +1037,7 @@ def test_a_shipped_wine_validates_and_is_accepted(consortium):
     dist = consortium.services["dist"]
     outcomes, view, session = dist.validate_record_flow(tag)
     assert all(o.passed for o in outcomes)
-    assert view["wine_status"] == "in_transit"
+    assert view["status"] == "in_transit"
     consortium.run_until_idle()
     dist.accept_record_flow(tag, session)
     consortium.run_until_idle()

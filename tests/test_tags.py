@@ -42,7 +42,7 @@ def test_fresh_tag_write_then_read(tag, signature):
     assert out.wine_id == "W1"
     assert out.signature == signature
     assert out.write_counter == 1
-    assert out.uid == bytes(range(7))
+    assert out.tag_id == bytes(range(7)).hex()
 
 
 def test_write_counter_never_decreases(tag, signature):
@@ -151,13 +151,12 @@ def test_signature_roundtrip_through_tag(tag):
 def test_only_the_exact_payload_parses(tag, signature, change, named):
     """``peek`` reads only an object with exactly a non-empty string wine id,
     130 lowercase hex characters of signature and a non-negative integer
-    counter. A string wine id, the empty one included, travels on the error,
-    and ``peek_wine_id`` returns it, so that a scan still names its record."""
+    counter. ``peek_wine_id`` returns a string wine id, the empty one
+    included, so that a scan still names its record."""
     tag.write("W1", signature, write_counter=1)
     tag.memory = canonical_json_bytes({**json.loads(tag.memory), **change})
-    with pytest.raises(TagStateError, match="tag payload does not parse") as err:
+    with pytest.raises(TagStateError, match="tag payload does not parse"):
         tag.peek()
-    assert err.value.wine_id == named
     if named is not None:
         assert tag.peek_wine_id() == named
     else:
