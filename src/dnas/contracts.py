@@ -375,7 +375,6 @@ class ContractRuntime:
     to the proxy, which takes its methods from the current implementation."""
 
     def __init__(self, admin: str, bootstrap_count: int = 5):
-        self.admin = admin
         self.touched: Set[str] = set()  # state keys written since the last state root
         self.signers = SignerDirectory()  # the owning node's, shared with its chain
         self.registry = PeerRegistryContract(admin=admin, bootstrap_count=bootstrap_count)

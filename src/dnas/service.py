@@ -245,8 +245,12 @@ class BlockchainService:
         self._require_member()
         if self.role is not MemberRole.WINEMAKER:
             raise FlowError("peer-validate", "record creation is a winemaker operation")
-        record = WineRecord(wine_id=record_fields["wine_id"],
-                            pedigree_data=dict(record_fields.get("pedigree_data", {})),
+        wine_id, pedigree = record_fields.get("wine_id"), record_fields.get("pedigree_data", {})
+        if not (isinstance(wine_id, str) and isinstance(device_id, str)
+                and isinstance(pedigree, dict)):
+            raise FlowError("off-chain-create", "wine_id and device_id must be strings "
+                            "and pedigree_data an object")
+        record = WineRecord(wine_id=wine_id, pedigree_data=dict(pedigree),
                             tag_uid=tag.tag_id, device_id=device_id)
         if tag.password is not None:  # before the database write, which a failure would orphan
             raise FlowError("tag-write", "protection already enabled")
@@ -392,7 +396,7 @@ class BlockchainService:
         store.unpin(holder, content_id)
         record.wine_status = WineStatus.ERROR
         if failure_notice is not None:
-            self.consortium.notify({
+            self.consortium.notifications.append({
                 "type": failure_notice, "wine_id": record.wine_id, "stage": chain_stage,
                 "error": receipt.error, "tag_reissue": record.tag_uid,
                 "at": self.consortium.now,
@@ -430,7 +434,7 @@ class BlockchainService:
                     "details": details, "timestamp": self.consortium.now,
                 })
                 record.wine_status = WineStatus.FLAGGED
-            self.consortium.notify({
+            self.consortium.notifications.append({
                 "type": "record_flagged", "wine_id": wine_id,
                 "attack_class": attack.value, "layer": layer.value,
                 "details": details, "at": self.consortium.now,
@@ -454,10 +458,10 @@ class BlockchainService:
             Tuple[ValidationLayer, AttackClass, str]]:
         """The three layers in order, reading each source once: a peek at the
         tag (no read counted) against the database record, both against the
-        chain, then the record's subset against the chain's hash and the store.
-        Returns the first failure as (layer, attack, details), or None. While
-        the pool holds a transaction for the wine, the chain is not yet the
-        record's to judge against: raises ``FlowError``."""
+        chain, then the record's subset id against the chain's, which the store
+        must serve. Returns the first failure as (layer, attack, details), or
+        None. While the pool holds a transaction for the wine, the chain is not
+        yet the record's to judge against: raises ``FlowError``."""
         off_chain, on_chain, content_store = ValidationLayer
         modified, cloned, reapplied = (AttackClass.MODIFICATION, AttackClass.CLONING,
                                        AttackClass.REAPPLICATION)
@@ -497,17 +501,14 @@ class BlockchainService:
                 "wine_id": wine_id, "v": sig.v, "r": sig.r, "s": sig.s}):
             return on_chain, modified, "recovered public address does not match on-chain custodian"
 
-        subset = record.subset()
-        cid = ContentId.for_content(subset)
+        cid = ContentId.for_content(record.subset())
         if not self.chain.call_view("validate_wine_record_hash", {
                 "wine_id": wine_id, "wine_data_hash": cid.text}):
             return content_store, modified, "database subset hash differs from on-chain hash"
-        try:  # the chain's latest id is this one, so the fetch decodes no base58
-            fetched = self.consortium.store.get(self.store_node_id, cid)
+        try:  # the store serves only bytes that hash to this id, the chain's latest
+            self.consortium.store.get(self.store_node_id, cid)
         except DnasError as exc:
             return content_store, modified, f"stored subset unavailable: {exc}"
-        if fetched != subset:
-            return content_store, modified, "stored subset bytes differ from the database"
         return None
 
 
@@ -545,7 +546,6 @@ class Consortium:
         admin = self.shared_service
         self.chain = Chain(genesis, contract_admin=admin.address,
                            bootstrap_count=bootstrap_count)
-        self._store_deployment_secret(admin)
         # registry bootstrap: the administrator inserts the initial members
         for service in services:
             admin.submit_tx("registry", "bootstrap_add_peer",
@@ -582,22 +582,6 @@ class Consortium:
         service = BlockchainService(self, member_id, role, node_type, vault, session, password)
         self.services[member_id] = service
         return service
-
-    def _store_deployment_secret(self, admin: BlockchainService) -> None:
-        # contract addresses are synthesized deterministically from the owner
-        def contract_address(name: str) -> str:
-            return "0x" + keccak256(f"{admin.address}:{name}".encode())[-20:].hex()
-        proxy_address = contract_address("proxy")
-        vault = admin.vault
-        self.deployment_secret_path = f"{VAULT_PREFIX_KEY}/{proxy_address}"
-        operator = vault.issue_token([VAULT_PREFIX_KEY], lease_seconds=None)  # root-scoped
-        vault.put(operator, self.deployment_secret_path, {
-            "kind": "SCDeploymentSecret",
-            "proxy": proxy_address,
-            "wine_data_contract": contract_address("winedata-v1"),
-            "peer_registry_contract": contract_address("registry"),
-            "owner": admin.address,
-        })
 
     # -- membership ------------------------------------------------------------------
 
@@ -638,9 +622,6 @@ class Consortium:
     def track_receipt(self, tx_hash: str, callback: Callable[..., None], *args) -> None:
         """Call ``callback(*args, receipt)`` once the transaction's receipt is delivered."""
         self._receipt_watchers.setdefault(tx_hash, []).append((callback, args))
-
-    def notify(self, payload: Dict[str, object]) -> None:
-        self.notifications.append(payload)
 
     def dispatcher(self, fn: Callable[..., None], *args) -> None:
         """Deliver ``fn(*args)`` on the next tick: a block's receipts and events

@@ -8,7 +8,7 @@ owner copies it whole.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import AuthError, NotFoundError
 
@@ -18,7 +18,7 @@ VAULT_PREFIX_KEY = "dnas"
 @dataclass
 class _TokenRecord:
     policies: Tuple[str, ...]
-    lease_expiry: Optional[float]  # None: never expires (root tokens)
+    lease_expiry: float
 
 
 @dataclass
@@ -45,10 +45,9 @@ class Vault:
 
     # -- provisioning (vault operator surface) --------------------------------
 
-    def issue_token(self, policies: List[str], lease_seconds: Optional[float] = None) -> str:
+    def issue_token(self, policies: List[str], lease_seconds: float = 3600.0) -> str:
         token = self._new_token()
-        expiry = self._clock() + lease_seconds if lease_seconds is not None else None
-        self._tokens[token] = _TokenRecord(tuple(policies), expiry)
+        self._tokens[token] = _TokenRecord(tuple(policies), self._clock() + lease_seconds)
         return token
 
     def create_approle(self, policies: List[str], lease_seconds: float = 3600.0) -> Tuple[str, str]:
@@ -85,7 +84,7 @@ class Vault:
         record = self._tokens.get(session)
         if record is None:
             raise AuthError("unknown token")
-        if record.lease_expiry is not None and self._clock() >= record.lease_expiry:
+        if self._clock() >= record.lease_expiry:
             raise AuthError("token lease expired; reauthentication needed")
         for prefix in record.policies:
             if key == prefix or key.startswith(prefix.rstrip("/") + "/"):

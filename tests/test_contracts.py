@@ -19,7 +19,7 @@ from dnas.keys import (
     prefixed_digest,
     sign_tag_payload,
 )
-from dnas.ledger import StateTree
+from dnas.ledger import Chain, GenesisConfig, StateTree, sign_transaction
 
 
 def entry_dict(address, role="participant", member_id="m"):
@@ -365,6 +365,25 @@ def test_bootstrap_stays_closed_after_a_removal(runtime, keys):
 def test_no_bootstrap_stage_without_a_bootstrap_count(keys):
     rt = ContractRuntime(admin=keys["admin"].address.hex0x, bootstrap_count=0)
     assert rt.call_view("in_bootstrap_stage", {}) is False
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"role": "auditor"}, "unknown peer role 'auditor'"),
+    ({"node_id": 7}, "node_id and member_id must be strings"),
+    ({"member_id": None}, "node_id and member_id must be strings"),
+    ({"joined_at": "0"}, "joined_at must be an integer"),
+], ids=["unknown_role", "integer_node_id", "null_member_id", "string_joined_at"])
+def test_a_mistyped_peer_entry_seals_an_error_receipt(keys, change, message):
+    admin = keys["admin"].address.hex0x
+    chain = Chain(GenesisConfig(chain_id=77, period=1, initial_validators=(admin,)),
+                  contract_admin=admin)
+    entry = {**entry_dict(keys["maker"].address.hex0x), **change}
+    tx_hash = chain.submit_transaction(sign_transaction(
+        keys["admin"], 77, "registry", "bootstrap_add_peer", {"entry": entry}, nonce=0))
+    chain.seal_block(admin, timestamp=1)
+    receipt = chain.query_tx(tx_hash)
+    assert (receipt.status, receipt.error) == ("error", message)
+    assert chain.call_view("get_peers", {}) == []
 
 
 def test_bootstrap_admin_only(keys):

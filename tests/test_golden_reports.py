@@ -19,34 +19,34 @@ from dnas.simnet import run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
     ("happy_path", None): (
-        "ec1fee92fd2a74327825a2723d81b3a1c5e3f0a5a1493616e6b2ffb73587314c",
+        "64f07de584cb950fbc1cc9405e7c1ab68023273029341c5080acf6c09494af26",
         "b562af171ead314b0830adecadf8329df89ef0e3f41cf4d35186f206986e3f65"),
     ("happy_path", 101): (
-        "1e3a28c743941e2f75dc8a21386306b13b9936341b66ed660899f68ef688d9a1",
+        "aadc2d1359c8ac84577a0558790e5698762c0288243123a34ad2ef9a71c48af6",
         "b62e315c76c6535e99192dbb61021c1562c391b34bcb71c3d83903375d36bffd"),
     ("cloned_tag", None): (
-        "3d8537aa0f8dad34b0f66c1b67d527d7e11b355f11293e911e3027859bb36dd0",
+        "005691d05037e017887f3686e6c88533416d9c49dc9b8b7831459a17e2b0ec12",
         "07b19b08304c8d47795cf0caa5504a09c7dd2c816244da4b9013fd12a50c8540"),
     ("cloned_tag", 101): (
-        "2a146ba8bf9968cf79047a7a5c9fe308f54a3ffda5b82685836551f86057d1a5",
+        "0538a7edeac9147eff070e50862ddf38a2edc73e4e3394b2f925b60aeb84eab9",
         "94cf406ac75489fd981df3fa9a971bc246d74e96d9548010a61cd8f040690dcb"),
     ("halted_validator", None): (
-        "e83f3774fe376176698e20e649b373badc8bd2b893b9de10dc8fa41cff2a3b44",
+        "ebb097b9d920422f3ef666b5641b991613c886be20cd40db2c850a8ea0618867",
         "cd34baf2eeed19cdb847aeaccacd0834dc7a5b34b51c89e02fce48e61bf52bea"),
     ("halted_validator", 101): (
-        "347df5aac9bc459c0219700741a2524e3faca122faaf9787402cfd85c9d7b695",
+        "df87d510ecd94ea1da1cfd2ff6f6f314e0c984a6123e1fb5c671aeb49a895313",
         "8108fee4ac3644b2187701de8d6c15d7a3469dedc61a3009dd5d76ef2522ceec"),
     ("governance", None): (
-        "a03dbc006e217e347c86a02cf7588ee9ecd02af1c8acb2553c16ee28f73082e1",
-        "00cf0f755087fe3499d0ec46496df36e2b9f023615a41f9db4ed91577f236785"),
+        "5290f94fec133176ae1e4785c75935b9b86044d59a656876a2a554421c3ba9a2",
+        "1b51b6fa42f69aab1834ce1d5be3c3b3f1d54d7b65485e03d9c668d508cc5f2d"),
     ("governance", 101): (
-        "790faf75e9807ba4036d248e4ff24af7eee102e7d47c734adee8776f641b0807",
-        "1cf1a9b5765464dc1f90e5c3e966a67b207659fcfd9716d2c24f70478bc3d52a"),
+        "97ec52e0508d9907cae63925921c8c2ae5fe068aa3ad398a3fd90d5c2ccf0919",
+        "06fa28203d5ca7a6ec944fdfcd277d3e0fea7b114d8a2167fb571fce5b662254"),
     ("tampering", None): (
-        "c2a6eeee810b5124c1b10ad4634ec618eb83dbbb969a17de15ad43337748e396",
+        "6c851375e0ff26e02aaa048006a233f848ff8ccb0029eec08f017ab68096aec3",
         "6089b7a6e94d1e54e5b0b34b9b0875c2c3d3abe34f75c79fab3715c2d6160684"),
     ("tampering", 101): (
-        "5005fa1eead15ed31ff6e2d2e2724c7ba1706720b3c398527de373f4061cfb23",
+        "e5aa91bfb563fe53c91d438f6bff40dbc1260d818bb769c3cbb24ee94dcfec1f",
         "97f1bfa27a3adda40eba99ecf6db0af526d651cc512641380e7a9d5c37463cb7"),
 }
 

@@ -664,6 +664,25 @@ def test_replica_rejects_unverifiable_transactions(chain, keys, forge, message, 
     assert replica.head.state_root == chain.head.state_root
 
 
+@pytest.mark.parametrize("forge, message", [
+    (lambda block: replace(block, number=block.number + 1), "^expected height 2, got 3$"),
+    (lambda block: replace(block, parent_hash="0x" + "00" * 32),
+     "^parent hash does not match the local head$"),
+], ids=["wrong-height", "other-parent"])
+def test_a_block_off_the_replicas_head_is_refused(chain, keys, forge, message):
+    replica = Chain(chain.genesis, contract_admin=keys[0].address.hex0x, bootstrap_count=5)
+    replica.apply_block(chain.blocks[1])
+    chain.submit_transaction(peer_tx(keys[0], chain))
+    block = chain.seal_block(chain.sealer_at_offset(0), chain.head.timestamp + 1)
+    before = (replica.head.hash, replica.head.state_root)
+    with pytest.raises(SealError, match=message):
+        replica.apply_block(forge(block))
+    assert (replica.head.hash, replica.head.state_root) == before
+    assert rebuilt_root(replica) == before[1]
+    replica.apply_block(block)
+    assert replica.head.hash == chain.head.hash
+
+
 @pytest.mark.parametrize("tamper, error, message", [
     (lambda block: replace(block, state_root="0x" + "00" * 32), SealError,
      "^replayed state root differs"),

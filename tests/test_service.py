@@ -170,7 +170,7 @@ def test_member_onboarded_by_vote_gets_store_node_and_vault_keystore(consortium)
     consortium.run_until_idle()
     service = consortium.services["late"]
     assert "store-late" in consortium.store.members()
-    token = service.vault.issue_token(["dnas"], lease_seconds=None)
+    token = service.vault.issue_token(["dnas"])
     keystore = service.vault.get(token, secret_path("late", "nodekey"))
     assert keystore["address"] == service.address
 
@@ -481,10 +481,17 @@ def test_a_create_whose_payload_overflows_the_tag_leaves_no_record_and_an_unlock
     ({"wine_id": "W1", "pedigree_data": {"v": "\udfff"}}, "device-maker"),
     ({"wine_id": "W1"}, "device-\ud800"),
     ({"wine_id": "W\ud800"}, "device-maker"),
-], ids=["set_pedigree", "surrogate_pedigree", "surrogate_device", "surrogate_wine_id"])
+    # mistyped library input: no AttributeError or TypeError escapes the encoders
+    ({"wine_id": 5}, "device-maker"),
+    ({"wine_id": "W1"}, 5),
+    ({"wine_id": "W1", "pedigree_data": [1]}, "device-maker"),
+    ({"pedigree_data": {}}, "device-maker"),
+], ids=["set_pedigree", "surrogate_pedigree", "surrogate_device", "surrogate_wine_id",
+        "integer_wine_id", "integer_device_id", "list_pedigree", "no_wine_id"])
 def test_a_create_that_cannot_be_encoded_leaves_no_record_and_an_unlocked_tag(
         consortium, fields, device_id):
-    # the binding, tag digest and subset are derived before the database write
+    # the fields are typed, and the binding, tag digest and subset derived, before
+    # the database write
     tag = NfcTag(uid=consortium.randbytes(7))
     with pytest.raises(FlowError) as err:
         consortium.services["maker"].create_record_flow(fields, tag, device_id)
@@ -512,6 +519,13 @@ def test_validation_happy_path_counters(consortium):
     assert view["tx_hash"] and view["block_number"]
     assert session is not None
     assert consortium.counters_in_sync("W1", tag)
+
+
+def test_a_scan_of_a_tag_never_written_is_refused_at_the_tag_read(consortium):
+    with pytest.raises(FlowError, match="tag has never been written$") as err:
+        consortium.services["dist"].validate_record_flow(NfcTag(uid=consortium.randbytes(7)))
+    assert err.value.stage == "tag-read"
+    assert consortium.notifications == []
 
 
 def test_repeated_validations_stay_in_sync(consortium):
@@ -594,12 +608,24 @@ def _tamper_row(consortium, tag):
     consortium.db.get("W1").pedigree_data["vintage"] = 1900
 
 
-@pytest.mark.parametrize("tamper, layer, attack", [
-    (_bump_tag_reads, ValidationLayer.OFF_CHAIN_DB, AttackClass.REAPPLICATION),
-    (_bump_tag_and_row_reads, ValidationLayer.ON_CHAIN, AttackClass.REAPPLICATION),
-    (_tamper_row, ValidationLayer.CONTENT_STORE, AttackClass.MODIFICATION),
-], ids=["off_chain_db", "on_chain", "content_store"])
-def test_a_failed_scan_counts_no_read_in_any_store(consortium, tamper, layer, attack):
+def _corrupt_stored_subsets(consortium, tag):
+    # the store re-verifies every copy it serves, so none of these is returned
+    cid = ContentId.for_content(consortium.db.get("W1").subset())
+    for node_id in consortium.store.holders(cid):
+        consortium.store._nodes[node_id].blocks[cid.text] = b"corrupted"
+
+
+@pytest.mark.parametrize("tamper, layer, attack, details", [
+    (_bump_tag_reads, ValidationLayer.OFF_CHAIN_DB, AttackClass.REAPPLICATION,
+     "read counter differs from the database"),
+    (_bump_tag_and_row_reads, ValidationLayer.ON_CHAIN, AttackClass.REAPPLICATION,
+     "read counter differs from on-chain state"),
+    (_tamper_row, ValidationLayer.CONTENT_STORE, AttackClass.MODIFICATION,
+     "database subset hash differs from on-chain hash"),
+    (_corrupt_stored_subsets, ValidationLayer.CONTENT_STORE, AttackClass.MODIFICATION,
+     "stored subset unavailable: no member holds Qm"),
+], ids=["off_chain_db", "on_chain", "content_store", "stored_copies"])
+def test_a_failed_scan_counts_no_read_in_any_store(consortium, tamper, layer, attack, details):
     # every layer peeks at the tag; only a full pass counts its read, so a
     # failed scan leaves the tag, the database and the chain where they were
     tag, _ = create_wine(consortium)
@@ -615,6 +641,7 @@ def test_a_failed_scan_counts_no_read_in_any_store(consortium, tamper, layer, at
         outcomes, view, session = consortium.services["dist"].validate_record_flow(tag)
         consortium.run_until_idle()
         assert (outcomes[-1].layer, outcomes[-1].result) == (layer, attack)
+        assert outcomes[-1].details.startswith(details)
         assert view is None and session is None
         assert read_counts() == before
 
@@ -1135,6 +1162,23 @@ def test_ship_refuses_a_tampered_tag_and_leaves_the_evidence(consortium, changes
     assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB, attack)
 
 
+def test_a_write_counter_bumped_in_tag_and_row_is_caught_on_chain(consortium):
+    # the tag and the database agree, so only the chain's write count tells
+    tag, _ = create_wine(consortium)
+    record = consortium.db.get("W1")
+    tamper_payload(tag, write_counter=2)
+    record.write_counter = 2
+    message = "write counter differs from on-chain state"
+    with pytest.raises(FlowError, match=f"^shipping: {message}$"):
+        consortium.services["maker"].ship_record_flow(tag)
+    assert not consortium.chain.pool
+    outcomes, _, _ = consortium.services["dist"].validate_record_flow(tag)
+    assert (outcomes[-1].layer, outcomes[-1].result, outcomes[-1].details) == (
+        ValidationLayer.ON_CHAIN, AttackClass.REAPPLICATION, message)
+    assert record.unsuccessful_validation_data[-1]["layer"] == "on_chain"
+    assert record.unsuccessful_validation_data[-1]["attack_class"] == "reapplication"
+
+
 # -- the pre-write check of every append ---------------------------------------------------------
 
 def _tamper(consortium, tag, what, value):
@@ -1455,17 +1499,9 @@ def test_admin_operations_refuse_a_non_administrator(consortium):
 def test_vault_backed_signing_key(consortium):
     # the service signs with the key fetched from its vault keystore
     service = consortium.services["maker"]
-    token = service.vault.issue_token(["dnas"], lease_seconds=None)
+    token = service.vault.issue_token(["dnas"])
     keystore = service.vault.get(token, secret_path("maker", "nodekey"))
     assert service.address == keystore["address"]
-
-
-def test_deployment_secret_stored(consortium):
-    vault = consortium.services["admin"].vault
-    token = vault.issue_token(["dnas"], lease_seconds=None)
-    secret = vault.get(token, consortium.deployment_secret_path)
-    assert secret["kind"] == "SCDeploymentSecret"
-    assert secret["owner"] == consortium.services["admin"].address
 
 
 def test_member_keys_live_only_in_their_services(consortium):

@@ -108,8 +108,10 @@ def test_password_always_four_bytes():
 
 
 def test_read_before_any_write(tag):
-    with pytest.raises(TagStateError):
-        tag.read()
+    for check in (tag.peek, tag.read, tag.peek_wine_id):
+        with pytest.raises(TagStateError, match="^tag has never been written$"):
+            check()
+    assert tag.read_counter == 0
 
 
 def test_uid_is_seven_bytes():

@@ -64,6 +64,16 @@ def test_unknown_role_id(vault):
         vault.login("ghost", "nope")
 
 
+def test_an_issued_token_carries_the_approle_default_lease(vault, clock):
+    token = vault.issue_token(["dnas/member1/"])
+    vault.put(token, "dnas/member1/nodekey", "k1")
+    clock.now = 3599
+    assert vault.get(token, "dnas/member1/nodekey") == "k1"
+    clock.now = 3600
+    with pytest.raises(AuthError, match="lease expired"):
+        vault.get(token, "dnas/member1/nodekey")
+
+
 def test_a_read_sees_the_latest_write(vault):
     token = vault.issue_token(["dnas/member42/"])
     vault.put(token, "dnas/member42/nodekey", b"k")
