@@ -394,11 +394,8 @@ class Chain:
                 vars(self.runtime.proxy))
         validators, saved = list(self.validators), copy.deepcopy(live)
         try:
-            for vote in block.votes:
-                try:
-                    self._apply_vote(dict(vote))
-                except SealError:
-                    pass  # votes that were rejected upstream stay rejected
+            for vote in block.votes:  # the sealer records only votes that applied
+                self._apply_vote(dict(vote))
             # the sealer checked its schedule against the set after these votes
             self._check_seal_schedule(block.sealer, block.timestamp)
             self._execute_block(block)

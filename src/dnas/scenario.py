@@ -45,8 +45,6 @@ class Scenario:
 
     def validate(self) -> None:
         from .simnet import ScenarioRunner  # simnet imports this module
-        if not self.members:
-            raise ScenarioError("scenario declares no members")
         admin_count = sum(1 for m in self.members if m.role is MemberRole.ADMINISTRATOR)
         if admin_count != 1:
             raise ScenarioError("scenario needs exactly one administrator")

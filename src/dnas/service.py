@@ -304,12 +304,10 @@ class BlockchainService:
 
     def _check_append(self, record: WineRecord, tag: NfcTag, stage: str) -> None:
         """Every append's pre-write check. A write must not re-anchor a tampered
-        copy, so it refuses a flagged or failed record and any record and tag a
-        scan would flag (``_check_record``)."""
+        copy, so it refuses a flagged record and any record and tag a scan would
+        flag or refuse (``_check_record``)."""
         if record.wine_status is WineStatus.FLAGGED:
             raise FlowError(stage, "flagged records take no further writes")
-        if record.wine_status is WineStatus.ERROR:
-            raise FlowError(stage, "record is in an error state")
         if (failure := self._check_record(record, tag)) is not None:
             raise FlowError(stage, failure[2])
 
@@ -460,8 +458,9 @@ class BlockchainService:
         tag (no read counted) against the database record, both against the
         chain, then the record's subset id against the chain's, which the store
         must serve. Returns the first failure as (layer, attack, details), or
-        None. While the pool holds a transaction for the wine, the chain is not
-        yet the record's to judge against: raises ``FlowError``."""
+        None. While the pool holds a transaction for the wine, or once the chain
+        refused its last write (``ERROR``), the chain is not the record's to judge
+        against: raises ``FlowError`` after the off-chain checks."""
         off_chain, on_chain, content_store = ValidationLayer
         modified, cloned, reapplied = (AttackClass.MODIFICATION, AttackClass.CLONING,
                                        AttackClass.REAPPLICATION)
@@ -483,6 +482,8 @@ class BlockchainService:
         wine_id = record.wine_id
         if any(tx.params.get("wine_id") == wine_id for tx in self.chain.pool):
             raise FlowError("chain-pending", f"a transaction for {wine_id!r} is not yet mined")
+        if record.wine_status is WineStatus.ERROR:
+            raise FlowError("chain-refused", f"the chain refused the last write of {wine_id!r}")
         try:
             chain_record = self.chain.call_view("get_record", {"wine_id": wine_id})
         except ContractError:
@@ -566,16 +567,15 @@ class Consortium:
 
     def _join(self, member_id: str, role: MemberRole,
               node_type: NodeType) -> BlockchainService:
-        """Provision a member's node key and vault, and start its service; the
-        key is kept only as the vault's encrypted keystore. The member's store
-        node waits for its registry admission."""
+        """Provision a member's node key and vault, and start its service. The key
+        is kept only as the vault's encrypted keystore, which the service reads in
+        this tick with the one token (an hour's lease on the member's own path)
+        the consortium issues it. The store node waits for registry admission."""
         if member_id in self.services:
             raise DnasError(f"{member_id!r} is already a consortium member")
         key = generate_keypair(keccak256(f"member:{self._seed}:{member_id}".encode()))
         vault = Vault(clock=self._vault_clock, token_source=self._vault_token)
-        role_id, secret_id = vault.create_approle([f"{VAULT_PREFIX_KEY}/{member_id}/"],
-                                                  lease_seconds=10**9)
-        session = vault.login(role_id, secret_id)
+        session = vault.issue_token([f"{VAULT_PREFIX_KEY}/{member_id}/"])
         password = self.rng.randbytes(8).hex()
         keystore = create_keystore(key, password, rng=self.rng)
         vault.put(session, secret_path(member_id, "nodekey"), keystore)

@@ -1,10 +1,11 @@
-"""In-process secrets vault with approle login and operator-issued tokens.
+"""In-process secrets vault with operator-issued, leased tokens.
 
-Models the contract of an external vault product: leased tokens, approle
-login constraints, and path-prefix policies over a plain key-value store.
-Its owner supplies the clock and the token source. Like the rest of the
-package it is single-threaded, so it takes no lock, and a deep copy of its
-owner copies it whole.
+Models the contract of an external vault product: each token carries a lease
+and path-prefix policies over a plain key-value store. The consortium issues
+each member one token scoped to the member's own path. Its owner supplies
+the clock and the token source. Like the rest of the package it is
+single-threaded, so it takes no lock, and a deep copy of its owner copies it
+whole.
 """
 
 from dataclasses import dataclass
@@ -21,13 +22,6 @@ class _TokenRecord:
     lease_expiry: float
 
 
-@dataclass
-class _AppRole:
-    secret_id: str
-    policies: Tuple[str, ...]
-    lease_seconds: float
-
-
 def secret_path(member_id: str, name: str) -> str:
     """Conventional secret layout: <prefix>/<memberID>/<name>."""
     return f"{VAULT_PREFIX_KEY}/{member_id}/{name}"
@@ -40,7 +34,6 @@ class Vault:
         self._clock = clock
         self._new_token = token_source
         self._tokens: Dict[str, _TokenRecord] = {}
-        self._approles: Dict[str, _AppRole] = {}
         self._secrets: Dict[str, object] = {}
 
     # -- provisioning (vault operator surface) --------------------------------
@@ -50,23 +43,7 @@ class Vault:
         self._tokens[token] = _TokenRecord(tuple(policies), self._clock() + lease_seconds)
         return token
 
-    def create_approle(self, policies: List[str], lease_seconds: float = 3600.0) -> Tuple[str, str]:
-        """Registers an approle; returns the (role_id, secret_id) pair."""
-        role_id = self._new_token()
-        secret_id = self._new_token()
-        self._approles[role_id] = _AppRole(secret_id, tuple(policies), lease_seconds)
-        return role_id, secret_id
-
     # -- client surface --------------------------------------------------------
-
-    def login(self, role_id: str, secret_id: str) -> str:
-        """Approle login; returns a session token with a live lease."""
-        role = self._approles.get(role_id)
-        if role is None:
-            raise AuthError("unknown role_id")
-        if role.secret_id != secret_id:
-            raise AuthError("secret_id mismatch")
-        return self.issue_token(list(role.policies), role.lease_seconds)
 
     def put(self, session: str, key: str, value: object) -> None:
         self._authorize(session, key)

@@ -63,6 +63,11 @@ def test_content_id_rejects_garbage():
         ContentId("Qmnot-base58-at-all!!")
     with pytest.raises(EncodingError):
         ContentId(base58_encode(b"\x11\x20" + bytes(32)))
+    # the right shape, but a 33-byte digest length in the multihash header
+    mislabelled = base58_encode(b"\x12\x21" + bytes(32))
+    assert len(mislabelled) == 46 and mislabelled.startswith("Qm")
+    with pytest.raises(EncodingError, match="not a sha2-256 multihash"):
+        ContentId(mislabelled)
 
 
 @given(st.binary(max_size=300))
@@ -162,6 +167,13 @@ def test_remove_with_replica_still_readable(network):
     network.get("n2", cid)
     network.remove_member("admin", "n1")
     assert network.get("n3", cid) == b"replicated"
+
+
+def test_a_node_stores_only_bytes_that_match_their_id(network):
+    node = network._nodes["n1"]
+    with pytest.raises(EncodingError, match="does not match its identifier"):
+        node.store(ContentId.for_content(b"pristine"), b"mutated!")
+    assert node.blocks == {}
 
 
 def test_tampered_block_treated_as_not_found(network):

@@ -44,6 +44,12 @@ def runtime(keys):
     return rt
 
 
+def single_validator_chain(keys):
+    admin = keys["admin"].address.hex0x
+    return Chain(GenesisConfig(chain_id=77, period=1, initial_validators=(admin,)),
+                 contract_admin=admin)
+
+
 def commitment(runtime):
     """A from-scratch commitment over every contract leaf of the runtime."""
     return StateTree(runtime.state_bytes, set(runtime.state_keys())).root()
@@ -374,9 +380,7 @@ def test_no_bootstrap_stage_without_a_bootstrap_count(keys):
     ({"joined_at": "0"}, "joined_at must be an integer"),
 ], ids=["unknown_role", "integer_node_id", "null_member_id", "string_joined_at"])
 def test_a_mistyped_peer_entry_seals_an_error_receipt(keys, change, message):
-    admin = keys["admin"].address.hex0x
-    chain = Chain(GenesisConfig(chain_id=77, period=1, initial_validators=(admin,)),
-                  contract_admin=admin)
+    chain, admin = single_validator_chain(keys), keys["admin"].address.hex0x
     entry = {**entry_dict(keys["maker"].address.hex0x), **change}
     tx_hash = chain.submit_transaction(sign_transaction(
         keys["admin"], 77, "registry", "bootstrap_add_peer", {"entry": entry}, nonce=0))
@@ -384,6 +388,40 @@ def test_a_mistyped_peer_entry_seals_an_error_receipt(keys, change, message):
     receipt = chain.query_tx(tx_hash)
     assert (receipt.status, receipt.error) == ("error", message)
     assert chain.call_view("get_peers", {}) == []
+
+
+def test_a_repeated_bootstrap_insertion_seals_an_error_receipt(keys):
+    chain, admin = single_validator_chain(keys), keys["admin"].address.hex0x
+    entry = entry_dict(keys["maker"].address.hex0x, role="winemaker")
+    first, again = [chain.submit_transaction(sign_transaction(
+        keys["admin"], 77, "registry", "bootstrap_add_peer", {"entry": entry}, nonce=nonce))
+        for nonce in (0, 1)]
+    chain.seal_block(admin, timestamp=1)
+    assert chain.call_view("in_bootstrap_stage", {}) is True
+    assert chain.query_tx(first).status == "ok"
+    receipt = chain.query_tx(again)
+    assert (receipt.status, receipt.error) == (
+        "error", f"peer {keys['maker'].address.hex0x} already registered")
+    assert [e.kind for tx in (first, again) for e in chain.query_tx(tx).events] == ["PeerAdded"]
+
+
+def test_an_outsiders_read_count_update_seals_an_error_receipt(keys):
+    chain, admin = single_validator_chain(keys), keys["admin"].address.hex0x
+    maker, outsider = keys["maker"], keys["part_d"]
+    chain.submit_transaction(sign_transaction(
+        keys["admin"], 77, "registry", "bootstrap_add_peer",
+        {"entry": entry_dict(maker.address.hex0x, role="winemaker")}, nonce=0))
+    chain.seal_block(admin, timestamp=1)
+    chain.submit_transaction(sign_transaction(maker, 77, "proxy", "create_wine_record", {
+        "wine_id": "W1", "wine_data_hash": make_cid(), "new_public_address": maker.address.hex0x,
+        "tag_id": hash_identifier("t"), "device_id": hash_identifier("d")}, nonce=0))
+    read = chain.submit_transaction(sign_transaction(
+        outsider, 77, "proxy", "increment_read_count", {"wine_id": "W1"}, nonce=0))
+    chain.seal_block(admin, timestamp=2)
+    receipt = chain.query_tx(read)
+    assert (receipt.status, receipt.error) == (
+        "error", "read-count updates require a registered consortium member")
+    assert chain.call_view("get_record", {"wine_id": "W1"})["read_count"] == 0
 
 
 def test_bootstrap_admin_only(keys):

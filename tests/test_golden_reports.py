@@ -19,34 +19,34 @@ from dnas.simnet import run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
     ("happy_path", None): (
-        "64f07de584cb950fbc1cc9405e7c1ab68023273029341c5080acf6c09494af26",
+        "e30295573dede569332135b5f80a3f54feeca4a4530186abea396942eaf5a1ec",
         "b562af171ead314b0830adecadf8329df89ef0e3f41cf4d35186f206986e3f65"),
     ("happy_path", 101): (
-        "aadc2d1359c8ac84577a0558790e5698762c0288243123a34ad2ef9a71c48af6",
+        "1fe976d3191d4c2181bf8bdbeb38a79473cb4b2f968faed30e32806f3df74acf",
         "b62e315c76c6535e99192dbb61021c1562c391b34bcb71c3d83903375d36bffd"),
     ("cloned_tag", None): (
-        "005691d05037e017887f3686e6c88533416d9c49dc9b8b7831459a17e2b0ec12",
+        "9d8b4ee39b7cf55e6612dbc28076cfc0b13117c033f68a3435596173cdd1b41e",
         "07b19b08304c8d47795cf0caa5504a09c7dd2c816244da4b9013fd12a50c8540"),
     ("cloned_tag", 101): (
-        "0538a7edeac9147eff070e50862ddf38a2edc73e4e3394b2f925b60aeb84eab9",
+        "7f3bd4c9afebcc2cf458acdb0743b33b3d6c053f208e0b69ba9adc9cd04d8147",
         "94cf406ac75489fd981df3fa9a971bc246d74e96d9548010a61cd8f040690dcb"),
     ("halted_validator", None): (
-        "ebb097b9d920422f3ef666b5641b991613c886be20cd40db2c850a8ea0618867",
+        "97e49ee41347509d2be1548667529123741a1c1fd4e7ff428e0c1605ab3ff5c7",
         "cd34baf2eeed19cdb847aeaccacd0834dc7a5b34b51c89e02fce48e61bf52bea"),
     ("halted_validator", 101): (
-        "df87d510ecd94ea1da1cfd2ff6f6f314e0c984a6123e1fb5c671aeb49a895313",
+        "cc3745322c85d57b92be4bbd8f73da0f5c1dace0c57b0e8de34d7d834913063c",
         "8108fee4ac3644b2187701de8d6c15d7a3469dedc61a3009dd5d76ef2522ceec"),
     ("governance", None): (
-        "5290f94fec133176ae1e4785c75935b9b86044d59a656876a2a554421c3ba9a2",
-        "1b51b6fa42f69aab1834ce1d5be3c3b3f1d54d7b65485e03d9c668d508cc5f2d"),
+        "1125792c92e45b48cd19970fb1f2d02a21c19d034f338bbe006095ac76e11e62",
+        "001ddba9d753fb617ea59098b7f0be21b39009bc366358ea5593b35b223500a5"),
     ("governance", 101): (
-        "97ec52e0508d9907cae63925921c8c2ae5fe068aa3ad398a3fd90d5c2ccf0919",
-        "06fa28203d5ca7a6ec944fdfcd277d3e0fea7b114d8a2167fb571fce5b662254"),
+        "130fce26ed504fc0248149150febde91e83b6592f646962254608d12173a1c44",
+        "56c47760f440c05ca16076f2fa53b8f968c2a2bbeee4d147d5404dd6636da0b9"),
     ("tampering", None): (
-        "6c851375e0ff26e02aaa048006a233f848ff8ccb0029eec08f017ab68096aec3",
+        "8630d865465a5be9acee5310ab57fa983945406e542e8ae92bdfc215ca87e833",
         "6089b7a6e94d1e54e5b0b34b9b0875c2c3d3abe34f75c79fab3715c2d6160684"),
     ("tampering", 101): (
-        "e5aa91bfb563fe53c91d438f6bff40dbc1260d818bb769c3cbb24ee94dcfec1f",
+        "d000f170d1cb1736406bfecde6f263fb6f73a1eb81ee28cbaabea08bb945b527",
         "97f1bfa27a3adda40eba99ecf6db0af526d651cc512641380e7a9d5c37463cb7"),
 }
 

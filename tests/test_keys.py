@@ -51,8 +51,10 @@ def test_address_is_keccak_suffix():
 
 
 def test_derive_address_rejects_off_curve_point():
-    with pytest.raises(InvalidKeyError):
+    with pytest.raises(InvalidKeyError, match="not a point on the curve"):
         derive_address(b"\x01" * 64)
+    with pytest.raises(InvalidKeyError, match="must be 64 bytes, got 63"):
+        derive_address(b"\x01" * 63)
 
 
 def test_address_distinctness_over_ten_thousand_keys():
@@ -166,6 +168,8 @@ def test_signature_byte_roundtrip():
         prefixed_digest("W", hash_identifier("T"), hash_identifier("D")), kp)
     assert Signature.from_bytes(sig.to_bytes()) == sig
     assert len(sig.to_bytes()) == 65
+    with pytest.raises(RecoveryError, match="must be 65 bytes, got 64"):
+        Signature.from_bytes(sig.to_bytes()[:64])
 
 
 def test_roundtrip_property_over_random_keys():
@@ -194,7 +198,7 @@ def test_keystore_roundtrip():
 def test_keystore_wrong_password_is_mac_error():
     kp = generate_keypair(b"\x44" * 32)
     ks = create_keystore(kp, "correct horse", random.Random(4))
-    with pytest.raises(MacError):
+    with pytest.raises(MacError, match="MAC mismatch"):
         decrypt_keystore(ks, "battery staple")
 
 
@@ -204,7 +208,15 @@ def test_keystore_tamper_detected():
     flipped = bytearray(bytes.fromhex(ks["ciphertext"]))
     flipped[0] ^= 0xFF
     ks["ciphertext"] = flipped.hex()
-    with pytest.raises(MacError):
+    with pytest.raises(MacError, match="MAC mismatch"):
+        decrypt_keystore(ks, "pw")
+
+
+def test_keystore_under_another_address_is_refused():
+    # the MAC covers the ciphertext only, so the address has its own check
+    ks = create_keystore(generate_keypair(b"\x45" * 32), "pw", random.Random(4))
+    ks["address"] = generate_keypair(b"\x46" * 32).address.hex0x
+    with pytest.raises(MacError, match="does not match the keystore address"):
         decrypt_keystore(ks, "pw")
 
 

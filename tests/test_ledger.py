@@ -8,7 +8,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dnas import ledger, secp256k1
-from dnas.content_store import ContentId
+from dnas.content_store import ContentId, base58_encode
 from dnas.contracts import PeerRegistryContract, Proxy, WineDataContractV1, tally_snapshot
 from dnas.errors import ConfigError, NotFoundError, PoolError, SealError
 from dnas.keys import Signature, generate_keypair, hash_identifier
@@ -101,6 +101,8 @@ def test_gas_rule_clamp_hand_oracle():
 
 def test_gas_rule_floor():
     assert next_gas_limit(GAS_LIMIT_FLOOR, 0) == GAS_LIMIT_FLOOR
+    with pytest.raises(ConfigError, match="gas inputs must be positive"):
+        next_gas_limit(0, 0)
 
 
 @given(limit=st.integers(min_value=GAS_LIMIT_FLOOR, max_value=30_000_000),
@@ -511,6 +513,9 @@ _CREATE = {"wine_id": "W1", "wine_data_hash": ContentId.for_content(b"x").text,
     (0, "registry", "propose_peer", {"entry": {
         "address": "0x" + "ab" * 20, "role": "participant", "node_id": "enode-x",
         "member_id": "mx", "joined_at": 0}, "add": "no"}),
+    # a well-shaped Qm id whose multihash header names no sha2-256 digest
+    (1, "proxy", "create_wine_record",
+     {**_CREATE, "wine_data_hash": base58_encode(b"\x12\x21" + bytes(32))}),
 ])
 def test_malformed_transaction_seals_an_error_receipt(chain, keys, sender, target, method,
                                                       params):
@@ -684,11 +689,15 @@ def test_a_block_off_the_replicas_head_is_refused(chain, keys, forge, message):
 
 
 @pytest.mark.parametrize("tamper, error, message", [
-    (lambda block: replace(block, state_root="0x" + "00" * 32), SealError,
+    (lambda block, keys: replace(block, state_root="0x" + "00" * 32), SealError,
      "^replayed state root differs"),
-    (lambda block: replace(block, votes=[*block.votes, {"voter": block.sealer}]), KeyError,
-     "candidate"),
-], ids=["zeroed-root", "malformed-vote"])
+    (lambda block, keys: replace(block, votes=[*block.votes, {"voter": block.sealer}]),
+     KeyError, "candidate"),
+    (lambda block, keys: replace(block, votes=[{"voter": keys[5].address.hex0x,
+                                                "candidate": keys[4].address.hex0x,
+                                                "add": True}]),
+     SealError, "only current validators may vote"),
+], ids=["zeroed-root", "malformed-vote", "non-validator-vote"])
 def test_refused_block_leaves_the_replica_as_it_was(chain, keys, tamper, error, message):
     # block 2 carries a header vote and a create, block 1 the registry bootstrap
     chain.propose_validator(keys[0].address.hex0x, keys[5].address.hex0x, True)
@@ -708,7 +717,7 @@ def test_refused_block_leaves_the_replica_as_it_was(chain, keys, tamper, error, 
         assert block.transactions
         before = copy.deepcopy(state(replica))
         with pytest.raises(error, match=message):
-            replica.apply_block(tamper(block))
+            replica.apply_block(tamper(block, keys))
         assert state(replica) == before
         assert rebuilt_root(replica) == before[-1]
         replica.apply_block(block)

@@ -183,8 +183,25 @@ def test_seed_rejection_at_curve_order():
         secp256k1.scalar_from_seed(b"\x00" * 32)
     with pytest.raises(RejectedSeedError):
         secp256k1.scalar_from_seed(b"\xff" * 32)
+    with pytest.raises(RejectedSeedError, match="must be 32 bytes, got 31"):
+        secp256k1.scalar_from_seed(b"\x01" * 31)
     # largest valid scalar
     assert secp256k1.scalar_from_seed((secp256k1.N - 1).to_bytes(32, "big")) == secp256k1.N - 1
+
+
+def test_out_of_range_scalars_digests_and_coordinates_are_refused():
+    with pytest.raises(ValueError, match="digest must be 32 bytes"):
+        secp256k1.sign_digest(7, bytes(31))
+    for secret in (0, secp256k1.N):  # a nonzero digest: s = z / k would not vanish
+        with pytest.raises(ValueError, match="secret scalar out of range"):
+            secp256k1.sign_digest(secret, b"\x01" * 32)
+    with pytest.raises(ValueError, match="scalar is zero modulo the curve order"):
+        secp256k1.multiply_generator(secp256k1.N)
+    # G's coordinates shifted by P satisfy the curve equation mod P
+    assert secp256k1.is_on_curve((secp256k1.GX, secp256k1.GY))
+    for point in ((secp256k1.GX + secp256k1.P, secp256k1.GY),
+                  (secp256k1.GX, secp256k1.GY + secp256k1.P)):
+        assert not secp256k1.is_on_curve(point)
 
 
 def test_order_matches_openssl_boundary():

@@ -11,6 +11,7 @@ from dnas.contracts import ContractEvent, WineDataContractV1
 from dnas.encoding import canonical_json_bytes
 from dnas.errors import (
     AuthError,
+    DnasError,
     FlowError,
     MembershipError,
     NotFoundError,
@@ -21,6 +22,7 @@ from dnas.records import WineStatus
 from dnas.service import (
     AttackClass,
     BlockchainService,
+    Consortium,
     MemberRole,
     NodeType,
     ValidationLayer,
@@ -61,6 +63,14 @@ def tamper_payload(tag, **changes):
 
 
 # -- bootstrap ------------------------------------------------------------------------
+
+def test_a_consortium_needs_exactly_one_administrator():
+    none = [m for m in FIVE_MEMBERS if m[1] is not MemberRole.ADMINISTRATOR]
+    two = FIVE_MEMBERS + [("admin2", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR)]
+    for members in (none, two):
+        with pytest.raises(DnasError, match="^the consortium needs exactly one administrator$"):
+            Consortium(seed=7, initial_members=members)
+
 
 def test_bootstrap_five_members_zero_votes(consortium):
     assert len(consortium.chain.call_view("get_peers", {})) == 5
@@ -956,6 +966,30 @@ def test_failed_append_receipt_marks_the_record_error(consortium):
     assert flow.error == "append_wine_record requires a registered consortium member"
     assert consortium.db.get("W1").wine_status is WineStatus.ERROR
     assert not [n for n in consortium.notifications if n["type"] == "creation_failed"]
+
+
+def test_a_scan_of_a_record_the_chain_refused_is_refused_not_flagged(consortium):
+    # the tag and row are one write ahead of the chain: no attack to log
+    tag, _ = create_wine(consortium)
+    dist, retail = consortium.services["dist"], consortium.services["retail"]
+    _, _, session = dist.validate_record_flow(tag)
+    consortium.run_until_idle()
+    consortium.propose_member_removal("admin", "dist")
+    dist.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    record, notices = consortium.db.get("W1"), len(consortium.notifications)
+    reads = (record.read_counter, tag.read_counter)
+    with pytest.raises(FlowError, match="refused the last write") as err:
+        retail.validate_record_flow(tag)
+    assert err.value.stage == "chain-refused"
+    assert len(consortium.notifications) == notices and not consortium.chain.pool
+    assert record.wine_status is WineStatus.ERROR and not record.unsuccessful_validation_data
+    assert (record.read_counter, tag.read_counter) == reads
+    # a clone of it is still caught off the chain, where the checks start
+    outcomes, _, _ = retail.validate_record_flow(
+        counterfeit_copy(tag, randbytes=consortium.randbytes))
+    assert (outcomes[-1].layer, outcomes[-1].result) == (ValidationLayer.OFF_CHAIN_DB,
+                                                         AttackClass.CLONING)
 
 
 def chain_named_content_ids(consortium):

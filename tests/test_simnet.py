@@ -114,9 +114,11 @@ def test_a_step_after_end_time_is_refused_at_load():
 
 
 def test_two_administrators_rejected():
-    members = list(FIVE) + [MemberSpec("admin2", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR)]
-    with pytest.raises(ScenarioError):
-        Scenario(name="x", seed=1, members=members, steps=[], expectations=[]).validate()
+    # an empty member list has no administrator either
+    two = list(FIVE) + [MemberSpec("admin2", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR)]
+    for members in (two, []):
+        with pytest.raises(ScenarioError, match="^scenario needs exactly one administrator$"):
+            Scenario(name="x", seed=1, members=members, steps=[], expectations=[]).validate()
 
 
 def test_every_action_and_expectation_kind_is_in_a_bundled_scenario():
@@ -247,6 +249,19 @@ def test_a_scan_in_the_creates_own_tick_leaves_a_later_scan_passing():
     assert report.passed, report.render_text()
     assert report.attack_log == [] and not report.notifications
     assert (report.records["W1"]["read_counter"], report.records["W1"]["flags"]) == (1, 0)
+
+
+def test_a_scan_of_a_create_the_chain_refused_is_refused_not_flagged():
+    # governance's W1: the removed maker's create wrote tag and row, not the chain
+    scenario = load_scenario("governance")
+    scenario.steps.append(Step(26, "late", "validate_record", {"wine_id": "W1"},
+                               expect_error="chain-refused: the chain refused the last "
+                                            "write of 'W1'"))
+    report = run_scenario(scenario)
+    assert report.passed, report.render_text()
+    assert report.attack_log == []
+    assert [n["type"] for n in report.notifications] == ["creation_failed"]
+    assert report.records["W1"]["status"] == "error"
 
 
 def test_two_scans_in_one_tick_flag_nothing():

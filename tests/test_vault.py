@@ -25,9 +25,8 @@ def vault(clock):
     return Vault(clock=clock, token_source=lambda: rng.randbytes(16).hex())
 
 
-def test_approle_login_mints_leased_token(vault, clock):
-    role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(role_id, secret_id)
+def test_expired_token_rejected(vault, clock):
+    token = vault.issue_token(["dnas/member1/"], lease_seconds=60)
     clock.now = 59
     vault.put(token, "dnas/member1/nodekey", "k1")
     clock.now = 60
@@ -35,36 +34,25 @@ def test_approle_login_mints_leased_token(vault, clock):
         vault.get(token, "dnas/member1/nodekey")
 
 
-def test_expired_token_rejected(vault, clock):
-    role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(role_id, secret_id)
-    clock.now = 61
-    with pytest.raises(AuthError):
+def test_reauthentication_after_lease(vault, clock):
+    # a fresh token reads what an expired one wrote
+    token = vault.issue_token(["dnas/member1/"], lease_seconds=60)
+    vault.put(token, "dnas/member1/nodekey", "k1")
+    clock.now = 100
+    fresh = vault.issue_token(["dnas/member1/"], lease_seconds=60)
+    assert fresh != token
+    assert vault.get(fresh, "dnas/member1/nodekey") == "k1"
+    with pytest.raises(AuthError, match="lease expired"):
         vault.get(token, "dnas/member1/nodekey")
 
 
-def test_reauthentication_after_lease(vault, clock):
-    role_id, secret_id = vault.create_approle(["dnas/member1/"], lease_seconds=60)
-    token = vault.login(role_id, secret_id)
-    vault.put(token, "dnas/member1/nodekey", "k1")
-    clock.now = 100
-    fresh = vault.login(role_id, secret_id)
-    assert fresh != token
-    assert vault.get(fresh, "dnas/member1/nodekey") == "k1"
+def test_an_unknown_token_is_refused(vault):
+    vault.put(vault.issue_token(["dnas/"]), "dnas/member1/nodekey", "k1")
+    with pytest.raises(AuthError, match="^unknown token$"):
+        vault.get("ghost", "dnas/member1/nodekey")
 
 
-def test_wrong_secret_id(vault):
-    role_id, _ = vault.create_approle(["dnas/member1/"])
-    with pytest.raises(AuthError):
-        vault.login(role_id, "nope")
-
-
-def test_unknown_role_id(vault):
-    with pytest.raises(AuthError):
-        vault.login("ghost", "nope")
-
-
-def test_an_issued_token_carries_the_approle_default_lease(vault, clock):
+def test_an_issued_token_carries_a_one_hour_lease(vault, clock):
     token = vault.issue_token(["dnas/member1/"])
     vault.put(token, "dnas/member1/nodekey", "k1")
     clock.now = 3599
@@ -93,15 +81,14 @@ def test_policy_matrix_over_member_prefixes(vault):
     members = [f"member{i}" for i in range(5)]
     tokens = {}
     for m in members:
-        role_id, secret_id = vault.create_approle([f"dnas/{m}/"])
-        tokens[m] = vault.login(role_id, secret_id)
+        tokens[m] = vault.issue_token([f"dnas/{m}/"])
         vault.put(tokens[m], secret_path(m, "nodekey"), f"key-of-{m}")
     for owner in members:
         for target in members:
             if owner == target:
                 assert vault.get(tokens[owner], secret_path(target, "nodekey")) == f"key-of-{target}"
             else:
-                with pytest.raises(AuthError):
+                with pytest.raises(AuthError, match="policies do not cover"):
                     vault.get(tokens[owner], secret_path(target, "nodekey"))
 
 
