@@ -3,16 +3,16 @@
 Content identifiers are CIDv0-style multihashes: base58btc over
 0x12 (sha2-256) || 0x20 (32) || sha256(content), always 46 characters and
 starting with "Qm". A block's holders are the member nodes that store it;
-no separate index is kept. Blocks replicate onto the reader's node on each
-fetch; a node's pins name the blocks it keeps for the consortium, and a
-removed member's node hands them to the shared node; stored bytes are
-re-verified against their identifier's sha-256 digest on every store and
-every read.
+no separate index is kept. A node keeps every block it stores: blocks
+replicate onto the reader's node on each fetch, and a removed member's node
+hands its intact blocks to an heir, so no removal loses a block. Stored
+bytes are re-verified against their identifier's sha-256 digest on every
+store, every read and every hand-over.
 """
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict
 
 from .errors import AuthError, EncodingError, MembershipError, NotFoundError
 
@@ -79,19 +79,15 @@ class ContentId:
 
 @dataclass
 class StoreNode:
-    """One storage node: verified blocks and pin set."""
+    """One storage node: the verified blocks it holds, by content id text."""
 
     node_id: str
     blocks: Dict[str, bytes] = field(default_factory=dict)
-    pins: Set[str] = field(default_factory=set)
 
     def store(self, content_id: ContentId, content: bytes) -> None:
         if not content_id.matches(content):
             raise EncodingError("content does not match its identifier")
         self.blocks[content_id.text] = content
-
-    def holds(self, content_id: ContentId) -> bool:
-        return content_id.text in self.blocks
 
 
 class PrivateNetwork:
@@ -109,14 +105,18 @@ class PrivateNetwork:
             raise AuthError("only the network administrator manages membership")
         self._nodes.setdefault(node_id, StoreNode(node_id=node_id))
 
-    def remove_member(self, caller: str, node_id: str) -> None:
+    def remove_member(self, caller: str, node_id: str, heir: str) -> None:
+        """Revoke ``node_id``; the member ``heir`` takes every intact block it held."""
         if caller != self.admin:
             raise AuthError("only the network administrator manages membership")
-        if self._nodes.pop(node_id, None) is None:
+        if node_id not in self._nodes:
             raise NotFoundError(f"{node_id!r} is not a member")
-
-    def members(self) -> Set[str]:
-        return set(self._nodes)
+        if heir == node_id:
+            raise MembershipError(f"{node_id!r} cannot inherit its own blocks")
+        heir_node = self._member(heir)
+        for text, content in self._nodes.pop(node_id).blocks.items():
+            if ContentId(text).matches(content):  # a tampered copy is skipped, as get skips it
+                heir_node.blocks[text] = content
 
     def _member(self, node_id: str) -> StoreNode:
         node = self._nodes.get(node_id)
@@ -145,19 +145,3 @@ class PrivateNetwork:
             node.store(content_id, content)
             return content
         raise NotFoundError(f"no member holds {content_id.text}")
-
-    def pin(self, node_id: str, content_id: ContentId) -> None:
-        node = self._member(node_id)
-        if not node.holds(content_id):
-            self.get(node_id, content_id)
-        node.pins.add(content_id.text)
-
-    def unpin(self, node_id: str, content_id: ContentId) -> None:
-        self._member(node_id).pins.discard(content_id.text)
-
-    def pinned(self, node_id: str) -> List[str]:
-        """The content id texts the node has pinned, in sorted order."""
-        return sorted(self._member(node_id).pins)
-
-    def holders(self, content_id: ContentId) -> Set[str]:
-        return {node_id for node_id, node in self._nodes.items() if node.holds(content_id)}

@@ -28,8 +28,6 @@ _NO_CALLER = "0x" + "00" * 20  # views run on behalf of no account
 class ContractEvent:
     kind: str
     fields: Dict[str, object]
-    block_number: Optional[int] = None
-    tx_hash: Optional[str] = None
 
 
 @dataclass

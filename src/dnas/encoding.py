@@ -12,10 +12,11 @@ from .errors import EncodingError
 
 
 def canonical_json_bytes(value: Any) -> bytes:
-    """``EncodingError`` for what JSON or UTF-8 cannot encode, such as a set or a lone surrogate."""
+    """``EncodingError`` for what JSON or UTF-8 cannot encode, such as a set, a
+    lone surrogate, or a NaN or infinite float (no JSON number spells one)."""
     try:
         return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False).encode("utf-8")
+                          ensure_ascii=False, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError, RecursionError) as exc:  # UnicodeEncodeError is a ValueError
         raise EncodingError(f"value has no canonical encoding: {exc}") from exc
 

@@ -26,6 +26,7 @@ from .contracts import ContractEvent, ContractRuntime, Tallies, cast_vote, tally
 from .encoding import canonical_json_bytes
 from .errors import (
     ConfigError,
+    EncodingError,
     NotFoundError,
     PoolError,
     RecoveryError,
@@ -260,7 +261,11 @@ class Chain:
     # -- pool -----------------------------------------------------------------------
 
     def submit_transaction(self, tx: SignedTransaction) -> str:
-        if tx.tx_hash in self._pool_hashes or tx.tx_hash in self.receipts:
+        try:  # the hash covers the params, which may lack a canonical encoding (NaN)
+            known = tx.tx_hash in self._pool_hashes or tx.tx_hash in self.receipts
+        except EncodingError as exc:
+            raise PoolError(str(exc)) from exc
+        if known:
             raise PoolError("duplicate transaction")
         self._verify(tx, self.next_nonce(tx.sender), PoolError)
         self.pool.append(tx)
@@ -281,6 +286,8 @@ class Chain:
                                                     keep=vouched)
         except RecoveryError as exc:
             raise error(f"invalid signature: {exc}") from exc
+        except EncodingError as exc:  # the digest encodes the params
+            raise error(str(exc)) from exc
         if not signed:
             raise error("signature does not recover to the sender")
         if tx.nonce != nonce:
@@ -364,9 +371,6 @@ class Chain:
             except Exception as exc:  # malformed params raise TypeError and the like
                 receipt = Receipt(tx_hash=tx.tx_hash, block_number=block.number,
                                   status="error", error=str(exc))
-            for event in receipt.events:
-                event.block_number = block.number
-                event.tx_hash = tx.tx_hash
             self.receipts[tx.tx_hash] = receipt
 
     def apply_block(self, block: Block) -> None:

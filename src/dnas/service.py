@@ -189,8 +189,8 @@ class BlockchainService:
         service): registry admissions and removals trigger the chain validator
         voting round. An admitted member gets its store node; a removed member's
         service stops, so that it may be onboarded again, and its node is revoked
-        once the shared node has pinned what it pinned (nothing else may hold its
-        subsets). It keeps no memo: on a re-delivered event the chain refuses
+        with the shared node as heir to its intact blocks (nothing else may hold
+        its subsets). It keeps no memo: on a re-delivered event the chain refuses
         every stale vote, the store keeps the node it has, and the removed
         service is already gone."""
         if event.kind not in ("PeerAdded", "PeerRemoved"):
@@ -206,9 +206,7 @@ class BlockchainService:
             return  # this listener's own service and node stay
         removed = services.pop(member_id, None)
         if removed is not None:
-            for text in store.pinned(removed.store_node_id):
-                store.pin(self.store_node_id, ContentId(text))
-            store.remove_member(admin_id, removed.store_node_id)
+            store.remove_member(admin_id, removed.store_node_id, self.store_node_id)
 
     def _validator_round(self, candidate: str, member_id: str, add: bool) -> None:
         """Request a chain vote from every live member's node but the candidate's.
@@ -329,10 +327,11 @@ class BlockchainService:
         id and the record's binding (digested once per chain), the tag and record
         take the signature and next write counter, the record takes ``status`` and
         logs its event, ``holder``, ``key``'s address and the time, the subset is
-        pinned, and the proxy call is submitted: the create for ``CREATED``, else
-        the append. The flow completes on the receipt, in ``_finish_write``; a
-        failed one unpins the subset, marks the record ``ERROR`` and sends the
-        method's failure notice, if it has one."""
+        added to this member's store node, and the proxy call is submitted: the
+        create for ``CREATED``, else the append. The flow completes on the
+        receipt, in ``_finish_write``; a failed one marks the record ``ERROR`` and
+        sends the method's failure notice, if it has one. The refused subset stays
+        on the node, named by no chain entry."""
         method = "create_wine_record" if status is WineStatus.CREATED else "append_wine_record"
         hash_param = self._ITERATIONS[method][0]
         wine_id = record.wine_id
@@ -355,7 +354,6 @@ class BlockchainService:
 
         try:
             content_id = self.consortium.store.add(self.store_node_id, record.subset())
-            self.consortium.store.pin(self.store_node_id, content_id)
         except DnasError as exc:
             raise FlowError("content-store", str(exc)) from exc
         flow.content_id = content_id.text
@@ -367,12 +365,11 @@ class BlockchainService:
             "device_id": hashed_device,
         })
         # a bound method and plain values: a deep copy's receipt completes the copy's flow
-        self.consortium.track_receipt(flow.tx_hash, self._finish_write, flow, record,
-                                      content_id, method)
+        self.consortium.track_receipt(flow.tx_hash, self._finish_write, flow, record, method)
         return flow
 
-    def _finish_write(self, flow: FlowReceipt, record: WineRecord, content_id: ContentId,
-                      method: str, receipt: Receipt) -> None:
+    def _finish_write(self, flow: FlowReceipt, record: WineRecord, method: str,
+                      receipt: Receipt) -> None:
         _, chain_stage, event_name, failure_notice = self._ITERATIONS[method]
         if receipt.status == "ok":
             # only transaction_data takes the mined tx details: the subset
@@ -386,12 +383,6 @@ class BlockchainService:
             })
             return
         flow.status, flow.error = "error", receipt.error
-        # no chain entry names the refused subset; if this member was
-        # removed meanwhile, its pins were handed to the shared node
-        store = self.consortium.store
-        holder = (self.store_node_id if self.store_node_id in store.members()
-                  else self.consortium.shared_service.store_node_id)
-        store.unpin(holder, content_id)
         record.wine_status = WineStatus.ERROR
         if failure_notice is not None:
             self.consortium.notifications.append({

@@ -20,6 +20,28 @@ def built_consortium(**kwargs):
     return copy.deepcopy(_TEMPLATES[key])
 
 
+def members(store):
+    """The node ids of the store's members."""
+    return set(store._nodes)
+
+
+def holders(store, content_id):
+    """The member nodes that store a copy of ``content_id``'s block, intact or not."""
+    return {node_id for node_id, node in store._nodes.items() if content_id.text in node.blocks}
+
+
+def held_intact(store, content_id):
+    """Whether some member node holds a copy of the block that hashes to its id."""
+    return any(content_id.matches(store._nodes[node_id].blocks[content_id.text])
+               for node_id in holders(store, content_id))
+
+
+def chain_named_content_ids(consortium):
+    """Every content id text some wine entry on the chain names, at any iteration."""
+    return {cid for entry in consortium.chain.runtime.proxy.records.values()
+            for cid in entry.data_hash.values()}
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "fresh_builds: scenario runs build their consortia from scratch, "

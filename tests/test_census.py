@@ -29,8 +29,6 @@ ALLOWED = {  # function -> why it stays with no product caller
         "a replica's block import; it gets its caller once each validator keeps a replica",
     "ledger.SignedTransaction.digest":
         "derives the digest of any transaction that sign_transaction did not build",
-    "content_store.PrivateNetwork.holders":
-        "a read view the hand-over and replication tests use as their oracle",
 }
 
 

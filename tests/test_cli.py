@@ -147,6 +147,16 @@ def test_a_scenario_that_json_or_utf8_refuses_exits_without_a_traceback(tmp_path
         assert capsys.readouterr().err.startswith("scenario error: ")
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_scenario_with_a_non_finite_pedigree_value_is_refused(tmp_path, capsys, value):
+    # json reads these words as floats, and no canonical encoding spells them
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(_BUNDLED["happy_path"]).replace(
+        '"vintage": 2019', f'"vintage": {value}', 1))
+    assert main(["run", str(path)]) == 2
+    assert "no canonical encoding" in capsys.readouterr().err
+
+
 def test_failed_expectation_exit_code(tmp_path, capsys):
     scenario = json.loads(
         resources.files("dnas").joinpath("scenarios").joinpath("happy_path.json").read_text())

@@ -13,6 +13,8 @@ from dnas.content_store import (
 )
 from dnas.errors import AuthError, EncodingError, MembershipError, NotFoundError
 
+from conftest import holders, members
+
 # base58btc reference strings (bitcoin alphabet)
 HELLO_WORLD_B58 = "StV1DL6CwTryKyV"
 
@@ -100,7 +102,7 @@ def test_add_idempotent(network):
     first = network.add("n1", b"block")
     second = network.add("n1", b"block")
     assert first == second
-    assert network.holders(first) == {"n1"}
+    assert holders(network, first) == {"n1"}
 
 
 def test_distinct_content_distinct_id(network):
@@ -114,9 +116,9 @@ def test_add_requires_membership(network):
 
 def test_get_replicates_onto_reader(network):
     cid = network.add("n1", b"shared data")
-    assert network.holders(cid) == {"n1"}
+    assert holders(network, cid) == {"n1"}
     assert network.get("n2", cid) == b"shared data"
-    assert network.holders(cid) == {"n1", "n2"}
+    assert holders(network, cid) == {"n1", "n2"}
 
 
 def test_get_unknown_id(network):
@@ -130,43 +132,52 @@ def test_get_requires_membership(network):
         network.get("outsider", cid)
 
 
-def test_unpin_never_pinned_is_noop(network):
-    cid = network.add("n1", b"x")
-    network.unpin("n1", cid)  # acknowledgment, no error
-
-
-def test_pin_unfetchable_raises(network):
-    with pytest.raises(NotFoundError):
-        network.pin("n1", ContentId.for_content(b"nowhere"))
-
-
 def test_membership_admin_only(network):
     with pytest.raises(AuthError):
         network.add_member("n1", "n4")
     with pytest.raises(AuthError):
-        network.remove_member("n1", "n2")
+        network.remove_member("n1", "n2", "n3")
 
 
 def test_removed_member_loses_access(network):
     cid = network.add("n1", b"data")
-    network.remove_member("admin", "n2")
+    network.remove_member("admin", "n2", "n3")
     with pytest.raises(MembershipError):
         network.get("n2", cid)
 
 
-def test_remove_sole_holder_drops_block(network):
+def test_the_heir_serves_the_sole_copy(network):
     cid = network.add("n1", b"single copy")
-    network.remove_member("admin", "n1")
-    for reader in ("n2", "n3"):
-        with pytest.raises(NotFoundError):
-            network.get(reader, cid)
+    network.remove_member("admin", "n1", "n2")
+    assert members(network) == {"n2", "n3"}
+    assert holders(network, cid) == {"n2"}
+    assert network.get("n3", cid) == b"single copy"
 
 
 def test_remove_with_replica_still_readable(network):
     cid = network.add("n1", b"replicated")
     network.get("n2", cid)
-    network.remove_member("admin", "n1")
+    network.remove_member("admin", "n1", "n2")
     assert network.get("n3", cid) == b"replicated"
+
+
+def test_the_heir_takes_no_tampered_copy_and_mends_its_own(network):
+    kept, tampered = network.add("n1", b"kept"), network.add("n1", b"pristine")
+    network._nodes["n1"].blocks[tampered.text] = b"mutated!"
+    network._nodes["n2"].blocks[kept.text] = b"mutated!"
+    network.remove_member("admin", "n1", "n2")
+    assert network._nodes["n2"].blocks == {kept.text: b"kept"}
+    with pytest.raises(NotFoundError):
+        network.get("n3", tampered)
+
+
+@pytest.mark.parametrize("heir", ["n1", "outsider"])
+def test_a_removal_without_a_member_heir_changes_nothing(network, heir):
+    cid = network.add("n1", b"single copy")
+    with pytest.raises(MembershipError):
+        network.remove_member("admin", "n1", heir)
+    assert members(network) == {"n1", "n2", "n3"}
+    assert network.get("n2", cid) == b"single copy"
 
 
 def test_a_node_stores_only_bytes_that_match_their_id(network):
@@ -201,11 +212,11 @@ def test_single_byte_perturbation_changes_id():
 
 def test_holder_count_never_decreases_except_gc_or_removal(network):
     cid = network.add("n1", b"monotone")
-    counts = [len(network.holders(cid))]
+    counts = [len(holders(network, cid))]
     network.get("n2", cid)
-    counts.append(len(network.holders(cid)))
+    counts.append(len(holders(network, cid)))
     network.get("n3", cid)
-    counts.append(len(network.holders(cid)))
+    counts.append(len(holders(network, cid)))
     assert counts == sorted(counts)
 
 
@@ -213,8 +224,9 @@ PAYLOADS = [b"block-a", b"block-b", b"block-c"]
 _node = st.integers(min_value=0, max_value=3)
 _payload = st.integers(min_value=0, max_value=len(PAYLOADS) - 1)
 _step = st.one_of(
-    st.tuples(st.sampled_from(["add", "get", "pin", "unpin", "tamper"]), _node, _payload),
-    st.tuples(st.sampled_from(["remove_member", "add_member"]), _node, st.just(0)),
+    st.tuples(st.sampled_from(["add", "get", "tamper"]), _node, _payload),
+    st.tuples(st.just("remove_member"), _node, _node),  # the node, then its heir
+    st.tuples(st.just("add_member"), _node, st.just(0)),
 )
 
 
@@ -222,16 +234,18 @@ _step = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(node_count=st.integers(min_value=3, max_value=4), steps=st.lists(_step, max_size=30))
 def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
-    """Each node's blocks and pins are modelled apart from the network:
-    holders are the members storing a block, and a read returns the original
-    bytes unless no remaining member holds an intact copy."""
+    """Each node's blocks are modelled apart from the network: holders are
+    the members storing a block, a removed node's heir takes its intact
+    blocks, and a read returns the original bytes unless no remaining member
+    holds an intact copy."""
     network = PrivateNetwork(admin="admin")
     names = [f"n{i}" for i in range(node_count)]
-    blocks, pins = {}, {}
+    blocks = {}
     for name in names:
         network.add_member("admin", name)
-        blocks[name], pins[name] = {}, set()
+        blocks[name] = {}
     cids = [ContentId.for_content(p) for p in PAYLOADS]
+    payload_of = {cid.text: payload for cid, payload in zip(cids, PAYLOADS)}
 
     def intact(name, i):
         return blocks[name].get(cids[i].text) == PAYLOADS[i]
@@ -245,18 +259,16 @@ def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
         return PAYLOADS[i]
 
     for op, k, i in steps:
-        name, cid = names[k % node_count], cids[i]
+        name, cid = names[k % node_count], cids[i % len(cids)]
+        heir = names[i % node_count]
         call = {
             "add": lambda: network.add(name, PAYLOADS[i]),
             "get": lambda: network.get(name, cid),
-            "pin": lambda: network.pin(name, cid),
-            "unpin": lambda: network.unpin(name, cid),
-            "remove_member": lambda: network.remove_member("admin", name),
+            "remove_member": lambda: network.remove_member("admin", name, heir),
         }.get(op)
         if op == "add_member":
             network.add_member("admin", name)
             blocks.setdefault(name, {})
-            pins.setdefault(name, set())
         elif name not in blocks:
             if call is not None:
                 with pytest.raises(NotFoundError if op == "remove_member" else MembershipError):
@@ -271,24 +283,16 @@ def test_holders_and_reads_follow_a_model_of_the_nodes(node_count, steps):
                     call()
             else:
                 assert call() == expected
-        elif op == "pin":  # a held copy is pinned as it is; a missing one is fetched
-            if cid.text not in blocks[name] and model_get(name, i) is NotFoundError:
-                with pytest.raises(NotFoundError):
-                    call()
-            else:
-                call()
-                pins[name].add(cid.text)
-        elif op == "unpin":
-            call()
-            pins[name].discard(cid.text)
         elif op == "tamper":
             if cid.text in blocks[name]:
                 blocks[name][cid.text] = network._nodes[name].blocks[cid.text] = b"tampered"
+        elif heir == name or heir not in blocks:
+            with pytest.raises(MembershipError):
+                call()
         else:
             call()
-            del blocks[name], pins[name]
-        assert network.members() == set(blocks)
+            blocks[heir].update((text, content) for text, content in blocks.pop(name).items()
+                                if payload_of[text] == content)
+        assert members(network) == set(blocks)
         for c in cids:
-            assert network.holders(c) == {n for n in blocks if c.text in blocks[n]}
-        for n in blocks:
-            assert network.pinned(n) == sorted(pins[n])
+            assert holders(network, c) == {n for n in blocks if c.text in blocks[n]}

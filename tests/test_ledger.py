@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dnas import ledger, secp256k1
 from dnas.content_store import ContentId, base58_encode
 from dnas.contracts import PeerRegistryContract, Proxy, WineDataContractV1, tally_snapshot
-from dnas.errors import ConfigError, NotFoundError, PoolError, SealError
+from dnas.encoding import canonical_json_bytes
+from dnas.errors import ConfigError, EncodingError, NotFoundError, PoolError, SealError
 from dnas.keys import Signature, generate_keypair, hash_identifier
 from dnas.ledger import (
     GAS_LIMIT_FLOOR,
@@ -158,6 +159,37 @@ def test_params_that_are_not_an_object_rejected(chain, keys, params):
     with pytest.raises(PoolError, match="^params must be a JSON object$"):
         chain.submit_transaction(tx)
     assert not chain.pool
+
+
+def _non_finite(tx, value):
+    """``tx`` with a non-finite float in its params: built by hand, as signing
+    refuses to encode one."""
+    return replace(tx, params={**tx.params, "add": value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_float_has_no_canonical_encoding(value):
+    with pytest.raises(EncodingError, match="no canonical encoding"):
+        canonical_json_bytes({"v": value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_transaction_with_a_non_finite_param_is_refused_at_admission(chain, keys, value):
+    with pytest.raises(PoolError, match="no canonical encoding"):
+        chain.submit_transaction(_non_finite(peer_tx(keys[0], chain), value))
+    assert not chain.pool
+
+
+def test_a_replica_refuses_a_block_with_a_non_finite_param(chain, keys):
+    head = chain.head
+    block = Block(number=head.number + 1, parent_hash=head.hash,
+                  sealer=chain.sealer_at_offset(0), timestamp=head.timestamp + 1,
+                  gas_limit=next_gas_limit(head.gas_limit, head.gas_used), gas_used=TX_GAS,
+                  transactions=[_non_finite(peer_tx(keys[0], chain), float("inf"))],
+                  state_root=head.state_root)
+    with pytest.raises(SealError, match="no canonical encoding"):
+        chain.apply_block(block)
+    assert chain.head is head
 
 
 def test_tampered_sender_rejected(chain, keys):
@@ -593,7 +625,8 @@ _PLAUSIBLE = st.sampled_from([
     *_CREATE.values(), 1, 2, True])
 _LEAVES = st.one_of(  # weighted toward values a method accepts, to reach its later checks
     _PLAUSIBLE, _PLAUSIBLE, _PLAUSIBLE, st.none(), st.booleans(), st.integers(-2, 2**70),
-    st.floats(), st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.floats(allow_nan=False, allow_infinity=False),  # no canonical encoding spells the others
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
     st.just("0x" + "AB" * 20))
 _VALUES = st.recursive(
     _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(

@@ -30,7 +30,7 @@ from dnas.service import (
 from dnas.tags import TAG_MEMORY_BYTES, NfcTag, counterfeit_copy
 from dnas.vault import secret_path
 
-from conftest import built_consortium
+from conftest import built_consortium, chain_named_content_ids, held_intact, holders, members
 
 FIVE_MEMBERS = [
     ("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
@@ -179,7 +179,7 @@ def test_member_onboarded_by_vote_gets_store_node_and_vault_keystore(consortium)
                                      NodeType.LISTENER)["mode"] == "vote"
     consortium.run_until_idle()
     service = consortium.services["late"]
-    assert "store-late" in consortium.store.members()
+    assert "store-late" in members(consortium.store)
     token = service.vault.issue_token(["dnas"])
     keystore = service.vault.get(token, secret_path("late", "nodekey"))
     assert keystore["address"] == service.address
@@ -221,16 +221,15 @@ def test_removed_member_store_node_is_revoked_after_hand_over(consortium):
     consortium.run_until_idle()
     assert flow.status == "ok"
     store, cid = consortium.store, ContentId(flow.content_id)
-    assert store.holders(cid) == {"store-dist"}  # the accepted subset's only copy
+    assert holders(store, cid) == {"store-dist"}  # the accepted subset's only copy
     consortium.propose_member_removal("admin", "dist")
     consortium.run_until_idle()
-    assert "store-dist" not in store.members()
+    assert "store-dist" not in members(store)
     with pytest.raises(MembershipError):
         store.add("store-dist", b"after removal")
     with pytest.raises(MembershipError):
         store.get("store-dist", cid)
-    assert store.holders(cid) == {"store-shared"}
-    assert cid.text in store.pinned("store-shared")
+    assert holders(store, cid) == {"store-shared"}
     outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
     assert [o.result for o in outcomes] == ["pass"] * 3
 
@@ -322,7 +321,7 @@ def test_duplicate_event_delivery_is_idempotent(consortium):
     event = ContractEvent(kind="PeerAdded", fields={
         "candidate": consortium.services["late"].address,
         "member_id": "late", "role": "participant", "node_id": "enode-late",
-    }, tx_hash="0xsame")
+    })
     admin.on_contract_event(event)
     validators_after_first = list(consortium.chain.validators)
     admin.on_contract_event(event)
@@ -331,7 +330,7 @@ def test_duplicate_event_delivery_is_idempotent(consortium):
 
 def listener_state(consortium):
     chain = consortium.chain
-    return (list(chain.validators), sorted(consortium.services), consortium.store.members(),
+    return (list(chain.validators), sorted(consortium.services), members(consortium.store),
             list(chain._pending_votes))
 
 
@@ -463,7 +462,7 @@ def test_a_create_with_an_empty_wine_id_leaves_no_record_and_an_unlocked_tag(con
     assert consortium.db.wine_ids() == []
     assert tag.password is None and tag.memory == b"" and tag.write_counter == 0
     assert not consortium.chain.pool
-    assert all(not consortium.store.pinned(node) for node in consortium.store.members())
+    assert all(not node.blocks for node in consortium.store._nodes.values())
 
 
 def test_a_create_whose_payload_overflows_the_tag_leaves_no_record_and_an_unlocked_tag(
@@ -496,8 +495,12 @@ def test_a_create_whose_payload_overflows_the_tag_leaves_no_record_and_an_unlock
     ({"wine_id": "W1"}, 5),
     ({"wine_id": "W1", "pedigree_data": [1]}, "device-maker"),
     ({"pedigree_data": {}}, "device-maker"),
+    # no JSON number spells NaN or Infinity
+    ({"wine_id": "W1", "pedigree_data": {"v": float("nan")}}, "device-maker"),
+    ({"wine_id": "W1", "pedigree_data": {"v": float("inf")}}, "device-maker"),
 ], ids=["set_pedigree", "surrogate_pedigree", "surrogate_device", "surrogate_wine_id",
-        "integer_wine_id", "integer_device_id", "list_pedigree", "no_wine_id"])
+        "integer_wine_id", "integer_device_id", "list_pedigree", "no_wine_id", "nan_pedigree",
+        "infinite_pedigree"])
 def test_a_create_that_cannot_be_encoded_leaves_no_record_and_an_unlocked_tag(
         consortium, fields, device_id):
     # the fields are typed, and the binding, tag digest and subset derived, before
@@ -621,7 +624,7 @@ def _tamper_row(consortium, tag):
 def _corrupt_stored_subsets(consortium, tag):
     # the store re-verifies every copy it serves, so none of these is returned
     cid = ContentId.for_content(consortium.db.get("W1").subset())
-    for node_id in consortium.store.holders(cid):
+    for node_id in holders(consortium.store, cid):
         consortium.store._nodes[node_id].blocks[cid.text] = b"corrupted"
 
 
@@ -992,32 +995,27 @@ def test_a_scan_of_a_record_the_chain_refused_is_refused_not_flagged(consortium)
                                                          AttackClass.CLONING)
 
 
-def chain_named_content_ids(consortium):
-    """Every content id some wine entry on the chain names, at any iteration."""
-    return {cid for entry in consortium.chain.runtime.proxy.records.values()
-            for cid in entry.data_hash.values()}
-
-
-def test_refused_append_of_a_removed_member_leaves_no_pin_the_chain_does_not_name(consortium):
+def test_refused_append_of_a_removed_member_loses_no_chain_named_subset(consortium):
     tag, _ = create_wine(consortium)
     dist = consortium.services["dist"]
     _, _, session = dist.validate_record_flow(tag)
     consortium.run_until_idle()
     consortium.propose_member_removal("admin", "dist")
     flow = dist.accept_record_flow(tag, session)
-    # the removal is mined ahead of the append in one block: dist's pins move
-    # to the shared node and store-dist is revoked before the append's receipt
+    # the removal is mined ahead of the append in one block: store-dist is
+    # revoked, its blocks passing to the shared node, before the append's receipt
     consortium.run_until_idle()
-    assert flow.status == "error"
+    assert flow.status == "error" and consortium.db.get("W1").wine_status is WineStatus.ERROR
     store = consortium.store
-    assert dist.store_node_id not in store.members()
+    assert dist.store_node_id not in members(store)
     named = chain_named_content_ids(consortium)
     assert flow.content_id not in named
-    assert set(store.pinned(consortium.shared_service.store_node_id)) <= named
-    assert {cid for node in store.members() for cid in store.pinned(node)} == named
+    assert all(held_intact(store, ContentId(text)) for text in named)
+    # the refused subset passed to the heir with the rest, named by no chain entry
+    assert holders(store, ContentId(flow.content_id)) == {"store-shared"}
 
 
-def test_refused_create_unpins_its_subset_on_the_makers_node(consortium):
+def test_refused_create_loses_no_chain_named_subset(consortium):
     create_wine(consortium)
     maker = consortium.services["maker"]
     # the database forgets W1, so only the chain refuses the second create
@@ -1029,7 +1027,7 @@ def test_refused_create_unpins_its_subset_on_the_makers_node(consortium):
     assert [n["type"] for n in consortium.notifications] == ["creation_failed"]
     named = chain_named_content_ids(consortium)
     assert flow.content_id not in named
-    assert set(consortium.store.pinned(maker.store_node_id)) == named
+    assert all(held_intact(consortium.store, ContentId(text)) for text in named)
 
 
 def test_accept_on_flagged_record_rejected(consortium):
@@ -1225,7 +1223,8 @@ def _tamper(consortium, tag, what, value):
 def _written_state(consortium, tag):
     record, store = consortium.db.get("W1"), consortium.store
     return (tag.memory, tag.write_counter, tag.read_counter, record.write_counter,
-            list(record.supply_chain_data), {n: store.pinned(n) for n in store.members()})
+            list(record.supply_chain_data),
+            {n: dict(node.blocks) for n, node in store._nodes.items()})
 
 
 @pytest.mark.parametrize("purchase", [False, True], ids=["accept", "purchase"])
@@ -1591,7 +1590,7 @@ def observed(consortium):
     store, chain = consortium.store, consortium.chain
     return copy.deepcopy((
         chain.head.hash, chain.head.state_root, [tx.tx_hash for tx in chain.pool],
-        consortium.now, {node: store.pinned(node) for node in sorted(store.members())},
+        consortium.now, {n: node.blocks for n, node in store._nodes.items()},
         {m: s.vault._secrets for m, s in consortium.services.items()}))
 
 

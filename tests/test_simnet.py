@@ -15,6 +15,8 @@ from dnas.scenario import (
 from dnas.service import MemberRole, NodeType
 from dnas.simnet import MessageBus, ScenarioRunner, replay_determinism_check, run_scenario
 
+from conftest import chain_named_content_ids, held_intact, holders, members
+
 FIVE = [
     MemberSpec("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
     MemberSpec("maker", MemberRole.WINEMAKER, NodeType.VALIDATOR),
@@ -414,6 +416,19 @@ def test_replay_requires_two_runs():
         replay_determinism_check(load_scenario("cloned_tag"), runs=1)
 
 
+@pytest.mark.parametrize("seed", [None, 101], ids=["own_seed", "seed_101"])
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_no_removal_loses_a_chain_named_subset(name, seed):
+    runner = ScenarioRunner(load_scenario(name), seed=seed)
+    runner.run()
+    consortium = runner.consortium
+    removed = {m.member_id for m in runner.scenario.members} - set(consortium.services)
+    assert removed == ({"maker"} if name == "governance" else set())
+    assert {f"store-{member_id}" for member_id in removed}.isdisjoint(members(consortium.store))
+    named = chain_named_content_ids(consortium)
+    assert named and all(held_intact(consortium.store, ContentId(text)) for text in named)
+
+
 def test_different_seeds_same_outcomes_different_roots():
     scenario = load_scenario("happy_path")
     reports = [run_scenario(scenario, seed=seed) for seed in (101, 202)]
@@ -505,7 +520,8 @@ def test_a_candidate_the_registry_never_admits_gets_no_store_node():
     consortium = runner.consortium
     store = consortium.store
     assert "stranger" in consortium.services  # joined, but the registry left it out
-    assert "store-stranger" not in store.members()
+    assert "store-stranger" not in members(store)
     latest = consortium.chain.call_view("get_record", {"wine_id": "W0"})["data_hash_latest"]
-    assert latest in store.pinned("store-late")  # the admitted member's node serves W0
+    # the admitted member's node serves W0
+    assert "store-late" in holders(store, ContentId(latest))
     assert store.get("store-late", ContentId(latest)) == consortium.db.get("W0").subset()
