@@ -17,7 +17,7 @@ mark the keys they touch and sealing rehashes only those (``StateTree``).
 import copy
 import hashlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -144,24 +144,18 @@ class Block:
     state_root: str
     votes: List[Dict[str, object]] = field(default_factory=list)
 
+    def _header(self) -> Dict[str, object]:
+        """Every field but the transactions."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "transactions"}
+
     @property
     def hash(self) -> str:
-        header = canonical_json_bytes({
-            "number": self.number, "parent_hash": self.parent_hash, "sealer": self.sealer,
-            "timestamp": self.timestamp, "gas_limit": self.gas_limit,
-            "gas_used": self.gas_used, "state_root": self.state_root,
-            "votes": self.votes, "tx_hashes": [t.tx_hash for t in self.transactions],
-        })
-        return "0x" + hashlib.sha256(header).hexdigest()
+        header = {**self._header(), "tx_hashes": [t.tx_hash for t in self.transactions]}
+        return "0x" + hashlib.sha256(canonical_json_bytes(header)).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "number": self.number, "hash": self.hash, "parent_hash": self.parent_hash,
-            "sealer": self.sealer, "timestamp": self.timestamp,
-            "gas_limit": self.gas_limit, "gas_used": self.gas_used,
-            "state_root": self.state_root, "votes": self.votes,
-            "transactions": [t.to_dict() for t in self.transactions],
-        }
+        return {**self._header(), "hash": self.hash,
+                "transactions": [t.to_dict() for t in self.transactions]}
 
 
 class StateTree:
@@ -212,7 +206,6 @@ class Chain:
         self.tallies: Tallies = {}
         self.nonces: Dict[str, int] = {}
         self.pool: List[SignedTransaction] = []
-        self._pool_hashes: Set[str] = set()
         self._pooled_by_sender: Counter[str] = Counter()
         self.receipts: Dict[str, Receipt] = {}
         self._pending_votes: List[Dict[str, object]] = []
@@ -261,15 +254,10 @@ class Chain:
     # -- pool -----------------------------------------------------------------------
 
     def submit_transaction(self, tx: SignedTransaction) -> str:
-        try:  # the hash covers the params, which may lack a canonical encoding (NaN)
-            known = tx.tx_hash in self._pool_hashes or tx.tx_hash in self.receipts
-        except EncodingError as exc:
-            raise PoolError(str(exc)) from exc
-        if known:
-            raise PoolError("duplicate transaction")
+        """Admit a transaction at its sender's next nonce. Pooling and mining
+        each advance that nonce, so a replay of either is refused by it."""
         self._verify(tx, self.next_nonce(tx.sender), PoolError)
         self.pool.append(tx)
-        self._pool_hashes.add(tx.tx_hash)
         self._pooled_by_sender[tx.sender] += 1
         return tx.tx_hash
 
@@ -345,7 +333,6 @@ class Chain:
         gas_limit = next_gas_limit(parent.gas_limit, parent.gas_used)
         included = self.pool[:gas_limit // TX_GAS]
         del self.pool[:len(included)]
-        self._pool_hashes.difference_update(tx.tx_hash for tx in included)
         self._pooled_by_sender.subtract(tx.sender for tx in included)
         block = Block(
             number=parent.number + 1, parent_hash=parent.hash, sealer=sealer,

@@ -22,7 +22,6 @@ from .errors import (
     DnasError,
     FlowError,
     NotFoundError,
-    PoolError,
     SealError,
     TagLockedError,
     TagStateError,
@@ -117,9 +116,8 @@ class BlockchainService:
         self.member_id = member_id
         self.role = role
         self.node_type = node_type
-        # the administrator hosts the shared store node consumers go through
-        self.store_node_id = ("store-shared" if role is MemberRole.ADMINISTRATOR
-                              else f"store-{member_id}")
+        # the administrator's node is the shared one that consumers go through
+        self.store_node_id = f"store-{member_id}"
         self.vault = vault
         # the node key is read from the vault and decrypted once; no other copy is kept
         self._key = decrypt_keystore(vault.get(vault_session, secret_path(member_id, "nodekey")),
@@ -152,23 +150,15 @@ class BlockchainService:
         """True iff the address is in the on-chain registry white list."""
         return bool(self.chain.call_view("is_member", {"address": address}))
 
-    def vote_on_candidate(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
-        """This member's vote on a registry admission or removal."""
-        try:
-            tx_hash = self.submit_tx("registry", "propose_peer",
-                                     {"entry": dict(entry), "add": add})
-        except PoolError as exc:
-            return {"voted": False, "reason": str(exc)}
-        return {"voted": True, "tx_hash": tx_hash}
-
-    def request_votes(self, entry: Dict[str, object], add: bool) -> Dict[str, object]:
-        """Ask every registered member's service, in the registry's address
-        order, to vote on the admission or removal of ``entry``; returns each
-        member's response. All are asked because the consensus level may
-        change before the votes execute; the registry ignores the votes that
-        arrive after the change is applied."""
+    def request_votes(self, entry: Dict[str, object], add: bool) -> Dict[str, str]:
+        """Have every registered member's service, in the registry's address
+        order, vote on the admission or removal of ``entry``; returns each
+        member's ``propose_peer`` tx hash. All vote because the consensus level
+        may change before the votes execute; the registry ignores the votes
+        that arrive after the change is applied."""
         services = {s.address: s for s in self.consortium.services.values()}
-        return {peer["member_id"]: services[peer["address"]].vote_on_candidate(entry, add)
+        return {peer["member_id"]: services[peer["address"]].submit_tx(
+                    "registry", "propose_peer", {"entry": dict(entry), "add": add})
                 for peer in self.chain.call_view("get_peers", {})
                 if peer["address"] in services}
 
@@ -189,10 +179,10 @@ class BlockchainService:
         service): registry admissions and removals trigger the chain validator
         voting round. An admitted member gets its store node; a removed member's
         service stops, so that it may be onboarded again, and its node is revoked
-        with the shared node as heir to its intact blocks (nothing else may hold
-        its subsets). It keeps no memo: on a re-delivered event the chain refuses
-        every stale vote, the store keeps the node it has, and the removed
-        service is already gone."""
+        with this service's node, the shared one, as heir to its intact blocks
+        (nothing else may hold its subsets). It keeps no memo: on a re-delivered
+        event the chain refuses every stale vote, the store keeps the node it
+        has, and the removed service is already gone."""
         if event.kind not in ("PeerAdded", "PeerRemoved"):
             return
         member_id = event.fields.get("member_id", "")
@@ -526,6 +516,9 @@ class Consortium:
         admins = [m for m, role, _ in members if role is MemberRole.ADMINISTRATOR]
         if len(admins) != 1:
             raise DnasError("the consortium needs exactly one administrator")
+        if len(members) > bootstrap_count:  # the registry would never admit the surplus
+            raise DnasError(f"{len(members)} founders exceed the registry's bootstrap "
+                            f"count of {bootstrap_count}")
         self.admin_member_id = admins[0]
         self.store = PrivateNetwork(admin=self.admin_member_id)
         self.db = RecordDatabase()
@@ -585,8 +578,7 @@ class Consortium:
         if self.chain.call_view("in_bootstrap_stage", {}):
             self.shared_service.submit_tx("registry", "bootstrap_add_peer", {"entry": entry})
             return {"member_id": member_id, "mode": "bootstrap"}
-        responses = service.request_votes(entry, add=True)
-        return {"contacted": len(responses), "responses": responses,
+        return {"responses": service.request_votes(entry, add=True),
                 "member_id": member_id, "mode": "vote"}
 
     def propose_member_removal(self, proposer_id: str, member_id: str) -> Dict[str, object]:
@@ -660,10 +652,11 @@ class Consortium:
         self.seal_due(now)
 
     def run_until_idle(self) -> None:
-        """Tick until the pool, the receipt watchers and the bus are empty,
-        for at most 64 ticks; a scenario run drains by this same rule."""
+        """Tick until the pool and the bus are empty, for at most 64 ticks; a
+        scenario run drains by this same rule. A watched transaction stays
+        pooled until the seal that puts its watcher on the bus."""
         stop = self.now + _IDLE_TICKS
-        while self.chain.pool or self._receipt_watchers or self.bus.pending():
+        while self.chain.pool or self.bus.pending():
             if self.now >= stop:
                 raise SealError("no live validator can seal" if self._next_seal() is None
                                 else f"work is left after {_IDLE_TICKS} ticks")

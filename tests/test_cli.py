@@ -157,6 +157,19 @@ def test_a_scenario_with_a_non_finite_pedigree_value_is_refused(tmp_path, capsys
     assert "no canonical encoding" in capsys.readouterr().err
 
 
+def test_a_scenario_with_founders_past_the_bootstrap_count_is_refused(tmp_path, capsys):
+    # the registry's bootstrap stage admits five: a sixth founder would seal unregistered
+    scenario = json.loads(json.dumps(_BUNDLED["happy_path"]))
+    scenario["members"].append({"member_id": "extra", "role": "participant",
+                                "node_type": "validator"})
+    path = tmp_path / "six_founders.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 6 founders exceed the registry's bootstrap count of 5\n"
+
+
 def test_failed_expectation_exit_code(tmp_path, capsys):
     scenario = json.loads(
         resources.files("dnas").joinpath("scenarios").joinpath("happy_path.json").read_text())

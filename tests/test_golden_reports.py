@@ -6,7 +6,9 @@ root). Each case pins two SHA-256 digests, at each scenario's own seed and
 at seed 101: one of ``Report.canonical_bytes()``, and one of the same report
 with its ``state_root`` blanked. A change of the state encoding moves only
 the first; a change that moves the second changed what the system does, and
-must say so.
+must say so. ``BLOCK_HASHES`` pins block hashes, which commit to each header
+field, the transactions' hashes and, through the parent hash, every block
+before them.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 
 from dnas.encoding import canonical_json_bytes
 from dnas.scenario import bundled_scenario_names, load_scenario
-from dnas.simnet import run_scenario
+from dnas.simnet import ScenarioRunner, run_scenario
 
 GOLDEN = {  # (scenario, seed; None for its own) -> (full report, report without its root)
     ("happy_path", None): (
@@ -65,3 +67,24 @@ def test_report_bytes_are_pinned(name, seed):
     without_root = dict(report.to_dict(), state_root="")
     assert hashlib.sha256(canonical_json_bytes(without_root)).hexdigest() == rootless
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == full
+
+
+BLOCK_HASHES = {  # scenario, at its own seed -> (head height, heights of the blocks
+    # whose headers carry validator votes, {height: block hash})
+    "happy_path": (32, [], {
+        1: "0x2dab3ed81be8bcd726fc48cce1d8b18ea4699fce2a5b96a434adf40b3d0dd1a0",
+        32: "0x26e7ee89af4e13ab170d149fc7ab08a72f1dfdece6a8418a62c2ba183d57ab6d"}),
+    "governance": (34, [7, 11], {
+        34: "0x9181f93c4e4bf16144f586e9414555427a3cb7ed7964db755952e8559411addb"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_HASHES))
+def test_block_hashes_are_pinned(name):
+    runner = ScenarioRunner(load_scenario(name))
+    runner.run()
+    chain = runner.consortium.chain
+    height, voted, hashes = BLOCK_HASHES[name]
+    assert chain.height == height
+    assert [block.number for block in chain.blocks if block.votes] == voted
+    assert {number: chain.query_block(number).hash for number in hashes} == hashes

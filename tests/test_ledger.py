@@ -137,10 +137,23 @@ def test_valid_tx_grows_pool(chain, keys):
 
 
 def test_duplicate_tx_rejected(chain, keys):
+    # pooling and mining each spend the sender's nonce, so a replay of either fails it
+    sender = keys[0].address.hex0x
     tx = peer_tx(keys[0], chain)
+
+    def assert_replay_refused(expected_nonce):
+        pool, receipts = list(chain.pool), dict(chain.receipts)
+        with pytest.raises(PoolError, match=f"^nonce {tx.nonce} out of order; "
+                                            f"expected {expected_nonce}$"):
+            chain.submit_transaction(tx)
+        assert chain.pool == pool and chain.receipts == receipts
+        assert chain.next_nonce(sender) == expected_nonce
+
     chain.submit_transaction(tx)
-    with pytest.raises(PoolError):
-        chain.submit_transaction(tx)
+    assert_replay_refused(tx.nonce + 1)  # pooled
+    chain.seal_block(chain.sealer_at_offset(0), timestamp=chain.head.timestamp + 1)
+    assert chain.receipts[tx.tx_hash].status == "ok" and not chain.pool
+    assert_replay_refused(tx.nonce + 1)  # mined
 
 
 def test_nonce_gap_rejected(chain, keys):
@@ -337,7 +350,7 @@ def test_pool_nonces_and_fifo_blocks_property(ops):
         assert chain.pool == before[fits:]
         partial_blocks.append(len(before) > fits)
         for tx in block.transactions:
-            with pytest.raises(PoolError, match="duplicate"):
+            with pytest.raises(PoolError, match="out of order"):
                 chain.submit_transaction(tx)
 
     for op in ops:

@@ -97,13 +97,11 @@ def test_onboarding_vote_asks_each_registered_member_in_address_order(consortium
     result = consortium.onboard_member("late", MemberRole.PARTICIPANT, NodeType.VALIDATOR)
     members = [p["member_id"] for p in consortium.chain.call_view("get_peers", {})]
     assert members != [m for m in consortium.services if m != "late"]  # not join order
-    responses = result["responses"]
-    assert list(responses) == members and result["contacted"] == 5
-    assert all(responses[m]["voted"] for m in members)
+    # the reply maps each voter, in registry order, to its pooled vote's tx hash
     pooled = consortium.chain.pool
-    assert [tx.method for tx in pooled] == ["propose_peer"] * 5
+    assert result["responses"] == {m: tx.tx_hash for m, tx in zip(members, pooled)}
+    assert len(pooled) == 5 and [tx.method for tx in pooled] == ["propose_peer"] * 5
     assert [tx.sender for tx in pooled] == [consortium.services[m].address for m in members]
-    assert [tx.tx_hash for tx in pooled] == [responses[m]["tx_hash"] for m in members]
     consortium.run_until_idle()
     assert consortium.services["maker"].peer_validate(consortium.services["late"].address)
 
@@ -229,9 +227,49 @@ def test_removed_member_store_node_is_revoked_after_hand_over(consortium):
         store.add("store-dist", b"after removal")
     with pytest.raises(MembershipError):
         store.get("store-dist", cid)
-    assert holders(store, cid) == {"store-shared"}
+    assert holders(store, cid) == {consortium.shared_service.store_node_id}
     outcomes, _, _ = consortium.services["retail"].validate_record_flow(tag)
     assert [o.result for o in outcomes] == ["pass"] * 3
+
+
+def test_a_member_named_shared_is_removed_like_any_other():
+    # every store node takes its member's name: "shared" is no reserved id
+    consortium = built_consortium(seed=1, initial_members=[
+        ("admin", MemberRole.ADMINISTRATOR, NodeType.VALIDATOR),
+        ("maker", MemberRole.WINEMAKER, NodeType.VALIDATOR),
+        ("shared", MemberRole.PARTICIPANT, NodeType.VALIDATOR),
+    ])
+    assert members(consortium.store) == {"store-admin", "store-maker", "store-shared"}
+    tag, _ = create_wine(consortium)
+    shared = consortium.services["shared"]
+    _, _, session = shared.validate_record_flow(tag)
+    consortium.run_until_idle()
+    flow = shared.accept_record_flow(tag, session)
+    consortium.run_until_idle()
+    assert flow.status == "ok" and holders(consortium.store, ContentId(flow.content_id)) == {
+        "store-shared"}
+    held = dict(consortium.store._nodes["store-shared"].blocks)
+    consortium.propose_member_removal("admin", "shared")
+    consortium.run_until_idle()  # the heir is the administrator's node, not the removed one
+    assert "shared" not in consortium.services
+    assert members(consortium.store) == {"store-admin", "store-maker"}
+    assert held.items() <= consortium.store._nodes["store-admin"].blocks.items()
+    assert holders(consortium.store, ContentId(flow.content_id)) == {"store-admin"}
+    named = chain_named_content_ids(consortium)
+    assert flow.content_id in named
+    assert all(held_intact(consortium.store, ContentId(text)) for text in named)
+
+
+def test_founders_past_the_bootstrap_count_are_refused():
+    # a surplus founder would seal blocks from genesis yet never be registered
+    seven = FIVE_MEMBERS + [("p3", MemberRole.PARTICIPANT, NodeType.VALIDATOR),
+                            ("p4", MemberRole.PARTICIPANT, NodeType.VALIDATOR)]
+    with pytest.raises(DnasError, match="^7 founders exceed the registry's bootstrap "
+                                        "count of 5$"):
+        Consortium(seed=7, initial_members=seven, bootstrap_count=5)
+    with pytest.raises(DnasError, match="^3 founders exceed the registry's bootstrap "
+                                        "count of 2$"):
+        Consortium(seed=7, initial_members=FIVE_MEMBERS[:3], bootstrap_count=2)
 
 
 def test_removal_does_not_reopen_the_bootstrap_stage(consortium):
@@ -1012,7 +1050,7 @@ def test_refused_append_of_a_removed_member_loses_no_chain_named_subset(consorti
     assert flow.content_id not in named
     assert all(held_intact(store, ContentId(text)) for text in named)
     # the refused subset passed to the heir with the rest, named by no chain entry
-    assert holders(store, ContentId(flow.content_id)) == {"store-shared"}
+    assert holders(store, ContentId(flow.content_id)) == {consortium.shared_service.store_node_id}
 
 
 def test_refused_create_loses_no_chain_named_subset(consortium):
